@@ -28,7 +28,7 @@ import sys
 from typing import Sequence
 
 from . import linalg
-from .extensions import ext_min, ext_set, generic_ext
+from .extensions import _normalize_method, ext_min, ext_set, generic_ext
 from .grassmannian import ext_ger, point_count, strata
 from .homs import ext_dim, hom_dim
 from .klr import (
@@ -186,14 +186,14 @@ def _resolve_cap(args) -> int:
     if args.cap is not None:
         cap = args.cap
     else:
-        cap = int(os.environ.get("QUIVERLAB_CAP", linalg.DEFAULT_CAP))
+        text = os.environ.get("QUIVERLAB_CAP", str(linalg.DEFAULT_CAP))
+        try:
+            cap = int(text)
+        except ValueError:
+            raise CliParseError(f"QUIVERLAB_CAP={text!r} is not an integer") from None
     if cap <= 0:
         raise CliParseError("cap must be positive")
     return cap
-
-
-def _method_tag(args) -> str:
-    return "u-enumeration" if args.method == "u" else "subrep-filter"
 
 
 def _split_pair(tokens: Sequence[str]) -> tuple[str, str]:
@@ -327,7 +327,7 @@ def _cmd_order(args) -> int:
 def _cmd_ext_set(args) -> int:
     _, mu, nu = _pair_args(args)
     result = ext_set(
-        mu, nu, fields=_resolve_fields(args), method=_method_tag(args), cap=_resolve_cap(args)
+        mu, nu, fields=_resolve_fields(args), method=args.method, cap=_resolve_cap(args)
     )
     _emit(
         args,
@@ -346,14 +346,14 @@ def _cmd_ext_set(args) -> int:
 def _cmd_generic_ext(args) -> int:
     _, mu, nu = _pair_args(args)
     fields = _resolve_fields(args)
-    gen = generic_ext(mu, nu, fields=fields, method=_method_tag(args), cap=_resolve_cap(args))
+    gen = generic_ext(mu, nu, fields=fields, method=args.method, cap=_resolve_cap(args))
     _emit(
         args,
         {
             "mu": kp_format(mu),
             "nu": kp_format(nu),
             "generic_ext": kp_format(gen),
-            "method": _method_tag(args),
+            "method": _normalize_method(args.method),
             "fields": list(fields),
         },
     )

@@ -23,6 +23,7 @@ two equivalent expressions for ``d_lambda`` both evaluated and compared.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -92,28 +93,16 @@ class ExtSetResult:
     stable: bool
 
 
-_EXT_FIELD_CACHE: dict[tuple, frozenset[KostantPartition]] = {}
-
-
-def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int, cap: int) -> frozenset:
-    key = (mu, nu, q, METHOD_U)
-    hit = _EXT_FIELD_CACHE.get(key)
-    if hit is not None:
-        return hit
+@functools.cache
+def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
     quiver = mu.table.quiver
     alpha, beta = mu.total, nu.total
     cells = [(beta[t - 1], alpha[s - 1]) for s, t in quiver.arrows]
-    n_entries = sum(r * c for r, c in cells)
-    needed = q**n_entries
-    if needed > cap:
-        raise linalg.CapExceeded(
-            needed, cap, "u-space enumeration (the subrep-filter method may be feasible)"
-        )
     x = build(mu, q)
     y = build(nu, q)
     dims = dim_add(beta, alpha)
     classes = set()
-    for flat in itertools.product(range(q), repeat=n_entries):
+    for flat in itertools.product(range(q), repeat=sum(r * c for r, c in cells)):
         mats = []
         pos = 0
         for k in range(len(quiver.arrows)):
@@ -125,30 +114,19 @@ def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int, cap: int) -> 
                 [linalg.zeros(x.mats[k].shape[0], y.mats[k].shape[1]), x.mats[k]]
             )
             mats.append(np.vstack([top, bottom]))
-        classes.add(identify(Rep(quiver, q, dims, tuple(mats))))
-    out = frozenset(classes)
-    _EXT_FIELD_CACHE[key] = out
-    return out
+        classes.add(identify(Rep(quiver, q, dims, tuple(mats)), mu.table))
+    return frozenset(classes)
 
 
-def _ext_set_filter(
-    mu: KostantPartition, nu: KostantPartition, q: int, cap: int
-) -> frozenset:
-    key = (mu, nu, q, METHOD_FILTER)
-    hit = _EXT_FIELD_CACHE.get(key)
-    if hit is not None:
-        return hit
+@functools.cache
+def _ext_set_filter(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
     split = mu + nu
-    beta = nu.total
-    classes = set()
-    for lam in kp_enumerate(mu.table, split.total):
-        if not leq(lam, split):
-            continue
-        if (mu, nu) in grassmannian.realized_pairs(lam, beta, q, cap):
-            classes.add(lam)
-    out = frozenset(classes)
-    _EXT_FIELD_CACHE[key] = out
-    return out
+    return frozenset(
+        lam
+        for lam in kp_enumerate(mu.table, split.total)
+        if leq(lam, split)
+        and (mu, nu) in grassmannian.realized_pairs(lam, nu.total, q, None)
+    )
 
 
 def ext_set(
@@ -160,13 +138,22 @@ def ext_set(
     cap: int = linalg.DEFAULT_CAP,
 ) -> ExtSetResult:
     """All middle-term classes of extensions of ``mu`` (quotient) by
-    ``nu`` (sub), unioned over the given fields."""
+    ``nu`` (sub), unioned over the given fields.  The cap is checked for
+    every field before any enumeration starts."""
     method = _normalize_method(method)
+    split = mu + nu
+    for q in fields:
+        if method == METHOD_U:
+            needed = q ** hom_omega_dim(mu.total, nu.total, mu.table.quiver)
+            what = "u-space enumeration (the subrep-filter method may be feasible)"
+        else:
+            needed = grassmannian.scan_states(split.total, nu.total, q)
+            what = "subrepresentation scan"
+        linalg.check_cap(needed, cap, what)
     runner = _ext_set_u if method == METHOD_U else _ext_set_filter
-    per_field = [runner(mu, nu, q, cap) for q in fields]
+    per_field = [runner(mu, nu, q) for q in fields]
     classes = frozenset().union(*per_field)
     stable = all(s == per_field[0] for s in per_field)
-    split = mu + nu
     if split not in classes:
         raise QuiverError("split extension missing from ext_set — enumeration bug")
     for lam in classes:
@@ -175,9 +162,6 @@ def ext_set(
                 f"ext_set member {kp_format(lam)} violates leq({kp_format(lam)}, split)"
             )
     return ExtSetResult(mu, nu, classes, method, tuple(fields), stable)
-
-
-_GENERIC_CACHE: dict[tuple, KostantPartition] = {}
 
 
 def generic_ext(
@@ -192,10 +176,6 @@ def generic_ext(
     to be the unique minimum of the set in the degeneration order.  A
     tie aborts: the dense-orbit class is unique, so a tie means a bug or
     a field artifact."""
-    key = (mu, nu, tuple(fields), _normalize_method(method))
-    hit = _GENERIC_CACHE.get(key)
-    if hit is not None:
-        return hit
     classes = ext_set(mu, nu, fields=fields, method=method, cap=cap).classes
     by_self_ext = sorted(classes, key=lambda lam: (ext_dim(lam, lam), lam.parts))
     best = by_self_ext[0]
@@ -212,7 +192,6 @@ def generic_ext(
                 f"self-ext minimizer {kp_format(best)} is not below "
                 f"{kp_format(lam)} in the degeneration order"
             )
-    _GENERIC_CACHE[key] = best
     return best
 
 

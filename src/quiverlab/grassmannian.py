@@ -20,6 +20,7 @@ value in q, which is how the tests pin projective lines and points.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -46,6 +47,7 @@ __all__ = [
     "generic_pairs",
     "point_count",
     "realized_pairs",
+    "scan_states",
     "strata",
     "stratum_dim",
     "subreps",
@@ -54,29 +56,29 @@ __all__ = [
 Pair = tuple[KostantPartition, KostantPartition]
 
 
+def scan_states(dims: Sequence[int], beta: Sequence[int], q: int) -> int:
+    """States a scan of ``beta``-dimensional graded subspaces of ``dims``
+    visits before pruning: the product of per-vertex Gaussian binomials."""
+    if len(beta) != len(dims):
+        raise PartitionError("beta length does not match the rank")
+    return math.prod(linalg.gaussian_binomial(n, b, q) for n, b in zip(dims, beta))
+
+
 def subreps(
     m: Rep, beta: Sequence[int], cap: int | None = linalg.DEFAULT_CAP
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """All stable graded subspaces of ``m`` with dimension vector ``beta``,
     as tuples of row bases (one per vertex).
 
-    The pre-pruning state count (product of per-vertex Gaussian
-    binomials) is checked against ``cap`` before any enumeration starts.
+    The :func:`scan_states` count is checked against ``cap`` before any
+    enumeration starts.
     """
     quiver = m.quiver
     q = m.q
     beta = tuple(beta)
-    if len(beta) != quiver.rank:
-        raise PartitionError("beta length does not match the rank")
+    linalg.check_cap(scan_states(m.dims, beta, q), cap, "subrepresentation scan")
     if not dim_leq(beta, m.dims):
         return
-    if cap is not None:
-        total = math.prod(
-            linalg.gaussian_binomial(m.dims[v - 1], beta[v - 1], q)
-            for v in quiver.vertices
-        )
-        if total > cap:
-            raise linalg.CapExceeded(total, cap, "subrepresentation scan")
 
     arrows_by_target: dict[int, list[int]] = {v: [] for v in quiver.vertices}
     for k, (_, t) in enumerate(quiver.arrows):
@@ -152,9 +154,6 @@ class StrataReport:
         }
 
 
-_STRATA_CACHE: dict[tuple[KostantPartition, tuple[int, ...], int], StrataReport] = {}
-
-
 def strata(
     lam: KostantPartition,
     beta: Sequence[int],
@@ -163,25 +162,25 @@ def strata(
 ) -> StrataReport:
     """Classify every point of the Grassmannian by (quotient, sub) classes."""
     beta = tuple(beta)
-    key = (lam, beta, q)
-    hit = _STRATA_CACHE.get(key)
-    if hit is not None:
-        return hit
+    linalg.check_cap(scan_states(lam.total, beta, q), cap, "subrepresentation scan")
+    return _strata(lam, beta, q)
+
+
+@functools.cache
+def _strata(lam: KostantPartition, beta: tuple[int, ...], q: int) -> StrataReport:
     m = build(lam, q)
     counts: dict[Pair, int] = {}
     total = 0
-    for bases in subreps(m, beta, cap):
+    for bases in subreps(m, beta, None):
         sub, quot = sub_quotient(m, bases)
-        pair = (identify(quot), identify(sub))
+        pair = (identify(quot, lam.table), identify(sub, lam.table))
         counts[pair] = counts.get(pair, 0) + 1
         total += 1
     entries = tuple(
         StratumEntry(mu, nu, counts[(mu, nu)], stratum_dim(lam, nu, check=False))
         for mu, nu in sorted(counts, key=lambda p: (p[0].parts, p[1].parts))
     )
-    report = StrataReport(lam, beta, q, entries, total)
-    _STRATA_CACHE[key] = report
-    return report
+    return StrataReport(lam, beta, q, entries, total)
 
 
 def point_count(

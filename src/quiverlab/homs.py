@@ -22,7 +22,6 @@ import functools
 from dataclasses import dataclass
 
 from .quiver import (
-    DynkinQuiver,
     KostantPartition,
     PartitionError,
     RootTable,
@@ -30,7 +29,6 @@ from .quiver import (
     euler_form,
     kp_single,
     kp_zero,
-    positive_roots,
     projective_root,
     segments_of,
 )
@@ -63,26 +61,22 @@ def _check_same_table(x: KostantPartition, y: KostantPartition) -> None:
         raise PartitionError("partitions live over different root tables")
 
 
+def _sum_over_parts(matrix, x: KostantPartition, y: KostantPartition) -> int:
+    _check_same_table(x, y)
+    ym = y.multiplicities().items()
+    return sum(
+        cx * cy * matrix[a][b] for a, cx in x.multiplicities().items() for b, cy in ym
+    )
+
+
 def hom_dim(x: KostantPartition, y: KostantPartition) -> int:
     """dim Hom(M_x, M_y), summed biadditively over parts."""
-    _check_same_table(x, y)
-    table = x.table
-    return sum(
-        cx * cy * hom_ext_pair(table, a, b)[0]
-        for a, cx in x.multiplicities().items()
-        for b, cy in y.multiplicities().items()
-    )
+    return _sum_over_parts(hom_table(x.table).hom, x, y)
 
 
 def ext_dim(x: KostantPartition, y: KostantPartition) -> int:
     """dim Ext^1(M_x, M_y), summed biadditively over parts."""
-    _check_same_table(x, y)
-    table = x.table
-    return sum(
-        cx * cy * hom_ext_pair(table, a, b)[1]
-        for a, cx in x.multiplicities().items()
-        for b, cy in y.multiplicities().items()
-    )
+    return _sum_over_parts(hom_table(x.table).ext, x, y)
 
 
 @dataclass(frozen=True)
@@ -110,16 +104,15 @@ class HomTable:
 
 
 @functools.cache
-def hom_table(quiver: DynkinQuiver) -> HomTable:
-    table = positive_roots(quiver)
-    m = len(table)
-    hom = tuple(
-        tuple(hom_ext_pair(table, a, b)[0] for b in range(m)) for a in range(m)
+def hom_table(table: RootTable) -> HomTable:
+    """The hom and ext tables of one root table, indexed by its root order."""
+    idx = range(len(table))
+    pairs = [[hom_ext_pair(table, a, b) for b in idx] for a in idx]
+    return HomTable(
+        table,
+        tuple(tuple(h for h, _ in row) for row in pairs),
+        tuple(tuple(e for _, e in row) for row in pairs),
     )
-    ext = tuple(
-        tuple(hom_ext_pair(table, a, b)[1] for b in range(m)) for a in range(m)
-    )
-    return HomTable(table, hom, ext)
 
 
 # ---------------------------------------------------------------------------

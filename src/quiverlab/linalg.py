@@ -21,12 +21,12 @@ __all__ = [
     "CapExceeded",
     "DEFAULT_CAP",
     "SUPPORTED_FIELDS",
+    "check_cap",
     "enumerate_subspaces",
     "gaussian_binomial",
     "identity",
     "kernel_basis",
     "matmul",
-    "random_invertible",
     "rank",
     "row_space_contains",
     "rref",
@@ -47,6 +47,12 @@ class CapExceeded(RuntimeError):
         super().__init__(f"{what} needs {needed} states, cap is {cap}")
         self.needed = needed
         self.cap = cap
+
+
+def check_cap(needed: int, cap: int | None, what: str) -> None:
+    """Raise :class:`CapExceeded` when ``needed`` states pass ``cap`` (None: no cap)."""
+    if cap is not None and needed > cap:
+        raise CapExceeded(needed, cap, what)
 
 
 def _check_field(q: int) -> None:
@@ -185,9 +191,7 @@ def enumerate_subspaces(
     _check_field(q)
     if d < 0 or d > n:
         return
-    total = gaussian_binomial(n, d, q)
-    if cap is not None and total > cap:
-        raise CapExceeded(total, cap, f"Gr({d}, F_{q}^{n})")
+    check_cap(gaussian_binomial(n, d, q), cap, f"Gr({d}, F_{q}^{n})")
     if d == 0:
         yield zeros(0, n)
         return
@@ -239,16 +243,3 @@ def subspaces_containing(
         full, fpiv = rref(np.vstack([low, lift]), q)
         assert len(fpiv) == d
         yield full[:d]
-
-
-def random_invertible(rng, n: int, q: int) -> np.ndarray:
-    """A uniformly-ish random invertible matrix (rejection sampling); test helper."""
-    _check_field(q)
-    if n == 0:
-        return zeros(0, 0)
-    while True:
-        m = np.array(
-            [[rng.randrange(q) for _ in range(n)] for _ in range(n)], dtype=np.int64
-        )
-        if rank(m, q) == n:
-            return m

@@ -26,8 +26,8 @@ operators move support by +1 (for the q^{-1} twist) or -1 (for q), and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .homs import ext_dim, hom_dim, projective_resolution
@@ -213,7 +213,7 @@ class RepetitionQuiver:
         )
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def build_repetition(
     quiver: DynkinQuiver, window: tuple[int, int] | None = None
 ) -> RepetitionQuiver:

@@ -267,7 +267,7 @@ def identify(m: Rep, table: RootTable | None = None) -> KostantPartition:
     input, since every representation decomposes)."""
     if table is None:
         table = positive_roots(m.quiver)
-    homs = hom_table(m.quiver).hom
+    homs = hom_table(table).hom
     counts = [hom_space_dim(indecomposable(table, a, m.q), m) for a in range(len(table))]
     mult = [0] * len(table)
     for a in range(len(table)):

@@ -265,16 +265,7 @@ def test_coordinate_pairs_need_two_tokens(capsys):
 
 # ------------------------------------------------------------ caps
 
-def clear_strata_cache():
-    # cached strata are served without re-checking the cap (the work is
-    # already done), so cap tests must start from a cold cache
-    from quiverlab import grassmannian
-
-    grassmannian._STRATA_CACHE.clear()
-
-
 def test_cap_flag_exit_5(capsys):
-    clear_strata_cache()
     rc, _ = run(
         capsys, "grass", "count", "[1,2]+[2,3]", "--beta", "0,1,1",
         "--field", "2", "--cap", "1", *A3,
@@ -283,7 +274,6 @@ def test_cap_flag_exit_5(capsys):
 
 
 def test_cap_env_var(capsys, monkeypatch):
-    clear_strata_cache()
     monkeypatch.setenv("QUIVERLAB_CAP", "1")
     rc, _ = run(
         capsys, "grass", "count", "[1,2]+[2,3]", "--beta", "0,1,1", "--field", "2", *A3
@@ -295,6 +285,13 @@ def test_cap_env_var(capsys, monkeypatch):
         "--field", "2", "--cap", "100000", *A3,
     )
     assert rc == 0 and data["counts"][0]["count"] == 3
+
+
+def test_cap_env_var_not_an_integer_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("QUIVERLAB_CAP", "abc")
+    rc = main(["grass", "count", "[1,2]+[2,3]", "--beta", "0,1,1", *A3])
+    assert rc == 2
+    assert "QUIVERLAB_CAP" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ tsv

@@ -17,10 +17,14 @@ from quiverlab import (
     generic_ext,
     hom_omega_dim,
     kp_format,
+    kp_from_vectors,
     kp_parse,
     leq,
     orbit_dim,
     pair_stratum_dim,
+    point_count,
+    positive_roots,
+    strata,
     stratum_dim_report,
 )
 
@@ -75,14 +79,46 @@ def test_every_middle_term_degenerates_to_split(t3):
 
 
 def test_u_enumeration_cap(t3):
-    from quiverlab.extensions import _EXT_FIELD_CACHE
-
     mu = kp_parse(t3, "[1,2]")
     nu = kp_parse(t3, "[2,2]+[3,3]")
-    _EXT_FIELD_CACHE.clear()  # the cap only guards fresh enumerations
     with pytest.raises(CapExceeded) as exc:
         ext_set(mu, nu, cap=1)
     assert "subrep-filter" in str(exc.value)  # points at the fallback method
+
+
+def test_cap_is_checked_after_a_warm_memo(t3):
+    mu, nu = kp_parse(t3, "[1,2]"), kp_parse(t3, "[2,3]")
+    lam, beta = mu + nu, nu.total
+    point_count(lam, beta, 2)
+    for method in (METHOD_U, METHOD_FILTER):
+        ext_set(mu, nu, method=method)
+        with pytest.raises(CapExceeded):
+            ext_set(mu, nu, method=method, cap=1)
+    with pytest.raises(CapExceeded):
+        point_count(lam, beta, 2, cap=1)
+
+
+def test_alternate_word_agrees_with_canonical(t3):
+    # [1,3] and [2,2] swap places between the two adapted root orders
+    alt = positive_roots(t3.quiver, "alternate")
+
+    def over(table, kp):
+        return kp_from_vectors(table, kp.part_roots())
+
+    mu, nu = kp_parse(alt, "[1,1]"), kp_parse(alt, "[2,3]")
+    for method in (METHOD_U, METHOD_FILTER):
+        expected = ext_set(over(t3, mu), over(t3, nu), method=method).classes
+        assert ext_set(mu, nu, method=method).classes == {
+            over(alt, lam) for lam in expected
+        }
+    assert kp_parse(alt, "[1,3]") in ext_set(mu, nu).classes
+    lam = kp_parse(alt, "[1,3]+[2,2]")
+    for q in (2, 3):
+        got = strata(lam, (0, 1, 0), q).entries
+        expected = strata(over(t3, lam), (0, 1, 0), q).entries
+        assert [(e.mu, e.nu, e.count, e.dim) for e in got] == [
+            (over(alt, e.mu), over(alt, e.nu), e.count, e.dim) for e in expected
+        ]
 
 
 def test_generic_ext_values(t2, t3):

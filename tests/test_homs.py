@@ -55,7 +55,7 @@ def test_hom_vanishing_pattern(t3):
 
 @pytest.mark.parametrize("dt,rank", [("A", 3), ("D", 4), ("E", 6)])
 def test_hom_table_validates(dt, rank):
-    hom_table(standard_quiver(dt, rank)).validate()
+    hom_table(positive_roots(standard_quiver(dt, rank))).validate()
 
 
 def test_euler_identity_on_roots(t4):

@@ -23,8 +23,18 @@ from quiverlab import (
     sub_quotient,
     zero_rep,
 )
-from quiverlab.linalg import random_invertible
+from quiverlab import linalg
 from quiverlab.reps import RepError
+
+
+def random_invertible(rng, n, q):
+    """A random invertible n x n matrix over F_q, by rejection sampling."""
+    while True:
+        m = np.array(
+            [[rng.randrange(q) for _ in range(n)] for _ in range(n)], dtype=np.int64
+        )
+        if linalg.rank(m, q) == n:
+            return m
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -46,6 +56,20 @@ def test_identify_roundtrip(t3, q):
             m = build(kp, q)
             assert m.dims == kp.total
             assert identify(m) == kp
+
+
+@pytest.mark.parametrize("dt,rank,max_total", [("A", 3, 4), ("D", 4, 3)])
+def test_identify_roundtrip_on_alternate_table(dt, rank, max_total):
+    # partitions come back over the table they were built on, so parts
+    # index the alternate root order, not the canonical one
+    table = positive_roots(standard_quiver(dt, rank), "alternate")
+    assert table != positive_roots(table.quiver)
+    for gamma in itertools.product(range(max_total + 1), repeat=rank):
+        if not 0 < sum(gamma) <= max_total:
+            continue
+        for kp in kp_enumerate(table, gamma):
+            for q in (2, 3):
+                assert identify(build(kp, q), table) == kp
 
 
 def test_identify_is_conjugation_invariant(t3):
