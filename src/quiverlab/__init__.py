@@ -72,7 +72,6 @@ from .linalg import (
     SUPPORTED_FIELDS,
     enumerate_subspaces,
     gaussian_binomial,
-    subspace_count,
 )
 from .order import (
     cover_relations,

@@ -1,7 +1,15 @@
 """Exact dense linear algebra over the prime fields F_2, F_3 (and F_5).
 
-Matrices are numpy ``int64`` arrays reduced mod p; every operation stays
-in exact integer arithmetic (no floating point anywhere).  Enumeration
+One pure-Python Gauss–Jordan routine does every elimination: rows are
+lists of Python ints, read mod p, so arithmetic is exact and there is no
+per-call numpy overhead on the small systems the package builds.
+Forward elimination gives :func:`rank`; the same loop with
+back-substitution gives the canonical reduced row-echelon form behind
+:func:`rref`, :func:`kernel_basis`, :func:`solve`,
+:func:`row_space_contains` and :func:`subspaces_containing`.  numpy
+stays at the boundary: these functions take a list of int lists or
+anything ``numpy.asarray`` takes, and return numpy ``int64`` arrays
+reduced mod p.  Enumeration
 of subspaces walks reduced row-echelon profiles in a fixed
 lexicographic order, so iterating twice gives the same sequence and the
 number of bases produced always equals the Gaussian binomial.
@@ -26,12 +34,10 @@ __all__ = [
     "gaussian_binomial",
     "identity",
     "kernel_basis",
-    "matmul",
     "rank",
     "row_space_contains",
     "rref",
     "solve",
-    "subspace_count",
     "subspaces_containing",
     "zeros",
 ]
@@ -77,54 +83,96 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
-def matmul(a, b, q: int) -> np.ndarray:
-    _check_field(q)
-    return (_as_matrix(a) @ _as_matrix(b)) % q
+def _rows(a) -> tuple[list[list[int]], int]:
+    """The rows of ``a`` as a new list of int lists, and the column count.
+
+    ``a`` is a list of int lists, or anything :func:`numpy.asarray` takes
+    (a 1-D input is one row).  Entries are not reduced mod q.
+    """
+    if type(a) is list and (not a or type(a[0]) is list):
+        if len(set(map(len, a))) > 1:
+            raise ValueError("rows of unequal length")
+        return list(a), len(a[0]) if a else 0
+    m = _as_matrix(a)
+    return m.tolist(), m.shape[1]
 
 
-def rref(a, q: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row-echelon form and pivot columns."""
-    _check_field(q)
-    m = _as_matrix(a) % q
-    m = m.copy()
-    nrows, ncols = m.shape
+def _to_array(rows: list[list[int]], ncols: int, q: int) -> np.ndarray:
+    return np.array(rows, dtype=np.int64).reshape(len(rows), ncols) % q
+
+
+def _eliminate(rows: list[list[int]], q: int, reduced: bool) -> list[int]:
+    """Row-reduce the int lists ``rows`` over F_q in place and return the
+    pivot columns.
+
+    The pivot rows end up first, in pivot order, each with a leading 1,
+    above rows that are zero mod q.  Without ``reduced`` only the entries
+    below each pivot are cleared (forward elimination, enough for the
+    rank); with it the entries above are cleared too, which leaves the
+    reduced row-echelon form mod q.  Entries may be any ints: each one is
+    read mod q, and a row the loop rewrites is reduced, but a row it
+    never rewrites keeps its entries as given.  Rows are replaced, never
+    changed in place, so a caller may pass a new list holding rows it
+    still uses elsewhere.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        for p in range(r, nrows):
+            if rows[p][c] % q:
+                break
+        else:
             continue
-        p = r + int(nz[0])
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        inv = pow(int(m[r, c]), q - 2, q)
-        m[r] = (m[r] * inv) % q
-        col = m[:, c].copy()
-        col[r] = 0
-        m = (m - np.outer(col, m[r])) % q
+        pivot_row = rows[p]
+        rows[p] = rows[r]
+        lead = pivot_row[c]
+        if lead != 1:
+            inv = pow(lead, q - 2, q)
+            pivot_row = [x * inv % q for x in pivot_row]
+        rows[r] = pivot_row
+        for i in range(0 if reduced else r + 1, nrows):
+            f = rows[i][c] % q
+            if f and i != r:
+                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], pivot_row)]
         pivots.append(c)
         r += 1
-    return m, tuple(pivots)
+    return pivots
+
+
+def rref(a, q: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row-echelon form and pivot columns."""
+    _check_field(q)
+    rows, ncols = _rows(a)
+    pivots = _eliminate(rows, q, True)
+    return _to_array(rows, ncols, q), tuple(pivots)
 
 
 def rank(a, q: int) -> int:
-    return len(rref(a, q)[1])
+    """Rank over F_q; a list of int lists is used as it is, without numpy."""
+    _check_field(q)
+    return len(_eliminate(_rows(a)[0], q, False))
 
 
 def kernel_basis(a, q: int) -> np.ndarray:
     """Rows span the right kernel ``{v : a v = 0}``; shape ``(nullity, ncols)``."""
-    m = _as_matrix(a)
-    ncols = m.shape[1]
-    reduced, pivots = rref(m, q)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = zeros(len(free), ncols)
-    for row, fc in enumerate(free):
-        basis[row, fc] = 1
+    _check_field(q)
+    rows, ncols = _rows(a)
+    pivots = _eliminate(rows, q, True)
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
         for i, pc in enumerate(pivots):
-            basis[row, pc] = (-int(reduced[i, fc])) % q
-    return basis
+            v[pc] = -rows[i][fc] % q
+        basis.append(v)
+    return _to_array(basis, ncols, q)
 
 
 def solve(a, b, q: int) -> np.ndarray | None:
@@ -133,33 +181,36 @@ def solve(a, b, q: int) -> np.ndarray | None:
     Free variables are set to zero, so the answer is deterministic.
     """
     _check_field(q)
-    m = _as_matrix(a) % q
-    rhs = np.asarray(b, dtype=np.int64) % q
+    rows, ncols = _rows(a)
+    rhs = np.asarray(b, dtype=np.int64)
     vector_rhs = rhs.ndim == 1
     if vector_rhs:
         rhs = rhs.reshape(-1, 1)
-    if rhs.shape[0] != m.shape[0]:
+    if rhs.ndim != 2 or rhs.shape[0] != len(rows):
         raise ValueError("incompatible shapes in solve")
-    aug = np.hstack([m, rhs])
-    reduced, pivots = rref(aug, q)
-    ncols = m.shape[1]
-    if any(p >= ncols for p in pivots):
+    aug = [row + extra for row, extra in zip(rows, rhs.tolist())]
+    pivots = _eliminate(aug, q, True)
+    if pivots and pivots[-1] >= ncols:
         return None
-    x = zeros(ncols, rhs.shape[1])
+    x = [[0] * rhs.shape[1] for _ in range(ncols)]
     for i, pc in enumerate(pivots):
-        x[pc] = reduced[i, ncols:]
-    return x[:, 0] if vector_rhs else x
+        x[pc] = aug[i][ncols:]
+    out = _to_array(x, rhs.shape[1], q)
+    return out[:, 0] if vector_rhs else out
 
 
 def row_space_contains(basis, vectors, q: int) -> bool:
     """True when every row of ``vectors`` lies in the row space of ``basis``."""
-    b = _as_matrix(basis)
-    v = _as_matrix(vectors)
-    if v.shape[0] == 0:
+    _check_field(q)
+    b, b_cols = _rows(basis)
+    v, v_cols = _rows(vectors)
+    if not v:
         return True
-    if b.shape[0] == 0:
-        return not np.any(v % q)
-    return rank(np.vstack([b, v]), q) == rank(b, q)
+    if not b:
+        return all(x % q == 0 for row in v for x in row)
+    if b_cols != v_cols:
+        raise ValueError("basis and vectors have different widths")
+    return len(_eliminate(b + v, q, False)) == len(_eliminate(b, q, False))
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -172,11 +223,6 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         den *= q ** (i + 1) - 1
     assert num % den == 0
     return num // den
-
-
-def subspace_count(n: int, q: int) -> int:
-    """Total number of subspaces of F_q^n, all dimensions together."""
-    return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
 def enumerate_subspaces(
@@ -225,8 +271,9 @@ def subspaces_containing(
     quotient, re-echelonised.  Deterministic order inherited from
     :func:`enumerate_subspaces`.
     """
-    low = _as_matrix(lower) % q
-    low, piv = rref(low, q)
+    _check_field(q)
+    low, _ = _rows(lower)
+    piv = _eliminate(low, q, True)
     u = len(piv)
     low = low[:u]
     if d < u or d > n:
@@ -238,8 +285,12 @@ def subspaces_containing(
     free_cols = [c for c in range(n) if c not in piv]
     k = len(free_cols)
     for small in enumerate_subspaces(k, d - u, q, cap):
-        lift = zeros(small.shape[0], n)
-        lift[:, free_cols] = small
-        full, fpiv = rref(np.vstack([low, lift]), q)
+        rows = list(low)
+        for small_row in small.tolist():
+            lift = [0] * n
+            for c, x in zip(free_cols, small_row):
+                lift[c] = x
+            rows.append(lift)
+        fpiv = _eliminate(rows, q, True)
         assert len(fpiv) == d
-        yield full[:d]
+        yield _to_array(rows, n, q)

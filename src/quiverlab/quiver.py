@@ -386,6 +386,21 @@ def simple_reflection(
 # adapted reduced words and the root order
 
 
+def _simple_images(rank: int) -> list[list[int]]:
+    return [[1 if j == i else 0 for j in range(rank)] for i in range(rank)]
+
+
+def _times_reflection(quiver: DynkinQuiver, images: list[list[int]], i: int) -> None:
+    """Turn ``images`` (``images[j-1] = w(alpha_j)``) into the images under
+    ``w s_i``, in place.  ``s_i`` negates ``alpha_i``, adds it to each
+    neighbour and fixes the other simple roots, so only those images
+    change; applying the same letter twice restores them."""
+    col = images[i - 1]
+    for j in quiver.neighbours(i):
+        images[j - 1] = [a + b for a, b in zip(images[j - 1], col)]
+    images[i - 1] = [-a for a in col]
+
+
 def _reflect_arrows(
     arrows: frozenset[tuple[int, int]], i: int
 ) -> frozenset[tuple[int, int]]:
@@ -415,40 +430,43 @@ def adapted_reduced_word(
     if variant not in ("canonical", "alternate"):
         raise QuiverError(f"unknown word variant {variant!r}")
     m = positive_root_count(quiver.diagram_type, quiver.rank)
-    simples = tuple(
-        tuple(1 if j == i else 0 for j in range(1, quiver.rank + 1))
-        for i in range(1, quiver.rank + 1)
-    )
+    # images[i-1] is w(alpha_i) for w the product of the letters so far
+    images = _simple_images(quiver.rank)
 
-    def root_of(prefix: list[int], i: int) -> tuple[int, ...]:
-        beta = simples[i - 1]
-        for letter in reversed(prefix):
-            beta = simple_reflection(quiver, letter, beta)
-        return beta
-
-    def extend(
-        word: list[int], arrows: frozenset[tuple[int, int]]
-    ) -> list[int] | None:
-        if len(word) == m:
-            return word
+    def choices(arrows: frozenset[tuple[int, int]]) -> Iterator[int]:
         candidates = []
         for i in _sources(quiver.rank, arrows):
-            beta = root_of(word, i)
+            beta = tuple(images[i - 1])
             if all(x >= 0 for x in beta):
                 candidates.append((beta, i))
         if variant == "canonical":
             candidates.sort(key=lambda c: (c[0], -c[1]), reverse=True)
         else:
             candidates.sort(key=lambda c: c[1])
-        for beta, i in candidates:
-            result = extend(word + [i], _reflect_arrows(arrows, i))
-            if result is not None:
-                return result
-        return None
+        return iter([i for _, i in candidates])
 
-    word = extend([], frozenset(quiver.arrows))
-    if word is None:  # pragma: no cover - cannot happen for Dynkin orientations
-        raise QuiverError("no adapted reduced word found")
+    # depth-first search, one stack level per letter (a word has one
+    # letter per positive root, too many for recursion on large ranks):
+    # pending[k] holds the untried choices for letter k+1, and
+    # arrow_sets[k] the orientation after reflecting at word[:k]
+    word: list[int] = []
+    arrow_sets = [frozenset(quiver.arrows)]
+    pending = [choices(arrow_sets[0])]
+    while len(word) < m:
+        if not pending:  # pragma: no cover - cannot happen for Dynkin orientations
+            raise QuiverError("no adapted reduced word found")
+        i = next(pending[-1], None)
+        if i is None:
+            pending.pop()
+            if word:
+                _times_reflection(quiver, images, word.pop())
+                arrow_sets.pop()
+            continue
+        word.append(i)
+        _times_reflection(quiver, images, i)
+        arrow_sets.append(_reflect_arrows(arrow_sets[-1], i))
+        if len(word) < m:
+            pending.append(choices(arrow_sets[-1]))
     return tuple(word)
 
 
@@ -468,17 +486,14 @@ class RootTable:
     @classmethod
     def from_word(cls, quiver: DynkinQuiver, word: Sequence[int]) -> "RootTable":
         roots: list[tuple[int, ...]] = []
-        prefix: list[int] = []
+        # images[i-1] is w(alpha_i) for w the product of the letters so far
+        images = _simple_images(quiver.rank)
         for letter in word:
-            beta = tuple(
-                1 if j == letter else 0 for j in range(1, quiver.rank + 1)
-            )
-            for prev in reversed(prefix):
-                beta = simple_reflection(quiver, prev, beta)
+            beta = tuple(images[letter - 1])
             if any(x < 0 for x in beta):
                 raise QuiverError(f"word {tuple(word)} is not reduced")
             roots.append(beta)
-            prefix.append(letter)
+            _times_reflection(quiver, images, letter)
         expected = positive_root_count(quiver.diagram_type, quiver.rank)
         if len(roots) != expected or len(set(roots)) != expected:
             raise QuiverError("word does not enumerate the positive roots")
@@ -644,23 +659,25 @@ def kp_enumerate(table: RootTable, gamma: tuple[int, ...]) -> tuple[KostantParti
     if any(x < 0 for x in gamma):
         raise PartitionError("gamma has negative entries")
     results: list[KostantPartition] = []
-
-    def descend(k: int, remaining: tuple[int, ...], acc: tuple[int, ...]) -> None:
+    # depth-first over roots from the largest index down, more copies of
+    # a root first; a stack instead of recursion, since the depth is the
+    # number of roots
+    stack = [(len(table.roots) - 1, tuple(gamma), ())]
+    while stack:
+        k, remaining, acc = stack.pop()
         if not any(remaining):
             results.append(KostantPartition(table, acc))
-            return
+            continue
         if k < 0:
-            return
+            continue
         vec = table.roots[k]
         cap = min(
             (remaining[j] // vec[j] for j in range(len(vec)) if vec[j]),
             default=0,
         )
-        for count in range(cap, -1, -1):
+        for count in range(cap + 1):  # popped in the order cap, ..., 0
             rest = tuple(r - count * v for r, v in zip(remaining, vec))
-            descend(k - 1, rest, acc + (k,) * count)
-
-    descend(len(table.roots) - 1, tuple(gamma), ())
+            stack.append((k - 1, rest, acc + (k,) * count))
     return tuple(results)
 
 

@@ -213,15 +213,26 @@ class RepetitionQuiver:
         )
 
 
+# The widest window build_repetition accepts, in Coxeter numbers.  The
+# default window is under three Coxeter numbers wide, and the labeling walk
+# visits every level of the window, so an unbounded one could run for ever.
+MAX_WINDOW_COXETER = 8
+
+
 @functools.cache
 def build_repetition(
     quiver: DynkinQuiver, window: tuple[int, int] | None = None
 ) -> RepetitionQuiver:
     xi = _heights(quiver)
+    h = coxeter_number(quiver.diagram_type, quiver.rank)
     if window is None:
-        h = coxeter_number(quiver.diagram_type, quiver.rank)
         window = (min(xi) - 2 * h, max(xi) + 2)
     lo, hi = window
+    if hi - lo > MAX_WINDOW_COXETER * h:
+        raise RepetitionError(
+            f"window [{lo}, {hi}] spans {hi - lo} levels; at most "
+            f"{MAX_WINDOW_COXETER} * h = {MAX_WINDOW_COXETER * h} are allowed"
+        )
     table = positive_roots(quiver)
     all_roots = set(table.roots)
 

@@ -231,33 +231,35 @@ def hom_space_dim(m: Rep, n: Rep) -> int:
     if m.quiver != n.quiver or m.q != n.q:
         raise RepError("representations live over different quivers or fields")
     q = m.q
-    rank_ = m.quiver.rank
-    cols_per_vertex = [n.dims[i] * m.dims[i] for i in range(rank_)]
-    offsets = np.concatenate([[0], np.cumsum(cols_per_vertex)])
-    total_cols = int(offsets[-1])
+    # f_v is an e_v x d_v matrix (e = dims of n, d = dims of m); its entry
+    # (a, b) is unknown number offsets[v-1] + a * d_v + b
+    offsets = [0]
+    for d_v, e_v in zip(m.dims, n.dims):
+        offsets.append(offsets[-1] + d_v * e_v)
+    total_cols = offsets[-1]
     if total_cols == 0:
         return 0
-    arrows = m.quiver.arrows
-    row_count = sum(n.dims[t - 1] * m.dims[s - 1] for s, t in arrows)
-    if row_count == 0:
-        return total_cols
-    system = linalg.zeros(row_count, total_cols)
-    r0 = 0
-    for k, (s, t) in enumerate(arrows):
+    rows = []
+    for k, (s, t) in enumerate(m.quiver.arrows):
         e_t, d_s, d_t = n.dims[t - 1], m.dims[s - 1], m.dims[t - 1]
-        block = system[r0 : r0 + e_t * d_s]
-        r0 += e_t * d_s
-        # f_t X_h contributes I_{e_t} (x) X_h^T on the f_t block
-        x_t = m.mats[k].T
-        c = offsets[t - 1]
+        if not e_t * d_s:
+            continue
+        x_cols = m.mats[k].T.tolist()
+        y_rows = n.mats[k].tolist()
+        c_t, c_s = offsets[t - 1], offsets[s - 1]
+        end_s = offsets[s]
+        # one equation per entry (a, j) of f_t X_h - Y_h f_s: X_h's column
+        # j meets row a of f_t, and -Y_h's row a meets column j of f_s
+        # (entries need not be reduced mod q; linalg.rank reads them mod q)
         for a in range(e_t):
-            block[a * d_s : (a + 1) * d_s, c + a * d_t : c + (a + 1) * d_t] = x_t
-        # -Y_h f_s contributes -(Y_h (x) I_{d_s}) on the f_s block
-        f_s = block[:, offsets[s - 1] : offsets[s]]
-        neg_y = (-n.mats[k]) % q
-        for j in range(d_s):
-            f_s[j::d_s, j::d_s] = neg_y
-    return total_cols - linalg.rank(system, q)
+            lo = c_t + a * d_t
+            y_row = [-y for y in y_rows[a]]
+            for j in range(d_s):
+                row = [0] * total_cols
+                row[lo : lo + d_t] = x_cols[j]
+                row[c_s + j : end_s : d_s] = y_row
+                rows.append(row)
+    return total_cols - linalg.rank(rows, q)
 
 
 def identify(m: Rep, table: RootTable | None = None) -> KostantPartition:

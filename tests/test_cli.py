@@ -5,9 +5,13 @@ verdict, 4 abstention, 5 enumeration cap exceeded.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import quiverlab
 from quiverlab import format_quiver_spec, standard_quiver
 from quiverlab.cli import main
 
@@ -222,6 +226,32 @@ def test_rep_quiver(capsys):
     rows = {(r["i"], r["p"]): (r["root"], r["m"]) for r in data["vertices"]}
     assert rows[(2, 0)] == ("1,1", 0)
     assert rows[(1, 3)] == ("1,1", 1)
+
+
+def test_rep_quiver_window_too_wide_is_a_domain_error():
+    # in a child process with a timeout, since the unbounded walk hung
+    paths = [os.path.dirname(os.path.dirname(quiverlab.__file__))]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    argv = ["rep-quiver", "--window", "-100000000", "100000000", *A2]
+    proc = subprocess.run(
+        [sys.executable, "-m", "quiverlab.cli", *argv],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: window [-100000000, 100000000]")
+
+
+def test_roots_and_kp_past_the_recursion_limit(capsys):
+    # D40 has 1560 positive roots: one adapted-word letter and one level
+    # of the partition search per root
+    d40 = ("--type", "D", "--rank", "40")
+    rc, data = run_json(capsys, "roots", *d40)
+    assert rc == 0 and len(data["word"]) == len(data["roots"]) == 1560
+    simple = ",".join(["0"] * 39 + ["1"])
+    rc, data = run_json(capsys, "kp", simple, *d40)
+    assert rc == 0 and data["count"] == 1 and data["classes"] == [simple]
 
 
 # ------------------------------------------------------------ quiver sources

@@ -1,8 +1,11 @@
 """Exact linear algebra over small prime fields.
 
-Property tests pin the row-echelon/kernel/solve contracts; counting
-tests pin the subspace enumerators against Gaussian binomials.
+Property tests pin the row-echelon/kernel/solve contracts and check the
+rank against a brute-force kernel count; counting tests pin the
+subspace enumerators against Gaussian binomials.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -15,14 +18,22 @@ from quiverlab.linalg import (
     gaussian_binomial,
     identity,
     kernel_basis,
-    matmul,
     rank,
     row_space_contains,
     rref,
     solve,
-    subspace_count,
     subspaces_containing,
 )
+
+
+def matmul(a, b, q):
+    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % q
+
+
+def subspace_count(n, q):
+    """Total number of subspaces of F_q^n, all dimensions together."""
+    return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
+
 
 fields = st.sampled_from(SUPPORTED_FIELDS)
 
@@ -103,6 +114,25 @@ def test_solve_consistent_systems(params):
     assert (matmul(a, got.reshape(-1, 1), q).ravel() == b).all()
 
 
+@given(st.tuples(fields, st.integers(0, 4), st.integers(0, 5), st.integers(0, 2**32 - 1)))
+@settings(max_examples=200, deadline=None)
+def test_rank_against_brute_force_kernel_count(params):
+    q, r, c, seed = params
+    a = _random_matrix(q, r, c, seed)
+    rows = a.tolist()
+    kernel_size = sum(
+        all(sum(x * y for x, y in zip(row, v)) % q == 0 for row in rows)
+        for v in itertools.product(range(q), repeat=c)
+    )
+    assert q ** (c - rank(a, q)) == kernel_size
+    # an int-list input with entries off by multiples of q has the same rank
+    shifted = [[x + q * (i - j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    assert rank(shifted, q) == rank(a, q)
+    red, pivots = rref(a, q)
+    again, pivots_again = rref(red, q)
+    assert (again == red).all() and pivots_again == pivots
+
+
 def test_solve_reports_inconsistency():
     a = np.array([[1, 0], [1, 0]], dtype=np.int64)
     assert solve(a, np.array([1, 0]), 2) is None
@@ -142,9 +172,9 @@ def test_enumerate_subspaces_counts(n, q):
             assert rank(basis, q) == k
             canon.add(rref(basis, q)[0].tobytes())
         assert len(canon) == len(got)  # pairwise distinct subspaces
-    assert subspace_count(n, q) == sum(
-        gaussian_binomial(n, k, q) for k in range(n + 1)
-    )
+    # Galois numbers, from G(n+1) = 2 G(n) + (q^n - 1) G(n-1)
+    galois = {2: [1, 2, 5, 16, 67], 3: [1, 2, 6, 28, 212], 5: [1, 2, 8, 64, 1120]}
+    assert subspace_count(n, q) == galois[q][n]
 
 
 def test_subspaces_containing_counts():

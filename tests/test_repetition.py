@@ -122,6 +122,13 @@ def test_window_too_small_is_an_error(a2):
         build_repetition(a2, (0, 1))
 
 
+def test_window_wider_than_eight_coxeter_numbers_is_an_error(a2):
+    # h = 3 for A2: 24 levels are allowed, 25 are not
+    assert build_repetition(a2, (-21, 3)).window == (-21, 3)
+    with pytest.raises(RepetitionError, match="at most 8"):
+        build_repetition(a2, (-22, 3))
+
+
 # ------------------------------------------------------------ operators
 
 def test_cartan_q_on_a_delta(rq2):

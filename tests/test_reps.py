@@ -151,3 +151,30 @@ def test_build_builds_over_each_field(t3):
         m = build(kp, q)
         assert m.q == q and m.dims == (1, 2, 1)
         assert identify(m) == kp
+
+
+def test_hom_space_dim_without_unknowns_or_equations(t3):
+    q = 2
+    quiver = t3.quiver
+    m = build(kp_parse(t3, "[1,3]"), q)
+    z = zero_rep(quiver, q)
+    # a zero dimension on either side leaves no unknowns
+    assert hom_space_dim(z, m) == 0
+    assert hom_space_dim(m, z) == 0
+    assert hom_space_dim(simple_rep(quiver, q, 1), simple_rep(quiver, q, 3)) == 0
+    # every arrow of A3 meets vertex 2, where both sides vanish: unknowns
+    # at vertices 1 and 3 and not a single equation
+    ends = direct_sum(simple_rep(quiver, q, 1), simple_rep(quiver, q, 3))
+    assert hom_space_dim(ends, ends) == 2
+    assert hom_space_dim(simple_rep(quiver, q, 1), ends) == 1
+
+
+def test_hom_space_dim_reads_entries_mod_q(t3):
+    q = 3
+    classes = [kp_parse(t3, s) for s in ("[1,3]", "[1,2]+[2,3]", "[1,1]+[2,2]+[3,3]")]
+    for x in classes:
+        for y in classes:
+            m, n = build(x, q), build(y, q)
+            shifted = Rep(m.quiver, q, m.dims, tuple(a + 3 * q for a in m.mats))
+            negated = Rep(n.quiver, q, n.dims, tuple(b - 2 * q for b in n.mats))
+            assert hom_space_dim(shifted, negated) == hom_space_dim(m, n)
