@@ -98,6 +98,7 @@ from .quiver import (
     euler_form,
     format_quiver_spec,
     injective_root,
+    kp_count,
     kp_enumerate,
     kp_format,
     kp_from_segments,
@@ -141,6 +142,7 @@ from .reps import (
     chain_rep,
     conjugate,
     direct_sum,
+    hom_basis,
     hom_space_dim,
     identify,
     indecomposable,

@@ -42,6 +42,7 @@ from .quiver import (
     PartitionError,
     QuiverError,
     dim_sub,
+    kp_count,
     kp_enumerate,
     kp_format,
     kp_parse,
@@ -50,6 +51,7 @@ from .quiver import (
     parse_dim_vector,
     positive_roots,
     standard_quiver,
+    weight,
 )
 from .repetition import (
     RepetitionError,
@@ -164,7 +166,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_quiver(args):
     if args.quiver:
-        return load_quiver(args.quiver)
+        try:
+            return load_quiver(args.quiver)
+        except OSError as exc:
+            raise CliParseError(f"cannot read quiver file: {exc}") from None
     if args.diagram_type:
         if not args.rank:
             raise CliParseError("--type needs --rank")
@@ -287,6 +292,14 @@ def _cmd_kp(args) -> int:
     quiver = _resolve_quiver(args)
     table = positive_roots(quiver)
     gamma = _parse_dim(args.gamma, quiver.rank)
+    cap = _resolve_cap(args)
+    # both the partitions and the parts of one (up to |gamma|) count as
+    # states; the count stops past the cap, before any partition is built
+    what = "Kostant partition enumeration"
+    linalg.check_cap(weight(gamma), cap, what + " (|gamma| parts per partition)")
+    linalg.check_cap(
+        kp_count(table, gamma, cap + 1), cap, what + " (counting stopped past the cap)"
+    )
     classes = kp_enumerate(table, gamma)
     _emit(
         args,

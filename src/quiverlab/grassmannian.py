@@ -8,6 +8,23 @@ classified by the isomorphism classes of its subrepresentation and
 quotient, giving the stratification by pairs ``(quotient class mu, sub
 class nu)`` recorded in a :class:`StrataReport`.
 
+Points are classified without building the sub or the quotient.  Once
+per ``(lam, q)``, bases of Hom(M_a, M) and Hom(M, M_a) are computed
+for every root ``a`` with a nonzero closed-form count (kernels of the
+intertwiner systems of :mod:`.reps`).  For a point U with projection
+``pi: M -> M/U`` the counts are then a few small ranks:
+
+* dim Hom(M_a, U) = dim Hom(M_a, M) - rank{pi f}, over the basis f,
+  where f need only be read on generators of M_a;
+* dim Hom(M/U, M_a) = dim Hom(M, M_a) - rank{g|_U}, over the basis g.
+
+The sub follows from the first counts by ``identify``'s forward
+triangular solve, the quotient from the second by the transposed solve
+from the last root down; both check the counts and the dimension
+vector, and each point is checked to be stable.  Everything per point
+is int-list arithmetic.  ``reps.sub_quotient`` with ``identify`` is the
+matrix-level route the tests compare against.
+
 A realized pair is *generic* when neither coordinate can be degenerated
 while keeping the other fixed among realized pairs; the generic pairs
 whose sub class satisfies the hom-count equality
@@ -22,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import mul
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -35,9 +53,18 @@ from .quiver import (
     PartitionError,
     dim_add,
     dim_leq,
+    dim_sub,
     kp_format,
+    kp_single,
 )
-from .reps import Rep, build, identify, sub_quotient
+from .reps import (
+    Rep,
+    RepError,
+    _partition_from_counts,
+    build,
+    hom_basis,
+    indecomposable,
+)
 
 __all__ = [
     "StrataReport",
@@ -68,47 +95,46 @@ def subreps(
     m: Rep, beta: Sequence[int], cap: int | None = linalg.DEFAULT_CAP
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """All stable graded subspaces of ``m`` with dimension vector ``beta``,
-    as tuples of row bases (one per vertex).
+    as tuples of row bases (one per vertex, in reduced echelon form).
 
     The :func:`scan_states` count is checked against ``cap`` before any
     enumeration starts.
     """
-    quiver = m.quiver
-    q = m.q
     beta = tuple(beta)
-    linalg.check_cap(scan_states(m.dims, beta, q), cap, "subrepresentation scan")
+    linalg.check_cap(scan_states(m.dims, beta, m.q), cap, "subrepresentation scan")
+    for bases in _stable_subspaces(m, beta):
+        yield tuple(
+            np.array(b, dtype=np.int64).reshape(len(b), d) for b, d in zip(bases, m.dims)
+        )
+
+
+def _stable_subspaces(m: Rep, beta: tuple[int, ...]) -> Iterator[list[list[list[int]]]]:
+    """The walk behind :func:`subreps`, on int-list echelon bases reduced
+    mod q: at each vertex, in topological order, the subspaces containing
+    the images of the spaces already chosen."""
+    quiver = m.quiver
     if not dim_leq(beta, m.dims):
         return
+    mats = [x.tolist() for x in m.mats]
+    chosen: list[list[list[int]]] = []
 
-    arrows_by_target: dict[int, list[int]] = {v: [] for v in quiver.vertices}
-    for k, (_, t) in enumerate(quiver.arrows):
-        arrows_by_target[t].append(k)
-
-    def walk(v: int, chosen: list[np.ndarray]) -> Iterator[tuple[np.ndarray, ...]]:
+    def walk(v: int) -> Iterator[list[list[list[int]]]]:
         if v > quiver.rank:
-            yield tuple(chosen)
+            yield list(chosen)
             return
-        image_rows = []
-        for k in arrows_by_target[v]:
-            s = quiver.arrows[k][0]
-            img = (chosen[s - 1] @ m.mats[k].T) % q
-            if img.size:
-                image_rows.append(img)
-        if image_rows:
-            reduced, pivots = linalg.rref(np.vstack(image_rows), q)
-            lower = reduced[: len(pivots)]
-        else:
-            lower = linalg.zeros(0, m.dims[v - 1])
-        if lower.shape[0] > beta[v - 1]:
-            return
-        for w in linalg.subspaces_containing(
-            lower, m.dims[v - 1], beta[v - 1], q, cap=None
-        ):
+        images = [
+            [sum(map(mul, x_row, u)) for x_row in mats[k]]
+            for k, (s, t) in enumerate(quiver.arrows)
+            if t == v
+            for u in chosen[s - 1]
+        ]
+        d, b = m.dims[v - 1], beta[v - 1]
+        for w in linalg._subspaces_containing(images, d, b, m.q, None):
             chosen.append(w)
-            yield from walk(v + 1, chosen)
+            yield from walk(v + 1)
             chosen.pop()
 
-    yield from walk(1, [])
+    yield from walk(1)
 
 
 @dataclass(frozen=True)
@@ -168,12 +194,10 @@ def strata(
 
 @functools.cache
 def _strata(lam: KostantPartition, beta: tuple[int, ...], q: int) -> StrataReport:
-    m = build(lam, q)
     counts: dict[Pair, int] = {}
     total = 0
-    for bases in subreps(m, beta, None):
-        sub, quot = sub_quotient(m, bases)
-        pair = (identify(quot, lam.table), identify(sub, lam.table))
+    for bases in _stable_subspaces(build(lam, q), beta):
+        pair = _classify(lam, q, bases)
         counts[pair] = counts.get(pair, 0) + 1
         total += 1
     entries = tuple(
@@ -181,6 +205,142 @@ def _strata(lam: KostantPartition, beta: tuple[int, ...], q: int) -> StrataRepor
         for mu, nu in sorted(counts, key=lambda p: (p[0].parts, p[1].parts))
     )
     return StrataReport(lam, beta, q, entries, total)
+
+
+def _top_coordinates(m: Rep) -> list[list[int]]:
+    """Per vertex, coordinates whose unit vectors span a complement of the
+    images of the arrows into it; together they generate ``m``."""
+    out = []
+    for v in m.quiver.vertices:
+        images = [
+            col
+            for k, (_, t) in enumerate(m.quiver.arrows)
+            if t == v
+            for col in m.mats[k].T.tolist()
+        ]
+        pivots = linalg.rref(images, m.q)[1] if images else ()
+        out.append([c for c in range(m.dims[v - 1]) if c not in pivots])
+    return out
+
+
+@functools.cache
+def _hom_bases(lam: KostantPartition, q: int) -> tuple[tuple, tuple, tuple]:
+    """What :func:`_classify` reads: ``(mats, into, out_of)``.
+
+    ``mats`` are the arrow matrices of ``M = build(lam, q)`` as int-list
+    rows.  ``into`` holds ``(a, fs)`` for every root index ``a`` with
+    dim Hom(M_a, M) > 0 (closed form): ``fs`` is a basis of that Hom
+    space, each ``f`` given on the generators of M_a
+    (:func:`_top_coordinates`) as one list of image columns per vertex.
+    ``out_of`` holds ``(a, gs)`` for every ``a`` with dim Hom(M, M_a) > 0:
+    ``gs`` is a basis, each ``g`` one ``dim M_a x dim M`` matrix per vertex.
+    """
+    table = lam.table
+    m = build(lam, q)
+
+    def basis(source: Rep, target: Rep, h: int) -> list:
+        found = hom_basis(source, target)
+        if len(found) != h:
+            raise RepError("a Hom basis disagrees with the closed-form count")
+        return found
+
+    into, out_of = [], []
+    for a in range(len(table)):
+        single = kp_single(table, a)
+        m_a = indecomposable(table, a, q)
+        h = hom_dim(single, lam)
+        if h:
+            gens = _top_coordinates(m_a)
+            fs = [
+                [[[row[c] for row in f_v] for c in g_v] for f_v, g_v in zip(f, gens)]
+                for f in basis(m_a, m, h)
+            ]
+            into.append((a, fs))
+        h = hom_dim(lam, single)
+        if h:
+            out_of.append((a, basis(m, m_a, h)))
+    return tuple(x.tolist() for x in m.mats), tuple(into), tuple(out_of)
+
+
+def _rank(rows: list[list[int]], q: int) -> int:
+    """Rank of a non-empty system, eliminated along its shorter side."""
+    if len(rows) > len(rows[0]):
+        rows = [list(col) for col in zip(*rows)]
+    return linalg.rank(rows, q)
+
+
+def _classify(lam: KostantPartition, q: int, bases: list[list[list[int]]]) -> Pair:
+    """The (quotient, sub) classes of the point of ``build(lam, q)`` whose
+    subspace at vertex ``v`` has the reduced row-echelon basis
+    ``bases[v-1]`` (int-list rows, reduced mod q).
+
+    With ``pi`` the projection onto M/U and the Hom bases of
+    :func:`_hom_bases`, dim Hom(M_a, U) = h - rank{pi f} and
+    dim Hom(M/U, M_a) = h' - rank{g|_U}; the sub and the quotient follow
+    by the two triangular solves of :func:`reps._partition_from_counts`.
+    Raises :class:`RepError` if a basis is malformed or the subspace is
+    not stable.
+    """
+    mats, into, out_of = _hom_bases(lam, q)
+    table = lam.table
+    dims = lam.total
+    beta = tuple(map(len, bases))
+    # proj[v-1]: rows of a matrix whose kernel is U_v, one per free column
+    # c of the echelon basis: x -> x[c] - sum_i x[pivot_i] * u_i[c]
+    proj = []
+    for v, (rows, d) in enumerate(zip(bases, dims), start=1):
+        pivots: list[int] = []
+        for u in rows:
+            if len(u) != d:
+                raise RepError(f"basis at vertex {v} has wrong width")
+            lead = next((c for c, x in enumerate(u) if x % q), d)
+            if lead == d or u[lead] % q != 1 or (pivots and lead <= pivots[-1]):
+                raise RepError(f"basis at vertex {v} is not in reduced echelon form")
+            pivots.append(lead)
+        if any(u[p] % q for i, u in enumerate(rows) for p in pivots[i + 1 :]):
+            raise RepError(f"basis at vertex {v} is not in reduced echelon form")
+        p_rows = []
+        for c in range(d):
+            if c in pivots:
+                continue
+            row = [0] * d
+            row[c] = 1
+            for u, p in zip(rows, pivots):
+                row[p] = -u[c]
+            p_rows.append(row)
+        proj.append(p_rows)
+    for k, (s, t) in enumerate(table.quiver.arrows):
+        for u in bases[s - 1]:
+            image = [sum(map(mul, x_row, u)) for x_row in mats[k]]
+            if any(sum(map(mul, p_row, image)) % q for p_row in proj[t - 1]):
+                raise RepError(f"subspace is not stable along arrow {s}->{t}")
+    sub_counts = [0] * len(table)
+    for a, fs in into:
+        system = [
+            [
+                sum(map(mul, p_row, col))
+                for f_v, p_v in zip(f, proj)
+                for col in f_v
+                for p_row in p_v
+            ]
+            for f in fs
+        ]
+        sub_counts[a] = len(fs) - _rank(system, q)
+    quot_counts = [0] * len(table)
+    for a, gs in out_of:
+        system = [
+            [
+                sum(map(mul, g_row, u))
+                for g_v, u_v in zip(g, bases)
+                for g_row in g_v
+                for u in u_v
+            ]
+            for g in gs
+        ]
+        quot_counts[a] = len(gs) - _rank(system, q)
+    nu = _partition_from_counts(table, sub_counts, beta)
+    mu = _partition_from_counts(table, quot_counts, dim_sub(dims, beta), into=False)
+    return mu, nu
 
 
 def point_count(

@@ -225,6 +225,27 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
+def _subspaces(n: int, d: int, q: int, cap: int | None) -> Iterator[list[list[int]]]:
+    """:func:`enumerate_subspaces` as int-list rows, after the cap check."""
+    if d < 0 or d > n:
+        return
+    check_cap(gaussian_binomial(n, d, q), cap, f"Gr({d}, F_{q}^{n})")
+    for pivots in itertools.combinations(range(n), d):
+        free_positions = [
+            (r, c)
+            for r in range(d)
+            for c in range(pivots[r] + 1, n)
+            if c not in pivots
+        ]
+        for values in itertools.product(range(q), repeat=len(free_positions)):
+            rows = [[0] * n for _ in range(d)]
+            for r, c in enumerate(pivots):
+                rows[r][c] = 1
+            for (r, c), v in zip(free_positions, values):
+                rows[r][c] = v
+            yield rows
+
+
 def enumerate_subspaces(
     n: int, d: int, q: int, cap: int | None = DEFAULT_CAP
 ) -> Iterator[np.ndarray]:
@@ -235,30 +256,36 @@ def enumerate_subspaces(
     the iteration order is reproducible.
     """
     _check_field(q)
-    if d < 0 or d > n:
+    for rows in _subspaces(n, d, q, cap):
+        yield _to_array(rows, n, q)
+
+
+def _subspaces_containing(
+    low: list[list[int]], n: int, d: int, q: int, cap: int | None
+) -> Iterator[list[list[int]]]:
+    """:func:`subspaces_containing` as int-list rows reduced mod q; the
+    int lists ``low`` (any spanning rows, entries read mod q) are
+    row-reduced in place."""
+    piv = _eliminate(low, q, True)
+    u = len(piv)
+    low = low[:u]
+    if d < u or d > n:
         return
-    check_cap(gaussian_binomial(n, d, q), cap, f"Gr({d}, F_{q}^{n})")
-    if d == 0:
-        yield zeros(0, n)
+    if u == 0:
+        yield from _subspaces(n, d, q, cap)
         return
-    for pivots in itertools.combinations(range(n), d):
-        free_positions = [
-            (r, c)
-            for r in range(d)
-            for c in range(pivots[r] + 1, n)
-            if c not in pivots
-        ]
-        base = zeros(d, n)
-        for r, c in enumerate(pivots):
-            base[r, c] = 1
-        if not free_positions:
-            yield base.copy()
-            continue
-        for values in itertools.product(range(q), repeat=len(free_positions)):
-            m = base.copy()
-            for (r, c), v in zip(free_positions, values):
-                m[r, c] = v
-            yield m
+    # complement coordinates: non-pivot columns of the lower space
+    free_cols = [c for c in range(n) if c not in piv]
+    for small in _subspaces(len(free_cols), d - u, q, cap):
+        rows = list(low)
+        for small_row in small:
+            lift = [0] * n
+            for c, x in zip(free_cols, small_row):
+                lift[c] = x
+            rows.append(lift)
+        fpiv = _eliminate(rows, q, True)
+        assert len(fpiv) == d
+        yield [[x % q for x in row] for row in rows]
 
 
 def subspaces_containing(
@@ -272,25 +299,5 @@ def subspaces_containing(
     :func:`enumerate_subspaces`.
     """
     _check_field(q)
-    low, _ = _rows(lower)
-    piv = _eliminate(low, q, True)
-    u = len(piv)
-    low = low[:u]
-    if d < u or d > n:
-        return
-    if u == 0:
-        yield from enumerate_subspaces(n, d, q, cap)
-        return
-    # complement coordinates: non-pivot columns of the lower space
-    free_cols = [c for c in range(n) if c not in piv]
-    k = len(free_cols)
-    for small in enumerate_subspaces(k, d - u, q, cap):
-        rows = list(low)
-        for small_row in small.tolist():
-            lift = [0] * n
-            for c, x in zip(free_cols, small_row):
-                lift[c] = x
-            rows.append(lift)
-        fpiv = _eliminate(rows, q, True)
-        assert len(fpiv) == d
+    for rows in _subspaces_containing(_rows(lower)[0], n, d, q, cap):
         yield _to_array(rows, n, q)

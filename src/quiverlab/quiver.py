@@ -28,6 +28,7 @@ are hashable and cheap to compare.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -47,6 +48,7 @@ __all__ = [
     "euler_form",
     "format_quiver_spec",
     "injective_root",
+    "kp_count",
     "kp_enumerate",
     "kp_format",
     "kp_from_segments",
@@ -470,6 +472,12 @@ def adapted_reduced_word(
     return tuple(word)
 
 
+def _state_without_hash(obj) -> dict:
+    """Pickle state of a value object without its cached hash: string
+    hashes are salted per process, so the hash must be recomputed."""
+    return {k: v for k, v in vars(obj).items() if k != "_hash"}
+
+
 @dataclass(frozen=True)
 class RootTable:
     """The positive roots in the total order induced by an adapted word.
@@ -517,6 +525,17 @@ class RootTable:
 
     def __repr__(self) -> str:
         return f"RootTable({self.quiver!r}, word={self.word})"
+
+    # hashed once: tables key most memos
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.quiver, self.word, self.roots))
+
+    def __getstate__(self) -> dict:
+        return _state_without_hash(self)
 
 
 @functools.cache
@@ -577,7 +596,7 @@ class KostantPartition:
         if ordered != self.parts:
             object.__setattr__(self, "parts", ordered)
 
-    @property
+    @functools.cached_property
     def total(self) -> tuple[int, ...]:
         """Dimension vector: the sum of all parts."""
         vec = [0] * self.table.quiver.rank
@@ -606,6 +625,17 @@ class KostantPartition:
 
     def __repr__(self) -> str:
         return f"KP({kp_format(self)})"
+
+    # hashed once: partitions key most memos
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.table, self.parts))
+
+    def __getstate__(self) -> dict:
+        return _state_without_hash(self)
 
 
 def kp_zero(table: RootTable) -> KostantPartition:
@@ -651,34 +681,64 @@ def segments_of(kp: KostantPartition) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(root_segment(v) for v in kp.part_roots()))
 
 
-@functools.cache
-def kp_enumerate(table: RootTable, gamma: tuple[int, ...]) -> tuple[KostantPartition, ...]:
-    """All Kostant partitions with dimension vector ``gamma``, deterministically ordered."""
+def _kp_walk(
+    table: RootTable, gamma: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every Kostant partition of ``gamma`` as ``(root index,
+    multiplicity)`` pairs, in no fixed order.
+
+    The non-simple roots are chosen depth-first (a stack of lazy branch
+    iterators instead of recursion, since the depth is the number of
+    roots).  What they leave is a non-negative vector, which the simple
+    roots complete in exactly one way, so every branch ends in a
+    partition: the first n partitions cost O(n) branches times the depth,
+    with no dead ends, and no parts are ever spelled out.
+    """
     if len(gamma) != table.quiver.rank:
         raise PartitionError("gamma length does not match the rank")
     if any(x < 0 for x in gamma):
         raise PartitionError("gamma has negative entries")
-    results: list[KostantPartition] = []
-    # depth-first over roots from the largest index down, more copies of
-    # a root first; a stack instead of recursion, since the depth is the
-    # number of roots
-    stack = [(len(table.roots) - 1, tuple(gamma), ())]
-    while stack:
-        k, remaining, acc = stack.pop()
-        if not any(remaining):
-            results.append(KostantPartition(table, acc))
-            continue
-        if k < 0:
-            continue
-        vec = table.roots[k]
-        cap = min(
-            (remaining[j] // vec[j] for j in range(len(vec)) if vec[j]),
-            default=0,
-        )
-        for count in range(cap + 1):  # popped in the order cap, ..., 0
+    roots = table.roots
+    simple = [table.simple_root_index(i) for i in table.quiver.vertices]
+    others = [k for k in range(len(roots)) if k not in simple]
+
+    def branches(n: int, remaining: tuple[int, ...], acc: tuple) -> Iterator:
+        k = others[n - 1]
+        vec = roots[k]
+        top = min(remaining[j] // vec[j] for j in range(len(vec)) if vec[j])
+        for count in range(top + 1):
             rest = tuple(r - count * v for r, v in zip(remaining, vec))
-            stack.append((k - 1, rest, acc + (k,) * count))
-    return tuple(results)
+            yield n - 1, rest, acc + ((k, count),) if count else acc
+
+    stack = [iter([(len(others), tuple(gamma), ())])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        n, remaining, acc = node
+        if n:
+            stack.append(branches(n, remaining, acc))
+        else:
+            yield acc + tuple((k, x) for k, x in zip(simple, remaining) if x)
+
+
+@functools.cache
+def kp_enumerate(table: RootTable, gamma: tuple[int, ...]) -> tuple[KostantPartition, ...]:
+    """All Kostant partitions with dimension vector ``gamma``, ordered by
+    their parts (non-increasing root indices) from the largest down."""
+    found = (
+        KostantPartition(table, tuple(k for k, c in mult for _ in range(c)))
+        for mult in _kp_walk(table, gamma)
+    )
+    return tuple(sorted(found, key=lambda kp: kp.parts, reverse=True))
+
+
+def kp_count(table: RootTable, gamma: Sequence[int], limit: int | None = None) -> int:
+    """The number of Kostant partitions of ``gamma``, without building
+    them; with ``limit`` the walk stops there and ``min(count, limit)`` is
+    returned, so a caller can check a cap before :func:`kp_enumerate`."""
+    return sum(1 for _ in itertools.islice(_kp_walk(table, tuple(gamma)), limit))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ __all__ = [
     "chain_rep",
     "conjugate",
     "direct_sum",
+    "hom_basis",
     "hom_space_dim",
     "identify",
     "indecomposable",
@@ -225,21 +226,25 @@ def build(kp: KostantPartition, q: int) -> Rep:
 # intertwiner counting and identification
 
 
-def hom_space_dim(m: Rep, n: Rep) -> int:
-    """dim of the space of intertwiners ``f`` with ``f_t X_h = Y_h f_s``
-    for every arrow ``h: s -> t``, by exact rank computation."""
+def _intertwiner_system(m: Rep, n: Rep) -> tuple[list[list[int]], list[int]]:
+    """The linear system whose solutions are the intertwiners ``m -> n``.
+
+    ``f_v`` is an ``e_v x d_v`` matrix (``e`` = dims of ``n``, ``d`` =
+    dims of ``m``); its entry ``(a, b)`` is unknown number
+    ``offsets[v-1] + a * d_v + b``, so ``offsets[-1]`` counts the
+    unknowns.  There is one int-list row per entry ``(a, j)`` of
+    ``f_t X_h - Y_h f_s`` for every arrow ``h: s -> t``; entries need not
+    be reduced mod q (the :mod:`.linalg` kernel reads them mod q).
+    """
     if m.quiver != n.quiver or m.q != n.q:
         raise RepError("representations live over different quivers or fields")
-    q = m.q
-    # f_v is an e_v x d_v matrix (e = dims of n, d = dims of m); its entry
-    # (a, b) is unknown number offsets[v-1] + a * d_v + b
     offsets = [0]
     for d_v, e_v in zip(m.dims, n.dims):
         offsets.append(offsets[-1] + d_v * e_v)
     total_cols = offsets[-1]
+    rows: list[list[int]] = []
     if total_cols == 0:
-        return 0
-    rows = []
+        return rows, offsets
     for k, (s, t) in enumerate(m.quiver.arrows):
         e_t, d_s, d_t = n.dims[t - 1], m.dims[s - 1], m.dims[t - 1]
         if not e_t * d_s:
@@ -248,9 +253,8 @@ def hom_space_dim(m: Rep, n: Rep) -> int:
         y_rows = n.mats[k].tolist()
         c_t, c_s = offsets[t - 1], offsets[s - 1]
         end_s = offsets[s]
-        # one equation per entry (a, j) of f_t X_h - Y_h f_s: X_h's column
-        # j meets row a of f_t, and -Y_h's row a meets column j of f_s
-        # (entries need not be reduced mod q; linalg.rank reads them mod q)
+        # X_h's column j meets row a of f_t, and -Y_h's row a meets
+        # column j of f_s
         for a in range(e_t):
             lo = c_t + a * d_t
             y_row = [-y for y in y_rows[a]]
@@ -259,7 +263,67 @@ def hom_space_dim(m: Rep, n: Rep) -> int:
                 row[lo : lo + d_t] = x_cols[j]
                 row[c_s + j : end_s : d_s] = y_row
                 rows.append(row)
-    return total_cols - linalg.rank(rows, q)
+    return rows, offsets
+
+
+def hom_space_dim(m: Rep, n: Rep) -> int:
+    """dim of the space of intertwiners ``f`` with ``f_t X_h = Y_h f_s``
+    for every arrow ``h: s -> t``, by exact rank computation."""
+    rows, offsets = _intertwiner_system(m, n)
+    return offsets[-1] - linalg.rank(rows, m.q)
+
+
+def hom_basis(m: Rep, n: Rep) -> list[tuple[list[list[int]], ...]]:
+    """A basis of the intertwiners ``m -> n``: the kernel of the system
+    :func:`hom_space_dim` ranks.  Each element is one ``e_v x d_v``
+    matrix per vertex (``e`` = dims of ``n``, ``d`` = dims of ``m``), as
+    int-list rows reduced mod q."""
+    rows, offsets = _intertwiner_system(m, n)
+    total_cols = offsets[-1]
+    if total_cols == 0:
+        return []
+    kernel = linalg.kernel_basis(rows or [[0] * total_cols], m.q).tolist()
+    return [
+        tuple(
+            [vec[offsets[v] + a * d : offsets[v] + (a + 1) * d] for a in range(e)]
+            for v, (d, e) in enumerate(zip(m.dims, n.dims))
+        )
+        for vec in kernel
+    ]
+
+
+def _partition_from_counts(
+    table: RootTable, counts: Sequence[int], dims: Sequence[int], *, into: bool = True
+) -> KostantPartition:
+    """The Kostant partition with the given hom counts against the
+    indecomposables, checked against the dimension vector ``dims``.
+
+    With ``into``, ``counts[a]`` is dim Hom(M_a, X); the counting matrix
+    ``hom[a][b]`` vanishes above its unit diagonal, so a forward
+    substitution inverts it.  Otherwise ``counts[a]`` is dim Hom(X, M_a),
+    counted by the transposed matrix, and the substitution runs from the
+    last root down.  Raises :class:`RepError` if the counts are not those
+    of any multiset of roots with dimension vector ``dims``.
+    """
+    homs = hom_table(table).hom
+    n = len(table)
+    found: list[tuple[int, int]] = []  # (root index, multiplicity > 0)
+    for a in range(n) if into else range(n - 1, -1, -1):
+        residue = counts[a]
+        for b, c in found:
+            residue -= c * (homs[a][b] if into else homs[b][a])
+        if residue < 0:
+            raise RepError("hom counts are not consistent with a root multiset")
+        if residue:
+            found.append((a, residue))
+    total = [0] * len(dims)
+    for a, c in found:
+        for j, x in enumerate(table.roots[a]):
+            total[j] += c * x
+    if tuple(total) != tuple(dims):
+        raise RepError("identified parts do not sum to the dimension vector")
+    found.sort(reverse=True)
+    return KostantPartition(table, tuple(a for a, c in found for _ in range(c)))
 
 
 def identify(m: Rep, table: RootTable | None = None) -> KostantPartition:
@@ -269,24 +333,8 @@ def identify(m: Rep, table: RootTable | None = None) -> KostantPartition:
     input, since every representation decomposes)."""
     if table is None:
         table = positive_roots(m.quiver)
-    homs = hom_table(table).hom
     counts = [hom_space_dim(indecomposable(table, a, m.q), m) for a in range(len(table))]
-    mult = [0] * len(table)
-    for a in range(len(table)):
-        residue = counts[a] - sum(homs[a][b] * mult[b] for b in range(a))
-        if residue < 0:
-            raise RepError("hom counts are not consistent with a root multiset")
-        mult[a] = residue
-    total = [0] * m.quiver.rank
-    for a, c in enumerate(mult):
-        for j, x in enumerate(table.roots[a]):
-            total[j] += c * x
-    if tuple(total) != m.dims:
-        raise RepError("identified parts do not sum to the dimension vector")
-    parts = []
-    for a in range(len(table) - 1, -1, -1):
-        parts.extend([a] * mult[a])
-    return KostantPartition(table, tuple(parts))
+    return _partition_from_counts(table, counts, m.dims)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,33 @@ def test_rep_quiver_window_too_wide_is_a_domain_error():
     assert proc.stderr.startswith("error: window [-100000000, 100000000]")
 
 
+def test_kp_cap_is_checked_before_the_enumeration():
+    # in a child process with a timeout, since listing the partitions of
+    # (6, ..., 6) in E8 ran past it
+    paths = [os.path.dirname(os.path.dirname(quiverlab.__file__))]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    for gamma, message in (
+        ("6,6,6,6,6,6,6,6", "error: Kostant partition enumeration (counting stopped"),
+        ("1000000000,0,0,0,0,0,0,0", "error: Kostant partition enumeration (|gamma|"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "quiverlab.cli", "kp", gamma,
+             "--type", "E", "--rank", "8", "--cap", "100"],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert proc.returncode == 5
+        assert proc.stderr.startswith(message)
+
+
+def test_kp_cap_counts_partitions(capsys):
+    # 1,2,1 in A3 has 5 partitions of at most 4 parts
+    rc, data = run_json(capsys, "kp", "1,2,1", "--cap", "5", *A3)
+    assert rc == 0 and data["count"] == 5
+    assert main(["kp", "1,2,1", "--cap", "4", *A3]) == 5
+
+
 def test_roots_and_kp_past_the_recursion_limit(capsys):
     # D40 has 1560 positive roots: one adapted-word letter and one level
     # of the partition search per root

@@ -1,5 +1,7 @@
 """Quiver Grassmannians: point counts, strata, component labels."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,15 +12,22 @@ from quiverlab import (
     build,
     ext_ger,
     generic_pairs,
+    hom_basis,
+    hom_dim,
+    identify,
+    kp_enumerate,
     kp_format,
     kp_parse,
     point_count,
     realized_pairs,
     strata,
     stratum_dim,
+    sub_quotient,
     subreps,
 )
+from quiverlab.grassmannian import _classify
 from quiverlab.linalg import rank, row_space_contains
+from quiverlab.reps import RepError
 
 
 def pair_names(pairs):
@@ -150,3 +159,75 @@ def test_a2_component_range_preconditions():
         a2_component_range((2, 2), (3, 1), 1)  # e exceeds d
     with pytest.raises(PartitionError):
         a2_component_range((2, 1), (1, 1), 1)  # outside the covered regime
+
+
+# --------------------------------------------------- point classification
+
+def all_classes(table, max_total):
+    rank = table.quiver.rank
+    return [
+        kp
+        for g in itertools.product(range(max_total + 1), repeat=rank)
+        if 0 < sum(g) <= max_total
+        for kp in kp_enumerate(table, g)
+    ]
+
+
+@pytest.mark.parametrize("which,max_total,n_points", [("t3", 4, 2743), ("t4", 3, 818)])
+def test_classifier_agrees_with_sub_quotient_and_identify(
+    request, which, max_total, n_points
+):
+    # the Hom-basis classifier against the matrix-level route, point by point
+    table = request.getfixturevalue(which)
+    points = 0
+    for lam in all_classes(table, max_total):
+        for q in (2, 3):
+            m = build(lam, q)
+            for beta in itertools.product(*(range(x + 1) for x in lam.total)):
+                for bases in subreps(m, beta):
+                    sub, quot = sub_quotient(m, bases)
+                    expected = (identify(quot, table), identify(sub, table))
+                    got = _classify(lam, q, [b.tolist() for b in bases])
+                    assert got == expected, (kp_format(lam), beta, q)
+                    points += 1
+    assert points == n_points
+
+
+def test_classifier_rejects_what_sub_quotient_rejects(t2):
+    lam = kp_parse(t2, "[1,2]")
+    # vertex 2's line is the unique proper subrep of M[1,2]
+    assert pair_names([_classify(lam, 2, [[], [[1]]])]) == [("[1,1]", "[2,2]")]
+    # vertex 1's line is not stable: the arrow maps it out
+    with pytest.raises(RepError):
+        _classify(lam, 2, [[[1]], []])
+    # a basis must be in reduced echelon form, of the right width
+    with pytest.raises(RepError):
+        _classify(lam, 3, [[[2]], [[1]]])
+    with pytest.raises(RepError):
+        _classify(lam, 2, [[], [[1, 0]]])
+    plane = kp_parse(t2, "[1,1]+[1,1]")
+    assert pair_names([_classify(plane, 3, [[[1, 0], [0, 1]], []])]) == [("0", "[1,1]+[1,1]")]
+    with pytest.raises(RepError):
+        _classify(plane, 3, [[[1, 1], [0, 1]], []])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_hom_basis_is_a_basis_of_intertwiners(t3, q):
+    classes = all_classes(t3, 3)
+    built = {kp: build(kp, q) for kp in classes}
+    for x in classes:
+        for y in classes:
+            m, n = built[x], built[y]
+            basis = hom_basis(m, n)
+            assert len(basis) == hom_dim(x, y)
+            flat = []
+            for f in basis:
+                mats = [np.array(f_v, dtype=np.int64).reshape(e, d)
+                        for f_v, d, e in zip(f, m.dims, n.dims)]
+                for k, (s, t) in enumerate(m.quiver.arrows):
+                    lhs = mats[t - 1] @ m.mats[k]
+                    rhs = n.mats[k] @ mats[s - 1]
+                    assert not np.any((lhs - rhs) % q), (kp_format(x), kp_format(y))
+                flat.append(np.concatenate([a.ravel() for a in mats]))
+            if flat:
+                assert rank(np.array(flat), q) == len(basis)

@@ -1,11 +1,16 @@
 """Quivers, adapted words, root enumerations, Kostant partitions."""
 
+import itertools
+import pickle
+
 import pytest
 
 from quiverlab import (
     DynkinQuiver,
+    KostantPartition,
     QuiverError,
     PartitionError,
+    RootTable,
     adapted_reduced_word,
     build_quiver,
     coxeter_number,
@@ -13,6 +18,7 @@ from quiverlab import (
     euler_form,
     format_quiver_spec,
     injective_root,
+    kp_count,
     kp_enumerate,
     kp_format,
     kp_from_segments,
@@ -232,6 +238,56 @@ def test_kp_enumerate_counts(t3):
             assert kp.total == gamma
     with pytest.raises(PartitionError):
         kp_enumerate(t3, (1, 1))
+
+
+def partition_count(roots, gamma):
+    """Kostant partitions of gamma counted by a knapsack over all vectors
+    <= gamma, independently of the partition walk."""
+    ways = dict.fromkeys(itertools.product(*(range(g + 1) for g in gamma)), 0)
+    ways[(0,) * len(gamma)] = 1
+    for root in roots:
+        for v in ways:  # lexicographic, so v - root comes first
+            w = tuple(a - b for a, b in zip(v, root))
+            if min(w) >= 0:
+                ways[v] += ways[w]
+    return ways[tuple(gamma)]
+
+
+def test_kp_enumerate_order_and_kp_count(t3, t4):
+    for table, max_total in ((t3, 5), (t4, 4)):
+        rank = table.quiver.rank
+        for gamma in itertools.product(range(max_total + 1), repeat=rank):
+            if sum(gamma) > max_total:
+                continue
+            classes = kp_enumerate(table, gamma)
+            parts = [kp.parts for kp in classes]
+            # distinct, and ordered by parts from the largest down
+            assert parts == sorted(set(parts), reverse=True)
+            assert len(classes) == partition_count(table.roots, gamma)
+            assert kp_count(table, gamma) == len(classes)
+            assert kp_count(table, gamma, 2) == min(len(classes), 2)
+
+
+def test_kp_count_stops_at_its_limit():
+    e8 = positive_roots(standard_quiver("E", 8))
+    # far too many partitions to list, and entries far too large to spell out
+    assert kp_count(e8, (6,) * 8, 101) == 101
+    assert kp_count(e8, (10**9,) * 8, 1000) == 1000
+    assert kp_count(e8, (10**9,) + (0,) * 7, 5) == 1
+
+
+def test_partitions_and_tables_hash_by_value(t3):
+    x = kp_parse(t3, "[1,2]+[2,3]")
+    y = KostantPartition(t3, tuple(reversed(x.parts)))
+    assert x == y and hash(x) == hash(y) and x.total == (1, 2, 1)
+    table = RootTable.from_word(t3.quiver, t3.word)
+    assert table == t3 and table is not t3 and hash(table) == hash(t3)
+    for obj in (x, t3):
+        clone = pickle.loads(pickle.dumps(obj))
+        assert clone == obj and hash(clone) == hash(obj) and {obj: 1}[clone] == 1
+        # string hashes are salted per process, so pickles leave the
+        # cached hash out
+        assert "_hash" in vars(obj) and "_hash" not in obj.__getstate__()
 
 
 def test_quiver_is_frozen(a3):
