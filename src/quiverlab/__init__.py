@@ -140,13 +140,11 @@ from .reps import (
     Rep,
     build,
     chain_rep,
-    conjugate,
     direct_sum,
     hom_basis,
     hom_space_dim,
     identify,
     indecomposable,
-    simple_rep,
     sub_quotient,
     zero_rep,
 )

@@ -171,7 +171,7 @@ def _resolve_quiver(args):
         except OSError as exc:
             raise CliParseError(f"cannot read quiver file: {exc}") from None
     if args.diagram_type:
-        if not args.rank:
+        if args.rank is None:
             raise CliParseError("--type needs --rank")
         return standard_quiver(args.diagram_type, args.rank)
     raise CliParseError("provide --quiver PATH or --type/--rank")

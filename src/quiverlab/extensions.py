@@ -28,8 +28,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import grassmannian, linalg
 from .homs import ext_dim, hom_dim
 from .order import leq
@@ -101,19 +99,21 @@ def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
     x = build(mu, q)
     y = build(nu, q)
     dims = dim_add(beta, alpha)
+    # the rows [0, x] do not depend on u
+    bottoms = [
+        tuple((0,) * beta[s - 1] + row for row in x_k)
+        for (s, _), x_k in zip(quiver.arrows, x.mats)
+    ]
     classes = set()
     for flat in itertools.product(range(q), repeat=sum(r * c for r, c in cells)):
         mats = []
         pos = 0
-        for k in range(len(quiver.arrows)):
-            r, c = cells[k]
-            u = np.array(flat[pos : pos + r * c], dtype=np.int64).reshape(r, c)
-            pos += r * c
-            top = np.hstack([y.mats[k], u])
-            bottom = np.hstack(
-                [linalg.zeros(x.mats[k].shape[0], y.mats[k].shape[1]), x.mats[k]]
+        for (r, c), y_k, bottom in zip(cells, y.mats, bottoms):
+            top = tuple(
+                y_row + flat[pos + i * c : pos + (i + 1) * c] for i, y_row in enumerate(y_k)
             )
-            mats.append(np.vstack([top, bottom]))
+            pos += r * c
+            mats.append(top + bottom)
         classes.add(identify(Rep(quiver, q, dims, tuple(mats)), mu.table))
     return frozenset(classes)
 

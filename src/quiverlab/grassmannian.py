@@ -43,8 +43,6 @@ from operator import mul
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from . import linalg
 from .homs import hom_dim
 from .order import lt
@@ -93,43 +91,35 @@ def scan_states(dims: Sequence[int], beta: Sequence[int], q: int) -> int:
 
 def subreps(
     m: Rep, beta: Sequence[int], cap: int | None = linalg.DEFAULT_CAP
-) -> Iterator[tuple[np.ndarray, ...]]:
+) -> Iterator[tuple[list[list[int]], ...]]:
     """All stable graded subspaces of ``m`` with dimension vector ``beta``,
-    as tuples of row bases (one per vertex, in reduced echelon form).
+    as tuples of row bases (one per vertex, in reduced echelon form, as
+    int lists reduced mod q).
 
     The :func:`scan_states` count is checked against ``cap`` before any
-    enumeration starts.
+    enumeration starts.  The walk visits vertices in topological order
+    and, at each, only the subspaces containing the images of the spaces
+    already chosen.
     """
     beta = tuple(beta)
     linalg.check_cap(scan_states(m.dims, beta, m.q), cap, "subrepresentation scan")
-    for bases in _stable_subspaces(m, beta):
-        yield tuple(
-            np.array(b, dtype=np.int64).reshape(len(b), d) for b, d in zip(bases, m.dims)
-        )
-
-
-def _stable_subspaces(m: Rep, beta: tuple[int, ...]) -> Iterator[list[list[list[int]]]]:
-    """The walk behind :func:`subreps`, on int-list echelon bases reduced
-    mod q: at each vertex, in topological order, the subspaces containing
-    the images of the spaces already chosen."""
     quiver = m.quiver
     if not dim_leq(beta, m.dims):
         return
-    mats = [x.tolist() for x in m.mats]
     chosen: list[list[list[int]]] = []
 
-    def walk(v: int) -> Iterator[list[list[list[int]]]]:
+    def walk(v: int) -> Iterator[tuple[list[list[int]], ...]]:
         if v > quiver.rank:
-            yield list(chosen)
+            yield tuple(chosen)
             return
         images = [
-            [sum(map(mul, x_row, u)) for x_row in mats[k]]
+            [sum(map(mul, x_row, u)) for x_row in m.mats[k]]
             for k, (s, t) in enumerate(quiver.arrows)
             if t == v
             for u in chosen[s - 1]
         ]
         d, b = m.dims[v - 1], beta[v - 1]
-        for w in linalg._subspaces_containing(images, d, b, m.q, None):
+        for w in linalg.subspaces_containing(images, d, b, m.q, None):
             chosen.append(w)
             yield from walk(v + 1)
             chosen.pop()
@@ -196,7 +186,7 @@ def strata(
 def _strata(lam: KostantPartition, beta: tuple[int, ...], q: int) -> StrataReport:
     counts: dict[Pair, int] = {}
     total = 0
-    for bases in _stable_subspaces(build(lam, q), beta):
+    for bases in subreps(build(lam, q), beta, None):
         pair = _classify(lam, q, bases)
         counts[pair] = counts.get(pair, 0) + 1
         total += 1
@@ -213,12 +203,12 @@ def _top_coordinates(m: Rep) -> list[list[int]]:
     out = []
     for v in m.quiver.vertices:
         images = [
-            col
-            for k, (_, t) in enumerate(m.quiver.arrows)
+            [row[j] for row in m.mats[k]]
+            for k, (s, t) in enumerate(m.quiver.arrows)
             if t == v
-            for col in m.mats[k].T.tolist()
+            for j in range(m.dims[s - 1])
         ]
-        pivots = linalg.rref(images, m.q)[1] if images else ()
+        pivots = linalg.rref(images, m.q)[1]
         out.append([c for c in range(m.dims[v - 1]) if c not in pivots])
     return out
 
@@ -227,11 +217,11 @@ def _top_coordinates(m: Rep) -> list[list[int]]:
 def _hom_bases(lam: KostantPartition, q: int) -> tuple[tuple, tuple, tuple]:
     """What :func:`_classify` reads: ``(mats, into, out_of)``.
 
-    ``mats`` are the arrow matrices of ``M = build(lam, q)`` as int-list
-    rows.  ``into`` holds ``(a, fs)`` for every root index ``a`` with
-    dim Hom(M_a, M) > 0 (closed form): ``fs`` is a basis of that Hom
-    space, each ``f`` given on the generators of M_a
-    (:func:`_top_coordinates`) as one list of image columns per vertex.
+    ``mats`` are the arrow matrices of ``M = build(lam, q)``.  ``into``
+    holds ``(a, fs)`` for every root index ``a`` with dim Hom(M_a, M) > 0
+    (closed form): ``fs`` is a basis of that Hom space, each ``f`` given
+    on the generators of M_a (:func:`_top_coordinates`) as one list of
+    image columns per vertex.
     ``out_of`` holds ``(a, gs)`` for every ``a`` with dim Hom(M, M_a) > 0:
     ``gs`` is a basis, each ``g`` one ``dim M_a x dim M`` matrix per vertex.
     """
@@ -259,7 +249,7 @@ def _hom_bases(lam: KostantPartition, q: int) -> tuple[tuple, tuple, tuple]:
         h = hom_dim(lam, single)
         if h:
             out_of.append((a, basis(m, m_a, h)))
-    return tuple(x.tolist() for x in m.mats), tuple(into), tuple(out_of)
+    return m.mats, tuple(into), tuple(out_of)
 
 
 def _rank(rows: list[list[int]], q: int) -> int:

@@ -22,10 +22,9 @@ them as immutable.
 from __future__ import annotations
 
 import functools
+from operator import mul
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from . import linalg
 from .quiver import (
@@ -41,13 +40,11 @@ __all__ = [
     "RepError",
     "build",
     "chain_rep",
-    "conjugate",
     "direct_sum",
     "hom_basis",
     "hom_space_dim",
     "identify",
     "indecomposable",
-    "simple_rep",
     "sub_quotient",
     "zero_rep",
 ]
@@ -57,28 +54,32 @@ class RepError(ValueError):
     """Malformed representation data or an inconsistent identification."""
 
 
+Matrix = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True, eq=False)
 class Rep:
     """A finite-dimensional representation: one matrix per arrow, acting
-    on column vectors, with ``mats[k]`` attached to ``quiver.arrows[k]``
-    (shape ``dims[target] x dims[source]``)."""
+    on column vectors, with ``mats[k]`` attached to ``quiver.arrows[k]``.
+
+    The matrix of an arrow ``s -> t`` is a tuple of ``dims[t]`` row
+    tuples, each of ``dims[s]`` ints in ``range(q)``.  A matrix with no
+    rows is ``()`` whatever its width: the width comes from ``dims``."""
 
     quiver: DynkinQuiver
     q: int
     dims: tuple[int, ...]
-    mats: tuple[np.ndarray, ...]
+    mats: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
         if len(self.mats) != len(self.quiver.arrows):
             raise RepError("one matrix per arrow required")
         for (s, t), m in zip(self.quiver.arrows, self.mats):
-            if m.shape != (self.dims[t - 1], self.dims[s - 1]):
-                raise RepError(
-                    f"matrix for {s}->{t} has shape {m.shape}, expected "
-                    f"({self.dims[t - 1]}, {self.dims[s - 1]})"
-                )
+            shape = (self.dims[t - 1], self.dims[s - 1])
+            if len(m) != shape[0] or any(len(row) != shape[1] for row in m):
+                raise RepError(f"matrix for {s}->{t} is not {shape[0]} x {shape[1]}")
 
-    def mat(self, arrow: tuple[int, int]) -> np.ndarray:
+    def mat(self, arrow: tuple[int, int]) -> Matrix:
         return self.mats[self.quiver.arrows.index(arrow)]
 
     @property
@@ -90,17 +91,7 @@ class Rep:
 
 
 def zero_rep(quiver: DynkinQuiver, q: int) -> Rep:
-    dims = (0,) * quiver.rank
-    mats = tuple(linalg.zeros(0, 0) for _ in quiver.arrows)
-    return Rep(quiver, q, dims, mats)
-
-
-def simple_rep(quiver: DynkinQuiver, q: int, vertex: int) -> Rep:
-    dims = tuple(1 if v == vertex else 0 for v in quiver.vertices)
-    mats = tuple(
-        linalg.zeros(dims[t - 1], dims[s - 1]) for s, t in quiver.arrows
-    )
-    return Rep(quiver, q, dims, mats)
+    return Rep(quiver, q, (0,) * quiver.rank, ((),) * len(quiver.arrows))
 
 
 def direct_sum(*reps: Rep) -> Rep:
@@ -113,14 +104,14 @@ def direct_sum(*reps: Rep) -> Rep:
     dims = tuple(sum(r.dims[v] for r in reps) for v in range(quiver.rank))
     mats = []
     for k, (s, t) in enumerate(quiver.arrows):
-        block = linalg.zeros(dims[t - 1], dims[s - 1])
-        ro = co = 0
+        block = []
+        co = 0
         for r in reps:
-            rt, rs = r.dims[t - 1], r.dims[s - 1]
-            block[ro : ro + rt, co : co + rs] = r.mats[k]
-            ro += rt
+            rs = r.dims[s - 1]
+            left, right = (0,) * co, (0,) * (dims[s - 1] - co - rs)
+            block.extend(left + tuple(row) + right for row in r.mats[k])
             co += rs
-        mats.append(block)
+        mats.append(tuple(block))
     return Rep(quiver, q, dims, tuple(mats))
 
 
@@ -133,13 +124,11 @@ def chain_rep(quiver: DynkinQuiver, q: int, a: int, b: int) -> Rep:
     if not (1 <= a <= b <= quiver.rank):
         raise RepError(f"bad segment [{a},{b}]")
     dims = tuple(1 if a <= v <= b else 0 for v in quiver.vertices)
-    mats = []
-    for s, t in quiver.arrows:
-        m = linalg.zeros(dims[t - 1], dims[s - 1])
-        if a <= s and t <= b:
-            m[0, 0] = 1
-        mats.append(m)
-    return Rep(quiver, q, dims, tuple(mats))
+    mats = tuple(
+        ((int(a <= s and t <= b),) * dims[s - 1],) * dims[t - 1]
+        for s, t in quiver.arrows
+    )
+    return Rep(quiver, q, dims, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -163,22 +152,19 @@ def _kernel_reflect_at_sink(
     kernel of the summed map into ``v`` and the reversed arrows project
     it back onto the incoming summands."""
     incoming = sorted((s, t) for s, t in arrows if t == v)
-    blocks = [mats[h] for h in incoming]
-    if blocks:
-        xi = np.hstack(blocks)
-    else:
-        xi = linalg.zeros(dims[v - 1], 0)
-    kernel = linalg.kernel_basis(xi, q)
-    new_dim = kernel.shape[0]
+    xi = [sum((mats[h][i] for h in incoming), ()) for i in range(dims[v - 1])]
+    kernel = linalg.kernel_basis(xi, sum(dims[s - 1] for s, _ in incoming), q)
 
     new_arrows = _reflect_arrow_set(arrows, v)
     new_mats = {h: m for h, m in mats.items() if h[1] != v}
     offset = 0
     for s, _ in incoming:
         width = dims[s - 1]
-        new_mats[(v, s)] = kernel[:, offset : offset + width].T.copy() % q
+        new_mats[(v, s)] = tuple(
+            tuple(vec[j] for vec in kernel) for j in range(offset, offset + width)
+        )
         offset += width
-    dims[v - 1] = new_dim
+    dims[v - 1] = len(kernel)
     return new_arrows, new_mats
 
 
@@ -197,9 +183,7 @@ def indecomposable(table: RootTable, root_index: int, q: int) -> Rep:
     dims = [0] * quiver.rank
     dims[seed - 1] = 1
     arrows = arrow_seq[k]
-    mats = {
-        (s, t): linalg.zeros(dims[t - 1], dims[s - 1]) for s, t in arrows
-    }
+    mats = {(s, t): ((0,) * dims[s - 1],) * dims[t - 1] for s, t in arrows}
     for j in range(k - 1, -1, -1):
         arrows, mats = _kernel_reflect_at_sink(q, arrows, dims, mats, word[j])
         assert arrows == arrow_seq[j]
@@ -249,8 +233,8 @@ def _intertwiner_system(m: Rep, n: Rep) -> tuple[list[list[int]], list[int]]:
         e_t, d_s, d_t = n.dims[t - 1], m.dims[s - 1], m.dims[t - 1]
         if not e_t * d_s:
             continue
-        x_cols = m.mats[k].T.tolist()
-        y_rows = n.mats[k].tolist()
+        x, y_rows = m.mats[k], n.mats[k]
+        x_cols = [[row[j] for row in x] for j in range(d_s)]
         c_t, c_s = offsets[t - 1], offsets[s - 1]
         end_s = offsets[s]
         # X_h's column j meets row a of f_t, and -Y_h's row a meets
@@ -279,10 +263,7 @@ def hom_basis(m: Rep, n: Rep) -> list[tuple[list[list[int]], ...]]:
     matrix per vertex (``e`` = dims of ``n``, ``d`` = dims of ``m``), as
     int-list rows reduced mod q."""
     rows, offsets = _intertwiner_system(m, n)
-    total_cols = offsets[-1]
-    if total_cols == 0:
-        return []
-    kernel = linalg.kernel_basis(rows or [[0] * total_cols], m.q).tolist()
+    kernel = linalg.kernel_basis(rows, offsets[-1], m.q)
     return [
         tuple(
             [vec[offsets[v] + a * d : offsets[v] + (a + 1) * d] for a in range(e)]
@@ -341,70 +322,57 @@ def identify(m: Rep, table: RootTable | None = None) -> KostantPartition:
 # subrepresentations and quotients
 
 
-def sub_quotient(m: Rep, bases: Sequence[np.ndarray]) -> tuple[Rep, Rep]:
+def sub_quotient(m: Rep, bases: Sequence[Sequence[Sequence[int]]]) -> tuple[Rep, Rep]:
     """Restrict ``m`` to a graded subspace and form the quotient.
 
     ``bases[v-1]`` holds row vectors spanning the chosen subspace at
     vertex ``v``.  The subspace must be stable (each arrow maps it into
     the subspace at the target); otherwise :class:`RepError` is raised.
-    Returns ``(sub, quotient)``.
+    Returns ``(sub, quotient)``, written in the reduced echelon basis
+    ``E_v`` of each subspace and, for the quotient, the unit vectors at
+    the non-pivot columns of ``E_v``.
     """
     q = m.q
-    echelons: list[np.ndarray] = []
-    complements: list[np.ndarray] = []
-    for v in m.quiver.vertices:
-        b = np.asarray(bases[v - 1], dtype=np.int64) % q
-        if b.size == 0:
-            b = b.reshape(0, m.dims[v - 1])
-        if b.ndim != 2 or b.shape[1] != m.dims[v - 1]:
+    echelons: list[tuple[list[list[int]], tuple[int, ...], list[int]]] = []
+    for v, d in enumerate(m.dims, start=1):
+        rows = bases[v - 1]
+        if any(len(row) != d for row in rows):
             raise RepError(f"basis at vertex {v} has wrong width")
-        reduced, pivots = linalg.rref(b, q)
-        if len(pivots) != b.shape[0]:
+        reduced, pivots = linalg.rref(rows, q)
+        if len(pivots) != len(rows):
             raise RepError(f"basis rows at vertex {v} are dependent")
-        echelons.append(reduced[: len(pivots)])
-        free = [c for c in range(m.dims[v - 1]) if c not in pivots]
-        comp = linalg.zeros(len(free), m.dims[v - 1])
-        for r, c in enumerate(free):
-            comp[r, c] = 1
-        complements.append(comp)
+        free = [c for c in range(d) if c not in pivots]
+        echelons.append((reduced, pivots, free))
+    sub_dims = tuple(len(pivots) for _, pivots, _ in echelons)
+    quot_dims = tuple(len(free) for _, _, free in echelons)
 
-    sub_dims = tuple(e.shape[0] for e in echelons)
-    quot_dims = tuple(c.shape[0] for c in complements)
+    def coordinates(w: list[int], t: int) -> tuple[list[int], list[int]]:
+        # w = sum_i w[p_i] E_t[i] + sum_j b_j e_{f_j}: the coefficient of
+        # a row of E_t is read at its pivot, since E_t is reduced
+        reduced, pivots, free = echelons[t - 1]
+        a = [w[p] % q for p in pivots]
+        b = [(w[f] - sum(x * row[f] for x, row in zip(a, reduced))) % q for f in free]
+        return a, b
+
     sub_mats, quot_mats = [], []
     for k, (s, t) in enumerate(m.quiver.arrows):
         x = m.mats[k]
-        images = (echelons[s - 1] @ x.T) % q
-        if not linalg.row_space_contains(echelons[t - 1], images, q):
-            raise RepError(f"subspace is not stable along arrow {s}->{t}")
-        basis_t = np.vstack([echelons[t - 1], complements[t - 1]])
-        basis_s = np.vstack([echelons[s - 1], complements[s - 1]])
-        p_t = basis_t.T % q
-        p_s = basis_s.T % q
-        inv_t = linalg.solve(p_t, linalg.identity(m.dims[t - 1]), q)
-        assert inv_t is not None
-        transformed = (inv_t @ x @ p_s) % q
-        st, ss = sub_dims[t - 1], sub_dims[s - 1]
-        if np.any(transformed[st:, :ss]):
-            raise RepError(f"subspace is not stable along arrow {s}->{t}")
-        sub_mats.append(transformed[:st, :ss].copy())
-        quot_mats.append(transformed[st:, ss:].copy())
+        reduced, _, free = echelons[s - 1]
+        sub_cols = []
+        for u in reduced:
+            a, b = coordinates([sum(map(mul, row, u)) for row in x], t)
+            if any(b):
+                raise RepError(f"subspace is not stable along arrow {s}->{t}")
+            sub_cols.append(a)
+        quot_cols = [coordinates([row[c] for row in x], t)[1] for c in free]
+        sub_mats.append(_from_columns(sub_cols, sub_dims[t - 1]))
+        quot_mats.append(_from_columns(quot_cols, quot_dims[t - 1]))
     sub = Rep(m.quiver, q, sub_dims, tuple(sub_mats))
     quot = Rep(m.quiver, q, quot_dims, tuple(quot_mats))
     return sub, quot
 
 
-def conjugate(m: Rep, g: Sequence[np.ndarray]) -> Rep:
-    """Base change by invertible ``g[v-1]`` at each vertex: ``x -> g_t x g_s^{-1}``."""
-    q = m.q
-    inverses = []
-    for v in m.quiver.vertices:
-        gv = np.asarray(g[v - 1], dtype=np.int64) % q
-        inv = linalg.solve(gv, linalg.identity(m.dims[v - 1]), q)
-        if inv is None:
-            raise RepError(f"base change at vertex {v} is singular")
-        inverses.append(inv)
-    mats = []
-    for k, (s, t) in enumerate(m.quiver.arrows):
-        gt = np.asarray(g[t - 1], dtype=np.int64)
-        mats.append((gt @ m.mats[k] @ inverses[s - 1]) % q)
-    return Rep(m.quiver, q, m.dims, tuple(mats))
+def _from_columns(cols: list[list[int]], nrows: int) -> Matrix:
+    """The ``nrows``-row matrix with the columns ``cols`` (``nrows`` is
+    given, since there may be no columns)."""
+    return tuple(tuple(col[i] for col in cols) for i in range(nrows))

@@ -27,8 +27,37 @@ def run_json(capsys, *argv):
     return rc, json.loads(out)
 
 
+def child_env():
+    """The environment for a child interpreter that imports this quiverlab."""
+    paths = [os.path.dirname(os.path.dirname(quiverlab.__file__))]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
 A2 = ("--type", "A", "--rank", "2")
 A3 = ("--type", "A", "--rank", "3")
+
+# the README's command-line examples and their documented exit codes
+README_EXAMPLES = [
+    (["roots", *A3], 0),
+    (["kp", "1,2,1", *A3], 0),
+    (["hom", "[2,3],[1,2]", *A3], 0),
+    (["ext1", "[1,1]", "[2,2]", *A2], 0),
+    (["order", "[1,2]", "[1,1]+[2,2]", *A2], 0),
+    (["ext-set", "[1,1]", "[2,2]", *A2], 0),
+    (["generic-ext", "[1,1]", "[2,2]", *A2], 0),
+    (["grass", "count", "[1,2]+[2,3]", "--beta", "0,1,1", "--field", "2", *A3], 0),
+    (["grass", "strata", "[1,2]+[2,3]", "--beta", "0,1,1", *A3], 0),
+    (["grass", "components", "[1,2]+[2,3]", "--beta", "0,1,1", *A3], 0),
+    (["ext-min", "[1,3]+[2,2]", "--alpha", "1,1,0", *A3], 0),
+    (["support-pair", "[1,1]", "[2,2]", *A2], 3),
+    (["simplicity", "[1,1]", "[2,2]", *A2], 3),
+    (["socle", "[1,1]", "[2,2]", *A2], 0),
+    (["degree-report", "[1,1]", "[2,2]", *A2], 0),
+    (["rep-quiver", *A2], 0),
+    (["epsilon", "[1,2]", "[1,1]", *A2], 0),
+]
 
 
 # ------------------------------------------------------------ basics
@@ -230,10 +259,7 @@ def test_rep_quiver(capsys):
 
 def test_rep_quiver_window_too_wide_is_a_domain_error():
     # in a child process with a timeout, since the unbounded walk hung
-    paths = [os.path.dirname(os.path.dirname(quiverlab.__file__))]
-    if os.environ.get("PYTHONPATH"):
-        paths.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env = child_env()
     argv = ["rep-quiver", "--window", "-100000000", "100000000", *A2]
     proc = subprocess.run(
         [sys.executable, "-m", "quiverlab.cli", *argv],
@@ -243,13 +269,36 @@ def test_rep_quiver_window_too_wide_is_a_domain_error():
     assert proc.stderr.startswith("error: window [-100000000, 100000000]")
 
 
+def test_readme_examples_run_without_numpy():
+    # a child interpreter in which any import of numpy fails
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import quiverlab\n"
+        "from quiverlab.cli import main\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "loaded = [m for m, mod in sys.modules.items()\n"
+        "          if m.split('.')[0] == 'numpy' and mod is not None]\n"
+        "print(json.dumps({'codes': codes, 'numpy': loaded}))\n"
+    )
+    argvs = [argv for argv, _ in README_EXAMPLES]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=60, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [code for _, code in README_EXAMPLES]
+    assert result["numpy"] == []
+
+
 def test_kp_cap_is_checked_before_the_enumeration():
     # in a child process with a timeout, since listing the partitions of
     # (6, ..., 6) in E8 ran past it
-    paths = [os.path.dirname(os.path.dirname(quiverlab.__file__))]
-    if os.environ.get("PYTHONPATH"):
-        paths.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env = child_env()
     for gamma, message in (
         ("6,6,6,6,6,6,6,6", "error: Kostant partition enumeration (counting stopped"),
         ("1000000000,0,0,0,0,0,0,0", "error: Kostant partition enumeration (|gamma|"),
@@ -308,6 +357,13 @@ def test_quiver_file(capsys, tmp_path):
 )
 def test_parse_errors_exit_2(capsys, argv):
     assert main(list(argv)) == 2
+
+
+@pytest.mark.parametrize("rank", ["0", "-3"])
+def test_nonpositive_rank_is_a_domain_error(capsys, rank):
+    # --rank 0 is given, so it is not a missing --rank (exit 2)
+    assert main(["hom", "[1,1]", "[2,2]", "--type", "A", "--rank", rank]) == 1
+    assert "needs rank >= 1" in capsys.readouterr().err
 
 
 def test_coordinate_pairs_need_two_tokens(capsys):

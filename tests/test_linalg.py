@@ -6,8 +6,9 @@ subspace enumerators against Gaussian binomials.
 """
 
 import itertools
+import random
+from operator import mul
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +17,6 @@ from quiverlab.linalg import (
     SUPPORTED_FIELDS,
     enumerate_subspaces,
     gaussian_binomial,
-    identity,
     kernel_basis,
     rank,
     row_space_contains,
@@ -26,8 +26,9 @@ from quiverlab.linalg import (
 )
 
 
-def matmul(a, b, q):
-    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % q
+def apply(a, v, q):
+    """The matrix ``a`` times the column vector ``v``, mod q."""
+    return [sum(map(mul, row, v)) % q for row in a]
 
 
 def subspace_count(n, q):
@@ -64,8 +65,8 @@ mat_strategy = st.tuples(
 
 
 def _random_matrix(q, r, c, seed):
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, q, size=(r, c), dtype=np.int64)
+    rng = random.Random(seed)
+    return [[rng.randrange(q) for _ in range(c)] for _ in range(r)]
 
 
 @given(mat_strategy)
@@ -74,18 +75,17 @@ def test_rref_properties(params):
     q, r, c, seed = params
     a = _random_matrix(q, r, c, seed)
     red, pivots = rref(a, q)
-    assert red.shape == a.shape  # zero rows are kept, callers trim by pivot count
+    # zero rows are kept, callers trim by pivot count
+    assert len(red) == r and all(len(row) == c for row in red)
     assert len(pivots) == rank(a, q)
-    assert not red[len(pivots):].any()
+    assert not any(map(any, red[len(pivots):]))
     # strictly increasing pivot columns, unit pivots, cleared columns
     assert list(pivots) == sorted(set(pivots))
     for i, p in enumerate(pivots):
-        assert red[i, p] == 1
-        col = red[:, p].copy()
-        col[i] = 0
-        assert not col.any()
+        assert red[i][p] == 1
+        assert not any(row[p] for j, row in enumerate(red) if j != i)
     # row space is preserved both ways
-    assert row_space_contains(red, a % q, q)
+    assert row_space_contains(red, a, q)
     assert row_space_contains(a, red, q)
 
 
@@ -94,11 +94,10 @@ def test_rref_properties(params):
 def test_kernel_is_exact(params):
     q, r, c, seed = params
     a = _random_matrix(q, r, c, seed)
-    k = kernel_basis(a, q)
-    assert k.shape[0] == c - rank(a, q)  # rank-nullity
-    if k.size:
-        assert not matmul(a, k.T, q).any()
-    assert rank(k, q) == k.shape[0]
+    k = kernel_basis(a, c, q)
+    assert len(k) == c - rank(a, q)  # rank-nullity
+    assert all(len(v) == c and not any(apply(a, v, q)) for v in k)
+    assert rank(k, q) == len(k)
 
 
 @given(mat_strategy)
@@ -106,12 +105,12 @@ def test_kernel_is_exact(params):
 def test_solve_consistent_systems(params):
     q, r, c, seed = params
     a = _random_matrix(q, r, c, seed)
-    rng = np.random.default_rng(seed ^ 0xDEADBEEF)
-    x = rng.integers(0, q, size=c, dtype=np.int64)
-    b = matmul(a, x.reshape(-1, 1), q).ravel()
-    got = solve(a, b, q)
+    rng = random.Random(seed ^ 0xDEADBEEF)
+    x = [rng.randrange(q) for _ in range(c)]
+    b = apply(a, x, q)
+    got = solve(a, b, c, q)
     assert got is not None
-    assert (matmul(a, got.reshape(-1, 1), q).ravel() == b).all()
+    assert apply(a, got, q) == b
 
 
 @given(st.tuples(fields, st.integers(0, 4), st.integers(0, 5), st.integers(0, 2**32 - 1)))
@@ -119,30 +118,47 @@ def test_solve_consistent_systems(params):
 def test_rank_against_brute_force_kernel_count(params):
     q, r, c, seed = params
     a = _random_matrix(q, r, c, seed)
-    rows = a.tolist()
     kernel_size = sum(
-        all(sum(x * y for x, y in zip(row, v)) % q == 0 for row in rows)
+        all(sum(x * y for x, y in zip(row, v)) % q == 0 for row in a)
         for v in itertools.product(range(q), repeat=c)
     )
     assert q ** (c - rank(a, q)) == kernel_size
     # an int-list input with entries off by multiples of q has the same rank
-    shifted = [[x + q * (i - j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    shifted = [[x + q * (i - j) for j, x in enumerate(row)] for i, row in enumerate(a)]
     assert rank(shifted, q) == rank(a, q)
     red, pivots = rref(a, q)
     again, pivots_again = rref(red, q)
-    assert (again == red).all() and pivots_again == pivots
+    assert again == red and pivots_again == pivots
 
 
 def test_solve_reports_inconsistency():
-    a = np.array([[1, 0], [1, 0]], dtype=np.int64)
-    assert solve(a, np.array([1, 0]), 2) is None
+    a = [[1, 0], [1, 0]]
+    assert solve(a, [1, 0], 2, 2) is None
 
 
-def test_matmul_mod():
-    a = np.array([[1, 2], [0, 1]])
-    b = np.array([[2, 0], [1, 2]])
-    assert (matmul(a, b, 3) == np.array([[1, 1], [1, 2]])).all()
-    assert (identity(3) == np.eye(3, dtype=np.int64)).all()
+@pytest.mark.parametrize(
+    "a,ncols,expected",
+    [
+        # 0 x 3: no equations, so every vector is in the kernel
+        ([], 3, {"rref": [], "kernel": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                 "solve": ([], [0, 0, 0]), "inconsistent": None}),
+        # 3 x 0: no unknowns, so only the zero right-hand side is solvable
+        ([[], [], []], 0, {"rref": [[], [], []], "kernel": [],
+                           "solve": ([0, 0, 0], []), "inconsistent": [0, 1, 0]}),
+    ],
+)
+@pytest.mark.parametrize("q", SUPPORTED_FIELDS)
+def test_zero_size_matrices(a, ncols, expected, q):
+    assert rank(a, q) == 0
+    assert rref(a, q) == (expected["rref"], ())
+    assert kernel_basis(a, ncols, q) == expected["kernel"]
+    b, x = expected["solve"]
+    assert solve(a, b, ncols, q) == x
+    if expected["inconsistent"] is not None:
+        assert solve(a, expected["inconsistent"], ncols, q) is None
+    # the width comes from the caller and is checked against every row
+    with pytest.raises(ValueError):
+        kernel_basis(a + [[0] * (ncols + 1)], ncols, q)
 
 
 # ------------------------------------------------------------- counting
@@ -168,9 +184,9 @@ def test_enumerate_subspaces_counts(n, q):
         assert len(got) == gaussian_binomial(n, k, q)
         canon = set()
         for basis in got:
-            assert basis.shape == (k, n)
+            assert len(basis) == k and all(len(row) == n for row in basis)
             assert rank(basis, q) == k
-            canon.add(rref(basis, q)[0].tobytes())
+            canon.add(tuple(map(tuple, rref(basis, q)[0])))
         assert len(canon) == len(got)  # pairwise distinct subspaces
     # Galois numbers, from G(n+1) = 2 G(n) + (q^n - 1) G(n-1)
     galois = {2: [1, 2, 5, 16, 67], 3: [1, 2, 6, 28, 212], 5: [1, 2, 8, 64, 1120]}
@@ -179,14 +195,14 @@ def test_enumerate_subspaces_counts(n, q):
 
 def test_subspaces_containing_counts():
     # subspaces of F_2^4 of dim 2 containing a fixed line: [3 1]_2 = 7
-    lower = np.array([[1, 0, 0, 0]], dtype=np.int64)
+    lower = [[1, 0, 0, 0]]
     got = list(subspaces_containing(lower, 4, 2, 2))
     assert len(got) == 7
     for basis in got:
         assert rank(basis, 2) == 2
         assert row_space_contains(basis, lower, 2)
     # containing the zero space = plain enumeration
-    zero = np.zeros((0, 3), dtype=np.int64)
+    zero = []
     assert len(list(subspaces_containing(zero, 3, 1, 3))) == gaussian_binomial(3, 1, 3)
 
 

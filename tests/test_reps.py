@@ -1,16 +1,16 @@
 """Representations over small prime fields and class identification."""
 
 import itertools
+import random
 
-import numpy as np
 import pytest
 
 from quiverlab import (
     Rep,
     build,
     chain_rep,
-    conjugate,
     direct_sum,
+    hom_basis,
     hom_space_dim,
     identify,
     indecomposable,
@@ -18,7 +18,6 @@ from quiverlab import (
     kp_format,
     kp_parse,
     positive_roots,
-    simple_rep,
     standard_quiver,
     sub_quotient,
     zero_rep,
@@ -30,11 +29,43 @@ from quiverlab.reps import RepError
 def random_invertible(rng, n, q):
     """A random invertible n x n matrix over F_q, by rejection sampling."""
     while True:
-        m = np.array(
-            [[rng.randrange(q) for _ in range(n)] for _ in range(n)], dtype=np.int64
-        )
+        m = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
         if linalg.rank(m, q) == n:
             return m
+
+
+def matmul(a, b, ncols, q):
+    """The product of ``a`` and the ``ncols``-column matrix ``b``, mod q."""
+    return tuple(
+        tuple(sum(x * b[i][j] for i, x in enumerate(row)) % q for j in range(ncols))
+        for row in a
+    )
+
+
+def conjugate(m, g):
+    """Base change by invertible ``g[v-1]`` at each vertex: ``x -> g_t x g_s^{-1}``."""
+    q = m.q
+    inverses = []
+    for gv, d in zip(g, m.dims):
+        cols = [linalg.solve(gv, [int(i == j) for i in range(d)], d, q) for j in range(d)]
+        assert None not in cols, "singular base change"
+        inverses.append([[col[i] for col in cols] for i in range(d)])
+    mats = tuple(
+        matmul(matmul(g[t - 1], x, m.dims[s - 1], q), inverses[s - 1], m.dims[s - 1], q)
+        for (s, t), x in zip(m.quiver.arrows, m.mats)
+    )
+    return Rep(m.quiver, q, m.dims, mats)
+
+
+def shift(mats, by):
+    """Every entry of every matrix plus ``by``."""
+    return tuple(tuple(tuple(x + by for x in row) for row in m) for m in mats)
+
+
+def simple_rep(quiver, q, vertex):
+    dims = tuple(int(v == vertex) for v in quiver.vertices)
+    mats = tuple(((0,) * dims[s - 1],) * dims[t - 1] for s, t in quiver.arrows)
+    return Rep(quiver, q, dims, mats)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -73,8 +104,6 @@ def test_identify_roundtrip_on_alternate_table(dt, rank, max_total):
 
 
 def test_identify_is_conjugation_invariant(t3):
-    import random
-
     rng = random.Random(20260818)
     kp = kp_parse(t3, "[1,2]+[2,3]+[1,1]")
     m = build(kp, 3)
@@ -97,6 +126,12 @@ def test_direct_sum_identifies_as_sum(t3):
     m = direct_sum(build(x, 2), build(y, 2))
     assert m.dims == (1, 2, 1)
     assert identify(m) == x + y
+    # vertex 3 is zero-dimensional: the arrow 2->3 carries a 0 x 1 matrix
+    z = kp_parse(t3, "[1,1]")
+    m = direct_sum(build(x, 2), build(z, 2))
+    assert m.dims == (2, 1, 0)
+    assert m.mats == (((1, 0),), ())
+    assert identify(m) == x + z
 
 
 def test_simple_and_zero(t3):
@@ -123,7 +158,7 @@ def test_hom_space_dim_examples(t2):
 def test_sub_quotient_splits_the_segment(t2):
     m = build(kp_parse(t2, "[1,2]"), 2)
     # the one-dimensional space at vertex 2 is the unique proper subrep
-    bases = (np.zeros((0, 1), dtype=np.int64), np.array([[1]], dtype=np.int64))
+    bases = ([], [[1]])
     sub, quot = sub_quotient(m, bases)
     assert identify(sub) == kp_parse(t2, "[2,2]")
     assert identify(quot) == kp_parse(t2, "[1,1]")
@@ -132,17 +167,26 @@ def test_sub_quotient_splits_the_segment(t2):
 def test_sub_quotient_rejects_unstable_subspace(t2):
     # the space at vertex 1 is NOT a subrep of M[1,2]: the arrow maps it out
     m = build(kp_parse(t2, "[1,2]"), 2)
-    bases = (np.array([[1]], dtype=np.int64), np.zeros((0, 1), dtype=np.int64))
+    bases = ([[1]], [])
     with pytest.raises(RepError):
         sub_quotient(m, bases)
 
 
 def test_rep_shape_validation(t2):
-    quiver = t2.quiver
+    quiver = t2.quiver  # the one arrow is 1 -> 2
     with pytest.raises(RepError):
-        Rep(quiver, 2, (1, 1), (np.zeros((2, 1), dtype=np.int64),))
+        Rep(quiver, 2, (1, 1), (((0,), (0,)),))  # two rows, not one
     with pytest.raises(RepError):
         Rep(quiver, 2, (1, 1), ())
+    with pytest.raises(RepError):
+        Rep(quiver, 2, (2, 2), (((0, 0), (0,)),))  # a ragged row
+    # a 2 x 0 matrix has two empty rows, a 0 x 2 matrix none at all
+    assert Rep(quiver, 2, (0, 2), (((), ()),)).total_dim == 2
+    assert Rep(quiver, 2, (2, 0), ((),)).total_dim == 2
+    with pytest.raises(RepError):
+        Rep(quiver, 2, (0, 2), ((),))
+    with pytest.raises(RepError):
+        Rep(quiver, 2, (2, 0), (((), ()),))
 
 
 def test_build_builds_over_each_field(t3):
@@ -167,6 +211,14 @@ def test_hom_space_dim_without_unknowns_or_equations(t3):
     ends = direct_sum(simple_rep(quiver, q, 1), simple_rep(quiver, q, 3))
     assert hom_space_dim(ends, ends) == 2
     assert hom_space_dim(simple_rep(quiver, q, 1), ends) == 1
+    # one f per vertex, e_v x d_v: 1 x 1, 0 x 0, then 1 x 0
+    assert hom_basis(simple_rep(quiver, q, 1), ends) == [([[1]], [], [[]])]
+    # S1's arrow 1->2 has a 0 x 1 matrix, so its one column is empty; the
+    # equation on that arrow forces f_1 = 0, as S1 is not in M[1,2]'s socle
+    m12 = build(kp_parse(t3, "[1,2]"), q)
+    assert hom_space_dim(simple_rep(quiver, q, 1), m12) == 0
+    assert hom_basis(simple_rep(quiver, q, 1), m12) == []
+    assert hom_basis(m12, simple_rep(quiver, q, 1)) == [([[1]], [], [])]
 
 
 def test_hom_space_dim_reads_entries_mod_q(t3):
@@ -175,6 +227,7 @@ def test_hom_space_dim_reads_entries_mod_q(t3):
     for x in classes:
         for y in classes:
             m, n = build(x, q), build(y, q)
-            shifted = Rep(m.quiver, q, m.dims, tuple(a + 3 * q for a in m.mats))
-            negated = Rep(n.quiver, q, n.dims, tuple(b - 2 * q for b in n.mats))
+            shifted = Rep(m.quiver, q, m.dims, shift(m.mats, 3 * q))
+            negated = Rep(n.quiver, q, n.dims, shift(n.mats, -2 * q))
             assert hom_space_dim(shifted, negated) == hom_space_dim(m, n)
+
