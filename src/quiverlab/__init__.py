@@ -18,7 +18,6 @@ from .extensions import (
     degree_bound,
     e_lambda,
     ext_min,
-    ext_pairs,
     ext_set,
     generic_ext,
     hom_omega_dim,
@@ -31,6 +30,7 @@ from .grassmannian import (
     StratumEntry,
     a2_component_range,
     ext_ger,
+    ext_pairs,
     generic_pairs,
     point_count,
     realized_pairs,
@@ -74,13 +74,11 @@ from .linalg import (
     gaussian_binomial,
 )
 from .order import (
-    cover_relations,
     hom_vector,
     interval,
     is_rigid,
     leq,
     lt,
-    minimal_elements,
     typeA_leq,
 )
 from .quiver import (
@@ -117,7 +115,6 @@ from .quiver import (
     segments_of,
     simple_reflection,
     standard_quiver,
-    symmetrized_euler_form,
     weight,
 )
 from .repetition import (
@@ -127,7 +124,6 @@ from .repetition import (
     V_COORDINATE_SHIFT,
     build_repetition,
     cartan_q,
-    ck_dims,
     coxeter_tau,
     coxeter_tau_inv,
     d_value,

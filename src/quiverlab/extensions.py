@@ -51,7 +51,6 @@ __all__ = [
     "degree_bound",
     "e_lambda",
     "ext_min",
-    "ext_pairs",
     "ext_set",
     "generic_ext",
     "hom_omega_dim",
@@ -195,25 +194,6 @@ def generic_ext(
     return best
 
 
-def ext_pairs(
-    lam: KostantPartition,
-    alpha: Sequence[int],
-    beta: Sequence[int],
-    *,
-    fields: Sequence[int] = (2, 3),
-    cap: int = linalg.DEFAULT_CAP,
-) -> frozenset[Pair]:
-    """All (quotient, sub) class pairs realized by stable subspaces of
-    ``build(lam)`` with sub dimension vector ``beta``."""
-    alpha, beta = tuple(alpha), tuple(beta)
-    if dim_add(alpha, beta) != lam.total:
-        raise PartitionError("alpha + beta must equal dim lambda")
-    out: frozenset[Pair] = frozenset()
-    for q in fields:
-        out |= grassmannian.realized_pairs(lam, beta, q, cap)
-    return out
-
-
 def ext_min(
     lam: KostantPartition,
     alpha: Sequence[int],
@@ -224,7 +204,7 @@ def ext_min(
 ) -> frozenset[Pair]:
     """Pairs minimal under the product order: no other realized pair is
     <= in both coordinates."""
-    pairs = ext_pairs(lam, alpha, beta, fields=fields, cap=cap)
+    pairs = grassmannian.ext_pairs(lam, alpha, beta, fields=fields, cap=cap)
     out = set()
     for mu, nu in pairs:
         dominated = any(
@@ -322,7 +302,7 @@ def pair_stratum_dim(
     """Dimension ``[lam, mu*nu] - [mu, mu] - [nu, nu]`` attached to the
     locus of subspaces with sub class nu and quotient class mu."""
     if check:
-        pairs = ext_pairs(lam, mu.total, nu.total, fields=fields, cap=cap)
+        pairs = grassmannian.ext_pairs(lam, mu.total, nu.total, fields=fields, cap=cap)
         if (mu, nu) not in pairs:
             raise PartitionError(
                 f"pair ({kp_format(mu)}, {kp_format(nu)}) is not realized in "

@@ -25,8 +25,9 @@ vector, and each point is checked to be stable.  Everything per point
 is int-list arithmetic.  ``reps.sub_quotient`` with ``identify`` is the
 matrix-level route the tests compare against.
 
-A realized pair is *generic* when neither coordinate can be degenerated
-while keeping the other fixed among realized pairs; the generic pairs
+``ext_pairs`` unions the realized pairs over several fields.  A
+realized pair is *generic* when neither coordinate can be degenerated
+while keeping the other fixed among those pairs; the generic pairs
 whose sub class satisfies the hom-count equality
 ``[nu, lambda] = [nu, nu] + [nu, mu]`` index the irreducible components
 of the Grassmannian (``ext_ger``).
@@ -69,6 +70,7 @@ __all__ = [
     "StratumEntry",
     "a2_component_range",
     "ext_ger",
+    "ext_pairs",
     "generic_pairs",
     "point_count",
     "realized_pairs",
@@ -352,15 +354,23 @@ def realized_pairs(
     return strata(lam, beta, q, cap).pairs()
 
 
-def _validate_split(
-    lam: KostantPartition, alpha: Sequence[int], beta: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def ext_pairs(
+    lam: KostantPartition,
+    alpha: Sequence[int],
+    beta: Sequence[int],
+    *,
+    fields: Sequence[int] = (2, 3),
+    cap: int | None = linalg.DEFAULT_CAP,
+) -> frozenset[Pair]:
+    """All (quotient, sub) class pairs realized by stable subspaces of
+    ``build(lam)`` with sub dimension vector ``beta``, unioned over the
+    fields."""
     alpha, beta = tuple(alpha), tuple(beta)
     if dim_add(alpha, beta) != lam.total:
         raise PartitionError(
             f"alpha + beta = {dim_add(alpha, beta)} does not match dim lambda = {lam.total}"
         )
-    return alpha, beta
+    return frozenset().union(*(realized_pairs(lam, beta, q, cap) for q in fields))
 
 
 def generic_pairs(
@@ -374,10 +384,7 @@ def generic_pairs(
     """Realized pairs that are minimal in each coordinate separately:
     no realized pair degenerates the sub keeping the quotient, and none
     degenerates the quotient keeping the sub."""
-    alpha, beta = _validate_split(lam, alpha, beta)
-    realized: set[Pair] = set()
-    for q in fields:
-        realized |= realized_pairs(lam, beta, q, cap)
+    realized = ext_pairs(lam, alpha, beta, fields=fields, cap=cap)
     out = set()
     for mu, nu in realized:
         blocked = any(

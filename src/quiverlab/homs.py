@@ -156,11 +156,6 @@ def typeA_ext_dim(x: KostantPartition, y: KostantPartition) -> int:
 
 
 @functools.cache
-def _projective_root_index(table: RootTable, i: int) -> int:
-    return table.index_of(projective_root(table.quiver, i))
-
-
-@functools.cache
 def projective_resolution(
     table: RootTable, root_index: int
 ) -> tuple[KostantPartition, KostantPartition]:
@@ -180,6 +175,7 @@ def projective_resolution(
     if any(beta == v for v in projectives.values()):
         return m_beta, kp_zero(table)
 
+    projective_index = {i: table.index_of(v) for i, v in projectives.items()}
     head = {
         i: hom_dim(m_beta, kp_single(table, table.simple_root_index(i)))
         for i in quiver.vertices
@@ -187,7 +183,7 @@ def projective_resolution(
     q_parts: list[int] = []
     q_dim = [0] * quiver.rank
     for i, count in head.items():
-        q_parts.extend([_projective_root_index(table, i)] * count)
+        q_parts.extend([projective_index[i]] * count)
         for j, x in enumerate(projectives[i]):
             q_dim[j] += count * x
     q_cover = KostantPartition(table, tuple(q_parts))
@@ -199,7 +195,7 @@ def projective_resolution(
         if c < 0:
             raise AssertionError(f"negative projective multiplicity at vertex {i}")
         if c:
-            p_parts.extend([_projective_root_index(table, i)] * c)
+            p_parts.extend([projective_index[i]] * c)
             for j, x in enumerate(projectives[i]):
                 remaining[j] -= c * x
     if any(remaining):

@@ -4,11 +4,10 @@ One pure-Python Gauss–Jordan routine does every elimination, so
 arithmetic is exact.  A matrix is a sequence of rows, each a sequence of
 Python ints read mod p; results are int lists reduced mod p.  A matrix
 with no rows carries no width, so the functions that need it
-(:func:`kernel_basis`, :func:`solve`, :func:`subspaces_containing`)
-take the column count from the caller.  Forward elimination gives
-:func:`rank`; the same loop with back-substitution gives the canonical
-reduced row-echelon form behind :func:`rref`, :func:`kernel_basis`,
-:func:`solve`, :func:`row_space_contains` and
+(:func:`kernel_basis`, :func:`subspaces_containing`) take the column
+count from the caller.  Forward elimination gives :func:`rank`; the
+same loop with back-substitution gives the canonical reduced
+row-echelon form behind :func:`rref`, :func:`kernel_basis` and
 :func:`subspaces_containing`.  Enumeration of subspaces walks reduced
 row-echelon profiles in a fixed lexicographic order, so iterating twice
 gives the same sequence and the number of bases produced always equals
@@ -32,9 +31,7 @@ __all__ = [
     "gaussian_binomial",
     "kernel_basis",
     "rank",
-    "row_space_contains",
     "rref",
-    "solve",
     "subspaces_containing",
 ]
 
@@ -148,39 +145,6 @@ def kernel_basis(a, ncols: int, q: int) -> list[list[int]]:
             v[pc] = -rows[i][fc] % q
         basis.append(v)
     return basis
-
-
-def solve(a, b: Sequence[int], ncols: int, q: int) -> list[int] | None:
-    """One solution ``x`` (``ncols`` entries) of ``a x = b``, or None.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    _check_field(q)
-    rows = _rows(a, ncols)
-    if len(b) != len(rows):
-        raise ValueError("incompatible shapes in solve")
-    aug = [[*row, y] for row, y in zip(rows, b)]
-    pivots = _eliminate(aug, q, True)
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [0] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = aug[i][ncols] % q
-    return x
-
-
-def row_space_contains(basis, vectors, q: int) -> bool:
-    """True when every row of ``vectors`` lies in the row space of ``basis``."""
-    _check_field(q)
-    b = _rows(basis)
-    v = _rows(vectors)
-    if not v:
-        return True
-    if not b:
-        return all(x % q == 0 for row in v for x in row)
-    if len(b[0]) != len(v[0]):
-        raise ValueError("basis and vectors have different widths")
-    return len(_eliminate(b + v, q, False)) == len(_eliminate(b, q, False))
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

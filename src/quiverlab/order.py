@@ -19,24 +19,21 @@ from __future__ import annotations
 
 import functools
 
-from .homs import ext_dim, hom_dim
+from .homs import _check_same_table, ext_dim, hom_dim
 from .quiver import (
     KostantPartition,
     PartitionError,
-    RootTable,
     kp_enumerate,
     kp_single,
     segments_of,
 )
 
 __all__ = [
-    "cover_relations",
     "hom_vector",
     "interval",
     "is_rigid",
     "leq",
     "lt",
-    "minimal_elements",
     "typeA_leq",
 ]
 
@@ -51,8 +48,7 @@ def hom_vector(x: KostantPartition) -> tuple[int, ...]:
 def leq(x: KostantPartition, y: KostantPartition) -> bool:
     """True when ``x <= y`` in the degeneration order (same dimension vector
     required; the more special partition is the larger one)."""
-    if x.table != y.table:
-        raise PartitionError("partitions live over different root tables")
+    _check_same_table(x, y)
     if x.total != y.total:
         return False
     hx, hy = hom_vector(x), hom_vector(y)
@@ -67,8 +63,7 @@ def typeA_leq(x: KostantPartition, y: KostantPartition) -> bool:
     """Segment-counting criterion for the linear type-A quiver:
     ``x <= y`` iff for every segment ``[i,j]`` the number of parts of x
     containing it is at least the number for y."""
-    if x.table != y.table:
-        raise PartitionError("partitions live over different root tables")
+    _check_same_table(x, y)
     if not x.table.quiver.is_linear_type_a():
         raise PartitionError("typeA_leq needs the linear type-A quiver")
     if x.total != y.total:
@@ -86,16 +81,6 @@ def typeA_leq(x: KostantPartition, y: KostantPartition) -> bool:
     )
 
 
-def minimal_elements(
-    partitions: tuple[KostantPartition, ...] | list[KostantPartition],
-) -> tuple[KostantPartition, ...]:
-    """The elements of the collection not strictly above any other element."""
-    items = list(partitions)
-    return tuple(
-        x for x in items if not any(lt(other, x) for other in items if other != x)
-    )
-
-
 def is_rigid(x: KostantPartition) -> bool:
     """No self-extensions; equivalently x is the minimum of its poset."""
     return ext_dim(x, x) == 0
@@ -105,8 +90,7 @@ def interval(
     low: KostantPartition, high: KostantPartition
 ) -> tuple[KostantPartition, ...]:
     """All partitions z of the common dimension vector with low <= z <= high."""
-    if low.table != high.table:
-        raise PartitionError("partitions live over different root tables")
+    _check_same_table(low, high)
     if low.total != high.total:
         return ()
     return tuple(
@@ -114,24 +98,3 @@ def interval(
         for z in kp_enumerate(low.table, low.total)
         if leq(low, z) and leq(z, high)
     )
-
-
-def cover_relations(
-    table: RootTable, gamma: tuple[int, ...], cap: int = 2000
-) -> tuple[tuple[KostantPartition, KostantPartition], ...]:
-    """Diagnostic Hasse diagram of the poset on ``gamma`` (pairs (x, y) with
-    x < y and nothing in between); refuses posets larger than ``cap``."""
-    elems = kp_enumerate(table, gamma)
-    if len(elems) > cap:
-        raise PartitionError(
-            f"poset on {gamma} has {len(elems)} elements, cap is {cap}"
-        )
-    covers = []
-    for x in elems:
-        for y in elems:
-            if not lt(x, y):
-                continue
-            if any(lt(x, z) and lt(z, y) for z in elems):
-                continue
-            covers.append((x, y))
-    return tuple(covers)

@@ -62,10 +62,11 @@ __all__ = [
     "positive_root_count",
     "positive_roots",
     "projective_root",
+    "root_segment",
+    "segment_root",
     "segments_of",
     "simple_reflection",
     "standard_quiver",
-    "symmetrized_euler_form",
     "weight",
 ]
 
@@ -79,7 +80,6 @@ class PartitionError(ValueError):
 
 
 _E_ROOT_COUNTS = {6: 36, 7: 63, 8: 120}
-_E_COXETER = {6: 12, 7: 18, 8: 30}
 _E_LEGS = {6: (1, 2, 2), 7: (1, 2, 3), 8: (1, 2, 4)}
 
 
@@ -92,11 +92,8 @@ def positive_root_count(diagram_type: str, rank: int) -> int:
 
 
 def coxeter_number(diagram_type: str, rank: int) -> int:
-    if diagram_type == "A":
-        return rank + 1
-    if diagram_type == "D":
-        return 2 * rank - 2
-    return _E_COXETER[rank]
+    # h = 2 |positive roots| / rank for every simply-laced type
+    return 2 * positive_root_count(diagram_type, rank) // rank
 
 
 # ---------------------------------------------------------------------------
@@ -170,23 +167,6 @@ class DynkinQuiver:
 
     def neighbours(self, i: int) -> tuple[int, ...]:
         return self._neighbours[i]
-
-    def arrows_into(self, i: int) -> tuple[tuple[int, int], ...]:
-        return tuple(h for h in self.arrows if h[1] == i)
-
-    def arrows_out_of(self, i: int) -> tuple[tuple[int, int], ...]:
-        return tuple(h for h in self.arrows if h[0] == i)
-
-    def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Symmetric Cartan matrix: 2 on the diagonal, -1 for each edge."""
-        rows = []
-        for i in self.vertices:
-            row = [0] * self.rank
-            row[i - 1] = 2
-            for j in self.neighbours(i):
-                row[j - 1] = -1
-            rows.append(tuple(row))
-        return tuple(rows)
 
     def is_linear_type_a(self) -> bool:
         """True for the orientation ``1 -> 2 -> ... -> n`` of type A."""
@@ -367,13 +347,6 @@ def euler_form(quiver: DynkinQuiver, alpha: Sequence[int], beta: Sequence[int]) 
     return total
 
 
-def symmetrized_euler_form(
-    quiver: DynkinQuiver, alpha: Sequence[int], beta: Sequence[int]
-) -> int:
-    """``(a,b) = <a,b> + <b,a>``; equals ``b^T C a`` for the Cartan matrix C."""
-    return euler_form(quiver, alpha, beta) + euler_form(quiver, beta, alpha)
-
-
 def simple_reflection(
     quiver: DynkinQuiver, i: int, v: Sequence[int]
 ) -> tuple[int, ...]:
@@ -434,41 +407,28 @@ def adapted_reduced_word(
     m = positive_root_count(quiver.diagram_type, quiver.rank)
     # images[i-1] is w(alpha_i) for w the product of the letters so far
     images = _simple_images(quiver.rank)
-
-    def choices(arrows: frozenset[tuple[int, int]]) -> Iterator[int]:
-        candidates = []
-        for i in _sources(quiver.rank, arrows):
-            beta = tuple(images[i - 1])
-            if all(x >= 0 for x in beta):
-                candidates.append((beta, i))
-        if variant == "canonical":
-            candidates.sort(key=lambda c: (c[0], -c[1]), reverse=True)
-        else:
-            candidates.sort(key=lambda c: c[1])
-        return iter([i for _, i in candidates])
-
-    # depth-first search, one stack level per letter (a word has one
-    # letter per positive root, too many for recursion on large ranks):
-    # pending[k] holds the untried choices for letter k+1, and
-    # arrow_sets[k] the orientation after reflecting at word[:k]
+    arrows = frozenset(quiver.arrows)
     word: list[int] = []
-    arrow_sets = [frozenset(quiver.arrows)]
-    pending = [choices(arrow_sets[0])]
+    # The first eligible source never leads to a dead end: the roots taken
+    # so far are the dimension vectors of a predecessor-closed set of
+    # indecomposables in the Auslander-Reiten quiver (a source reflection
+    # with a positive root adds the next module of that vertex's
+    # tau-orbit), and a minimal module outside the set sits at a source of
+    # the reflected orientation with a positive root.  So a letter is
+    # eligible until all m roots are taken, and no step is undone.
     while len(word) < m:
-        if not pending:  # pragma: no cover - cannot happen for Dynkin orientations
+        eligible = [
+            i for i in _sources(quiver.rank, arrows) if min(images[i - 1]) >= 0
+        ]
+        if not eligible:  # pragma: no cover - cannot happen for Dynkin orientations
             raise QuiverError("no adapted reduced word found")
-        i = next(pending[-1], None)
-        if i is None:
-            pending.pop()
-            if word:
-                _times_reflection(quiver, images, word.pop())
-                arrow_sets.pop()
-            continue
+        if variant == "canonical":
+            i = max(eligible, key=lambda j: images[j - 1])
+        else:
+            i = eligible[0]
         word.append(i)
         _times_reflection(quiver, images, i)
-        arrow_sets.append(_reflect_arrows(arrow_sets[-1], i))
-        if len(word) < m:
-            pending.append(choices(arrow_sets[-1]))
+        arrows = _reflect_arrows(arrows, i)
     return tuple(word)
 
 
@@ -549,32 +509,31 @@ def positive_roots(quiver: DynkinQuiver, variant: str = "canonical") -> RootTabl
     return RootTable.from_word(quiver, adapted_reduced_word(quiver, variant))
 
 
-@functools.cache
-def projective_root(quiver: DynkinQuiver, i: int) -> tuple[int, ...]:
-    """Dimension vector of the projective at ``i``: 1 on every vertex reachable from ``i``."""
+def _reach(
+    quiver: DynkinQuiver, i: int, steps: Sequence[tuple[int, int]]
+) -> tuple[int, ...]:
+    """1 on ``i`` and on every vertex reached from it along ``steps``."""
     reach = {i}
     stack = [i]
     while stack:
         v = stack.pop()
-        for _, t in quiver.arrows_out_of(v):
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
+        for a, b in steps:
+            if a == v and b not in reach:
+                reach.add(b)
+                stack.append(b)
     return tuple(1 if v in reach else 0 for v in quiver.vertices)
+
+
+@functools.cache
+def projective_root(quiver: DynkinQuiver, i: int) -> tuple[int, ...]:
+    """Dimension vector of the projective at ``i``: 1 on every vertex reachable from ``i``."""
+    return _reach(quiver, i, quiver.arrows)
 
 
 @functools.cache
 def injective_root(quiver: DynkinQuiver, i: int) -> tuple[int, ...]:
     """Dimension vector of the injective at ``i``: 1 on every vertex that reaches ``i``."""
-    reach = {i}
-    stack = [i]
-    while stack:
-        v = stack.pop()
-        for s, _ in quiver.arrows_into(v):
-            if s not in reach:
-                reach.add(s)
-                stack.append(s)
-    return tuple(1 if v in reach else 0 for v in quiver.vertices)
+    return _reach(quiver, i, [(t, s) for s, t in quiver.arrows])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .homs import ext_dim, hom_dim, projective_resolution
+from .homs import hom_dim, projective_resolution
 from .quiver import (
     DynkinQuiver,
     KostantPartition,
@@ -39,7 +39,6 @@ from .quiver import (
     injective_root,
     kp_single,
     positive_roots,
-    projective_root,
     simple_reflection,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "V_COORDINATE_SHIFT",
     "build_repetition",
     "cartan_q",
-    "ck_dims",
     "coxeter_tau",
     "coxeter_tau_inv",
     "d_value",
@@ -131,9 +129,6 @@ class GradedDimVector:
     def total(self) -> int:
         return sum(v for _, _, v in self.entries)
 
-    def to_triples(self) -> list[list[int]]:
-        return [[i, p, v] for i, p, v in self.entries]
-
 
 def coxeter_tau(quiver: DynkinQuiver, v: Sequence[int]) -> tuple[int, ...]:
     """Coxeter transformation: s_1 .. s_n composed with s_n applied
@@ -182,7 +177,6 @@ class RepetitionQuiver:
         self.window = window
         self.xi = xi
         self.phi = phi
-        self._by_label = {label: v for v, label in phi.items()}
         self.gamma_vertices = {
             root: v for v, (root, m) in phi.items() if m == 0
         }
@@ -326,20 +320,6 @@ def v_lambda(rq: RepetitionQuiver, lam: KostantPartition) -> GradedDimVector:
             i, p = rq.vertex_of_root(root)
             data[(i, p + V_COORDINATE_SHIFT)] = val
     return GradedDimVector.from_dict(data)
-
-
-def ck_dims(lam: KostantPartition) -> dict[tuple[int, ...], int]:
-    """Map each non-projective positive root ``beta`` to
-    ``ext_dim(beta, lam)``."""
-    table = lam.table
-    quiver = table.quiver
-    projectives = {projective_root(quiver, i) for i in quiver.vertices}
-    out = {}
-    for idx, root in enumerate(table.roots):
-        if root in projectives:
-            continue
-        out[root] = ext_dim(kp_single(table, idx), lam)
-    return out
 
 
 def pairing(a: GradedDimVector, b: GradedDimVector) -> int:

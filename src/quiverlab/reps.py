@@ -31,6 +31,7 @@ from .quiver import (
     DynkinQuiver,
     KostantPartition,
     RootTable,
+    _reflect_arrows,
     positive_roots,
 )
 from .homs import hom_table
@@ -78,9 +79,6 @@ class Rep:
             shape = (self.dims[t - 1], self.dims[s - 1])
             if len(m) != shape[0] or any(len(row) != shape[1] for row in m):
                 raise RepError(f"matrix for {s}->{t} is not {shape[0]} x {shape[1]}")
-
-    def mat(self, arrow: tuple[int, int]) -> Matrix:
-        return self.mats[self.quiver.arrows.index(arrow)]
 
     @property
     def total_dim(self) -> int:
@@ -135,19 +133,13 @@ def chain_rep(quiver: DynkinQuiver, q: int, a: int, b: int) -> Rep:
 # reflection construction of the indecomposables
 
 
-def _reflect_arrow_set(arrows: tuple, i: int) -> tuple:
-    return tuple(
-        sorted((t, s) if s == i or t == i else (s, t) for s, t in arrows)
-    )
-
-
 def _kernel_reflect_at_sink(
     q: int,
-    arrows: tuple,
+    arrows: frozenset,
     dims: list[int],
     mats: dict,
     v: int,
-) -> tuple[tuple, dict]:
+) -> tuple[frozenset, dict]:
     """Apply the kernel functor at a sink ``v``: the new space is the
     kernel of the summed map into ``v`` and the reversed arrows project
     it back onto the incoming summands."""
@@ -155,7 +147,7 @@ def _kernel_reflect_at_sink(
     xi = [sum((mats[h][i] for h in incoming), ()) for i in range(dims[v - 1])]
     kernel = linalg.kernel_basis(xi, sum(dims[s - 1] for s, _ in incoming), q)
 
-    new_arrows = _reflect_arrow_set(arrows, v)
+    new_arrows = _reflect_arrows(arrows, v)
     new_mats = {h: m for h, m in mats.items() if h[1] != v}
     offset = 0
     for s, _ in incoming:
@@ -175,9 +167,9 @@ def indecomposable(table: RootTable, root_index: int, q: int) -> Rep:
     quiver = table.quiver
     word = table.word
     k = root_index
-    arrow_seq = [tuple(quiver.arrows)]
+    arrow_seq = [frozenset(quiver.arrows)]
     for j in range(k):
-        arrow_seq.append(_reflect_arrow_set(arrow_seq[-1], word[j]))
+        arrow_seq.append(_reflect_arrows(arrow_seq[-1], word[j]))
 
     seed = word[k]
     dims = [0] * quiver.rank

@@ -1,0 +1,32 @@
+"""The public API: every exported name exists and has one home module."""
+
+import importlib
+import inspect
+import pkgutil
+
+import quiverlab
+
+MODULES = [
+    importlib.import_module(f"quiverlab.{info.name}")
+    for info in pkgutil.iter_modules(quiverlab.__path__)
+]
+
+
+def test_every_module_all_name_exists():
+    for module in MODULES:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_package_names_are_in_their_module_all():
+    for name, value in vars(quiverlab).items():
+        if name.startswith("_") or inspect.ismodule(value):
+            continue
+        homes = [
+            m.__name__ for m in MODULES if name in m.__all__ and getattr(m, name) is value
+        ]
+        assert homes, f"quiverlab.{name} is in no module's __all__"
+        # functions and classes must be exported by the module that defines them
+        defined_in = getattr(value, "__module__", None)
+        if inspect.isfunction(value) or inspect.isclass(value):
+            assert defined_in in homes, f"quiverlab.{name} is not in {defined_in}.__all__"

@@ -3,7 +3,6 @@
 import itertools
 
 from quiverlab import (
-    cover_relations,
     hom_vector,
     interval,
     is_rigid,
@@ -12,7 +11,6 @@ from quiverlab import (
     kp_parse,
     leq,
     lt,
-    minimal_elements,
     typeA_leq,
 )
 
@@ -43,7 +41,9 @@ def test_rigid_class_is_minimum(t3):
         kps = kp_enumerate(t3, gamma)
         rigids = [x for x in kps if is_rigid(x)]
         assert len(rigids) == 1  # unique dense class per dimension vector
-        assert minimal_elements(kps) == (rigids[0],)
+        # and the unique minimal element: nothing lies strictly below it
+        minimal = [x for x in kps if not any(lt(y, x) for y in kps)]
+        assert minimal == rigids
         assert all(leq(rigids[0], x) for x in kps)
 
 
@@ -81,7 +81,13 @@ def test_interval(t3):
 
 
 def test_cover_relations_weight_three(t3):
-    covers = cover_relations(t3, (1, 1, 1))
+    elems = kp_enumerate(t3, (1, 1, 1))
+    covers = [
+        (x, y)
+        for x in elems
+        for y in elems
+        if lt(x, y) and not any(lt(x, z) and lt(z, y) for z in elems)
+    ]
     named = sorted((kp_format(a), kp_format(b)) for a, b in covers)
     # chain [1,3] < [1,2]+[3,3] , [1,1]+[2,3] < split, no diagonal edge
     assert named == [

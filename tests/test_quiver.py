@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+import random
 
 import pytest
 
@@ -36,7 +37,6 @@ from quiverlab import (
     segments_of,
     simple_reflection,
     standard_quiver,
-    symmetrized_euler_form,
     weight,
 )
 
@@ -102,10 +102,6 @@ def test_spec_text_roundtrip(a3):
         parse_quiver_spec("arrow 1 2\n")  # missing type line
 
 
-def test_cartan_matrix(a2):
-    assert a2.cartan_matrix() == ((2, -1), (-1, 2))
-
-
 # ---------------------------------------------------------------- words
 
 def test_a2_canonical_word_and_roots(t2):
@@ -147,6 +143,29 @@ def test_variants_differ(dt, rank):
     assert adapted_reduced_word(quiver) != adapted_reduced_word(quiver, variant="alternate")
 
 
+@pytest.mark.parametrize("variant", ["canonical", "alternate"])
+@pytest.mark.parametrize(
+    "dt,rank",
+    [("A", n) for n in range(2, 8)] + [("D", n) for n in range(4, 8)]
+    + [("E", n) for n in (6, 7, 8)],
+)
+def test_adapted_words_on_random_orientations(dt, rank, variant):
+    rng = random.Random(f"{dt}{rank}")
+    edges = standard_quiver(dt, rank).arrows
+    for _ in range(4):
+        quiver = build_quiver(
+            dt, rank, [(t, s) if rng.random() < 0.5 else (s, t) for s, t in edges]
+        )
+        word = adapted_reduced_word(quiver, variant)
+        arrows = set(quiver.arrows)
+        for i in word:
+            # each letter is a source of the orientation reflected so far
+            assert all(t != i for _, t in arrows), (quiver, word)
+            arrows = {(t, s) if i in (s, t) else (s, t) for s, t in arrows}
+        table = RootTable.from_word(quiver, word)
+        assert len(table) == positive_root_count(dt, rank)
+
+
 def test_simple_reflection(a2):
     assert simple_reflection(a2, 1, (1, 0)) == (-1, 0)
     assert simple_reflection(a2, 1, (0, 1)) == (1, 1)
@@ -170,7 +189,8 @@ def test_euler_form_a2(a2):
     assert euler_form(a2, (1, 0), (0, 1)) == -1
     assert euler_form(a2, (0, 1), (1, 0)) == 0
     assert euler_form(a2, (1, 1), (1, 1)) == 1
-    assert symmetrized_euler_form(a2, (1, 0), (0, 1)) == -1
+    # the symmetrized form is the Cartan pairing: -1 across the edge
+    assert euler_form(a2, (1, 0), (0, 1)) + euler_form(a2, (0, 1), (1, 0)) == -1
 
 
 # ---------------------------------------------------------------- partitions

@@ -15,11 +15,11 @@ from quiverlab import (
     V_COORDINATE_SHIFT,
     build_repetition,
     cartan_q,
-    ck_dims,
     coxeter_tau,
     coxeter_tau_inv,
     d_value,
     epsilon,
+    ext_dim,
     kp_enumerate,
     kp_parse,
     pairing,
@@ -174,13 +174,10 @@ def test_dominance_golden(rq2, t2):
     w = w_gamma(rq2, (1, 1))
     v = v_lambda(rq2, kp_parse(t2, "[1,2]"))
     assert (w - cartan_q(rq2, v)).as_dict() == {(2, 0): 1}
-
-
-def test_ck_dims(t2):
-    # only the non-projective root (1,0) contributes a coordinate
-    split = kp_parse(t2, "[1,1]+[2,2]")
-    assert ck_dims(split) == {(1, 0): 1}
-    assert ck_dims(kp_parse(t2, "[1,2]")) == {(1, 0): 0}
+    # the one non-projective root [1,1] extends the split class, not [1,2]
+    s1 = kp_parse(t2, "[1,1]")
+    assert ext_dim(s1, kp_parse(t2, "[1,1]+[2,2]")) == 1
+    assert ext_dim(s1, kp_parse(t2, "[1,2]")) == 0
 
 
 # ------------------------------------------------------------ epsilon

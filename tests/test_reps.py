@@ -47,9 +47,12 @@ def conjugate(m, g):
     q = m.q
     inverses = []
     for gv, d in zip(g, m.dims):
-        cols = [linalg.solve(gv, [int(i == j) for i in range(d)], d, q) for j in range(d)]
-        assert None not in cols, "singular base change"
-        inverses.append([[col[i] for col in cols] for i in range(d)])
+        # rref of [g | I] is [I | g^{-1}] exactly when g is invertible
+        reduced, pivots = linalg.rref(
+            [[*row, *(int(i == j) for j in range(d))] for i, row in enumerate(gv)], q
+        )
+        assert pivots == tuple(range(d)), "singular base change"
+        inverses.append([row[d:] for row in reduced])
     mats = tuple(
         matmul(matmul(g[t - 1], x, m.dims[s - 1], q), inverses[s - 1], m.dims[s - 1], q)
         for (s, t), x in zip(m.quiver.arrows, m.mats)
