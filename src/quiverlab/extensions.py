@@ -7,8 +7,12 @@ class ``mu``.  Two independent routes are kept deliberately separate:
 * u-enumeration: every middle term is a block representation
   ``[[y, u], [0, x]]`` with ``y = build(nu)``, ``x = build(mu)`` and
   ``u`` running over the full affine space of connecting maps
-  (one ``beta_t x alpha_s`` block per arrow); identifying the class of
-  each block representation and collecting the classes is exhaustive.
+  (one ``beta_t x alpha_s`` block per arrow); collecting the class of
+  every u is exhaustive.  The block representation E_u is not built:
+  dim Hom(M_a, E_u) is hom(a, nu) + hom(a, mu) minus the rank of the
+  connecting map Hom(M_a, M_mu) -> Ext^1(M_a, M_nu), f -> [u f], whose
+  matrices in u are computed once per ``(mu, nu, q)``, and the class
+  follows from these counts by ``identify``'s triangular solve.
 * subrep-filter: a candidate ``lam <= mu (+) nu`` belongs to the set iff
   the Grassmannian of ``build(lam)`` realizes the pair ``(mu, nu)``.
 
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import mul
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,8 +44,18 @@ from .quiver import (
     euler_form,
     kp_enumerate,
     kp_format,
+    kp_single,
 )
-from .reps import build, identify, Rep
+from .reps import (
+    Rep,
+    RepError,
+    _intertwiner_system,
+    _partition_from_counts,
+    build,
+    hom_basis,
+    identify,  # not called here: bench/smoke_test.py rebinds it to test the tracer
+    indecomposable,
+)
 
 __all__ = [
     "METHOD_FILTER",
@@ -90,31 +105,102 @@ class ExtSetResult:
     stable: bool
 
 
+def _ext_coordinates(m_a: Rep, y: Rep) -> list[list[int]]:
+    """Rows that read coordinates on Ext^1(m_a, y) off a cocycle.
+
+    A cocycle is one ``dims_y[t] x dims_a[s]`` block per arrow ``s -> t``,
+    flattened arrow by arrow and row by row: the layout of the rows of
+    ``reps._intertwiner_system(m_a, y)``, whose columns span the
+    coboundaries h -> (h_t A_k - Y_k h_s).  The coordinates are the
+    residues modulo the coboundaries at the non-pivot positions of their
+    reduced echelon form.
+    """
+    width = sum(y.dims[t - 1] * m_a.dims[s - 1] for s, t in m_a.quiver.arrows)
+    system, offsets = _intertwiner_system(m_a, y)
+    coboundaries = [[row[c] for row in system] for c in range(offsets[-1])] if system else []
+    reduced, pivots = linalg.rref(coboundaries, m_a.q)
+    return grassmannian._residue_rows(reduced, pivots, width)
+
+
+@functools.cache
+def _connecting_maps(mu: KostantPartition, nu: KostantPartition, q: int) -> tuple:
+    """What :func:`_classify_u` reads: ``(base, maps)``.
+
+    A flat u holds one ``beta_t x alpha_s`` block u_k per arrow
+    ``s -> t`` (``beta = dim nu``, ``alpha = dim mu``), arrow by arrow
+    and row by row.  For E_u in 0 -> M_nu -> E_u -> M_mu -> 0 the exact
+    sequence
+    0 -> Hom(M_a, M_nu) -> Hom(M_a, E_u) -> Hom(M_a, M_mu) -> Ext^1(M_a, M_nu)
+    gives dim Hom(M_a, E_u) = base[a] - rank{[u f]}, with
+    ``base[a] = hom(a, nu) + hom(a, mu)``, f over a basis of
+    Hom(M_a, M_mu) and [u f] the class of (u_k f_s)_k.  ``maps`` holds
+    ``(a, e, rows)`` for every root index ``a`` with hom(a, mu) > 0 and
+    e = ext(a, nu) > 0 (elsewhere the rank is 0): ``rows`` has e rows
+    per basis element f, taking the flat u to the coordinates of [u f].
+    """
+    table = mu.table
+    arrows = table.quiver.arrows
+    alpha, beta = mu.total, nu.total
+    x, y = build(mu, q), build(nu, q)
+    u_offsets = [0]
+    for s, t in arrows:
+        u_offsets.append(u_offsets[-1] + beta[t - 1] * alpha[s - 1])
+    n_u = u_offsets[-1]
+    base, maps = [], []
+    for a in range(len(table)):
+        single = kp_single(table, a)
+        h = hom_dim(single, mu)
+        base.append(hom_dim(single, nu) + h)
+        e = ext_dim(single, nu)
+        if not (h and e):
+            continue
+        m_a = indecomposable(table, a, q)
+        fs = hom_basis(m_a, x)
+        if len(fs) != h:
+            raise RepError("a Hom basis disagrees with the closed-form count")
+        coords = _ext_coordinates(m_a, y)
+        if len(coords) != e:
+            raise RepError("Ext^1 coordinates disagree with the closed-form count")
+        rows = []
+        for f in fs:
+            # the flat-u row of each entry (i, j) of each u_k f_s, in the
+            # cocycle layout of _ext_coordinates
+            entries = []
+            for k, (s, t) in enumerate(arrows):
+                f_s, a_s = f[s - 1], alpha[s - 1]
+                for i in range(beta[t - 1]):
+                    lo = u_offsets[k] + i * a_s
+                    for j in range(m_a.dims[s - 1]):
+                        row = [0] * n_u
+                        row[lo : lo + a_s] = [f_row[j] for f_row in f_s]
+                        entries.append(row)
+            for coord in coords:
+                terms = [(c, entry) for c, entry in zip(coord, entries) if c]
+                rows.append([sum(c * entry[n] for c, entry in terms) % q for n in range(n_u)])
+        maps.append((a, e, rows))
+    return tuple(base), tuple(maps)
+
+
+def _classify_u(
+    mu: KostantPartition, nu: KostantPartition, q: int, u: Sequence[int]
+) -> KostantPartition:
+    """The class of the middle term E_u for the flat u (layout in
+    :func:`_connecting_maps`), from the ranks of the connecting maps and
+    the triangular solve of :func:`reps._partition_from_counts`."""
+    base, maps = _connecting_maps(mu, nu, q)
+    counts = list(base)
+    for a, e, rows in maps:
+        images = [sum(map(mul, row, u)) for row in rows]
+        counts[a] -= linalg.rank([images[i : i + e] for i in range(0, len(images), e)], q)
+    return _partition_from_counts(mu.table, tuple(counts), dim_add(nu.total, mu.total))
+
+
 @functools.cache
 def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
-    quiver = mu.table.quiver
-    alpha, beta = mu.total, nu.total
-    cells = [(beta[t - 1], alpha[s - 1]) for s, t in quiver.arrows]
-    x = build(mu, q)
-    y = build(nu, q)
-    dims = dim_add(beta, alpha)
-    # the rows [0, x] do not depend on u
-    bottoms = [
-        tuple((0,) * beta[s - 1] + row for row in x_k)
-        for (s, _), x_k in zip(quiver.arrows, x.mats)
-    ]
-    classes = set()
-    for flat in itertools.product(range(q), repeat=sum(r * c for r, c in cells)):
-        mats = []
-        pos = 0
-        for (r, c), y_k, bottom in zip(cells, y.mats, bottoms):
-            top = tuple(
-                y_row + flat[pos + i * c : pos + (i + 1) * c] for i, y_row in enumerate(y_k)
-            )
-            pos += r * c
-            mats.append(top + bottom)
-        classes.add(identify(Rep(quiver, q, dims, tuple(mats)), mu.table))
-    return frozenset(classes)
+    n_u = hom_omega_dim(mu.total, nu.total, mu.table.quiver)
+    return frozenset(
+        _classify_u(mu, nu, q, u) for u in itertools.product(range(q), repeat=n_u)
+    )
 
 
 @functools.cache

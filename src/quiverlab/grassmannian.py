@@ -18,6 +18,12 @@ intertwiner systems of :mod:`.reps`).  For a point U with projection
   where f need only be read on generators of M_a;
 * dim Hom(M/U, M_a) = dim Hom(M, M_a) - rank{g|_U}, over the basis g.
 
+Two kinds of root need no basis: for the projective P_i,
+dim Hom(P_i, U) = dim U_i, and for the injective I_i,
+dim Hom(M/U, I_i) = dim (M/U)_i, so these counts are read off the
+dimension vectors.  Per point, every generator image is reduced modulo
+U and every g is restricted to U once, for all roots together.
+
 The sub follows from the first counts by ``identify``'s forward
 triangular solve, the quotient from the second by the transposed solve
 from the last root down; both check the counts and the dimension
@@ -53,8 +59,10 @@ from .quiver import (
     dim_add,
     dim_leq,
     dim_sub,
+    injective_root,
     kp_format,
     kp_single,
+    projective_root,
 )
 from .reps import (
     Rep,
@@ -216,19 +224,29 @@ def _top_coordinates(m: Rep) -> list[list[int]]:
 
 
 @functools.cache
-def _hom_bases(lam: KostantPartition, q: int) -> tuple[tuple, tuple, tuple]:
-    """What :func:`_classify` reads: ``(mats, into, out_of)``.
+def _hom_bases(lam: KostantPartition, q: int) -> tuple:
+    """What :func:`_classify` reads: ``(mats, given, into, out_of)``.
 
-    ``mats`` are the arrow matrices of ``M = build(lam, q)``.  ``into``
-    holds ``(a, fs)`` for every root index ``a`` with dim Hom(M_a, M) > 0
-    (closed form): ``fs`` is a basis of that Hom space, each ``f`` given
-    on the generators of M_a (:func:`_top_coordinates`) as one list of
-    image columns per vertex.
-    ``out_of`` holds ``(a, gs)`` for every ``a`` with dim Hom(M, M_a) > 0:
-    ``gs`` is a basis, each ``g`` one ``dim M_a x dim M`` matrix per vertex.
+    ``mats`` are the arrow matrices of ``M = build(lam, q)``.  ``given``
+    holds ``(sub, quot)``: ``sub[a] = i`` for the projective root P_i,
+    whose count dim Hom(P_i, U) = dim U_i needs no basis, and
+    ``quot[a] = i`` for the injective root I_i, whose count
+    dim Hom(M/U, I_i) = dim (M/U)_i needs none either.
+    ``into = (cols, roots)`` covers every other root index ``a`` with
+    dim Hom(M_a, M) > 0 (closed form): ``cols`` lists the distinct
+    ``(v, column)`` images of the generators of M_a
+    (:func:`_top_coordinates`) under a basis of Hom(M_a, M), over all
+    such roots, and ``roots`` holds ``(a, fs)``, where each basis
+    element ``f`` is the tuple of indices into ``cols`` of its images.
+    ``out_of = (g_rows, roots)`` covers every other ``a`` with
+    dim Hom(M, M_a) > 0 the same way: ``g_rows`` lists the distinct
+    ``(v, row)`` rows of the vertex matrices of a basis of Hom(M, M_a).
     """
     table = lam.table
+    quiver = table.quiver
     m = build(lam, q)
+    sub = {table.index_of(projective_root(quiver, i)): i for i in quiver.vertices}
+    quot = {table.index_of(injective_root(quiver, i)): i for i in quiver.vertices}
 
     def basis(source: Rep, target: Rep, h: int) -> list:
         found = hom_basis(source, target)
@@ -236,22 +254,57 @@ def _hom_bases(lam: KostantPartition, q: int) -> tuple[tuple, tuple, tuple]:
             raise RepError("a Hom basis disagrees with the closed-form count")
         return found
 
+    # distinct (vertex, vector) -> index; the roots share many of them
+    cols: dict[tuple[int, tuple[int, ...]], int] = {}
+    g_rows: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def indices(found: dict, vectors) -> tuple[int, ...]:
+        return tuple(found.setdefault((v, tuple(vec)), len(found)) for v, vec in vectors)
+
     into, out_of = [], []
     for a in range(len(table)):
         single = kp_single(table, a)
         m_a = indecomposable(table, a, q)
         h = hom_dim(single, lam)
-        if h:
+        if h and a not in sub:
             gens = _top_coordinates(m_a)
             fs = [
-                [[[row[c] for row in f_v] for c in g_v] for f_v, g_v in zip(f, gens)]
+                indices(
+                    cols,
+                    (
+                        (v, [row[c] for row in f_v])
+                        for v, (f_v, g_v) in enumerate(zip(f, gens))
+                        for c in g_v
+                    ),
+                )
                 for f in basis(m_a, m, h)
             ]
             into.append((a, fs))
         h = hom_dim(lam, single)
-        if h:
-            out_of.append((a, basis(m, m_a, h)))
-    return m.mats, tuple(into), tuple(out_of)
+        if h and a not in quot:
+            gs = [
+                indices(g_rows, ((v, row) for v, g_v in enumerate(g) for row in g_v))
+                for g in basis(m, m_a, h)
+            ]
+            out_of.append((a, gs))
+    return m.mats, (sub, quot), (tuple(cols), tuple(into)), (tuple(g_rows), tuple(out_of))
+
+
+def _residue_rows(rows: list[list[int]], pivots: Sequence[int], d: int) -> list[list[int]]:
+    """For the span of reduced echelon ``rows`` (pivot columns ``pivots``,
+    width ``d``), one row per free column c of the map reading a vector's
+    residue there: x -> x[c] - sum_i x[pivot_i] * rows[i][c].  Together
+    they take F_q^d onto the quotient by the span."""
+    out = []
+    for c in range(d):
+        if c in pivots:
+            continue
+        row = [0] * d
+        row[c] = 1
+        for r, p in zip(rows, pivots):
+            row[p] = -r[c]
+        out.append(row)
+    return out
 
 
 def _rank(rows: list[list[int]], q: int) -> int:
@@ -268,17 +321,17 @@ def _classify(lam: KostantPartition, q: int, bases: list[list[list[int]]]) -> Pa
 
     With ``pi`` the projection onto M/U and the Hom bases of
     :func:`_hom_bases`, dim Hom(M_a, U) = h - rank{pi f} and
-    dim Hom(M/U, M_a) = h' - rank{g|_U}; the sub and the quotient follow
-    by the two triangular solves of :func:`reps._partition_from_counts`.
-    Raises :class:`RepError` if a basis is malformed or the subspace is
-    not stable.
+    dim Hom(M/U, M_a) = h' - rank{g|_U}, except that the projective and
+    injective roots read their counts off the dimension vectors; the
+    sub and the quotient follow by the two triangular solves of
+    :func:`reps._partition_from_counts`.  Raises :class:`RepError` if a
+    basis is malformed or the subspace is not stable.
     """
-    mats, into, out_of = _hom_bases(lam, q)
+    mats, (sub, quot), (cols, into), (g_rows, out_of) = _hom_bases(lam, q)
     table = lam.table
     dims = lam.total
     beta = tuple(map(len, bases))
-    # proj[v-1]: rows of a matrix whose kernel is U_v, one per free column
-    # c of the echelon basis: x -> x[c] - sum_i x[pivot_i] * u_i[c]
+    # proj[v-1]: rows of a matrix whose kernel is U_v
     proj = []
     for v, (rows, d) in enumerate(zip(bases, dims), start=1):
         pivots: list[int] = []
@@ -291,47 +344,31 @@ def _classify(lam: KostantPartition, q: int, bases: list[list[list[int]]]) -> Pa
             pivots.append(lead)
         if any(u[p] % q for i, u in enumerate(rows) for p in pivots[i + 1 :]):
             raise RepError(f"basis at vertex {v} is not in reduced echelon form")
-        p_rows = []
-        for c in range(d):
-            if c in pivots:
-                continue
-            row = [0] * d
-            row[c] = 1
-            for u, p in zip(rows, pivots):
-                row[p] = -u[c]
-            p_rows.append(row)
-        proj.append(p_rows)
+        proj.append(_residue_rows(rows, pivots, d))
     for k, (s, t) in enumerate(table.quiver.arrows):
         for u in bases[s - 1]:
             image = [sum(map(mul, x_row, u)) for x_row in mats[k]]
             if any(sum(map(mul, p_row, image)) % q for p_row in proj[t - 1]):
                 raise RepError(f"subspace is not stable along arrow {s}->{t}")
+    quot_dims = dim_sub(dims, beta)
     sub_counts = [0] * len(table)
+    for a, i in sub.items():
+        sub_counts[a] = beta[i - 1]
+    # every distinct generator image modulo U, and every distinct g row
+    # on U, once for all roots
+    residues = [[sum(map(mul, p_row, col)) for p_row in proj[v]] for v, col in cols]
     for a, fs in into:
-        system = [
-            [
-                sum(map(mul, p_row, col))
-                for f_v, p_v in zip(f, proj)
-                for col in f_v
-                for p_row in p_v
-            ]
-            for f in fs
-        ]
+        system = [[x for i in f for x in residues[i]] for f in fs]
         sub_counts[a] = len(fs) - _rank(system, q)
     quot_counts = [0] * len(table)
+    for a, i in quot.items():
+        quot_counts[a] = quot_dims[i - 1]
+    restricted = [[sum(map(mul, row, u)) for u in bases[v]] for v, row in g_rows]
     for a, gs in out_of:
-        system = [
-            [
-                sum(map(mul, g_row, u))
-                for g_v, u_v in zip(g, bases)
-                for g_row in g_v
-                for u in u_v
-            ]
-            for g in gs
-        ]
+        system = [[x for i in g for x in restricted[i]] for g in gs]
         quot_counts[a] = len(gs) - _rank(system, q)
-    nu = _partition_from_counts(table, sub_counts, beta)
-    mu = _partition_from_counts(table, quot_counts, dim_sub(dims, beta), into=False)
+    nu = _partition_from_counts(table, tuple(sub_counts), beta)
+    mu = _partition_from_counts(table, tuple(quot_counts), quot_dims, into=False)
     return mu, nu
 
 

@@ -53,6 +53,7 @@ from .quiver import (
     KostantPartition,
     PartitionError,
     RootTable,
+    kp_count,
     kp_enumerate,
     kp_format,
     kp_single,
@@ -335,17 +336,28 @@ def semicuspidal_pairs(
 ) -> frozenset[tuple[KostantPartition, KostantPartition]]:
     """Proper pairs (mu, nu) with generic extension the class of the
     given root, all parts of mu strictly earlier and all parts of nu
-    strictly later than that root in the enumeration order."""
+    strictly later than that root in the enumeration order.  The
+    Kostant partitions of every split are counted against ``cap``
+    before any is enumerated."""
     root = tuple(alpha_root)
     a_idx = table.index_of(root)
     target = kp_single(table, a_idx)
-    out = set()
     rank = table.quiver.rank
+    splits = []
     for split_vec in itertools.product(*(range(c + 1) for c in root)):
         gamma_mu = tuple(split_vec)
         gamma_nu = tuple(root[i] - gamma_mu[i] for i in range(rank))
         if sum(gamma_mu) == 0 or sum(gamma_nu) == 0:
             continue
+        for gamma in (gamma_mu, gamma_nu):
+            linalg.check_cap(
+                kp_count(table, gamma, cap + 1),
+                cap,
+                "Kostant partition enumeration (counting stopped past the cap)",
+            )
+        splits.append((gamma_mu, gamma_nu))
+    out = set()
+    for gamma_mu, gamma_nu in splits:
         mus = [
             m
             for m in kp_enumerate(table, gamma_mu)

@@ -402,6 +402,14 @@ def adapted_reduced_word(
     ``alternate`` takes the smallest vertex label, giving a second word
     in the same commutation class whenever the quiver admits one.
     """
+    return _adapted_walk(quiver, variant)[0]
+
+
+def _adapted_walk(
+    quiver: DynkinQuiver, variant: str
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The letters of :func:`adapted_reduced_word` and the root
+    ``s_{i_1}..s_{i_{k-1}}(alpha_{i_k})`` each one adds."""
     if variant not in ("canonical", "alternate"):
         raise QuiverError(f"unknown word variant {variant!r}")
     m = positive_root_count(quiver.diagram_type, quiver.rank)
@@ -409,6 +417,7 @@ def adapted_reduced_word(
     images = _simple_images(quiver.rank)
     arrows = frozenset(quiver.arrows)
     word: list[int] = []
+    roots: list[tuple[int, ...]] = []
     # The first eligible source never leads to a dead end: the roots taken
     # so far are the dimension vectors of a predecessor-closed set of
     # indecomposables in the Auslander-Reiten quiver (a source reflection
@@ -427,9 +436,10 @@ def adapted_reduced_word(
         else:
             i = eligible[0]
         word.append(i)
+        roots.append(tuple(images[i - 1]))
         _times_reflection(quiver, images, i)
         arrows = _reflect_arrows(arrows, i)
-    return tuple(word)
+    return tuple(word), tuple(roots)
 
 
 def _state_without_hash(obj) -> dict:
@@ -457,15 +467,22 @@ class RootTable:
         # images[i-1] is w(alpha_i) for w the product of the letters so far
         images = _simple_images(quiver.rank)
         for letter in word:
-            beta = tuple(images[letter - 1])
-            if any(x < 0 for x in beta):
-                raise QuiverError(f"word {tuple(word)} is not reduced")
-            roots.append(beta)
+            roots.append(tuple(images[letter - 1]))
             _times_reflection(quiver, images, letter)
+        return cls._checked(quiver, tuple(word), tuple(roots))
+
+    @classmethod
+    def _checked(
+        cls, quiver: DynkinQuiver, word: tuple[int, ...], roots: tuple[tuple[int, ...], ...]
+    ) -> "RootTable":
+        """The table of ``word`` and the roots it adds, checked to hold
+        every positive root exactly once."""
+        if any(min(beta) < 0 for beta in roots):
+            raise QuiverError(f"word {word} is not reduced")
         expected = positive_root_count(quiver.diagram_type, quiver.rank)
         if len(roots) != expected or len(set(roots)) != expected:
             raise QuiverError("word does not enumerate the positive roots")
-        return cls(quiver, tuple(word), tuple(roots))
+        return cls(quiver, word, roots)
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -506,7 +523,7 @@ def _root_index_map(table: RootTable) -> dict[tuple[int, ...], int]:
 @functools.cache
 def positive_roots(quiver: DynkinQuiver, variant: str = "canonical") -> RootTable:
     """The cached default root table for a quiver (canonical adapted word)."""
-    return RootTable.from_word(quiver, adapted_reduced_word(quiver, variant))
+    return RootTable._checked(quiver, *_adapted_walk(quiver, variant))
 
 
 def _reach(

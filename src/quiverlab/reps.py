@@ -265,11 +265,13 @@ def hom_basis(m: Rep, n: Rep) -> list[tuple[list[list[int]], ...]]:
     ]
 
 
+@functools.cache
 def _partition_from_counts(
-    table: RootTable, counts: Sequence[int], dims: Sequence[int], *, into: bool = True
+    table: RootTable, counts: tuple[int, ...], dims: tuple[int, ...], *, into: bool = True
 ) -> KostantPartition:
     """The Kostant partition with the given hom counts against the
     indecomposables, checked against the dimension vector ``dims``.
+    Memoized: the point walks meet the same count vectors over and over.
 
     With ``into``, ``counts[a]`` is dim Hom(M_a, X); the counting matrix
     ``hom[a][b]`` vanishes above its unit diagonal, so a forward
@@ -306,7 +308,7 @@ def identify(m: Rep, table: RootTable | None = None) -> KostantPartition:
     input, since every representation decomposes)."""
     if table is None:
         table = positive_roots(m.quiver)
-    counts = [hom_space_dim(indecomposable(table, a, m.q), m) for a in range(len(table))]
+    counts = tuple(hom_space_dim(indecomposable(table, a, m.q), m) for a in range(len(table)))
     return _partition_from_counts(table, counts, m.dims)
 
 

@@ -1,5 +1,7 @@
 """Extension sets, generic extensions, and the dimension bookkeeping."""
 
+import itertools
+
 import pytest
 
 from quiverlab import (
@@ -8,7 +10,9 @@ from quiverlab import (
     METHOD_U,
     PartitionError,
     d_lambda,
+    build,
     degree_bound,
+    dim_add,
     e_lambda,
     ext_dim,
     ext_min,
@@ -16,6 +20,8 @@ from quiverlab import (
     ext_set,
     generic_ext,
     hom_omega_dim,
+    identify,
+    kp_enumerate,
     kp_format,
     kp_from_vectors,
     kp_parse,
@@ -27,6 +33,8 @@ from quiverlab import (
     strata,
     stratum_dim_report,
 )
+from quiverlab.extensions import _classify_u
+from quiverlab.reps import Rep
 
 
 def names(classes):
@@ -67,6 +75,51 @@ def test_methods_agree_on_a_bigger_example(t3):
     assert ext_set(mu, nu, method="subrep").classes == by_u.classes
     with pytest.raises(ValueError):
         ext_set(mu, nu, method="magic")
+
+
+def block_rep(mu, nu, q, u):
+    """The middle term ``[[y, u], [0, x]]`` with ``y = build(nu)`` and
+    ``x = build(mu)``: the flat ``u`` holds one ``dim nu_t x dim mu_s``
+    block per arrow ``s -> t``, arrow by arrow and row by row."""
+    quiver = mu.table.quiver
+    alpha, beta = mu.total, nu.total
+    x, y = build(mu, q), build(nu, q)
+    mats, pos = [], 0
+    for (s, t), x_k, y_k in zip(quiver.arrows, x.mats, y.mats):
+        c = alpha[s - 1]
+        top = tuple(
+            y_row + tuple(u[pos + i * c : pos + (i + 1) * c]) for i, y_row in enumerate(y_k)
+        )
+        pos += beta[t - 1] * c
+        bottom = tuple((0,) * beta[s - 1] + row for row in x_k)
+        mats.append(top + bottom)
+    return Rep(quiver, q, dim_add(beta, alpha), tuple(mats))
+
+
+@pytest.mark.parametrize(
+    "which,max_total,n_points", [("t2", 4, 430), ("t3", 4, 1350), ("t4", 3, 410)]
+)
+def test_connecting_map_ranks_agree_with_identify(request, which, max_total, n_points):
+    # the u-route's classification against identify on the block
+    # representation, at every u-point of every pair
+    table = request.getfixturevalue(which)
+    classes = [
+        kp
+        for g in itertools.product(range(max_total + 1), repeat=table.quiver.rank)
+        if 0 < sum(g) < max_total
+        for kp in kp_enumerate(table, g)
+    ]
+    points = 0
+    for mu, nu in itertools.product(classes, repeat=2):
+        if sum(mu.total) + sum(nu.total) > max_total:
+            continue
+        for q in (2, 3):
+            n_u = hom_omega_dim(mu.total, nu.total, table.quiver)
+            for u in itertools.product(range(q), repeat=n_u):
+                expected = identify(block_rep(mu, nu, q, u), table)
+                assert _classify_u(mu, nu, q, u) == expected, (kp_format(mu), kp_format(nu), q, u)
+                points += 1
+    assert points == n_points
 
 
 def test_every_middle_term_degenerates_to_split(t3):

@@ -10,6 +10,7 @@ from quiverlab import (
     PartitionError,
     a2_component_range,
     build,
+    build_quiver,
     ext_ger,
     generic_pairs,
     hom_basis,
@@ -19,6 +20,7 @@ from quiverlab import (
     kp_format,
     kp_parse,
     point_count,
+    positive_roots,
     realized_pairs,
     strata,
     stratum_dim,
@@ -184,7 +186,22 @@ def all_classes(table, max_total):
     ]
 
 
-@pytest.mark.parametrize("which,max_total,n_points", [("t3", 4, 2743), ("t4", 3, 818)])
+@pytest.fixture(scope="module")
+def zigzag_a4():
+    return positive_roots(build_quiver("A", 4, [(2, 1), (2, 3), (4, 3)]))
+
+
+@pytest.fixture(scope="module")
+def sink_d4():
+    return positive_roots(build_quiver("D", 4, [(1, 2), (3, 2), (4, 2)]))
+
+
+# projective and injective roots, whose counts are read off the dimension
+# vectors, depend on the orientation: t3 and t4 are the standard A3 and D4
+@pytest.mark.parametrize(
+    "which,max_total,n_points",
+    [("t3", 4, 2743), ("t4", 3, 818), ("zigzag_a4", 3, 812), ("sink_d4", 3, 822)],
+)
 def test_classifier_agrees_with_sub_quotient_and_identify(
     request, which, max_total, n_points
 ):

@@ -8,6 +8,7 @@ nonsplit middle term), the other is generic (split product).
 import pytest
 
 from quiverlab import (
+    CapExceeded,
     PartitionError,
     degree_report,
     head_socle_bounds,
@@ -21,6 +22,7 @@ from quiverlab import (
     socle_prediction,
     two_sided_support_pair,
 )
+from quiverlab import klr
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +195,16 @@ def test_semicuspidal_pairs_long_root(t3):
         ("[1,1]", "[2,3]"),
         ("[1,2]", "[3,3]"),
     }
+
+
+def test_semicuspidal_pairs_checks_the_cap_first(t3, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("generic_ext ran before the cap check")
+
+    monkeypatch.setattr(klr, "generic_ext", unreachable)
+    with pytest.raises(CapExceeded) as exc:
+        semicuspidal_pairs(t3, (1, 1, 1), cap=1)
+    assert "counting stopped past the cap" in str(exc.value)
 
 
 # ------------------------------------------------------------ degrees
