@@ -112,14 +112,14 @@ def _ext_coordinates(m_a: Rep, y: Rep) -> list[list[int]]:
     flattened arrow by arrow and row by row: the layout of the rows of
     ``reps._intertwiner_system(m_a, y)``, whose columns span the
     coboundaries h -> (h_t A_k - Y_k h_s).  The coordinates are the
-    residues modulo the coboundaries at the non-pivot positions of their
-    reduced echelon form.
+    residues modulo the coboundaries at the non-pivot positions c of
+    their reduced echelon form E, x -> x[c] - sum_i x[pivot_i] E[i][c]:
+    the rows :func:`linalg.kernel_basis` builds from E.
     """
     width = sum(y.dims[t - 1] * m_a.dims[s - 1] for s, t in m_a.quiver.arrows)
     system, offsets = _intertwiner_system(m_a, y)
     coboundaries = [[row[c] for row in system] for c in range(offsets[-1])] if system else []
-    reduced, pivots = linalg.rref(coboundaries, m_a.q)
-    return grassmannian._residue_rows(reduced, pivots, width)
+    return linalg.kernel_basis(coboundaries, width, m_a.q)
 
 
 @functools.cache

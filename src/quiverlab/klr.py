@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
-from .extensions import d_lambda, degree_bound, e_lambda, ext_set, generic_ext
+from .extensions import d_lambda, e_lambda, ext_set, generic_ext
 from .grassmannian import ext_ger, generic_pairs
 from .homs import ext_dim, hom_dim
 from .order import interval, is_rigid
@@ -443,12 +443,14 @@ def degree_report(
     for lam in sorted(classes, key=lambda x: x.parts):
         gp = generic_pairs(lam, alpha, beta, fields=fields, cap=cap)
         eg = ext_ger(lam, alpha, beta, fields=fields, cap=cap)
+        d = d_lambda(lam, mu, nu)
+        e = e_lambda(lam, mu, nu, fields=fields, cap=cap)
         rows.append(
             DegreeRow(
                 lam,
-                d_lambda(lam, mu, nu),
-                e_lambda(lam, mu, nu, fields=fields, cap=cap),
-                degree_bound(lam, mu, nu, fields=fields, cap=cap),
+                d,
+                e,
+                2 * e + d,
                 (mu, nu) in gp,
                 (mu, nu) in eg,
                 eps_split if lam == split else None,

@@ -6,6 +6,10 @@ Conventions used throughout the package:
   to a larger vertex.  :func:`build_quiver` accepts any acyclic
   orientation of a simply-laced Dynkin diagram and renumbers the
   vertices topologically when needed, recording the renumbering.
+  Reflecting at a vertex reverses every arrow at it, so in the quiver
+  reflected at a word the edge ``{i, j}`` points ``i -> j`` exactly
+  when ``i < j`` and the two vertices occur in the word equally often
+  mod 2, or ``i > j`` and they do not.
 * The positive roots carry the total order induced by a reduced
   expression of the longest Weyl-group element that is *adapted* to the
   orientation: letter ``k`` of the word is a source of the quiver
@@ -167,6 +171,14 @@ class DynkinQuiver:
 
     def neighbours(self, i: int) -> tuple[int, ...]:
         return self._neighbours[i]
+
+    @staticmethod
+    def _points_to(i: int, j: int, parity: Sequence[int]) -> bool:
+        """Whether the edge between ``i`` and ``j`` points ``i -> j`` in the
+        quiver reflected at a word in which vertex ``v`` occurs
+        ``parity[v-1]`` times mod 2: every arrow starts at its smaller
+        vertex, and each reflection at either end reverses it."""
+        return (i < j) == (parity[i - 1] == parity[j - 1])
 
     def is_linear_type_a(self) -> bool:
         """True for the orientation ``1 -> 2 -> ... -> n`` of type A."""
@@ -376,15 +388,10 @@ def _times_reflection(quiver: DynkinQuiver, images: list[list[int]], i: int) -> 
     images[i - 1] = [-a for a in col]
 
 
-def _reflect_arrows(
-    arrows: frozenset[tuple[int, int]], i: int
-) -> frozenset[tuple[int, int]]:
-    return frozenset((t, s) if s == i or t == i else (s, t) for s, t in arrows)
-
-
-def _sources(rank: int, arrows: frozenset[tuple[int, int]]) -> list[int]:
-    targets = {t for _, t in arrows}
-    return [i for i in range(1, rank + 1) if i not in targets]
+def _is_source(quiver: DynkinQuiver, i: int, parity: Sequence[int]) -> bool:
+    """Whether ``i`` is a source of the quiver reflected at a word with
+    the vertex parities ``parity`` (see :meth:`DynkinQuiver._points_to`)."""
+    return all(quiver._points_to(i, j, parity) for j in quiver.neighbours(i))
 
 
 def adapted_reduced_word(
@@ -415,7 +422,10 @@ def _adapted_walk(
     m = positive_root_count(quiver.diagram_type, quiver.rank)
     # images[i-1] is w(alpha_i) for w the product of the letters so far
     images = _simple_images(quiver.rank)
-    arrows = frozenset(quiver.arrows)
+    # parity[v-1] counts the letters v so far mod 2; reflecting at i
+    # changes which of i and its neighbours are sources, and no other
+    parity = [0] * quiver.rank
+    sources = {i for i in quiver.vertices if _is_source(quiver, i, parity)}
     word: list[int] = []
     roots: list[tuple[int, ...]] = []
     # The first eligible source never leads to a dead end: the roots taken
@@ -426,19 +436,22 @@ def _adapted_walk(
     # the reflected orientation with a positive root.  So a letter is
     # eligible until all m roots are taken, and no step is undone.
     while len(word) < m:
-        eligible = [
-            i for i in _sources(quiver.rank, arrows) if min(images[i - 1]) >= 0
-        ]
+        eligible = [i for i in sources if min(images[i - 1]) >= 0]
         if not eligible:  # pragma: no cover - cannot happen for Dynkin orientations
             raise QuiverError("no adapted reduced word found")
         if variant == "canonical":
             i = max(eligible, key=lambda j: images[j - 1])
         else:
-            i = eligible[0]
+            i = min(eligible)
         word.append(i)
         roots.append(tuple(images[i - 1]))
         _times_reflection(quiver, images, i)
-        arrows = _reflect_arrows(arrows, i)
+        parity[i - 1] ^= 1
+        for j in (i, *quiver.neighbours(i)):
+            if _is_source(quiver, j, parity):
+                sources.add(j)
+            else:
+                sources.discard(j)
     return tuple(word), tuple(roots)
 
 
@@ -466,9 +479,16 @@ class RootTable:
         roots: list[tuple[int, ...]] = []
         # images[i-1] is w(alpha_i) for w the product of the letters so far
         images = _simple_images(quiver.rank)
-        for letter in word:
+        parity = [0] * quiver.rank
+        for k, letter in enumerate(word):
+            if not (1 <= letter <= quiver.rank and _is_source(quiver, letter, parity)):
+                raise QuiverError(
+                    f"word {tuple(word)} is not adapted: letter {k + 1} ({letter}) is "
+                    "not a source of the quiver reflected at the letters before it"
+                )
             roots.append(tuple(images[letter - 1]))
             _times_reflection(quiver, images, letter)
+            parity[letter - 1] ^= 1
         return cls._checked(quiver, tuple(word), tuple(roots))
 
     @classmethod
@@ -526,31 +546,30 @@ def positive_roots(quiver: DynkinQuiver, variant: str = "canonical") -> RootTabl
     return RootTable._checked(quiver, *_adapted_walk(quiver, variant))
 
 
-def _reach(
-    quiver: DynkinQuiver, i: int, steps: Sequence[tuple[int, int]]
-) -> tuple[int, ...]:
-    """1 on ``i`` and on every vertex reached from it along ``steps``."""
+def _reach(quiver: DynkinQuiver, i: int, forward: bool) -> tuple[int, ...]:
+    """1 on ``i`` and on every vertex reached from it along the arrows
+    (``forward``) or against them; arrows point to the larger vertex."""
     reach = {i}
     stack = [i]
     while stack:
         v = stack.pop()
-        for a, b in steps:
-            if a == v and b not in reach:
-                reach.add(b)
-                stack.append(b)
+        for w in quiver.neighbours(v):
+            if (w > v) == forward and w not in reach:
+                reach.add(w)
+                stack.append(w)
     return tuple(1 if v in reach else 0 for v in quiver.vertices)
 
 
 @functools.cache
 def projective_root(quiver: DynkinQuiver, i: int) -> tuple[int, ...]:
     """Dimension vector of the projective at ``i``: 1 on every vertex reachable from ``i``."""
-    return _reach(quiver, i, quiver.arrows)
+    return _reach(quiver, i, forward=True)
 
 
 @functools.cache
 def injective_root(quiver: DynkinQuiver, i: int) -> tuple[int, ...]:
     """Dimension vector of the injective at ``i``: 1 on every vertex that reaches ``i``."""
-    return _reach(quiver, i, [(t, s) for s, t in quiver.arrows])
+    return _reach(quiver, i, forward=False)
 
 
 # ---------------------------------------------------------------------------

@@ -87,22 +87,8 @@ class GradedDimVector:
         )
         return GradedDimVector(items)
 
-    @staticmethod
-    def zero() -> "GradedDimVector":
-        return GradedDimVector(())
-
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {(i, p): v for i, p, v in self.entries}
-
-    def value(self, i: int, p: int) -> int:
-        for ei, ep, v in self.entries:
-            if ei == i and ep == p:
-                return v
-        return 0
-
-    @property
-    def support(self) -> frozenset[tuple[int, int]]:
-        return frozenset((i, p) for i, p, _ in self.entries)
 
     def __add__(self, other: "GradedDimVector") -> "GradedDimVector":
         out = self.as_dict()
@@ -126,9 +112,6 @@ class GradedDimVector:
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for _, _, v in self.entries)
 
-    def total(self) -> int:
-        return sum(v for _, _, v in self.entries)
-
 
 def coxeter_tau(quiver: DynkinQuiver, v: Sequence[int]) -> tuple[int, ...]:
     """Coxeter transformation: s_1 .. s_n composed with s_n applied
@@ -149,15 +132,12 @@ def coxeter_tau_inv(quiver: DynkinQuiver, v: Sequence[int]) -> tuple[int, ...]:
 def _heights(quiver: DynkinQuiver) -> tuple[int, ...]:
     xi = {1: 0}
     frontier = [1]
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in quiver.vertices}
-    for s, t in quiver.arrows:
-        adj[s].append((t, -1))
-        adj[t].append((s, +1))
     while frontier:
         v = frontier.pop()
-        for w, delta in adj[v]:
+        for w in quiver.neighbours(v):
             if w not in xi:
-                xi[w] = xi[v] + delta
+                # an arrow points to its larger vertex and lowers the height
+                xi[w] = xi[v] - 1 if w > v else xi[v] + 1
                 frontier.append(w)
     low = min(xi.values())
     return tuple(xi[v] - low for v in quiver.vertices)

@@ -31,7 +31,6 @@ from .quiver import (
     DynkinQuiver,
     KostantPartition,
     RootTable,
-    _reflect_arrows,
     positive_roots,
 )
 from .homs import hom_table
@@ -79,10 +78,6 @@ class Rep:
             shape = (self.dims[t - 1], self.dims[s - 1])
             if len(m) != shape[0] or any(len(row) != shape[1] for row in m):
                 raise RepError(f"matrix for {s}->{t} is not {shape[0]} x {shape[1]}")
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
 
     def __repr__(self) -> str:
         return f"Rep({self.quiver!r}, q={self.q}, dims={self.dims})"
@@ -134,30 +129,25 @@ def chain_rep(quiver: DynkinQuiver, q: int, a: int, b: int) -> Rep:
 
 
 def _kernel_reflect_at_sink(
-    q: int,
-    arrows: frozenset,
-    dims: list[int],
-    mats: dict,
-    v: int,
-) -> tuple[frozenset, dict]:
-    """Apply the kernel functor at a sink ``v``: the new space is the
-    kernel of the summed map into ``v`` and the reversed arrows project
-    it back onto the incoming summands."""
-    incoming = sorted((s, t) for s, t in arrows if t == v)
-    xi = [sum((mats[h][i] for h in incoming), ()) for i in range(dims[v - 1])]
-    kernel = linalg.kernel_basis(xi, sum(dims[s - 1] for s, _ in incoming), q)
-
-    new_arrows = _reflect_arrows(arrows, v)
-    new_mats = {h: m for h, m in mats.items() if h[1] != v}
+    quiver: DynkinQuiver, q: int, dims: list[int], mats: dict, v: int
+) -> None:
+    """Apply the kernel functor at a sink ``v``, in place: every arrow at
+    a sink points in, so the arrows into ``v`` are ``(s, v)`` for its
+    neighbours ``s``.  The new space is the kernel of the summed map into
+    ``v``, and the reversed arrows ``(v, s)`` project it back onto the
+    summands."""
+    incoming = quiver.neighbours(v)
+    blocks = [mats.pop((s, v)) for s in incoming]
+    xi = [sum((m[i] for m in blocks), ()) for i in range(dims[v - 1])]
+    kernel = linalg.kernel_basis(xi, sum(dims[s - 1] for s in incoming), q)
     offset = 0
-    for s, _ in incoming:
+    for s in incoming:
         width = dims[s - 1]
-        new_mats[(v, s)] = tuple(
+        mats[(v, s)] = tuple(
             tuple(vec[j] for vec in kernel) for j in range(offset, offset + width)
         )
         offset += width
     dims[v - 1] = len(kernel)
-    return new_arrows, new_mats
 
 
 @functools.cache
@@ -165,21 +155,23 @@ def indecomposable(table: RootTable, root_index: int, q: int) -> Rep:
     """The indecomposable representation with dimension vector
     ``table.roots[root_index]``, built by reflections along the adapted word."""
     quiver = table.quiver
-    word = table.word
-    k = root_index
-    arrow_seq = [frozenset(quiver.arrows)]
-    for j in range(k):
-        arrow_seq.append(_reflect_arrows(arrow_seq[-1], word[j]))
-
-    seed = word[k]
+    *prefix, seed = table.word[: root_index + 1]
+    parity = [0] * quiver.rank
+    for v in prefix:
+        parity[v - 1] ^= 1
     dims = [0] * quiver.rank
     dims[seed - 1] = 1
-    arrows = arrow_seq[k]
-    mats = {(s, t): ((0,) * dims[s - 1],) * dims[t - 1] for s, t in arrows}
-    for j in range(k - 1, -1, -1):
-        arrows, mats = _kernel_reflect_at_sink(q, arrows, dims, mats, word[j])
-        assert arrows == arrow_seq[j]
+    mats = {
+        (s, t): ((0,) * dims[s - 1],) * dims[t - 1]
+        for s in quiver.vertices
+        for t in quiver.neighbours(s)
+        if quiver._points_to(s, t, parity)
+    }
+    for v in reversed(prefix):
+        _kernel_reflect_at_sink(quiver, q, dims, mats, v)
 
+    if mats.keys() != set(quiver.arrows):
+        raise RepError(f"reflection walk did not end on the arrows of {quiver!r}")
     if tuple(dims) != table.roots[root_index]:
         raise RepError(
             f"reflection walk produced dims {tuple(dims)} for root "

@@ -166,6 +166,15 @@ def test_adapted_words_on_random_orientations(dt, rank, variant):
         assert len(table) == positive_root_count(dt, rank)
 
 
+def test_from_word_rejects_words_that_are_not_adapted(a2):
+    # reduced, but its first letter is the sink of 1 -> 2; accepted, it
+    # gave a hom table with a negative entry
+    with pytest.raises(QuiverError, match="not adapted"):
+        RootTable.from_word(a2, (2, 1, 2))
+    with pytest.raises(QuiverError, match="not adapted"):
+        RootTable.from_word(a2, (1, 2, 3))  # no vertex 3
+
+
 def test_simple_reflection(a2):
     assert simple_reflection(a2, 1, (1, 0)) == (-1, 0)
     assert simple_reflection(a2, 1, (0, 1)) == (1, 1)

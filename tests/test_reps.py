@@ -8,6 +8,7 @@ import pytest
 from quiverlab import (
     Rep,
     build,
+    build_quiver,
     chain_rep,
     direct_sum,
     hom_basis,
@@ -71,14 +72,34 @@ def simple_rep(quiver, q, vertex):
     return Rep(quiver, q, dims, mats)
 
 
+def flipped(dt, rank, seed):
+    """The standard diagram with each arrow reversed at random (seeded)."""
+    rng = random.Random(seed)
+    return [(t, s) if rng.random() < 0.5 else (s, t) for s, t in standard_quiver(dt, rank).arrows]
+
+
 @pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("dt,rank", [("A", 3), ("D", 4)])
-def test_indecomposables_have_right_dims_and_trivial_end(dt, rank, q):
-    table = positive_roots(standard_quiver(dt, rank))
-    for idx, root in enumerate(table.roots):
-        m = indecomposable(table, idx, q)
-        assert m.dims == root
-        assert hom_space_dim(m, m) == 1
+@pytest.mark.parametrize(
+    "dt,rank,arrows",
+    [
+        pytest.param("A", 3, None, id="A-3"),
+        pytest.param("D", 4, None, id="D-4"),
+        # the zigzag A4 and sink-centred D4 of tests/test_grassmann.py
+        pytest.param("A", 4, [(2, 1), (2, 3), (4, 3)], id="A-4-zigzag"),
+        pytest.param("D", 4, [(1, 2), (3, 2), (4, 2)], id="D-4-sink"),
+        pytest.param("E", 6, flipped("E", 6, "E6"), id="E-6-random"),
+    ],
+)
+def test_indecomposables_have_right_dims_and_trivial_end(dt, rank, arrows, q):
+    # the walk starts on the orientation reflected at the word's prefix,
+    # so orientations other than the standard one and both words count
+    quiver = standard_quiver(dt, rank) if arrows is None else build_quiver(dt, rank, arrows)
+    for variant in ("canonical", "alternate"):
+        table = positive_roots(quiver, variant)
+        for idx, root in enumerate(table.roots):
+            m = indecomposable(table, idx, q)
+            assert m.dims == root
+            assert hom_space_dim(m, m) == 1
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -142,7 +163,7 @@ def test_simple_and_zero(t3):
     assert s2.dims == (0, 1, 0)
     assert identify(s2) == kp_parse(t3, "[2,2]")
     z = zero_rep(t3.quiver, 2)
-    assert z.total_dim == 0
+    assert z.dims == (0, 0, 0)
     assert identify(z) == kp_parse(t3, "0")
 
 
@@ -184,8 +205,8 @@ def test_rep_shape_validation(t2):
     with pytest.raises(RepError):
         Rep(quiver, 2, (2, 2), (((0, 0), (0,)),))  # a ragged row
     # a 2 x 0 matrix has two empty rows, a 0 x 2 matrix none at all
-    assert Rep(quiver, 2, (0, 2), (((), ()),)).total_dim == 2
-    assert Rep(quiver, 2, (2, 0), ((),)).total_dim == 2
+    assert Rep(quiver, 2, (0, 2), (((), ()),)).dims == (0, 2)
+    assert Rep(quiver, 2, (2, 0), ((),)).dims == (2, 0)
     with pytest.raises(RepError):
         Rep(quiver, 2, (0, 2), ((),))
     with pytest.raises(RepError):
