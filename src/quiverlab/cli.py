@@ -32,6 +32,7 @@ from .extensions import _normalize_method, ext_min, ext_set, generic_ext
 from .grassmannian import ext_ger, point_count, strata
 from .homs import ext_dim, hom_dim
 from .klr import (
+    PASSES_NECESSARY_TEST,
     degree_report,
     is_support_pair,
     simplicity_necessary,
@@ -466,7 +467,7 @@ def _cmd_simplicity(args) -> int:
         mu, nu, fields=_resolve_fields(args), cap=_resolve_cap(args)
     )
     _emit(args, verdict.to_json_dict())
-    return EXIT_OK if verdict.verdict == "passes_necessary_test" else EXIT_FALSE
+    return EXIT_OK if verdict.verdict == PASSES_NECESSARY_TEST else EXIT_FALSE
 
 
 def _cmd_socle(args) -> int:

@@ -82,9 +82,9 @@ Pair = tuple[KostantPartition, KostantPartition]
 
 def _normalize_method(method: str) -> str:
     low = method.lower()
-    if low in ("u", "u-enum", "u-enumeration"):
+    if low in ("u", METHOD_U):
         return METHOD_U
-    if low in ("subrep", "filter", "subrep-filter"):
+    if low in ("subrep", METHOD_FILTER):
         return METHOD_FILTER
     raise ValueError(f"unknown method {method!r}")
 
@@ -137,15 +137,17 @@ def _connecting_maps(mu: KostantPartition, nu: KostantPartition, q: int) -> tupl
     ``(a, e, rows)`` for every root index ``a`` with hom(a, mu) > 0 and
     e = ext(a, nu) > 0 (elsewhere the rank is 0): ``rows`` has e rows
     per basis element f, taking the flat u to the coordinates of [u f].
+
+    Entry (i, j) of u_k f_s is sum_l u_k[i][l] f_s[l][j], and a
+    coordinate reads the entries of the u_k f_s in the cocycle layout of
+    :func:`_ext_coordinates`, which is the layout of u with f_s's width
+    in place of alpha_s.  So the coefficient of u_k[i][l] in a
+    coordinate is the coordinate's (k, i) block dotted with row l of f_s.
     """
     table = mu.table
     arrows = table.quiver.arrows
-    alpha, beta = mu.total, nu.total
+    beta = nu.total
     x, y = build(mu, q), build(nu, q)
-    u_offsets = [0]
-    for s, t in arrows:
-        u_offsets.append(u_offsets[-1] + beta[t - 1] * alpha[s - 1])
-    n_u = u_offsets[-1]
     base, maps = [], []
     for a in range(len(table)):
         single = kp_single(table, a)
@@ -163,20 +165,15 @@ def _connecting_maps(mu: KostantPartition, nu: KostantPartition, q: int) -> tupl
             raise RepError("Ext^1 coordinates disagree with the closed-form count")
         rows = []
         for f in fs:
-            # the flat-u row of each entry (i, j) of each u_k f_s, in the
-            # cocycle layout of _ext_coordinates
-            entries = []
-            for k, (s, t) in enumerate(arrows):
-                f_s, a_s = f[s - 1], alpha[s - 1]
-                for i in range(beta[t - 1]):
-                    lo = u_offsets[k] + i * a_s
-                    for j in range(m_a.dims[s - 1]):
-                        row = [0] * n_u
-                        row[lo : lo + a_s] = [f_row[j] for f_row in f_s]
-                        entries.append(row)
             for coord in coords:
-                terms = [(c, entry) for c, entry in zip(coord, entries) if c]
-                rows.append([sum(c * entry[n] for c, entry in terms) % q for n in range(n_u)])
+                row, pos = [], 0
+                for s, t in arrows:
+                    f_s, width = f[s - 1], m_a.dims[s - 1]
+                    for _ in range(beta[t - 1]):
+                        block = coord[pos : pos + width]
+                        pos += width
+                        row.extend(sum(map(mul, block, f_row)) % q for f_row in f_s)
+                rows.append(row)
         maps.append((a, e, rows))
     return tuple(base), tuple(maps)
 

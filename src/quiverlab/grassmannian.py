@@ -156,12 +156,6 @@ class StrataReport:
     def pairs(self) -> frozenset[Pair]:
         return frozenset((e.mu, e.nu) for e in self.entries)
 
-    def count_of(self, mu: KostantPartition, nu: KostantPartition) -> int:
-        for e in self.entries:
-            if e.mu == mu and e.nu == nu:
-                return e.count
-        return 0
-
     def to_json_dict(self) -> dict:
         return {
             "lambda": kp_format(self.lam),

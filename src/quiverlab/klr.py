@@ -170,14 +170,6 @@ class InequalityRow:
     hom_mu_split: int
     hom_mu_lam: int
 
-    @property
-    def nu_strict(self) -> bool:
-        return self.hom_nu_split > self.hom_nu_lam
-
-    @property
-    def mu_strict(self) -> bool:
-        return self.hom_mu_split > self.hom_mu_lam
-
 
 @dataclass(frozen=True)
 class SimplicityVerdict:
@@ -303,6 +295,15 @@ def length_two_report(
     return LengthTwoReport(generic_ext(mu, nu, fields=fields, cap=cap), mu + nu)
 
 
+def _check_kp_cap(table: RootTable, gamma: Sequence[int], cap: int | None) -> None:
+    if cap is not None:
+        linalg.check_cap(
+            kp_count(table, gamma, cap + 1),
+            cap,
+            "Kostant partition enumeration (counting stopped past the cap)",
+        )
+
+
 @dataclass(frozen=True)
 class HeadSocleBounds:
     head_interval: frozenset[KostantPartition]
@@ -317,8 +318,11 @@ def head_socle_bounds(
     cap: int = linalg.DEFAULT_CAP,
 ) -> HeadSocleBounds:
     """Head class lies between nu*mu and the split class, socle class
-    between mu*nu and the split class; both returned as explicit sets."""
+    between mu*nu and the split class; both returned as explicit sets.
+    The Kostant partitions of the split's dimension vector are counted
+    against ``cap`` before any work starts."""
     split = mu + nu
+    _check_kp_cap(mu.table, split.total, cap)
     head_low = generic_ext(nu, mu, fields=fields, cap=cap)
     socle_low = generic_ext(mu, nu, fields=fields, cap=cap)
     return HeadSocleBounds(
@@ -350,11 +354,7 @@ def semicuspidal_pairs(
         if sum(gamma_mu) == 0 or sum(gamma_nu) == 0:
             continue
         for gamma in (gamma_mu, gamma_nu):
-            linalg.check_cap(
-                kp_count(table, gamma, cap + 1),
-                cap,
-                "Kostant partition enumeration (counting stopped past the cap)",
-            )
+            _check_kp_cap(table, gamma, cap)
         splits.append((gamma_mu, gamma_nu))
     out = set()
     for gamma_mu, gamma_nu in splits:
@@ -402,12 +402,6 @@ class DegreeReport:
     mu: KostantPartition
     nu: KostantPartition
     rows: tuple[DegreeRow, ...]
-
-    def row_for(self, lam: KostantPartition) -> DegreeRow:
-        for row in self.rows:
-            if row.lam == lam:
-                return row
-        raise KeyError(kp_format(lam))
 
     def to_json_dict(self) -> dict:
         return {

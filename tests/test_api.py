@@ -1,4 +1,6 @@
-"""The public API: every exported name exists and has one home module."""
+"""The public API: every exported name exists and has one home module,
+and the package exports exactly the names in its library modules'
+``__all__`` lists."""
 
 import importlib
 import inspect
@@ -10,6 +12,15 @@ MODULES = [
     importlib.import_module(f"quiverlab.{info.name}")
     for info in pkgutil.iter_modules(quiverlab.__path__)
 ]
+LIBRARY = [m for m in MODULES if m.__name__ != "quiverlab.cli"]
+
+
+def _package_names():
+    return {
+        name
+        for name, value in vars(quiverlab).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
 
 
 def test_every_module_all_name_exists():
@@ -19,9 +30,8 @@ def test_every_module_all_name_exists():
 
 
 def test_package_names_are_in_their_module_all():
-    for name, value in vars(quiverlab).items():
-        if name.startswith("_") or inspect.ismodule(value):
-            continue
+    for name in _package_names():
+        value = getattr(quiverlab, name)
         homes = [
             m.__name__ for m in MODULES if name in m.__all__ and getattr(m, name) is value
         ]
@@ -30,3 +40,7 @@ def test_package_names_are_in_their_module_all():
         defined_in = getattr(value, "__module__", None)
         if inspect.isfunction(value) or inspect.isclass(value):
             assert defined_in in homes, f"quiverlab.{name} is not in {defined_in}.__all__"
+
+
+def test_package_exports_every_library_all_name():
+    assert _package_names() == {name for m in LIBRARY for name in m.__all__}

@@ -73,8 +73,9 @@ def test_methods_agree_on_a_bigger_example(t3):
     # method aliases accepted
     assert ext_set(mu, nu, method="u").classes == by_u.classes
     assert ext_set(mu, nu, method="subrep").classes == by_u.classes
-    with pytest.raises(ValueError):
-        ext_set(mu, nu, method="magic")
+    for method in ("magic", "u-enum", "filter"):
+        with pytest.raises(ValueError):
+            ext_set(mu, nu, method=method)
 
 
 def block_rep(mu, nu, q, u):

@@ -16,13 +16,15 @@ from quiverlab import (
     kp_format,
     kp_parse,
     length_two_report,
+    positive_roots,
     rigid_simplicity,
     semicuspidal_pairs,
     simplicity_necessary,
     socle_prediction,
+    standard_quiver,
     two_sided_support_pair,
 )
-from quiverlab import klr
+from quiverlab import klr, order
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +94,6 @@ def test_simplicity_necessary_rejects(s1, s2):
     assert kp_format(row.lam) == "[1,2]"
     assert (row.hom_nu_split, row.hom_nu_lam) == (1, 1)
     assert (row.hom_mu_split, row.hom_mu_lam) == (1, 0)
-    assert not row.nu_strict and row.mu_strict  # only one twin is strict
 
 
 def test_simplicity_necessary_passes(s1, s2):
@@ -180,6 +181,7 @@ def test_head_socle_bounds(s1, s2):
     b = head_socle_bounds(s1, s2)
     assert {kp_format(x) for x in b.head_interval} == {"[1,1]+[2,2]"}
     assert {kp_format(x) for x in b.socle_interval} == {"[1,2]", "[1,1]+[2,2]"}
+    assert head_socle_bounds(s1, s2, cap=None) == b  # None: no cap, as in ext_set
 
 
 # ------------------------------------------------------------ semicuspidal
@@ -187,6 +189,7 @@ def test_head_socle_bounds(s1, s2):
 def test_semicuspidal_pairs_rank2(t2):
     pairs = semicuspidal_pairs(t2, (1, 1))
     assert {(kp_format(m), kp_format(n)) for m, n in pairs} == {("[1,1]", "[2,2]")}
+    assert semicuspidal_pairs(t2, (1, 1), cap=None) == pairs
 
 
 def test_semicuspidal_pairs_long_root(t3):
@@ -207,6 +210,21 @@ def test_semicuspidal_pairs_checks_the_cap_first(t3, monkeypatch):
     assert "counting stopped past the cap" in str(exc.value)
 
 
+def test_head_socle_bounds_checks_the_cap_first(monkeypatch):
+    # both generic extensions fit cap 5, but the interval would enumerate
+    # all 8 Kostant partitions of (1, 1, 1, 1)
+    t = positive_roots(standard_quiver("A", 4))
+    mu, nu = kp_parse(t, "[1,1]"), kp_parse(t, "[2,4]")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("kp_enumerate ran before the cap check")
+
+    monkeypatch.setattr(order, "kp_enumerate", unreachable)
+    with pytest.raises(CapExceeded) as exc:
+        head_socle_bounds(mu, nu, cap=5)
+    assert "needs 6 states, cap is 5" in str(exc.value)
+
+
 # ------------------------------------------------------------ degrees
 
 def test_degree_report(s1, s2):
@@ -219,9 +237,6 @@ def test_degree_report(s1, s2):
     assert (split.d, split.e, split.bound) == (1, 0, 1)
     assert split.is_generic_pair and split.in_ext_ger
     assert split.eps == 0
-    assert rep.row_for(nonsplit.lam) is nonsplit
-    with pytest.raises(KeyError):
-        rep.row_for(s1)
     json = rep.to_json_dict()
     assert json["rows"][0] == {
         "lambda": "[1,2]",
