@@ -10,13 +10,20 @@ second is tolerated) or as one argument split at a top-level comma,
 e.g. ``hom "[2,3]","[1,2]"``; the one-argument form needs the bracket
 syntax.
 
+Each subcommand takes only the options it reads: ``--field`` and
+``--cap`` go to the commands that enumerate (``kp`` takes ``--cap``
+alone), ``--method`` to ``ext-set`` and ``generic-ext``, ``--window``
+to ``epsilon`` and ``rep-quiver``.  Any other option is a usage error.
+
 Exit codes: 0 = success / true / passes; 3 = false / cannot_be_simple;
 4 = abstain; 2 = parse or usage error; 5 = enumeration cap exceeded;
 1 = domain error (violated precondition).  The enumeration cap defaults
 to the QUIVERLAB_CAP environment variable when set.
 
-Numeric reports state how they were obtained (closed-form vs
-enumeration) and which field orders were used.
+This module owns the output schema: every JSON payload and TSV table
+is built here from the library's result objects.  Numeric reports state
+how they were obtained (closed-form vs enumeration) and which field
+orders were used.
 """
 
 from __future__ import annotations
@@ -78,90 +85,97 @@ class CliParseError(Exception):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--quiver", metavar="PATH", help="quiver spec file")
-    common.add_argument(
-        "--type",
-        dest="diagram_type",
-        choices=("A", "D", "E"),
-        help="standard quiver of this diagram type (with --rank)",
-    )
-    common.add_argument("--rank", type=int, help="rank for --type")
-    common.add_argument(
-        "--field",
-        dest="fields",
-        type=int,
-        action="append",
-        metavar="Q",
-        help="field order; repeatable (default: 2 and 3)",
-    )
-    common.add_argument(
-        "--cap",
-        type=int,
-        help="enumeration cap (default: QUIVERLAB_CAP or %d)" % linalg.DEFAULT_CAP,
-    )
-    common.add_argument(
-        "--method",
-        choices=("u", "subrep"),
-        default="u",
-        help="extension-set method (default: u-enumeration)",
-    )
-    common.add_argument(
-        "--format",
-        dest="fmt",
-        choices=("json", "tsv"),
-        default="json",
-        help="output format",
-    )
-    common.add_argument(
-        "--window",
-        nargs=2,
-        type=int,
-        metavar=("LO", "HI"),
-        help="level window override for the repetition quiver",
-    )
-
     parser = argparse.ArgumentParser(
         prog="quiverlab",
         description="Exact computations for Dynkin-quiver representation classes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=help_)
+    def add(name: str, func, help_: str, *options: str) -> argparse.ArgumentParser:
+        """A subcommand with the quiver and format options plus ``options``."""
+        p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
+        p.add_argument("--quiver", metavar="PATH", help="quiver spec file")
+        p.add_argument(
+            "--type",
+            dest="diagram_type",
+            choices=("A", "D", "E"),
+            help="standard quiver of this diagram type (with --rank)",
+        )
+        p.add_argument("--rank", type=int, help="rank for --type")
+        if "field" in options:
+            p.add_argument(
+                "--field",
+                dest="fields",
+                type=int,
+                action="append",
+                metavar="Q",
+                help="field order; repeatable (default: 2 and 3)",
+            )
+        if "cap" in options:
+            p.add_argument(
+                "--cap",
+                type=int,
+                help="enumeration cap (default: QUIVERLAB_CAP or %d)" % linalg.DEFAULT_CAP,
+            )
+        if "method" in options:
+            p.add_argument(
+                "--method",
+                choices=("u", "subrep"),
+                default="u",
+                help="extension-set method (default: u-enumeration)",
+            )
+        p.add_argument(
+            "--format",
+            dest="fmt",
+            choices=("json", "tsv"),
+            default="json",
+            help="output format",
+        )
+        if "window" in options:
+            p.add_argument(
+                "--window",
+                nargs=2,
+                type=int,
+                metavar=("LO", "HI"),
+                help="level window override for the repetition quiver",
+            )
         return p
 
+    enumerating = ("field", "cap")
     add("roots", _cmd_roots, "positive roots in enumeration order")
-
-    p = add("kp", _cmd_kp, "all partitions of a dimension vector into roots")
+    p = add("kp", _cmd_kp, "all partitions of a dimension vector into roots", "cap")
     p.add_argument("gamma", help="dimension vector, e.g. 1,2,1")
 
-    for name, func, help_ in (
-        ("hom", _cmd_hom, "hom dimension between two classes"),
-        ("ext1", _cmd_ext1, "extension dimension between two classes"),
-        ("order", _cmd_order, "degeneration-order comparison x <= y"),
-        ("ext-set", _cmd_ext_set, "all middle terms of extensions of mu by nu"),
-        ("generic-ext", _cmd_generic_ext, "the generic extension mu*nu"),
-        ("support-pair", _cmd_support_pair, "support-pair test"),
-        ("simplicity", _cmd_simplicity, "necessary condition for a simple product"),
-        ("socle", _cmd_socle, "socle prediction (may abstain)"),
-        ("degree-report", _cmd_degree_report, "d/e/degree-bound table over middle terms"),
-        ("epsilon", _cmd_epsilon, "pairing exponent for the split class"),
+    for name, func, help_, options in (
+        ("hom", _cmd_hom, "hom dimension between two classes", ()),
+        ("ext1", _cmd_ext1, "extension dimension between two classes", ()),
+        ("order", _cmd_order, "degeneration-order comparison x <= y", ()),
+        ("ext-set", _cmd_ext_set, "all middle terms of extensions of mu by nu",
+         (*enumerating, "method")),
+        ("generic-ext", _cmd_generic_ext, "the generic extension mu*nu",
+         (*enumerating, "method")),
+        ("support-pair", _cmd_support_pair, "support-pair test", enumerating),
+        ("simplicity", _cmd_simplicity, "necessary condition for a simple product",
+         enumerating),
+        ("socle", _cmd_socle, "socle prediction (may abstain)", enumerating),
+        ("degree-report", _cmd_degree_report, "d/e/degree-bound table over middle terms",
+         enumerating),
+        ("epsilon", _cmd_epsilon, "pairing exponent for the split class", ("window",)),
     ):
-        p = add(name, func, help_)
+        p = add(name, func, help_, *options)
         p.add_argument("pair", nargs="+", help="two classes")
 
-    p = add("ext-min", _cmd_ext_min, "minimal realized (quotient, sub) pairs")
+    p = add("ext-min", _cmd_ext_min, "minimal realized (quotient, sub) pairs", *enumerating)
     p.add_argument("lam", help="middle-term class")
     p.add_argument("--alpha", required=True, help="quotient dimension vector")
 
-    p = add("grass", _cmd_grass, "Grassmannian of subrepresentations")
+    p = add("grass", _cmd_grass, "Grassmannian of subrepresentations", *enumerating)
     p.add_argument("what", choices=("count", "strata", "components"))
     p.add_argument("lam", help="ambient class")
     p.add_argument("--beta", required=True, help="subspace dimension vector")
 
-    add("rep-quiver", _cmd_rep_quiver, "repetition quiver labeling")
+    add("rep-quiver", _cmd_rep_quiver, "repetition quiver labeling", "window")
     return parser
 
 
@@ -244,55 +258,54 @@ def _parse_dim(text: str, rank: int) -> tuple[int, ...]:
         raise CliParseError(str(exc)) from exc
 
 
-def _pair_args(args):
-    quiver = _resolve_quiver(args)
-    table = positive_roots(quiver)
-    a_text, b_text = _split_pair(args.pair)
-    return table, _parse_kp(table, a_text), _parse_kp(table, b_text)
+def _vector(vec: Sequence[int]) -> str:
+    return ",".join(str(c) for c in vec)
 
 
-def _emit(args, payload: dict) -> None:
-    if args.fmt == "json":
+def _pairs(pairs) -> list[dict]:
+    return [
+        {"mu": kp_format(m), "nu": kp_format(n)}
+        for m, n in sorted(pairs, key=lambda p: (p[0].parts, p[1].parts))
+    ]
+
+
+def _emit(fmt: str, payload: dict) -> None:
+    if fmt == "json":
         print(json.dumps(payload, indent=2))
         return
-    lists = {k: v for k, v in payload.items() if isinstance(v, list)}
-    for key, value in payload.items():
-        if key in lists:
-            continue
-        print(f"{key}\t{value}")
-    for key, rows in lists.items():
-        if rows and isinstance(rows[0], dict):
-            header = list(rows[0])
-            print("\t".join([key + ":"] + header))
-            for row in rows:
-                print("\t".join([""] + [str(row[h]) for h in header]))
-        else:
-            print(f"{key}\t" + ",".join(str(x) for x in rows))
+    # a payload of several reports prints each as its own block
+    for report in payload.get("reports", [payload]):
+        lists = {k: v for k, v in report.items() if isinstance(v, list)}
+        for key, value in report.items():
+            if key not in lists:
+                print(f"{key}\t{value}")
+        for key, rows in lists.items():
+            if rows and isinstance(rows[0], dict):
+                header = list(rows[0])
+                print("\t".join([key + ":"] + header))
+                for row in rows:
+                    print("\t".join([""] + [str(row[h]) for h in header]))
+            else:
+                print(f"{key}\t{_vector(rows)}")
 
 
-def _cmd_roots(args) -> int:
-    quiver = _resolve_quiver(args)
-    table = positive_roots(quiver)
-    payload = {
-        "quiver": repr(quiver),
+def _cmd_roots(args, table) -> tuple[dict, int]:
+    return {
+        "quiver": repr(table.quiver),
         "word": list(table.word),
         "roots": [
             {
                 "index": idx + 1,
-                "root": ",".join(str(c) for c in root),
+                "root": _vector(root),
                 "class": kp_format(kp_single(table, idx)),
             }
             for idx, root in enumerate(table.roots)
         ],
-    }
-    _emit(args, payload)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_kp(args) -> int:
-    quiver = _resolve_quiver(args)
-    table = positive_roots(quiver)
-    gamma = _parse_dim(args.gamma, quiver.rank)
+def _cmd_kp(args, table) -> tuple[dict, int]:
+    gamma = _parse_dim(args.gamma, table.quiver.rank)
     cap = _resolve_cap(args)
     # both the partitions and the parts of one (up to |gamma|) count as
     # states; the count stops past the cap, before any partition is built
@@ -302,197 +315,186 @@ def _cmd_kp(args) -> int:
         kp_count(table, gamma, cap + 1), cap, what + " (counting stopped past the cap)"
     )
     classes = kp_enumerate(table, gamma)
-    _emit(
-        args,
-        {
-            "gamma": ",".join(str(c) for c in gamma),
-            "count": len(classes),
-            "classes": [kp_format(k) for k in classes],
-        },
-    )
-    return EXIT_OK
+    return {
+        "gamma": _vector(gamma),
+        "count": len(classes),
+        "classes": [kp_format(k) for k in classes],
+    }, EXIT_OK
 
 
-def _cmd_hom(args) -> int:
-    _, x, y = _pair_args(args)
-    _emit(
-        args,
-        {"x": kp_format(x), "y": kp_format(y), "hom": hom_dim(x, y), "method": "closed-form"},
-    )
-    return EXIT_OK
+def _cmd_hom(args, table, x, y) -> tuple[dict, int]:
+    return {
+        "x": kp_format(x), "y": kp_format(y), "hom": hom_dim(x, y), "method": "closed-form"
+    }, EXIT_OK
 
 
-def _cmd_ext1(args) -> int:
-    _, x, y = _pair_args(args)
-    _emit(
-        args,
-        {"x": kp_format(x), "y": kp_format(y), "ext1": ext_dim(x, y), "method": "closed-form"},
-    )
-    return EXIT_OK
+def _cmd_ext1(args, table, x, y) -> tuple[dict, int]:
+    return {
+        "x": kp_format(x), "y": kp_format(y), "ext1": ext_dim(x, y), "method": "closed-form"
+    }, EXIT_OK
 
 
-def _cmd_order(args) -> int:
-    _, x, y = _pair_args(args)
+def _cmd_order(args, table, x, y) -> tuple[dict, int]:
     result = leq(x, y)
-    _emit(args, {"x": kp_format(x), "y": kp_format(y), "leq": result})
-    return EXIT_OK if result else EXIT_FALSE
+    code = EXIT_OK if result else EXIT_FALSE
+    return {"x": kp_format(x), "y": kp_format(y), "leq": result}, code
 
 
-def _cmd_ext_set(args) -> int:
-    _, mu, nu = _pair_args(args)
-    result = ext_set(
-        mu, nu, fields=_resolve_fields(args), method=args.method, cap=_resolve_cap(args)
-    )
-    _emit(
-        args,
-        {
-            "mu": kp_format(mu),
-            "nu": kp_format(nu),
-            "classes": sorted(kp_format(lam) for lam in result.classes),
-            "method": result.method,
-            "fields": list(result.fields),
-            "stable": result.stable,
-        },
-    )
-    return EXIT_OK
+def _cmd_ext_set(args, table, mu, nu) -> tuple[dict, int]:
+    fields, cap = _resolve_fields(args), _resolve_cap(args)
+    result = ext_set(mu, nu, fields=fields, method=args.method, cap=cap)
+    return {
+        "mu": kp_format(mu),
+        "nu": kp_format(nu),
+        "classes": sorted(kp_format(lam) for lam in result.classes),
+        "method": result.method,
+        "fields": list(result.fields),
+        "stable": result.stable,
+    }, EXIT_OK
 
 
-def _cmd_generic_ext(args) -> int:
-    _, mu, nu = _pair_args(args)
-    fields = _resolve_fields(args)
-    gen = generic_ext(mu, nu, fields=fields, method=args.method, cap=_resolve_cap(args))
-    _emit(
-        args,
-        {
-            "mu": kp_format(mu),
-            "nu": kp_format(nu),
-            "generic_ext": kp_format(gen),
-            "method": _normalize_method(args.method),
-            "fields": list(fields),
-        },
-    )
-    return EXIT_OK
+def _cmd_generic_ext(args, table, mu, nu) -> tuple[dict, int]:
+    fields, cap = _resolve_fields(args), _resolve_cap(args)
+    gen = generic_ext(mu, nu, fields=fields, method=args.method, cap=cap)
+    return {
+        "mu": kp_format(mu),
+        "nu": kp_format(nu),
+        "generic_ext": kp_format(gen),
+        "method": _normalize_method(args.method),
+        "fields": list(fields),
+    }, EXIT_OK
 
 
-def _cmd_ext_min(args) -> int:
-    quiver = _resolve_quiver(args)
-    table = positive_roots(quiver)
+def _cmd_ext_min(args, table) -> tuple[dict, int]:
     lam = _parse_kp(table, args.lam)
-    alpha = _parse_dim(args.alpha, quiver.rank)
+    alpha = _parse_dim(args.alpha, table.quiver.rank)
     beta = dim_sub(lam.total, alpha)
     if any(c < 0 for c in beta):
         raise PartitionError("alpha exceeds dim lambda")
-    fields = _resolve_fields(args)
-    pairs = ext_min(lam, alpha, beta, fields=fields, cap=_resolve_cap(args))
-    _emit(
-        args,
-        {
-            "lambda": kp_format(lam),
-            "alpha": ",".join(str(c) for c in alpha),
-            "beta": ",".join(str(c) for c in beta),
-            "pairs": [
-                {"mu": kp_format(m), "nu": kp_format(n)}
-                for m, n in sorted(pairs, key=lambda p: (p[0].parts, p[1].parts))
-            ],
-            "fields": list(fields),
-            "method": "enumeration",
-        },
-    )
-    return EXIT_OK
+    fields, cap = _resolve_fields(args), _resolve_cap(args)
+    return {
+        "lambda": kp_format(lam),
+        "alpha": _vector(alpha),
+        "beta": _vector(beta),
+        "pairs": _pairs(ext_min(lam, alpha, beta, fields=fields, cap=cap)),
+        "fields": list(fields),
+        "method": "enumeration",
+    }, EXIT_OK
 
 
-def _cmd_grass(args) -> int:
-    quiver = _resolve_quiver(args)
-    table = positive_roots(quiver)
+def _cmd_grass(args, table) -> tuple[dict, int]:
     lam = _parse_kp(table, args.lam)
-    beta = _parse_dim(args.beta, quiver.rank)
-    fields = _resolve_fields(args)
-    cap = _resolve_cap(args)
+    beta = _parse_dim(args.beta, table.quiver.rank)
+    fields, cap = _resolve_fields(args), _resolve_cap(args)
     if args.what == "count":
-        _emit(
-            args,
+        return {
+            "lambda": kp_format(lam),
+            "beta": _vector(beta),
+            "counts": [{"q": q, "count": point_count(lam, beta, q, cap)} for q in fields],
+            "method": "enumeration",
+        }, EXIT_OK
+    if args.what == "strata":
+        reports = [
             {
                 "lambda": kp_format(lam),
-                "beta": ",".join(str(c) for c in beta),
-                "counts": [
-                    {"q": q, "count": point_count(lam, beta, q, cap)} for q in fields
+                "beta": _vector(beta),
+                "q": report.q,
+                "strata": [
+                    {
+                        "mu": kp_format(e.mu),
+                        "nu": kp_format(e.nu),
+                        "count": e.count,
+                        "dim": e.dim,
+                    }
+                    for e in report.entries
                 ],
-                "method": "enumeration",
-            },
-        )
-        return EXIT_OK
-    if args.what == "strata":
-        reports = [strata(lam, beta, q, cap).to_json_dict() for q in fields]
-        _emit(args, reports[0] if len(reports) == 1 else {"reports": reports})
-        return EXIT_OK
+                "total": report.total,
+            }
+            for report in (strata(lam, beta, q, cap) for q in fields)
+        ]
+        return (reports[0] if len(reports) == 1 else {"reports": reports}), EXIT_OK
     alpha = dim_sub(lam.total, beta)
     if any(c < 0 for c in alpha):
         raise PartitionError("beta exceeds dim lambda")
-    components = ext_ger(lam, alpha, beta, fields=fields, cap=cap)
-    _emit(
-        args,
-        {
-            "lambda": kp_format(lam),
-            "alpha": ",".join(str(c) for c in alpha),
-            "beta": ",".join(str(c) for c in beta),
-            "components": [
-                {"mu": kp_format(m), "nu": kp_format(n)}
-                for m, n in sorted(components, key=lambda p: (p[0].parts, p[1].parts))
-            ],
-            "fields": list(fields),
-            "method": "enumeration",
-        },
-    )
-    return EXIT_OK
+    return {
+        "lambda": kp_format(lam),
+        "alpha": _vector(alpha),
+        "beta": _vector(beta),
+        "components": _pairs(ext_ger(lam, alpha, beta, fields=fields, cap=cap)),
+        "fields": list(fields),
+        "method": "enumeration",
+    }, EXIT_OK
 
 
-def _cmd_support_pair(args) -> int:
-    _, mu, nu = _pair_args(args)
+def _cmd_support_pair(args, table, mu, nu) -> tuple[dict, int]:
     result = is_support_pair(mu, nu, fields=_resolve_fields(args), cap=_resolve_cap(args))
-    _emit(
-        args,
-        {
-            "mu": kp_format(mu),
-            "nu": kp_format(nu),
-            "is_support_pair": result.ok,
-            "witness": kp_format(result.witness) if result.witness else None,
-        },
-    )
-    return EXIT_OK if result.ok else EXIT_FALSE
+    return {
+        "mu": kp_format(mu),
+        "nu": kp_format(nu),
+        "is_support_pair": result.ok,
+        "witness": kp_format(result.witness) if result.witness else None,
+    }, (EXIT_OK if result.ok else EXIT_FALSE)
 
 
-def _cmd_simplicity(args) -> int:
-    _, mu, nu = _pair_args(args)
+def _cmd_simplicity(args, table, mu, nu) -> tuple[dict, int]:
     verdict = simplicity_necessary(
         mu, nu, fields=_resolve_fields(args), cap=_resolve_cap(args)
     )
-    _emit(args, verdict.to_json_dict())
-    return EXIT_OK if verdict.verdict == PASSES_NECESSARY_TEST else EXIT_FALSE
+    return {
+        "mu": kp_format(mu),
+        "nu": kp_format(nu),
+        "verdict": verdict.verdict,
+        "witness": kp_format(verdict.witness) if verdict.witness else None,
+        "inequalities": [
+            {
+                "lambda": kp_format(r.lam),
+                "hom_nu_split": r.hom_nu_split,
+                "hom_nu_lambda": r.hom_nu_lam,
+                "hom_mu_split": r.hom_mu_split,
+                "hom_mu_lambda": r.hom_mu_lam,
+            }
+            for r in verdict.rows
+        ],
+    }, (EXIT_OK if verdict.verdict == PASSES_NECESSARY_TEST else EXIT_FALSE)
 
 
-def _cmd_socle(args) -> int:
-    _, mu, nu = _pair_args(args)
+def _cmd_socle(args, table, mu, nu) -> tuple[dict, int]:
     prediction = socle_prediction(
         mu, nu, fields=_resolve_fields(args), cap=_resolve_cap(args)
     )
-    _emit(args, prediction.to_json_dict())
-    return EXIT_ABSTAIN if prediction.abstained else EXIT_OK
+    return {
+        "mu": kp_format(mu),
+        "nu": kp_format(nu),
+        "generic_product": kp_format(prediction.generic_product),
+        "predicted": kp_format(prediction.predicted) if prediction.predicted else None,
+        "abstained": prediction.abstained,
+    }, (EXIT_ABSTAIN if prediction.abstained else EXIT_OK)
 
 
-def _cmd_degree_report(args) -> int:
-    _, mu, nu = _pair_args(args)
-    report = degree_report(mu, nu, fields=_resolve_fields(args), cap=_resolve_cap(args))
-    payload = report.to_json_dict()
-    payload["fields"] = list(_resolve_fields(args))
-    _emit(args, payload)
-    return EXIT_OK
+def _cmd_degree_report(args, table, mu, nu) -> tuple[dict, int]:
+    fields = _resolve_fields(args)
+    report = degree_report(mu, nu, fields=fields, cap=_resolve_cap(args))
+    return {
+        "mu": kp_format(mu),
+        "nu": kp_format(nu),
+        "rows": [
+            {
+                "lambda": kp_format(r.lam),
+                "d": r.d,
+                "e": r.e,
+                "bound": r.bound,
+                "generic_pair": r.is_generic_pair,
+                "ext_ger": r.in_ext_ger,
+                "epsilon": r.eps,
+            }
+            for r in report.rows
+        ],
+        "fields": list(fields),
+    }, EXIT_OK
 
 
-def _cmd_epsilon(args) -> int:
-    table, mu, nu = _pair_args(args)
-    quiver = table.quiver
-    window = tuple(args.window) if args.window else None
-    rq = build_repetition(quiver, window)
+def _cmd_epsilon(args, table, mu, nu) -> tuple[dict, int]:
+    rq = build_repetition(table.quiver, tuple(args.window) if args.window else None)
     value = epsilon(
         rq,
         v_lambda(rq, mu),
@@ -500,31 +502,19 @@ def _cmd_epsilon(args) -> int:
         v_lambda(rq, nu),
         w_gamma(rq, nu.total),
     )
-    _emit(args, {"mu": kp_format(mu), "nu": kp_format(nu), "epsilon": value})
-    return EXIT_OK
+    return {"mu": kp_format(mu), "nu": kp_format(nu), "epsilon": value}, EXIT_OK
 
 
-def _cmd_rep_quiver(args) -> int:
-    quiver = _resolve_quiver(args)
-    window = tuple(args.window) if args.window else None
-    rq = build_repetition(quiver, window)
-    _emit(
-        args,
-        {
-            "window": list(rq.window),
-            "xi": list(rq.xi),
-            "vertices": [
-                {
-                    "i": i,
-                    "p": p,
-                    "root": ",".join(str(c) for c in rq.phi[(i, p)][0]),
-                    "m": rq.phi[(i, p)][1],
-                }
-                for i, p in rq.vertices
-            ],
-        },
-    )
-    return EXIT_OK
+def _cmd_rep_quiver(args, table) -> tuple[dict, int]:
+    rq = build_repetition(table.quiver, tuple(args.window) if args.window else None)
+    return {
+        "window": list(rq.window),
+        "xi": list(rq.xi),
+        "vertices": [
+            {"i": i, "p": p, "root": _vector(rq.phi[(i, p)][0]), "m": rq.phi[(i, p)][1]}
+            for i, p in rq.vertices
+        ],
+    }, EXIT_OK
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -534,7 +524,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        table = positive_roots(_resolve_quiver(args))
+        # a pair command gets its two classes, parsed in order
+        classes = (
+            [_parse_kp(table, text) for text in _split_pair(args.pair)]
+            if "pair" in args
+            else []
+        )
+        payload, code = args.func(args, table, *classes)
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -544,6 +541,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (PartitionError, QuiverError, RepError, RepetitionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    _emit(args.fmt, payload)
+    return code
 
 
 if __name__ == "__main__":

@@ -156,23 +156,6 @@ class StrataReport:
     def pairs(self) -> frozenset[Pair]:
         return frozenset((e.mu, e.nu) for e in self.entries)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": kp_format(self.lam),
-            "beta": ",".join(str(x) for x in self.beta),
-            "q": self.q,
-            "strata": [
-                {
-                    "mu": kp_format(e.mu),
-                    "nu": kp_format(e.nu),
-                    "count": e.count,
-                    "dim": e.dim,
-                }
-                for e in self.entries
-            ],
-            "total": self.total,
-        }
-
 
 def strata(
     lam: KostantPartition,

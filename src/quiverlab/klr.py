@@ -55,7 +55,6 @@ from .quiver import (
     RootTable,
     kp_count,
     kp_enumerate,
-    kp_format,
     kp_single,
 )
 from .repetition import build_repetition, epsilon, v_lambda, w_gamma
@@ -179,24 +178,6 @@ class SimplicityVerdict:
     witness: KostantPartition | None
     rows: tuple[InequalityRow, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mu": kp_format(self.mu),
-            "nu": kp_format(self.nu),
-            "verdict": self.verdict,
-            "witness": kp_format(self.witness) if self.witness else None,
-            "inequalities": [
-                {
-                    "lambda": kp_format(r.lam),
-                    "hom_nu_split": r.hom_nu_split,
-                    "hom_nu_lambda": r.hom_nu_lam,
-                    "hom_mu_split": r.hom_mu_split,
-                    "hom_mu_lambda": r.hom_mu_lam,
-                }
-                for r in self.rows
-            ],
-        }
-
 
 def simplicity_necessary(
     mu: KostantPartition,
@@ -242,15 +223,6 @@ class SoclePrediction:
     @property
     def abstained(self) -> bool:
         return self.predicted is None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mu": kp_format(self.mu),
-            "nu": kp_format(self.nu),
-            "generic_product": kp_format(self.generic_product),
-            "predicted": kp_format(self.predicted) if self.predicted else None,
-            "abstained": self.abstained,
-        }
 
 
 def socle_prediction(
@@ -385,30 +357,12 @@ class DegreeRow:
     in_ext_ger: bool
     eps: int | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": kp_format(self.lam),
-            "d": self.d,
-            "e": self.e,
-            "bound": self.bound,
-            "generic_pair": self.is_generic_pair,
-            "ext_ger": self.in_ext_ger,
-            "epsilon": self.eps,
-        }
-
 
 @dataclass(frozen=True)
 class DegreeReport:
     mu: KostantPartition
     nu: KostantPartition
     rows: tuple[DegreeRow, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mu": kp_format(self.mu),
-            "nu": kp_format(self.nu),
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
 
 
 def degree_report(

@@ -6,6 +6,7 @@ verdict, 4 abstention, 5 enumeration cap exceeded.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -168,13 +169,16 @@ def test_grass_strata(capsys):
         capsys, "grass", "strata", "[1,2]+[2,3]", "--beta", "0,1,1", "--field", "2", *A3
     )
     assert rc == 0
-    assert data["q"] == 2 and data["total"] == 3
-    assert [
-        (row["mu"], row["nu"], row["count"], row["dim"]) for row in data["strata"]
-    ] == [
-        ("[1,2]", "[2,3]", 2, 1),
-        ("[1,1]+[2,2]", "[2,2]+[3,3]", 1, 0),
-    ]
+    assert data == {
+        "lambda": "[1,2]+[2,3]",
+        "beta": "0,1,1",
+        "q": 2,
+        "strata": [
+            {"mu": "[1,2]", "nu": "[2,3]", "count": 2, "dim": 1},
+            {"mu": "[1,1]+[2,2]", "nu": "[2,2]+[3,3]", "count": 1, "dim": 0},
+        ],
+        "total": 3,
+    }
 
 
 def test_grass_strata_two_fields_nest_reports(capsys):
@@ -205,7 +209,22 @@ def test_support_pair_exit_codes(capsys):
 
 def test_simplicity_exit_codes(capsys):
     rc, data = run_json(capsys, "simplicity", "[1,1]", "[2,2]", *A2)
-    assert rc == 3 and data["verdict"] == "cannot_be_simple"
+    assert rc == 3
+    assert data == {
+        "mu": "[1,1]",
+        "nu": "[2,2]",
+        "verdict": "cannot_be_simple",
+        "witness": "[1,2]",
+        "inequalities": [
+            {
+                "lambda": "[1,2]",
+                "hom_nu_split": 1,
+                "hom_nu_lambda": 1,
+                "hom_mu_split": 1,
+                "hom_mu_lambda": 0,
+            }
+        ],
+    }
     rc, data = run_json(capsys, "simplicity", "[2,2]", "[1,1]", *A2)
     assert rc == 0 and data["verdict"] == "passes_necessary_test"
 
@@ -219,16 +238,43 @@ def test_socle_predicts(capsys):
 def test_socle_abstains(capsys):
     rc, data = run_json(capsys, "socle", "[1,1]+[2,2]", "[2,2]+[3,3]", *A3)
     assert rc == 4
-    assert data["predicted"] is None and data["abstained"] is True
-    assert data["generic_product"] == "[1,2]+[2,3]"
+    assert data == {
+        "mu": "[1,1]+[2,2]",
+        "nu": "[2,2]+[3,3]",
+        "generic_product": "[1,2]+[2,3]",
+        "predicted": None,
+        "abstained": True,
+    }
 
 
 def test_degree_report(capsys):
     rc, data = run_json(capsys, "degree-report", "[1,1]", "[2,2]", *A2)
     assert rc == 0
-    assert data["fields"] == [2, 3]
-    assert [r["lambda"] for r in data["rows"]] == ["[1,2]", "[1,1]+[2,2]"]
-    assert data["rows"][0]["bound"] == 4 and data["rows"][1]["epsilon"] == 0
+    assert data == {
+        "mu": "[1,1]",
+        "nu": "[2,2]",
+        "rows": [
+            {
+                "lambda": "[1,2]",
+                "d": 2,
+                "e": 1,
+                "bound": 4,
+                "generic_pair": True,
+                "ext_ger": True,
+                "epsilon": None,
+            },
+            {
+                "lambda": "[1,1]+[2,2]",
+                "d": 1,
+                "e": 0,
+                "bound": 1,
+                "generic_pair": True,
+                "ext_ger": True,
+                "epsilon": 0,
+            },
+        ],
+        "fields": [2, 3],
+    }
 
 
 def test_epsilon(capsys):
@@ -347,16 +393,54 @@ def test_quiver_file(capsys, tmp_path):
         ("hom", "[9,9]", "[1,1]", "--type", "A", "--rank", "2"),  # bad class
         ("hom", "[1,1]", "[2,2]", "--type", "A"),  # missing --rank
         ("hom", "[1,1]", "[2,2]"),  # no quiver at all
-        # --field is validated by the commands that enumerate over fields
+        # an unsupported field order, on a command that takes --field
         ("ext-set", "[1,1]", "[2,2]", "--type", "A", "--rank", "2", "--field", "4"),
         ("hom", "1,0,0,1", "--type", "A", "--rank", "2"),  # one coord token
         ("kp", "1,1,1", "--type", "A", "--rank", "2"),  # wrong length
         ("grass", "count", "[1,2]", "--beta", "1,0", "--cap", "0", *A2),
         ("no-such-command",),
+        # an option the subcommand does not take
+        ("simplicity", "[1,1]", "[2,2]", "--method", "subrep", *A2),
+        ("support-pair", "[1,1]", "[2,2]", "--method", "subrep", *A2),
+        ("hom", "[1,1]", "[2,2]", "--field", "5", *A2),
+        ("roots", "--window", "0", "1", *A2),
+        ("epsilon", "[1,2]", "[1,1]", "--cap", "3", *A2),
     ],
 )
 def test_parse_errors_exit_2(capsys, argv):
     assert main(list(argv)) == 2
+
+
+def test_bad_class_is_reported_before_a_bad_field(capsys):
+    # the quiver, then the classes, then --field, then --cap
+    argv = ["ext-set", "[9,9]", "[1,1]", "--field", "4", *A2]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: bad segment [9,9] for rank 2\n"
+
+
+def test_each_subcommand_takes_only_the_options_it_reads(capsys):
+    enumerating = {"--field", "--cap"}
+    extra = {
+        "roots": set(),
+        "kp": {"--cap"},
+        "hom": set(),
+        "ext1": set(),
+        "order": set(),
+        "ext-set": enumerating | {"--method"},
+        "generic-ext": enumerating | {"--method"},
+        "support-pair": enumerating,
+        "simplicity": enumerating,
+        "socle": enumerating,
+        "degree-report": enumerating,
+        "ext-min": enumerating | {"--alpha"},
+        "grass": enumerating | {"--beta"},
+        "epsilon": {"--window"},
+        "rep-quiver": {"--window"},
+    }
+    for command, options in extra.items():
+        assert main([command, "--help"]) == 0
+        flags = set(re.findall(r"^  (--[a-z]+)", capsys.readouterr().out, re.M))
+        assert flags == {"--quiver", "--type", "--rank", "--format"} | options, command
 
 
 @pytest.mark.parametrize("rank", ["0", "-3"])
@@ -425,3 +509,14 @@ def test_tsv_tables(capsys):
     lines = out.splitlines()
     assert "counts:\tq\tcount" in lines
     assert "\t2\t3" in lines
+
+
+def test_tsv_grass_strata_prints_one_block_per_field(capsys):
+    rc, out = run(
+        capsys, "grass", "strata", "[1,2]+[2,3]", "--beta", "0,1,1", "--format", "tsv", *A3
+    )
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines.count("strata:\tmu\tnu\tcount\tdim") == 2
+    assert [line for line in lines if line.startswith("q\t")] == ["q\t2", "q\t3"]
+    assert "{" not in out

@@ -3,8 +3,10 @@
 Argument vectors start from the README examples and have their values
 mutated: classes, dimension vectors, quiver types and ranks, fields,
 caps, windows, formats and methods, plus dropped and repeated tokens.
-``main`` runs in-process, so an uncaught exception fails the test with
-its traceback.  Ranks stay at most 8 and every argv carries a ``--cap``
+Each argv gets the options its command takes, and about one in eight
+also gets one it does not take, which must exit 2.  ``main`` runs
+in-process, so an uncaught exception fails the test with its traceback.
+Ranks stay at most 8 and every command that enumerates gets a ``--cap``
 of at most 10^4, so no draw can run for long.
 """
 
@@ -41,6 +43,26 @@ EXAMPLES = [
     (["rep-quiver"], [None], ("A", 2)),
     (["epsilon", "[1,2]", "[1,1]"], [None, "class", "class"], ("A", 2)),
 ]
+
+# the options beyond --quiver/--type/--rank/--format that each command takes
+ENUMERATING = ("--field", "--cap")
+OPTIONS = {
+    "roots": (),
+    "kp": ("--cap",),
+    "hom": (),
+    "ext1": (),
+    "order": (),
+    "ext-set": (*ENUMERATING, "--method"),
+    "generic-ext": (*ENUMERATING, "--method"),
+    "grass": ENUMERATING,
+    "ext-min": ENUMERATING,
+    "support-pair": ENUMERATING,
+    "simplicity": ENUMERATING,
+    "socle": ENUMERATING,
+    "degree-report": ENUMERATING,
+    "rep-quiver": ("--window",),
+    "epsilon": ("--window",),
+}
 
 # mostly near-valid values, some far off
 entry = st.sampled_from([0, 0, 1, 1, 1, 2, 3, -1, 10**9])
@@ -97,24 +119,33 @@ def argvs(draw):
     ]
     bad = st.sampled_from(["x", "", "-1", "4", "0"])
     argv += ["--type", diagram_type, "--rank", sometimes(draw, bad, str(rank), 8)]
-    argv += ["--cap", sometimes(draw, bad, str(draw(st.integers(1, 10**4))), 8)]
-    for flag, choices in (
-        ("--field", ["2", "3", "5"]),
-        ("--field", ["2", "3", "5"]),
-        ("--format", ["json", "tsv"]),
-        ("--method", ["u", "subrep"]),
-    ):
-        if draw(st.booleans()):
-            argv += [flag, sometimes(draw, bad, draw(st.sampled_from(choices)), 8)]
+    takes = OPTIONS[head[0]]
+    if "--cap" in takes:
+        argv += ["--cap", sometimes(draw, bad, str(draw(st.integers(1, 10**4))), 8)]
+    bounds = st.sampled_from([-(10**9), -7, -1, 0, 2, 5, 10**9])
+    optional = {
+        "--field": st.sampled_from(["2", "3", "5"]),
+        "--format": st.sampled_from(["json", "tsv"]),
+        "--method": st.sampled_from(["u", "subrep"]),
+    }
+    for flag in ("--field", "--field", "--format", "--method"):
+        if (flag in takes or flag == "--format") and draw(st.booleans()):
+            argv += [flag, sometimes(draw, bad, draw(optional[flag]), 8)]
     if sometimes(draw, st.just(True), False, 8):
         argv += ["--quiver", draw(st.sampled_from([".", "no-such-dir/a.quiver"]))]
-    if sometimes(draw, st.just(True), False, 4):
-        bounds = st.sampled_from([-(10**9), -7, -1, 0, 2, 5, 10**9])
+    if "--window" in takes and sometimes(draw, st.just(True), False, 4):
         argv += ["--window", str(draw(bounds)), str(draw(bounds))]
-    # now and then drop one token (never the cap) or repeat one
+    if sometimes(draw, st.just(True), False, 8):
+        foreign = [f for f in ("--field", "--cap", "--method", "--window") if f not in takes]
+        flag = draw(st.sampled_from(foreign))
+        if flag == "--window":
+            argv += [flag, str(draw(bounds)), str(draw(bounds))]
+        else:
+            argv += [flag, draw(optional.get(flag, st.integers(1, 10**4).map(str)))]
+    # now and then drop one token (never the command's cap) or repeat one
     edit = draw(st.sampled_from(["keep"] * 6 + ["drop", "repeat"]))
     where = draw(st.integers(0, len(argv) - 1))
-    cap_at = argv.index("--cap")
+    cap_at = argv.index("--cap") if "--cap" in takes else -2
     if edit == "drop" and where not in (cap_at, cap_at + 1):
         del argv[where]
     elif edit == "repeat":

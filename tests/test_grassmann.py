@@ -67,19 +67,6 @@ def test_strata_report(t3):
     assert [e.count for e in rep3.entries] == [3, 1]
 
 
-def test_strata_json_schema(t3):
-    lam = kp_parse(t3, "[1,2]+[2,3]")
-    payload = strata(lam, (0, 1, 1), 2).to_json_dict()
-    assert payload["lambda"] == "[1,2]+[2,3]"
-    assert payload["beta"] == "0,1,1"
-    assert payload["q"] == 2
-    assert payload["total"] == 3
-    assert payload["strata"] == [
-        {"mu": "[1,2]", "nu": "[2,3]", "count": 2, "dim": 1},
-        {"mu": "[1,1]+[2,2]", "nu": "[2,2]+[3,3]", "count": 1, "dim": 0},
-    ]
-
-
 def test_single_point_grassmannian(t3):
     lam = kp_parse(t3, "[1,2]+[2,3]")
     for q in (2, 3):

@@ -102,25 +102,6 @@ def test_simplicity_necessary_passes(s1, s2):
     assert v.witness is None and v.rows == ()
 
 
-def test_verdict_json_schema(s1, s2):
-    d = simplicity_necessary(s1, s2).to_json_dict()
-    assert d == {
-        "mu": "[1,1]",
-        "nu": "[2,2]",
-        "verdict": "cannot_be_simple",
-        "witness": "[1,2]",
-        "inequalities": [
-            {
-                "lambda": "[1,2]",
-                "hom_nu_split": 1,
-                "hom_nu_lambda": 1,
-                "hom_mu_split": 1,
-                "hom_mu_lambda": 0,
-            }
-        ],
-    }
-
-
 def test_rigid_simplicity(t3, s1, s2):
     assert rigid_simplicity(s1, s2) is False
     assert rigid_simplicity(s2, s1) is False  # Ext1(s1, s2) != 0 either way
@@ -156,13 +137,6 @@ def test_socle_prediction_abstains(t3):
     sp = socle_prediction(mu, nu)
     assert kp_format(sp.generic_product) == "[1,2]+[2,3]"
     assert sp.predicted is None and sp.abstained
-    assert sp.to_json_dict() == {
-        "mu": "[1,1]+[2,2]",
-        "nu": "[2,2]+[3,3]",
-        "generic_product": "[1,2]+[2,3]",
-        "predicted": None,
-        "abstained": True,
-    }
 
 
 def test_length_two_report(s1, s2):
@@ -237,13 +211,3 @@ def test_degree_report(s1, s2):
     assert (split.d, split.e, split.bound) == (1, 0, 1)
     assert split.is_generic_pair and split.in_ext_ger
     assert split.eps == 0
-    json = rep.to_json_dict()
-    assert json["rows"][0] == {
-        "lambda": "[1,2]",
-        "d": 2,
-        "e": 1,
-        "bound": 4,
-        "generic_pair": True,
-        "ext_ger": True,
-        "epsilon": None,
-    }
