@@ -1,6 +1,7 @@
 """Quiver Grassmannians: point counts, strata, component labels."""
 
 import itertools
+import json
 from operator import mul
 
 import pytest
@@ -27,6 +28,7 @@ from quiverlab import (
     sub_quotient,
     subreps,
 )
+from quiverlab.cli import main
 from quiverlab.grassmannian import _classify
 from quiverlab.linalg import rank
 from quiverlab.reps import RepError
@@ -65,6 +67,28 @@ def test_strata_report(t3):
     rep3 = strata(lam, (0, 1, 1), 3)
     assert [(e.mu, e.nu) for e in rep3.entries] == [(e.mu, e.nu) for e in rep.entries]
     assert [e.count for e in rep3.entries] == [3, 1]
+
+
+def test_strata_json_schema(t3, capsys):
+    """The CLI's JSON payload for ``grass strata`` serializes the library report."""
+    lam = kp_parse(t3, "[1,2]+[2,3]")
+    report = strata(lam, (0, 1, 1), 2)
+    rc = main(["grass", "strata", "[1,2]+[2,3]", "--beta", "0,1,1",
+               "--field", "2", "--type", "A", "--rank", "3"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert payload["lambda"] == "[1,2]+[2,3]"
+    assert payload["beta"] == "0,1,1"
+    assert payload["q"] == report.q == 2
+    assert payload["total"] == report.total == 3
+    assert payload["strata"] == [
+        {"mu": kp_format(e.mu), "nu": kp_format(e.nu), "count": e.count, "dim": e.dim}
+        for e in report.entries
+    ]
+    assert payload["strata"] == [
+        {"mu": "[1,2]", "nu": "[2,3]", "count": 2, "dim": 1},
+        {"mu": "[1,1]+[2,2]", "nu": "[2,2]+[3,3]", "count": 1, "dim": 0},
+    ]
 
 
 def test_single_point_grassmannian(t3):

@@ -5,6 +5,8 @@ one order has a nonsplit extension (product not simple, socle the
 nonsplit middle term), the other is generic (split product).
 """
 
+import json
+
 import pytest
 
 from quiverlab import (
@@ -25,6 +27,7 @@ from quiverlab import (
     two_sided_support_pair,
 )
 from quiverlab import klr, order
+from quiverlab.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +103,41 @@ def test_simplicity_necessary_passes(s1, s2):
     v = simplicity_necessary(s2, s1)
     assert v.verdict == "passes_necessary_test"
     assert v.witness is None and v.rows == ()
+
+
+def test_verdict_json_schema(s1, s2, capsys):
+    """The CLI's JSON payload for ``simplicity`` serializes the library verdict."""
+    verdict = simplicity_necessary(s1, s2)
+    rc = main(["simplicity", "[1,1]", "[2,2]", "--type", "A", "--rank", "2"])
+    d = json.loads(capsys.readouterr().out)
+    assert rc == 3
+    assert d["verdict"] == verdict.verdict
+    assert d["witness"] == kp_format(verdict.witness)
+    assert d["inequalities"] == [
+        {
+            "lambda": kp_format(r.lam),
+            "hom_nu_split": r.hom_nu_split,
+            "hom_nu_lambda": r.hom_nu_lam,
+            "hom_mu_split": r.hom_mu_split,
+            "hom_mu_lambda": r.hom_mu_lam,
+        }
+        for r in verdict.rows
+    ]
+    assert d == {
+        "mu": "[1,1]",
+        "nu": "[2,2]",
+        "verdict": "cannot_be_simple",
+        "witness": "[1,2]",
+        "inequalities": [
+            {
+                "lambda": "[1,2]",
+                "hom_nu_split": 1,
+                "hom_nu_lambda": 1,
+                "hom_mu_split": 1,
+                "hom_mu_lambda": 0,
+            }
+        ],
+    }
 
 
 def test_rigid_simplicity(t3, s1, s2):
