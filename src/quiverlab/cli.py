@@ -35,7 +35,7 @@ import sys
 from typing import Sequence
 
 from . import linalg
-from .extensions import _normalize_method, ext_min, ext_set, generic_ext
+from .extensions import _check_kp_cap, _normalize_method, ext_min, ext_set, generic_ext
 from .grassmannian import ext_ger, point_count, strata
 from .homs import ext_dim, hom_dim
 from .klr import (
@@ -50,7 +50,6 @@ from .quiver import (
     PartitionError,
     QuiverError,
     dim_sub,
-    kp_count,
     kp_enumerate,
     kp_format,
     kp_parse,
@@ -269,6 +268,11 @@ def _pairs(pairs) -> list[dict]:
     ]
 
 
+def _cell(value) -> str:
+    """A TSV cell: a string as it is, any other value spelled as in JSON."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
 def _emit(fmt: str, payload: dict) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -278,13 +282,13 @@ def _emit(fmt: str, payload: dict) -> None:
         lists = {k: v for k, v in report.items() if isinstance(v, list)}
         for key, value in report.items():
             if key not in lists:
-                print(f"{key}\t{value}")
+                print(f"{key}\t{_cell(value)}")
         for key, rows in lists.items():
-            if rows and isinstance(rows[0], dict):
-                header = list(rows[0])
+            if not rows or isinstance(rows[0], dict):
+                header = list(rows[0]) if rows else []
                 print("\t".join([key + ":"] + header))
                 for row in rows:
-                    print("\t".join([""] + [str(row[h]) for h in header]))
+                    print("\t".join([""] + [_cell(row[h]) for h in header]))
             else:
                 print(f"{key}\t{_vector(rows)}")
 
@@ -309,11 +313,9 @@ def _cmd_kp(args, table) -> tuple[dict, int]:
     cap = _resolve_cap(args)
     # both the partitions and the parts of one (up to |gamma|) count as
     # states; the count stops past the cap, before any partition is built
-    what = "Kostant partition enumeration"
-    linalg.check_cap(weight(gamma), cap, what + " (|gamma| parts per partition)")
-    linalg.check_cap(
-        kp_count(table, gamma, cap + 1), cap, what + " (counting stopped past the cap)"
-    )
+    what = "Kostant partition enumeration (|gamma| parts per partition)"
+    linalg.check_cap(weight(gamma), cap, what)
+    _check_kp_cap(table, gamma, cap)
     classes = kp_enumerate(table, gamma)
     return {
         "gamma": _vector(gamma),

@@ -40,8 +40,10 @@ from .quiver import (
     KostantPartition,
     PartitionError,
     QuiverError,
+    RootTable,
     dim_add,
     euler_form,
+    kp_count,
     kp_enumerate,
     kp_format,
     kp_single,
@@ -200,14 +202,27 @@ def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
     )
 
 
+def _check_kp_cap(table: RootTable, gamma: Sequence[int], cap: int | None) -> None:
+    if cap is not None:
+        linalg.check_cap(
+            kp_count(table, gamma, cap + 1),
+            cap,
+            "Kostant partition enumeration (counting stopped past the cap)",
+        )
+
+
+@functools.cache
+def _candidates(split: KostantPartition) -> tuple[KostantPartition, ...]:
+    """The classes ``lam <= split``: the middle terms the subrep route scans."""
+    return tuple(lam for lam in kp_enumerate(split.table, split.total) if leq(lam, split))
+
+
 @functools.cache
 def _ext_set_filter(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
-    split = mu + nu
     return frozenset(
         lam
-        for lam in kp_enumerate(mu.table, split.total)
-        if leq(lam, split)
-        and (mu, nu) in grassmannian.realized_pairs(lam, nu.total, q, None)
+        for lam in _candidates(mu + nu)
+        if (mu, nu) in grassmannian.realized_pairs(lam, nu.total, q, None)
     )
 
 
@@ -224,13 +239,17 @@ def ext_set(
     every field before any enumeration starts."""
     method = _normalize_method(method)
     split = mu + nu
+    if method == METHOD_FILTER:
+        # the candidates are counted before they are listed
+        _check_kp_cap(mu.table, split.total, cap)
+        scans = len(_candidates(split))
     for q in fields:
         if method == METHOD_U:
             needed = q ** hom_omega_dim(mu.total, nu.total, mu.table.quiver)
             what = "u-space enumeration (the subrep-filter method may be feasible)"
         else:
-            needed = grassmannian.scan_states(split.total, nu.total, q)
-            what = "subrepresentation scan"
+            needed = scans * grassmannian.scan_states(split.total, nu.total, q)
+            what = "subrepresentation scan (one per candidate middle term)"
         linalg.check_cap(needed, cap, what)
     runner = _ext_set_u if method == METHOD_U else _ext_set_filter
     per_field = [runner(mu, nu, q) for q in fields]

@@ -284,13 +284,6 @@ def _residue_rows(rows: list[list[int]], pivots: Sequence[int], d: int) -> list[
     return out
 
 
-def _rank(rows: list[list[int]], q: int) -> int:
-    """Rank of a non-empty system, eliminated along its shorter side."""
-    if len(rows) > len(rows[0]):
-        rows = [list(col) for col in zip(*rows)]
-    return linalg.rank(rows, q)
-
-
 def _classify(lam: KostantPartition, q: int, bases: list[list[list[int]]]) -> Pair:
     """The (quotient, sub) classes of the point of ``build(lam, q)`` whose
     subspace at vertex ``v`` has the reduced row-echelon basis
@@ -336,14 +329,14 @@ def _classify(lam: KostantPartition, q: int, bases: list[list[list[int]]]) -> Pa
     residues = [[sum(map(mul, p_row, col)) for p_row in proj[v]] for v, col in cols]
     for a, fs in into:
         system = [[x for i in f for x in residues[i]] for f in fs]
-        sub_counts[a] = len(fs) - _rank(system, q)
+        sub_counts[a] = len(fs) - linalg.rank(system, q)
     quot_counts = [0] * len(table)
     for a, i in quot.items():
         quot_counts[a] = quot_dims[i - 1]
     restricted = [[sum(map(mul, row, u)) for u in bases[v]] for v, row in g_rows]
     for a, gs in out_of:
         system = [[x for i in g for x in restricted[i]] for g in gs]
-        quot_counts[a] = len(gs) - _rank(system, q)
+        quot_counts[a] = len(gs) - linalg.rank(system, q)
     nu = _partition_from_counts(table, tuple(sub_counts), beta)
     mu = _partition_from_counts(table, tuple(quot_counts), quot_dims, into=False)
     return mu, nu

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
-from .extensions import d_lambda, e_lambda, ext_set, generic_ext
+from .extensions import _check_kp_cap, d_lambda, e_lambda, ext_set, generic_ext
 from .grassmannian import ext_ger, generic_pairs
 from .homs import ext_dim, hom_dim
 from .order import interval, is_rigid
@@ -53,7 +53,6 @@ from .quiver import (
     KostantPartition,
     PartitionError,
     RootTable,
-    kp_count,
     kp_enumerate,
     kp_single,
 )
@@ -265,15 +264,6 @@ def length_two_report(
             f"got {ext_dim(mu, nu)}"
         )
     return LengthTwoReport(generic_ext(mu, nu, fields=fields, cap=cap), mu + nu)
-
-
-def _check_kp_cap(table: RootTable, gamma: Sequence[int], cap: int | None) -> None:
-    if cap is not None:
-        linalg.check_cap(
-            kp_count(table, gamma, cap + 1),
-            cap,
-            "Kostant partition enumeration (counting stopped past the cap)",
-        )
 
 
 @dataclass(frozen=True)

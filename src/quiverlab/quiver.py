@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -192,77 +193,17 @@ class DynkinQuiver:
         return f"DynkinQuiver({self.diagram_type}{self.rank}: {arrows})"
 
 
-def _leg_lengths(rank: int, edges: set[frozenset[int]], branch: int) -> list[int]:
-    adj: dict[int, list[int]] = {v: [] for v in range(1, rank + 1)}
-    for e in edges:
-        a, b = tuple(e)
-        adj[a].append(b)
-        adj[b].append(a)
-    lengths = []
-    for start in adj[branch]:
-        length = 1
-        prev, cur = branch, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:  # second branch vertex
-                return []
-            prev, cur = cur, nxt[0]
-            length += 1
-        lengths.append(length)
-    return sorted(lengths)
-
-
-def _validate_shape(diagram_type: str, rank: int, edges: set[frozenset[int]]) -> None:
-    if diagram_type not in ("A", "D", "E"):
-        raise QuiverError(f"unknown diagram type {diagram_type!r}")
-    if diagram_type == "A" and rank < 1:
-        raise QuiverError("type A needs rank >= 1")
-    if diagram_type == "D" and rank < 4:
-        raise QuiverError("type D needs rank >= 4")
-    if diagram_type == "E" and rank not in (6, 7, 8):
-        raise QuiverError("type E needs rank in {6, 7, 8}")
-
-    if len(edges) != rank - 1:
-        raise QuiverError(
-            f"expected {rank - 1} edges for a rank-{rank} diagram, got {len(edges)}"
-        )
-    # connectivity
-    if rank > 1:
-        adj: dict[int, set[int]] = {v: set() for v in range(1, rank + 1)}
-        for e in edges:
-            a, b = tuple(e)
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {1}
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != rank:
-            raise QuiverError("diagram is not connected")
-        degrees = {v: len(adj[v]) for v in adj}
-        branch_vertices = [v for v, d in degrees.items() if d >= 3]
-        if any(degrees[v] > 3 for v in degrees):
-            raise QuiverError("a vertex of degree > 3 cannot occur in types A/D/E")
-        if diagram_type == "A":
-            if branch_vertices:
-                raise QuiverError("type A diagram must be a path")
-        else:
-            if len(branch_vertices) != 1:
-                raise QuiverError(
-                    f"type {diagram_type} diagram needs exactly one branch vertex"
-                )
-            legs = _leg_lengths(rank, edges, branch_vertices[0])
-            expected = (1, 1, rank - 3) if diagram_type == "D" else _E_LEGS[rank]
-            if tuple(legs) != tuple(sorted(expected)):
-                raise QuiverError(
-                    f"leg lengths {legs} do not match type {diagram_type}{rank}"
-                )
+def _component(adj, start: int, cut: int | None = None) -> set[int]:
+    """The vertices reached from ``start`` along ``adj`` (``adj[v]`` lists
+    the neighbours of ``v``) without passing ``cut``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w != cut and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def build_quiver(
@@ -286,39 +227,65 @@ def build_quiver(
             raise QuiverError(f"arrow ({s},{t}) uses labels outside 1..{rank}")
         if s == t:
             raise QuiverError(f"loop at vertex {s}")
-    edges = set()
+    # filled on demand: the rank is not yet known to fit the arrows
+    adj: defaultdict[int, set[int]] = defaultdict(set)
     for s, t in arrows:
-        e = frozenset((s, t))
-        if e in edges:
+        if t in adj[s]:
             raise QuiverError(f"repeated edge between {s} and {t}")
-        edges.add(e)
-    _validate_shape(diagram_type, rank, edges)
+        adj[s].add(t)
+        adj[t].add(s)
+
+    if diagram_type not in ("A", "D", "E"):
+        raise QuiverError(f"unknown diagram type {diagram_type!r}")
+    if diagram_type == "A" and rank < 1:
+        raise QuiverError("type A needs rank >= 1")
+    if diagram_type == "D" and rank < 4:
+        raise QuiverError("type D needs rank >= 4")
+    if diagram_type == "E" and rank not in (6, 7, 8):
+        raise QuiverError("type E needs rank in {6, 7, 8}")
+    if len(arrows) != rank - 1:
+        raise QuiverError(
+            f"expected {rank - 1} edges for a rank-{rank} diagram, got {len(arrows)}"
+        )
+    if len(_component(adj, 1)) != rank:
+        raise QuiverError("diagram is not connected")
+    if any(len(ws) > 3 for ws in adj.values()):
+        raise QuiverError("a vertex of degree > 3 cannot occur in types A/D/E")
+    branch_vertices = [v for v, ws in adj.items() if len(ws) == 3]
+    if diagram_type == "A":
+        if branch_vertices:
+            raise QuiverError("type A diagram must be a path")
+    else:
+        if len(branch_vertices) != 1:
+            raise QuiverError(f"type {diagram_type} diagram needs exactly one branch vertex")
+        # the tree has no other branch vertex, so each leg is a path
+        branch = branch_vertices[0]
+        legs = sorted(len(_component(adj, start, branch)) for start in adj[branch])
+        expected = (1, 1, rank - 3) if diagram_type == "D" else _E_LEGS[rank]
+        if legs != sorted(expected):
+            raise QuiverError(f"leg lengths {legs} do not match type {diagram_type}{rank}")
 
     # topological renumbering (Kahn, smallest original label first)
-    indeg = {v: 0 for v in range(1, rank + 1)}
+    indeg = dict.fromkeys(range(1, rank + 1), 0)
     for _, t in arrows:
         indeg[t] += 1
     ready = sorted(v for v, d in indeg.items() if d == 0)
     order: list[int] = []
-    remaining = dict(indeg)
-    out = {v: [] for v in range(1, rank + 1)}
-    for s, t in arrows:
-        out[s].append(t)
     while ready:
         v = ready.pop(0)
         order.append(v)
-        for w in out[v]:
-            remaining[w] -= 1
-            if remaining[w] == 0:
-                ready.append(w)
+        for s, t in arrows:
+            if s == v:
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    ready.append(t)
         ready.sort()
     if len(order) != rank:
         raise QuiverError("orientation has a directed cycle")
 
     new_of_old = {old: new for new, old in enumerate(order, start=1)}
-    renum = tuple(order)
     new_arrows = tuple(sorted((new_of_old[s], new_of_old[t]) for s, t in arrows))
-    return DynkinQuiver(diagram_type, rank, new_arrows, renum)
+    return DynkinQuiver(diagram_type, rank, new_arrows, tuple(order))
 
 
 def standard_quiver(diagram_type: str, rank: int) -> DynkinQuiver:
@@ -549,14 +516,8 @@ def positive_roots(quiver: DynkinQuiver, variant: str = "canonical") -> RootTabl
 def _reach(quiver: DynkinQuiver, i: int, forward: bool) -> tuple[int, ...]:
     """1 on ``i`` and on every vertex reached from it along the arrows
     (``forward``) or against them; arrows point to the larger vertex."""
-    reach = {i}
-    stack = [i]
-    while stack:
-        v = stack.pop()
-        for w in quiver.neighbours(v):
-            if (w > v) == forward and w not in reach:
-                reach.add(w)
-                stack.append(w)
+    adj = [[w for w in ws if (w > v) == forward] for v, ws in enumerate(quiver._neighbours)]
+    reach = _component(adj, i)
     return tuple(1 if v in reach else 0 for v in quiver.vertices)
 
 

@@ -229,20 +229,14 @@ def build_repetition(
             )
         root = injective_root(quiver, i)
         phi[(i, top)] = (root, 0)
-        beta, m, p = root, 0, top
-        while p - 2 >= lo:
-            beta, flipped = positive_or_flip(coxeter_tau(quiver, beta))
-            if flipped:
-                m -= 1
-            p -= 2
-            phi[(i, p)] = (beta, m)
-        beta, m, p = root, 0, top
-        while p + 2 <= hi:
-            beta, flipped = positive_or_flip(coxeter_tau_inv(quiver, beta))
-            if flipped:
-                m += 1
-            p += 2
-            phi[(i, p)] = (beta, m)
+        for step, tau in ((-2, coxeter_tau), (2, coxeter_tau_inv)):
+            beta, m, p = root, 0, top
+            while lo <= p + step <= hi:
+                beta, flipped = positive_or_flip(tau(quiver, beta))
+                if flipped:
+                    m += step // 2
+                p += step
+                phi[(i, p)] = (beta, m)
 
     labels = list(phi.values())
     if len(set(labels)) != len(labels):

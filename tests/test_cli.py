@@ -470,6 +470,15 @@ def test_cap_flag_exit_5(capsys):
     assert rc == 5
 
 
+def test_subrep_cap_counts_every_candidate_exit_5(capsys):
+    # 10 candidate middle terms, each a 64-state scan over GF(3)
+    argv = ["ext-set", "[1,1]+[2,2]+[3,3]", "[1,1]+[2,2]+[3,3]", "--method", "subrep", *A3]
+    assert main([*argv, "--cap", "64"]) == 5
+    assert "subrepresentation scan" in capsys.readouterr().err
+    rc, data = run_json(capsys, *argv, "--cap", "640")
+    assert rc == 0 and len(data["classes"]) == 4
+
+
 def test_cap_env_var(capsys, monkeypatch):
     monkeypatch.setenv("QUIVERLAB_CAP", "1")
     rc, _ = run(
@@ -498,6 +507,21 @@ def test_tsv_format(capsys):
     assert rc == 0
     lines = out.splitlines()
     assert "x\t[2,3]" in lines and "hom\t1" in lines
+
+
+def test_tsv_spells_values_as_json(capsys):
+    # null/true/false as in the JSON output, strings unquoted, and an
+    # empty table still prints its key: marker line
+    rc, out = run(capsys, "simplicity", "[2,2]", "[1,1]", "--format", "tsv", *A2)
+    assert rc == 0
+    lines = out.splitlines()
+    assert "witness\tnull" in lines and "verdict\tpasses_necessary_test" in lines
+    assert lines[-1] == "inequalities:"
+    rc, out = run(capsys, "degree-report", "[1,1]", "[2,2]", "--format", "tsv", *A2)
+    assert rc == 0
+    lines = out.splitlines()
+    assert "\t[1,2]\t2\t1\t4\ttrue\ttrue\tnull" in lines
+    assert not {"None", "True", "False"} & set("\t".join(lines).split("\t"))
 
 
 def test_tsv_tables(capsys):

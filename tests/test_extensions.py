@@ -140,6 +140,31 @@ def test_u_enumeration_cap(t3):
     assert "subrep-filter" in str(exc.value)  # points at the fallback method
 
 
+def test_subrep_cap_counts_every_candidate_scan(t3):
+    # the subrep route scans the Grassmannian of each of the 10 classes
+    # lam <= mu + nu, 27 states each over GF(2) and 64 over GF(3)
+    mu = kp_parse(t3, "[1,1]+[2,2]+[3,3]")
+    split = mu + mu
+    assert sum(leq(lam, split) for lam in kp_enumerate(t3, split.total)) == 10
+    with pytest.raises(CapExceeded) as exc:
+        ext_set(mu, mu, method=METHOD_FILTER, cap=64)
+    assert exc.value.needed == 270 and "subrepresentation scan" in str(exc.value)
+    with pytest.raises(CapExceeded) as exc:
+        ext_set(mu, mu, method=METHOD_FILTER, cap=639)
+    assert exc.value.needed == 640
+    result = ext_set(mu, mu, method=METHOD_FILTER, cap=640)
+    assert sorted(kp_format(lam) for lam in result.classes) == [
+        "[1,1]+[1,1]+[2,2]+[2,2]+[3,3]+[3,3]",
+        "[1,1]+[1,1]+[2,2]+[2,3]+[3,3]",
+        "[1,1]+[1,2]+[2,2]+[3,3]+[3,3]",
+        "[1,1]+[1,2]+[2,3]+[3,3]",
+    ]
+    assert result.classes == ext_set(mu, mu, method=METHOD_U).classes
+    # the candidates are counted before any is listed
+    with pytest.raises(CapExceeded, match="counting stopped past the cap"):
+        ext_set(mu, mu, method=METHOD_FILTER, cap=9)
+
+
 def test_cap_is_checked_after_a_warm_memo(t3):
     mu, nu = kp_parse(t3, "[1,2]"), kp_parse(t3, "[2,3]")
     lam, beta = mu + nu, nu.total

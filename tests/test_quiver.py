@@ -3,6 +3,7 @@
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 
@@ -77,19 +78,66 @@ def test_build_quiver_renumbers_topologically():
     q = build_quiver("A", 3, [(3, 1), (1, 2)])
     assert q.arrows == ((1, 2), (2, 3))
     assert q.renumbering == (3, 1, 2)  # old labels in new order
+    rng = random.Random(13)
+    for dt, rank in [("A", 1), ("A", 5), ("D", 4), ("D", 6), ("E", 6), ("E", 7), ("E", 8)]:
+        for _ in range(6):
+            # relabel the standard diagram and orient each edge at random
+            labels = rng.sample(range(1, rank + 1), rank)
+            spec = []
+            for s, t in standard_quiver(dt, rank).arrows:
+                s, t = labels[s - 1], labels[t - 1]
+                spec.append((t, s) if rng.random() < 0.5 else (s, t))
+            q = build_quiver(dt, rank, spec)
+            assert all(s < t for s, t in q.arrows)
+            assert sorted(q.renumbering) == list(q.vertices)
+            new_of_old = {old: new for new, old in enumerate(q.renumbering, start=1)}
+            assert tuple(sorted((new_of_old[s], new_of_old[t]) for s, t in spec)) == q.arrows
+            assert len(positive_roots(q)) == positive_root_count(dt, rank)
+
+
+# one input per message of build_quiver, then inputs with two faults: the
+# check that comes first in build_quiver reports
+BAD_SHAPES = [
+    ("A", 2, [(1, 3)], "arrow (1,3) uses labels outside 1..2"),
+    ("A", 3, [(1, 1), (2, 3)], "loop at vertex 1"),
+    ("A", 3, [(1, 2), (1, 2)], "repeated edge between 1 and 2"),
+    ("X", 2, [(1, 2)], "unknown diagram type 'X'"),
+    ("A", 0, [], "type A needs rank >= 1"),
+    ("D", 3, [(1, 2), (2, 3)], "type D needs rank >= 4"),
+    ("E", 9, [(k, k + 1) for k in range(1, 9)], "type E needs rank in {6, 7, 8}"),
+    ("A", 3, [(1, 2), (2, 3), (3, 1)], "expected 2 edges for a rank-3 diagram, got 3"),
+    ("A", 4, [(1, 2), (3, 4)], "expected 3 edges for a rank-4 diagram, got 2"),
+    ("A", 4, [(2, 3), (3, 4), (2, 4)], "diagram is not connected"),
+    ("D", 5, [(1, 2), (1, 3), (1, 4), (1, 5)], "a vertex of degree > 3 cannot occur"),
+    ("A", 4, [(1, 2), (1, 3), (1, 4)], "type A diagram must be a path"),
+    ("D", 4, [(1, 2), (2, 3), (3, 4)], "type D diagram needs exactly one branch vertex"),
+    (
+        "E", 8, [(1, 2), (1, 3), (1, 4), (4, 5), (5, 6), (6, 7), (6, 8)],
+        "type E diagram needs exactly one branch vertex",
+    ),
+    (
+        "D", 6, [(1, 2), (1, 3), (3, 4), (1, 5), (5, 6)],
+        "leg lengths [1, 2, 2] do not match type D6",
+    ),
+    (
+        "E", 6, [(1, 2), (1, 3), (1, 4), (4, 5), (5, 6)],
+        "leg lengths [1, 1, 3] do not match type E6",
+    ),
+    ("A", 3, [(2, 2), (0, 1)], "loop at vertex 2"),
+    ("A", 2, [(1, 2), (3, 3)], "arrow (3,3) uses labels outside 1..2"),
+    ("A", 3, [(1, 2), (1, 2), (3, 3)], "loop at vertex 3"),
+    ("X", 3, [(1, 2), (2, 1)], "repeated edge between 2 and 1"),
+    ("X", 0, [], "unknown diagram type 'X'"),
+    ("D", 3, [], "type D needs rank >= 4"),
+    ("D", 6, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3)], "diagram is not connected"),
+    ("A", 5, [(1, 2), (1, 3), (1, 4), (1, 5)], "a vertex of degree > 3 cannot occur"),
+]
 
 
 def test_build_quiver_rejects_bad_shapes():
-    with pytest.raises(QuiverError):
-        build_quiver("A", 3, [(1, 2), (2, 3), (3, 1)])  # cycle on a triangle
-    with pytest.raises(QuiverError):
-        build_quiver("A", 3, [(1, 2), (1, 2)])  # repeated edge
-    with pytest.raises(QuiverError):
-        build_quiver("A", 3, [(1, 1), (2, 3)])  # loop
-    with pytest.raises(QuiverError):
-        build_quiver("D", 4, [(1, 2), (2, 3), (3, 4)])  # that's an A4 chain
-    with pytest.raises(QuiverError):
-        build_quiver("A", 4, [(1, 2), (3, 4)])  # disconnected
+    for dt, rank, spec, message in BAD_SHAPES:
+        with pytest.raises(QuiverError, match="^" + re.escape(message)):
+            build_quiver(dt, rank, spec)
 
 
 def test_spec_text_roundtrip(a3):
