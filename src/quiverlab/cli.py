@@ -35,7 +35,7 @@ import sys
 from typing import Sequence
 
 from . import linalg
-from .extensions import _check_kp_cap, _normalize_method, ext_min, ext_set, generic_ext
+from .extensions import _normalize_method, ext_min, ext_set, generic_ext
 from .grassmannian import ext_ger, point_count, strata
 from .homs import ext_dim, hom_dim
 from .klr import (
@@ -45,7 +45,7 @@ from .klr import (
     simplicity_necessary,
     socle_prediction,
 )
-from .order import leq
+from .order import _check_kp_cap, leq
 from .quiver import (
     PartitionError,
     QuiverError,
@@ -289,6 +289,9 @@ def _emit(fmt: str, payload: dict) -> None:
                 print("\t".join([key + ":"] + header))
                 for row in rows:
                     print("\t".join([""] + [_cell(row[h]) for h in header]))
+            elif isinstance(rows[0], str):
+                # one cell per string: class strings hold commas themselves
+                print("\t".join([key] + rows))
             else:
                 print(f"{key}\t{_vector(rows)}")
 

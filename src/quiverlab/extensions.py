@@ -35,15 +35,13 @@ from typing import Sequence
 
 from . import grassmannian, linalg
 from .homs import ext_dim, hom_dim
-from .order import leq
+from .order import _check_kp_cap, leq
 from .quiver import (
     KostantPartition,
     PartitionError,
     QuiverError,
-    RootTable,
     dim_add,
     euler_form,
-    kp_count,
     kp_enumerate,
     kp_format,
     kp_single,
@@ -200,15 +198,6 @@ def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
     return frozenset(
         _classify_u(mu, nu, q, u) for u in itertools.product(range(q), repeat=n_u)
     )
-
-
-def _check_kp_cap(table: RootTable, gamma: Sequence[int], cap: int | None) -> None:
-    if cap is not None:
-        linalg.check_cap(
-            kp_count(table, gamma, cap + 1),
-            cap,
-            "Kostant partition enumeration (counting stopped past the cap)",
-        )
 
 
 @functools.cache

@@ -9,11 +9,11 @@ every ordered pair of roots:
 * ``a < b``:  ``(hom, ext) = (0, -<beta_a, beta_b>)``;
 * ``a > b``:  ``(hom, ext) = (<beta_a, beta_b>, 0)``.
 
-Both counts extend biadditively over the parts of a Kostant partition,
-which is how :func:`hom_dim` and :func:`ext_dim` evaluate arbitrary
-pairs without touching matrices.  The independent matrix-level count
-lives in :mod:`.reps` (``hom_space_dim``) and the two are compared over
-exhaustive desk ranges in the test suite.
+Both counts extend biadditively over the parts of a Kostant partition:
+each y has one memoized pair of vectors into M_y (:func:`hom_ext_vectors`),
+which :func:`hom_dim` and :func:`ext_dim` sum over the parts of x.  The
+independent matrix-level count lives in :mod:`.reps` (``hom_space_dim``)
+and the two are compared over exhaustive desk ranges in the test suite.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "ext_dim",
     "hom_dim",
     "hom_ext_pair",
+    "hom_ext_vectors",
     "hom_table",
     "projective_resolution",
     "typeA_ext_dim",
@@ -61,22 +62,24 @@ def _check_same_table(x: KostantPartition, y: KostantPartition) -> None:
         raise PartitionError("partitions live over different root tables")
 
 
-def _sum_over_parts(matrix, x: KostantPartition, y: KostantPartition) -> int:
-    _check_same_table(x, y)
-    ym = y.multiplicities().items()
-    return sum(
-        cx * cy * matrix[a][b] for a, cx in x.multiplicities().items() for b, cy in ym
-    )
+@functools.cache
+def hom_ext_vectors(y: KostantPartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(dim Hom(M_a, M_y), dim Ext^1(M_a, M_y))`` for every root index a:
+    the sums over the parts of y of the columns of :func:`hom_table`."""
+    t = hom_table(y.table)
+    return tuple(tuple(sum(row[b] for b in y.parts) for row in m) for m in (t.hom, t.ext))
 
 
 def hom_dim(x: KostantPartition, y: KostantPartition) -> int:
-    """dim Hom(M_x, M_y), summed biadditively over parts."""
-    return _sum_over_parts(hom_table(x.table).hom, x, y)
+    """dim Hom(M_x, M_y): the hom vector of y summed over the parts of x."""
+    _check_same_table(x, y)
+    return sum(map(hom_ext_vectors(y)[0].__getitem__, x.parts))
 
 
 def ext_dim(x: KostantPartition, y: KostantPartition) -> int:
-    """dim Ext^1(M_x, M_y), summed biadditively over parts."""
-    return _sum_over_parts(hom_table(x.table).ext, x, y)
+    """dim Ext^1(M_x, M_y): the ext vector of y summed over the parts of x."""
+    _check_same_table(x, y)
+    return sum(map(hom_ext_vectors(y)[1].__getitem__, x.parts))
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
-from .extensions import _check_kp_cap, d_lambda, e_lambda, ext_set, generic_ext
+from .extensions import d_lambda, e_lambda, ext_set, generic_ext
 from .grassmannian import ext_ger, generic_pairs
 from .homs import ext_dim, hom_dim
-from .order import interval, is_rigid
+from .order import _check_kp_cap, interval, is_rigid
 from .quiver import (
     KostantPartition,
     PartitionError,
@@ -288,8 +288,8 @@ def head_socle_bounds(
     head_low = generic_ext(nu, mu, fields=fields, cap=cap)
     socle_low = generic_ext(mu, nu, fields=fields, cap=cap)
     return HeadSocleBounds(
-        frozenset(interval(head_low, split)),
-        frozenset(interval(socle_low, split)),
+        frozenset(interval(head_low, split, cap=cap)),
+        frozenset(interval(socle_low, split, cap=cap)),
     )
 
 

@@ -17,14 +17,14 @@ minimum.
 
 from __future__ import annotations
 
-import functools
-
-from .homs import _check_same_table, ext_dim, hom_dim
+from . import linalg
+from .homs import _check_same_table, ext_dim, hom_ext_vectors
 from .quiver import (
     KostantPartition,
     PartitionError,
+    RootTable,
+    kp_count,
     kp_enumerate,
-    kp_single,
     segments_of,
 )
 
@@ -38,11 +38,13 @@ __all__ = [
 ]
 
 
-@functools.cache
 def hom_vector(x: KostantPartition) -> tuple[int, ...]:
     """``dim Hom(M_beta, M_x)`` for every positive root ``beta``, in root order."""
-    table = x.table
-    return tuple(hom_dim(kp_single(table, a), x) for a in range(len(table)))
+    return hom_ext_vectors(x)[0]
+
+
+# no memo of its own: it reports the memo of the vectors it reads
+hom_vector.cache_info = hom_ext_vectors.cache_info
 
 
 def leq(x: KostantPartition, y: KostantPartition) -> bool:
@@ -86,13 +88,24 @@ def is_rigid(x: KostantPartition) -> bool:
     return ext_dim(x, x) == 0
 
 
+def _check_kp_cap(table: RootTable, gamma: tuple[int, ...], cap: int | None) -> None:
+    if cap is not None:
+        linalg.check_cap(
+            kp_count(table, gamma, cap + 1),
+            cap,
+            "Kostant partition enumeration (counting stopped past the cap)",
+        )
+
+
 def interval(
-    low: KostantPartition, high: KostantPartition
+    low: KostantPartition, high: KostantPartition, *, cap: int | None = linalg.DEFAULT_CAP
 ) -> tuple[KostantPartition, ...]:
-    """All partitions z of the common dimension vector with low <= z <= high."""
+    """All partitions z of the common dimension vector with low <= z <= high.
+    The partitions are counted against ``cap`` before any is listed."""
     _check_same_table(low, high)
     if low.total != high.total:
         return ()
+    _check_kp_cap(low.table, low.total, cap)
     return tuple(
         z
         for z in kp_enumerate(low.table, low.total)

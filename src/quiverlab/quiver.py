@@ -564,12 +564,6 @@ class KostantPartition:
     def part_roots(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.table.roots[p] for p in self.parts)
 
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
     def __add__(self, other: "KostantPartition") -> "KostantPartition":
         """Direct sum: concatenate the two multisets of parts."""
         if self.table is not other.table and self.table != other.table:

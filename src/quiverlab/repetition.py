@@ -30,14 +30,13 @@ import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .homs import hom_dim, projective_resolution
+from .homs import hom_ext_vectors, projective_resolution
 from .quiver import (
     DynkinQuiver,
     KostantPartition,
     QuiverError,
     coxeter_number,
     injective_root,
-    kp_single,
     positive_roots,
     simple_reflection,
 )
@@ -286,10 +285,11 @@ def v_lambda(rq: RepetitionQuiver, lam: KostantPartition) -> GradedDimVector:
     table = lam.table
     if table.quiver != rq.quiver:
         raise RepetitionError("class and repetition quiver disagree on the base quiver")
+    into = hom_ext_vectors(lam)[0]
     data: dict[tuple[int, int], int] = {}
     for idx, root in enumerate(table.roots):
         q_cover, _ = projective_resolution(table, idx)
-        val = hom_dim(q_cover, lam) - hom_dim(kp_single(table, idx), lam)
+        val = sum(into[a] for a in q_cover.parts) - into[idx]
         if val:
             i, p = rq.vertex_of_root(root)
             data[(i, p + V_COORDINATE_SHIFT)] = val

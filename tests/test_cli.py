@@ -524,6 +524,27 @@ def test_tsv_spells_values_as_json(capsys):
     assert not {"None", "True", "False"} & set("\t".join(lines).split("\t"))
 
 
+@pytest.mark.parametrize(
+    "argv,vector_line",
+    [
+        (("kp", "1,2,1", *A3), "gamma\t1,2,1"),
+        (("kp", "1,1,1,1", "--type", "D", "--rank", "4"), "gamma\t1,1,1,1"),
+        (("ext-set", "[1,1]", "[2,2]", *A2), "fields\t2,3"),
+        (("ext-set", "[1,2]", "[2,3]", *A3), "fields\t2,3"),
+    ],
+)
+def test_tsv_string_lists_split_back_into_the_json_list(capsys, argv, vector_line):
+    # class strings hold commas, so each class is a cell of its own;
+    # integer vectors stay one comma-separated cell
+    _, data = run_json(capsys, *argv)
+    rc, out = run(capsys, *argv, "--format", "tsv")
+    assert rc == 0 and len(data["classes"]) > 1
+    lines = out.splitlines()
+    [classes] = [line for line in lines if line.startswith("classes\t")]
+    assert classes.split("\t")[1:] == data["classes"]
+    assert vector_line in lines
+
+
 def test_tsv_tables(capsys):
     rc, out = run(
         capsys, "grass", "count", "[1,2]+[2,3]", "--beta", "0,1,1",

@@ -1,16 +1,21 @@
 """Hom/Ext dimensions: closed form, segment formulas, resolutions."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
 from quiverlab import (
+    KostantPartition,
     PartitionError,
+    build_quiver,
     euler_form,
     ext_dim,
     hom_dim,
     hom_ext_pair,
     hom_table,
+    hom_vector,
     kp_enumerate,
     kp_parse,
     kp_single,
@@ -98,8 +103,57 @@ def test_segment_formulas_reject_other_quivers(t4):
 
 
 def test_cross_table_mixing_is_rejected(t2, t3):
-    with pytest.raises(PartitionError):
-        hom_dim(kp_parse(t2, "[1,1]"), kp_parse(t3, "[1,1]"))
+    # the alternate word has the same quiver and its roots in another
+    # order, so a vector of one table must not be read at the other's parts
+    alt = positive_roots(t3.quiver, "alternate")
+    for x, y in (
+        (kp_parse(t2, "[1,1]"), kp_parse(t3, "[1,1]")),
+        (kp_parse(t3, "[1,2]+[3,3]"), kp_parse(alt, "[2,3]")),
+    ):
+        for f in (hom_dim, ext_dim):
+            for pair in ((x, y), (y, x)):
+                with pytest.raises(PartitionError):
+                    f(*pair)
+
+
+# the standard A3, D4 and E6, A3 over its alternate adapted word, and a
+# sink-centred D4 and a zigzag A4
+CLOSED_FORM_TABLES = {
+    "A3": lambda: positive_roots(standard_quiver("A", 3)),
+    "D4": lambda: positive_roots(standard_quiver("D", 4)),
+    "E6": lambda: positive_roots(standard_quiver("E", 6)),
+    "A3-alternate": lambda: positive_roots(standard_quiver("A", 3), "alternate"),
+    "D4-sink": lambda: positive_roots(build_quiver("D", 4, [(1, 2), (3, 2), (4, 2)])),
+    "A4-zigzag": lambda: positive_roots(build_quiver("A", 4, [(2, 1), (2, 3), (4, 3)])),
+}
+
+
+def random_kp(rng, table):
+    """A partition of 0 to 5 parts drawn uniformly from the roots."""
+    return KostantPartition(
+        table, tuple(rng.randrange(len(table)) for _ in range(rng.randrange(6)))
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_TABLES))
+def test_closed_forms_equal_the_biadditive_double_sum(name):
+    table = CLOSED_FORM_TABLES[name]()
+    rng = random.Random(name)
+    for _ in range(300):
+        x, y = random_kp(rng, table), random_kp(rng, table)
+        cx, cy = Counter(x.parts), Counter(y.parts)
+        pairs = [
+            (m * n, hom_ext_pair(table, a, b))
+            for a, m in cx.items()
+            for b, n in cy.items()
+        ]
+        assert hom_dim(x, y) == sum(c * h for c, (h, _) in pairs)
+        assert ext_dim(x, y) == sum(c * e for c, (_, e) in pairs)
+    for _ in range(30):
+        x = random_kp(rng, table)
+        assert hom_vector(x) == tuple(
+            hom_dim(kp_single(table, a), x) for a in range(len(table))
+        )
 
 
 def test_projective_resolution_values(t2, t3):

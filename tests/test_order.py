@@ -2,7 +2,10 @@
 
 import itertools
 
+import pytest
+
 from quiverlab import (
+    CapExceeded,
     hom_vector,
     interval,
     is_rigid,
@@ -78,6 +81,19 @@ def test_interval(t3):
         "[1,2]+[2,3]",
     ]
     assert interval(low, low) == (low,)
+
+
+def test_interval_counts_against_the_cap_before_listing(t3):
+    # (1,2,1) has 5 Kostant partitions: a cap of 4 stops the count before
+    # kp_enumerate is called at all
+    low = kp_parse(t3, "[1,2]+[2,3]")
+    high = kp_parse(t3, "[1,1]+[2,2]+[2,2]+[3,3]")
+    before = kp_enumerate.cache_info()
+    with pytest.raises(CapExceeded):
+        interval(low, high, cap=4)
+    after = kp_enumerate.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert interval(low, high, cap=5) == interval(low, high, cap=None) == interval(low, high)
 
 
 def test_cover_relations_weight_three(t3):
