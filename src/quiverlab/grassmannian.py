@@ -16,13 +16,23 @@ intertwiner systems of :mod:`.reps`).  For a point U with projection
 
 * dim Hom(M_a, U) = dim Hom(M_a, M) - rank{pi f}, over the basis f,
   where f need only be read on generators of M_a;
-* dim Hom(M/U, M_a) = dim Hom(M, M_a) - rank{g|_U}, over the basis g.
+* dim Hom(M/U, M_a) = dim Hom(M, M_a) - rank{g|_U}, over the basis g,
+  where g need only be read through the cogenerators of M_a (the
+  coordinate functionals that generate its dual).
 
-Two kinds of root need no basis: for the projective P_i,
-dim Hom(P_i, U) = dim U_i, and for the injective I_i,
-dim Hom(M/U, I_i) = dim (M/U)_i, so these counts are read off the
-dimension vectors.  Per point, every generator image is reduced modulo
-U and every g is restricted to U once, for all roots together.
+Most roots need no rank at all.  If the images of the generators of M_a
+under the f span every M_v they land in (one copy per generator at
+``v``), then pi maps that span onto the copies of M_v/U_v, so the rank
+is the sum of their dimensions d_v - beta_v; dually, if the rows of the
+g at the cogenerators span every copy of the dual of M_v, the rank is
+the sum of the beta_v.  The test is made once per ``(lam, q)``, and the
+count of a root that passes it is read off ``beta``.  The projective
+P_i and the injective I_i are the Yoneda case, Hom(P_i, M) = M_i and
+Hom(M, I_i) = M_i^*, and pass with no basis computed:
+dim Hom(P_i, U) = dim U_i and dim Hom(M/U, I_i) = dim (M/U)_i.  Per
+point, every generator image of the other roots is reduced modulo U,
+read off the reduced echelon basis of U, and every cogenerator row is
+restricted to U, once for all roots together.
 
 The sub follows from the first counts by ``identify``'s forward
 triangular solve, the quotient from the second by the transposed solve
@@ -184,104 +194,128 @@ def _strata(lam: KostantPartition, beta: tuple[int, ...], q: int) -> StrataRepor
     return StrataReport(lam, beta, q, entries, total)
 
 
-def _top_coordinates(m: Rep) -> list[list[int]]:
+@functools.cache
+def _generator_coordinates(m: Rep, dual: bool) -> tuple[tuple[int, ...], ...]:
     """Per vertex, coordinates whose unit vectors span a complement of the
-    images of the arrows into it; together they generate ``m``."""
+    images of the arrows into it; together they generate ``m``, so a map
+    out of ``m`` is zero when it vanishes on them.  With ``dual``, the
+    coordinates whose functionals span a complement of the rows of the
+    arrows out of it; a map into ``m`` is zero when these functionals
+    vanish on it (they generate the dual of ``m``).  Memoized: every
+    ``(lam, q)`` reads the same shared indecomposables."""
+    arrows = m.quiver.arrows
     out = []
     for v in m.quiver.vertices:
-        images = [
-            [row[j] for row in m.mats[k]]
-            for k, (s, t) in enumerate(m.quiver.arrows)
-            if t == v
-            for j in range(m.dims[s - 1])
-        ]
-        pivots = linalg.rref(images, m.q)[1]
-        out.append([c for c in range(m.dims[v - 1]) if c not in pivots])
-    return out
+        if dual:
+            vectors = [row for k, (s, _) in enumerate(arrows) if s == v for row in m.mats[k]]
+        else:
+            vectors = [
+                [row[j] for row in m.mats[k]]
+                for k, (s, t) in enumerate(arrows)
+                if t == v
+                for j in range(m.dims[s - 1])
+            ]
+        pivots = linalg.rref(vectors, m.q)[1]
+        out.append(tuple(c for c in range(m.dims[v - 1]) if c not in pivots))
+    return tuple(out)
 
 
 @functools.cache
 def _hom_bases(lam: KostantPartition, q: int) -> tuple:
-    """What :func:`_classify` reads: ``(mats, given, into, out_of)``.
+    """What :func:`_classify` reads: ``(mats, into, out_of)``.
 
-    ``mats`` are the arrow matrices of ``M = build(lam, q)``.  ``given``
-    holds ``(sub, quot)``: ``sub[a] = i`` for the projective root P_i,
-    whose count dim Hom(P_i, U) = dim U_i needs no basis, and
-    ``quot[a] = i`` for the injective root I_i, whose count
-    dim Hom(M/U, I_i) = dim (M/U)_i needs none either.
-    ``into = (cols, roots)`` covers every other root index ``a`` with
-    dim Hom(M_a, M) > 0 (closed form): ``cols`` lists the distinct
-    ``(v, column)`` images of the generators of M_a
-    (:func:`_top_coordinates`) under a basis of Hom(M_a, M), over all
-    such roots, and ``roots`` holds ``(a, fs)``, where each basis
-    element ``f`` is the tuple of indices into ``cols`` of its images.
-    ``out_of = (g_rows, roots)`` covers every other ``a`` with
-    dim Hom(M, M_a) > 0 the same way: ``g_rows`` lists the distinct
-    ``(v, row)`` rows of the vertex matrices of a basis of Hom(M, M_a).
+    ``mats`` are the arrow matrices of ``M = build(lam, q)``, whose
+    dimension vector is ``d``.  ``into`` covers every root index ``a``
+    with h = dim Hom(M_a, M) > 0 (closed form) by the images of the
+    generator coordinates ``(v, c)`` of M_a (:func:`_generator_coordinates`)
+    under a basis of Hom(M_a, M); ``out_of`` covers every ``a`` with
+    h = dim Hom(M, M_a) > 0 by the rows at the cogenerator coordinates
+    ``(v, c)`` of M_a of a basis of Hom(M, M_a).  Each side is
+    ``(vectors, forced, ranked)``:
+
+    * ``forced`` holds ``(a, h, w)`` for the roots whose basis vectors at
+      the ``(v, c)`` span the whole sum of their spaces (F_q^{d_v} or its
+      dual), ``w[v]`` counting the ``(v, c)`` at ``v``.  The count at a
+      point U is then h - sum(w * (d - beta)) into U and
+      h - sum(w * beta) out of M/U (:func:`_forced_counts`).  The
+      projective P_i and the injective I_i are forced with no basis
+      computed: Hom(P_i, M) is M_i and Hom(M, I_i) its dual, and ``w`` is
+      the unit vector at ``i``;
+    * ``ranked`` holds ``(a, fs)`` for the other roots: per basis element,
+      the indices of its vectors in ``vectors``, the distinct
+      ``(v, vector)`` pairs of all ranked roots (they share many).
     """
     table = lam.table
     quiver = table.quiver
     m = build(lam, q)
-    sub = {table.index_of(projective_root(quiver, i)): i for i in quiver.vertices}
-    quot = {table.index_of(injective_root(quiver, i)): i for i in quiver.vertices}
-
-    def basis(source: Rep, target: Rep, h: int) -> list:
-        found = hom_basis(source, target)
-        if len(found) != h:
-            raise RepError("a Hom basis disagrees with the closed-form count")
-        return found
-
-    # distinct (vertex, vector) -> index; the roots share many of them
-    cols: dict[tuple[int, tuple[int, ...]], int] = {}
-    g_rows: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def indices(found: dict, vectors) -> tuple[int, ...]:
-        return tuple(found.setdefault((v, tuple(vec)), len(found)) for v, vec in vectors)
-
-    into, out_of = [], []
+    yoneda = (
+        {table.index_of(projective_root(quiver, i)) for i in quiver.vertices},
+        {table.index_of(injective_root(quiver, i)) for i in quiver.vertices},
+    )
+    # per side (into, out_of): the forced roots, the ranked roots, and the
+    # index of each distinct (v, vector) pair of the ranked roots' bases
+    sides = (([], [], {}), ([], [], {}))
     for a in range(len(table)):
         single = kp_single(table, a)
         m_a = indecomposable(table, a, q)
-        h = hom_dim(single, lam)
-        if h and a not in sub:
-            gens = _top_coordinates(m_a)
-            fs = [
-                indices(
-                    cols,
-                    (
-                        (v, [row[c] for row in f_v])
-                        for v, (f_v, g_v) in enumerate(zip(f, gens))
-                        for c in g_v
-                    ),
-                )
-                for f in basis(m_a, m, h)
-            ]
-            into.append((a, fs))
-        h = hom_dim(lam, single)
-        if h and a not in quot:
-            gs = [
-                indices(g_rows, ((v, row) for v, g_v in enumerate(g) for row in g_v))
-                for g in basis(m, m_a, h)
-            ]
-            out_of.append((a, gs))
-    return m.mats, (sub, quot), (tuple(cols), tuple(into)), (tuple(g_rows), tuple(out_of))
+        for dual, h in enumerate((hom_dim(single, lam), hom_dim(lam, single))):
+            if not h:
+                continue
+            forced, ranked, index = sides[dual]
+            coords = _generator_coordinates(m_a, bool(dual))
+            w = tuple(map(len, coords))
+            if a in yoneda[dual]:
+                forced.append((a, h, w))
+                continue
+            basis = hom_basis(m, m_a) if dual else hom_basis(m_a, m)
+            if len(basis) != h:
+                raise RepError("a Hom basis disagrees with the closed-form count")
+            if dual:  # the rows of g at the cogenerators
+                vectors = [
+                    [
+                        (v, tuple(g_v[c]))
+                        for v, (g_v, c_v) in enumerate(zip(g, coords))
+                        for c in c_v
+                    ]
+                    for g in basis
+                ]
+            else:  # the images of the generators under f
+                vectors = [
+                    [
+                        (v, tuple(row[c] for row in f_v))
+                        for v, (f_v, c_v) in enumerate(zip(f, coords))
+                        for c in c_v
+                    ]
+                    for f in basis
+                ]
+            span = sum(map(mul, w, m.dims))
+            system = [[x for _, vec in f for x in vec] for f in vectors]
+            if h >= span and linalg.rank(system, q) == span:
+                forced.append((a, h, w))
+            else:
+                fs = [tuple(index.setdefault(x, len(index)) for x in f) for f in vectors]
+                ranked.append((a, fs))
+    return (m.mats,) + tuple(
+        (tuple(index), tuple(forced), tuple(ranked)) for forced, ranked, index in sides
+    )
 
 
-def _residue_rows(rows: list[list[int]], pivots: Sequence[int], d: int) -> list[list[int]]:
-    """For the span of reduced echelon ``rows`` (pivot columns ``pivots``,
-    width ``d``), one row per free column c of the map reading a vector's
-    residue there: x -> x[c] - sum_i x[pivot_i] * rows[i][c].  Together
-    they take F_q^d onto the quotient by the span."""
-    out = []
-    for c in range(d):
-        if c in pivots:
-            continue
-        row = [0] * d
-        row[c] = 1
-        for r, p in zip(rows, pivots):
-            row[p] = -r[c]
-        out.append(row)
-    return out
+@functools.cache
+def _forced_counts(
+    lam: KostantPartition, q: int, beta: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """``(quot_dims, sub_counts, quot_counts)`` at every point with sub
+    dimension vector ``beta``: the quotient's dimension vector, and the
+    counts of the forced roots of :func:`_hom_bases` (0 at the others)."""
+    _, (_, into_forced, _), (_, out_forced, _) = _hom_bases(lam, q)
+    quot_dims = dim_sub(lam.total, beta)
+    sub_counts = [0] * len(lam.table)
+    for a, h, w in into_forced:
+        sub_counts[a] = h - sum(map(mul, w, quot_dims))
+    quot_counts = [0] * len(lam.table)
+    for a, h, w in out_forced:
+        quot_counts[a] = h - sum(map(mul, w, beta))
+    return quot_dims, tuple(sub_counts), tuple(quot_counts)
 
 
 def _classify(lam: KostantPartition, q: int, bases: list[list[list[int]]]) -> Pair:
@@ -291,18 +325,17 @@ def _classify(lam: KostantPartition, q: int, bases: list[list[list[int]]]) -> Pa
 
     With ``pi`` the projection onto M/U and the Hom bases of
     :func:`_hom_bases`, dim Hom(M_a, U) = h - rank{pi f} and
-    dim Hom(M/U, M_a) = h' - rank{g|_U}, except that the projective and
-    injective roots read their counts off the dimension vectors; the
-    sub and the quotient follow by the two triangular solves of
+    dim Hom(M/U, M_a) = h' - rank{g|_U}, except that the forced roots
+    read their counts off the dimension vectors; the sub and the
+    quotient follow by the two triangular solves of
     :func:`reps._partition_from_counts`.  Raises :class:`RepError` if a
     basis is malformed or the subspace is not stable.
     """
-    mats, (sub, quot), (cols, into), (g_rows, out_of) = _hom_bases(lam, q)
+    mats, (cols, _, into_ranked), (g_rows, _, out_ranked) = _hom_bases(lam, q)
     table = lam.table
     dims = lam.total
     beta = tuple(map(len, bases))
-    # proj[v-1]: rows of a matrix whose kernel is U_v
-    proj = []
+    free = []
     for v, (rows, d) in enumerate(zip(bases, dims), start=1):
         pivots: list[int] = []
         for u in rows:
@@ -314,27 +347,31 @@ def _classify(lam: KostantPartition, q: int, bases: list[list[list[int]]]) -> Pa
             pivots.append(lead)
         if any(u[p] % q for i, u in enumerate(rows) for p in pivots[i + 1 :]):
             raise RepError(f"basis at vertex {v} is not in reduced echelon form")
-        proj.append(_residue_rows(rows, pivots, d))
+        # x modulo U_v is read at each free column c of the echelon basis
+        # as x[c] - sum_i x[pivot_i] * rows[i][c]
+        free.append(
+            [(c, [(p, u[c]) for p, u in zip(pivots, rows)]) for c in range(d) if c not in pivots]
+        )
+
+    def residue(x: Sequence[int], v: int) -> list[int]:
+        return [x[c] - sum(x[p] * e for p, e in row) for c, row in free[v]]
+
     for k, (s, t) in enumerate(table.quiver.arrows):
         for u in bases[s - 1]:
             image = [sum(map(mul, x_row, u)) for x_row in mats[k]]
-            if any(sum(map(mul, p_row, image)) % q for p_row in proj[t - 1]):
+            if any(x % q for x in residue(image, t - 1)):
                 raise RepError(f"subspace is not stable along arrow {s}->{t}")
-    quot_dims = dim_sub(dims, beta)
-    sub_counts = [0] * len(table)
-    for a, i in sub.items():
-        sub_counts[a] = beta[i - 1]
-    # every distinct generator image modulo U, and every distinct g row
-    # on U, once for all roots
-    residues = [[sum(map(mul, p_row, col)) for p_row in proj[v]] for v, col in cols]
-    for a, fs in into:
+    quot_dims, forced_sub, forced_quot = _forced_counts(lam, q, beta)
+    # the ranked roots read every distinct generator image modulo U, and
+    # every distinct g row on U, computed once for all of them
+    sub_counts = list(forced_sub)
+    residues = [residue(col, v) for v, col in cols]
+    for a, fs in into_ranked:
         system = [[x for i in f for x in residues[i]] for f in fs]
         sub_counts[a] = len(fs) - linalg.rank(system, q)
-    quot_counts = [0] * len(table)
-    for a, i in quot.items():
-        quot_counts[a] = quot_dims[i - 1]
+    quot_counts = list(forced_quot)
     restricted = [[sum(map(mul, row, u)) for u in bases[v]] for v, row in g_rows]
-    for a, gs in out_of:
+    for a, gs in out_ranked:
         system = [[x for i in g for x in restricted[i]] for g in gs]
         quot_counts[a] = len(gs) - linalg.rank(system, q)
     nu = _partition_from_counts(table, tuple(sub_counts), beta)

@@ -20,16 +20,18 @@ from quiverlab import (
     kp_enumerate,
     kp_format,
     kp_parse,
+    kp_single,
     point_count,
     positive_roots,
     realized_pairs,
+    standard_quiver,
     strata,
     stratum_dim,
     sub_quotient,
     subreps,
 )
 from quiverlab.cli import main
-from quiverlab.grassmannian import _classify
+from quiverlab.grassmannian import _classify, _hom_bases
 from quiverlab.linalg import rank
 from quiverlab.reps import RepError
 
@@ -206,20 +208,32 @@ def sink_d4():
     return positive_roots(build_quiver("D", 4, [(1, 2), (3, 2), (4, 2)]))
 
 
-# projective and injective roots, whose counts are read off the dimension
-# vectors, depend on the orientation: t3 and t4 are the standard A3 and D4
+@pytest.fixture(scope="module")
+def e6():
+    return positive_roots(standard_quiver("E", 6))
+
+
+# which roots read their counts off the dimension vectors depends on the
+# orientation and on lam: t3 and t4 are the standard A3 and D4
 @pytest.mark.parametrize(
-    "which,max_total,n_points",
-    [("t3", 4, 2743), ("t4", 3, 818), ("zigzag_a4", 3, 812), ("sink_d4", 3, 822)],
+    "which,max_total,fields,n_points",
+    [
+        pytest.param("t3", 4, (2, 3), 2743, id="t3-4-2743"),
+        pytest.param("t4", 3, (2, 3), 818, id="t4-3-818"),
+        pytest.param("zigzag_a4", 3, (2, 3), 812, id="zigzag_a4-3-812"),
+        pytest.param("sink_d4", 3, (2, 3), 822, id="sink_d4-3-822"),
+        pytest.param("t3", 3, (5,), 400, id="t3-3-q5-400"),
+        pytest.param("e6", 2, (2, 3), 240, id="e6-2-240"),
+    ],
 )
 def test_classifier_agrees_with_sub_quotient_and_identify(
-    request, which, max_total, n_points
+    request, which, max_total, fields, n_points
 ):
     # the Hom-basis classifier against the matrix-level route, point by point
     table = request.getfixturevalue(which)
     points = 0
     for lam in all_classes(table, max_total):
-        for q in (2, 3):
+        for q in fields:
             m = build(lam, q)
             for beta in itertools.product(*(range(x + 1) for x in lam.total)):
                 for bases in subreps(m, beta):
@@ -229,6 +243,36 @@ def test_classifier_agrees_with_sub_quotient_and_identify(
                     assert got == expected, (kp_format(lam), beta, q)
                     points += 1
     assert points == n_points
+
+
+# In the standard A3 (1 -> 2 -> 3), P_i = [i,3] and I_i = [1,i] are forced
+# with no basis computed.  Of the other roots, the into-root [1,2] passes
+# the span test for both lam, and so does the out-of root [2,3] for the
+# second; the rest need a rank per point.
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize(
+    "lam,into_forced,into_ranked,out_forced,out_ranked",
+    [
+        ("[1,1]+[1,1]+[1,1]+[1,1]", ["[1,1]", "[1,2]", "[1,3]"], [], ["[1,1]"], []),
+        (
+            "[1,1]+[1,2]+[2,3]+[3,3]",
+            ["[1,2]", "[1,3]", "[2,3]", "[3,3]"],
+            ["[1,1]", "[2,2]"],
+            ["[1,1]", "[1,2]", "[1,3]", "[2,3]"],
+            ["[2,2]", "[3,3]"],
+        ),
+    ],
+)
+def test_forced_roots_read_their_counts_off_beta(
+    t3, q, lam, into_forced, into_ranked, out_forced, out_ranked
+):
+    _, into, out_of = _hom_bases(kp_parse(t3, lam), q)
+
+    def names(entries):
+        return sorted(kp_format(kp_single(t3, a)) for a, *_ in entries)
+
+    assert [names(into[1]), names(into[2])] == [into_forced, into_ranked]
+    assert [names(out_of[1]), names(out_of[2])] == [out_forced, out_ranked]
 
 
 def test_classifier_rejects_what_sub_quotient_rejects(t2):
