@@ -226,6 +226,8 @@ def ext_set(
     """All middle-term classes of extensions of ``mu`` (quotient) by
     ``nu`` (sub), unioned over the given fields.  The cap is checked for
     every field before any enumeration starts."""
+    if not fields:
+        raise ValueError("ext_set needs at least one field")
     method = _normalize_method(method)
     split = mu + nu
     if method == METHOD_FILTER:

@@ -8,31 +8,30 @@ classified by the isomorphism classes of its subrepresentation and
 quotient, giving the stratification by pairs ``(quotient class mu, sub
 class nu)`` recorded in a :class:`StrataReport`.
 
-Points are classified without building the sub or the quotient.  Once
-per ``(lam, q)``, bases of Hom(M_a, M) and Hom(M, M_a) are computed
-for every root ``a`` with a nonzero closed-form count (kernels of the
-intertwiner systems of :mod:`.reps`).  For a point U with projection
-``pi: M -> M/U`` the counts are then a few small ranks:
+Points are classified without building the sub or the quotient.  A map
+out of an indecomposable M_a is fixed by its values on the generators of
+M_a (a map vanishing there vanishes on the submodule they generate,
+which is M_a), and a map into M_a by its values under the cogenerators
+(the coordinate functionals that generate its dual).  With w_v of them
+at vertex ``v`` and ``d`` the dimension vector of M, this bounds
+dim Hom(M_a, M) or dim Hom(M, M_a) by sum(w * d).  Once per ``(lam, q)``
+every root is sorted by comparing its closed-form count with that bound:
 
-* dim Hom(M_a, U) = dim Hom(M_a, M) - rank{pi f}, over the basis f,
-  where f need only be read on generators of M_a;
-* dim Hom(M/U, M_a) = dim Hom(M, M_a) - rank{g|_U}, over the basis g,
-  where g need only be read through the cogenerators of M_a (the
-  coordinate functionals that generate its dual).
-
-Most roots need no rank at all.  If the images of the generators of M_a
-under the f span every M_v they land in (one copy per generator at
-``v``), then pi maps that span onto the copies of M_v/U_v, so the rank
-is the sum of their dimensions d_v - beta_v; dually, if the rows of the
-g at the cogenerators span every copy of the dual of M_v, the rank is
-the sum of the beta_v.  The test is made once per ``(lam, q)``, and the
-count of a root that passes it is read off ``beta``.  The projective
-P_i and the injective I_i are the Yoneda case, Hom(P_i, M) = M_i and
-Hom(M, I_i) = M_i^*, and pass with no basis computed:
-dim Hom(P_i, U) = dim U_i and dim Hom(M/U, I_i) = dim (M/U)_i.  Per
-point, every generator image of the other roots is reduced modulo U,
-read off the reduced echelon basis of U, and every cogenerator row is
-restricted to U, once for all roots together.
+* a root that reaches it is *forced*: every choice of values is a map,
+  so at a point U, dim Hom(M_a, U) = sum(w * beta) and
+  dim Hom(M/U, M_a) = sum(w * (d - beta)), read off ``beta`` with no
+  basis and no rank.  The projective P_i and the injective I_i are the
+  case w = e_i, h = d_i;
+* for the other roots, the *ranked* ones, bases of Hom(M_a, M) and
+  Hom(M, M_a) are computed (kernels of the intertwiner systems of
+  :mod:`.reps`).  For a point U with projection ``pi: M -> M/U`` the
+  counts are then a few small ranks: dim Hom(M_a, U) =
+  dim Hom(M_a, M) - rank{pi f} over the basis f, with f read on the
+  generators of M_a, and dim Hom(M/U, M_a) = dim Hom(M, M_a) -
+  rank{g|_U} over the basis g, with g read through the cogenerators.
+  Per point, every generator image is reduced modulo U, read off the
+  reduced echelon basis of U, and every cogenerator row is restricted
+  to U, once for all ranked roots together.
 
 The sub follows from the first counts by ``identify``'s forward
 triangular solve, the quotient from the second by the transposed solve
@@ -69,10 +68,8 @@ from .quiver import (
     dim_add,
     dim_leq,
     dim_sub,
-    injective_root,
     kp_format,
     kp_single,
-    projective_root,
 )
 from .reps import (
     Rep,
@@ -226,32 +223,25 @@ def _hom_bases(lam: KostantPartition, q: int) -> tuple:
 
     ``mats`` are the arrow matrices of ``M = build(lam, q)``, whose
     dimension vector is ``d``.  ``into`` covers every root index ``a``
-    with h = dim Hom(M_a, M) > 0 (closed form) by the images of the
-    generator coordinates ``(v, c)`` of M_a (:func:`_generator_coordinates`)
-    under a basis of Hom(M_a, M); ``out_of`` covers every ``a`` with
-    h = dim Hom(M, M_a) > 0 by the rows at the cogenerator coordinates
-    ``(v, c)`` of M_a of a basis of Hom(M, M_a).  Each side is
+    with h = dim Hom(M_a, M) > 0 (closed form), ``out_of`` every ``a``
+    with h = dim Hom(M, M_a) > 0; ``w[v]`` counts the generator
+    coordinates ``(v, c)`` of M_a at ``v`` (the cogenerator coordinates
+    for ``out_of``, :func:`_generator_coordinates`).  A map is fixed by
+    its values there, so h <= sum(w * d).  Each side is
     ``(vectors, forced, ranked)``:
 
-    * ``forced`` holds ``(a, h, w)`` for the roots whose basis vectors at
-      the ``(v, c)`` span the whole sum of their spaces (F_q^{d_v} or its
-      dual), ``w[v]`` counting the ``(v, c)`` at ``v``.  The count at a
-      point U is then h - sum(w * (d - beta)) into U and
-      h - sum(w * beta) out of M/U (:func:`_forced_counts`).  The
-      projective P_i and the injective I_i are forced with no basis
-      computed: Hom(P_i, M) is M_i and Hom(M, I_i) its dual, and ``w`` is
-      the unit vector at ``i``;
-    * ``ranked`` holds ``(a, fs)`` for the other roots: per basis element,
-      the indices of its vectors in ``vectors``, the distinct
-      ``(v, vector)`` pairs of all ranked roots (they share many).
+    * ``forced`` holds ``(a, w)`` for the roots with h = sum(w * d): every
+      choice of values is a map, so the count at a point U is
+      sum(w * beta) into U and sum(w * (d - beta)) out of M/U
+      (:func:`_forced_counts`), with no basis computed;
+    * ``ranked`` holds ``(a, fs)`` for the roots with h < sum(w * d): per
+      element of a basis of Hom(M_a, M), the indices in ``vectors`` of
+      the images of the generators, or per element of a basis of
+      Hom(M, M_a), of its rows at the cogenerators.  ``vectors`` are the
+      distinct ``(v, vector)`` pairs of all ranked roots (they share many).
     """
     table = lam.table
-    quiver = table.quiver
     m = build(lam, q)
-    yoneda = (
-        {table.index_of(projective_root(quiver, i)) for i in quiver.vertices},
-        {table.index_of(injective_root(quiver, i)) for i in quiver.vertices},
-    )
     # per side (into, out_of): the forced roots, the ranked roots, and the
     # index of each distinct (v, vector) pair of the ranked roots' bases
     sides = (([], [], {}), ([], [], {}))
@@ -264,9 +254,12 @@ def _hom_bases(lam: KostantPartition, q: int) -> tuple:
             forced, ranked, index = sides[dual]
             coords = _generator_coordinates(m_a, bool(dual))
             w = tuple(map(len, coords))
-            if a in yoneda[dual]:
-                forced.append((a, h, w))
+            bound = sum(map(mul, w, m.dims))
+            if h == bound:
+                forced.append((a, w))
                 continue
+            if h > bound:
+                raise RepError("a closed-form Hom count exceeds sum(w * d)")
             basis = hom_basis(m, m_a) if dual else hom_basis(m_a, m)
             if len(basis) != h:
                 raise RepError("a Hom basis disagrees with the closed-form count")
@@ -288,13 +281,8 @@ def _hom_bases(lam: KostantPartition, q: int) -> tuple:
                     ]
                     for f in basis
                 ]
-            span = sum(map(mul, w, m.dims))
-            system = [[x for _, vec in f for x in vec] for f in vectors]
-            if h >= span and linalg.rank(system, q) == span:
-                forced.append((a, h, w))
-            else:
-                fs = [tuple(index.setdefault(x, len(index)) for x in f) for f in vectors]
-                ranked.append((a, fs))
+            fs = [tuple(index.setdefault(x, len(index)) for x in f) for f in vectors]
+            ranked.append((a, fs))
     return (m.mats,) + tuple(
         (tuple(index), tuple(forced), tuple(ranked)) for forced, ranked, index in sides
     )
@@ -306,15 +294,17 @@ def _forced_counts(
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """``(quot_dims, sub_counts, quot_counts)`` at every point with sub
     dimension vector ``beta``: the quotient's dimension vector, and the
-    counts of the forced roots of :func:`_hom_bases` (0 at the others)."""
+    counts of the forced roots ``(a, w)`` of :func:`_hom_bases` (0 at the
+    others), dim Hom(M_a, U) = sum(w * beta) and
+    dim Hom(M/U, M_a) = sum(w * quot_dims)."""
     _, (_, into_forced, _), (_, out_forced, _) = _hom_bases(lam, q)
     quot_dims = dim_sub(lam.total, beta)
     sub_counts = [0] * len(lam.table)
-    for a, h, w in into_forced:
-        sub_counts[a] = h - sum(map(mul, w, quot_dims))
+    for a, w in into_forced:
+        sub_counts[a] = sum(map(mul, w, beta))
     quot_counts = [0] * len(lam.table)
-    for a, h, w in out_forced:
-        quot_counts[a] = h - sum(map(mul, w, beta))
+    for a, w in out_forced:
+        quot_counts[a] = sum(map(mul, w, quot_dims))
     return quot_dims, tuple(sub_counts), tuple(quot_counts)
 
 
@@ -409,6 +399,8 @@ def ext_pairs(
     """All (quotient, sub) class pairs realized by stable subspaces of
     ``build(lam)`` with sub dimension vector ``beta``, unioned over the
     fields."""
+    if not fields:
+        raise ValueError("ext_pairs needs at least one field")
     alpha, beta = tuple(alpha), tuple(beta)
     if dim_add(alpha, beta) != lam.total:
         raise PartitionError(

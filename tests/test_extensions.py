@@ -15,10 +15,12 @@ from quiverlab import (
     dim_add,
     e_lambda,
     ext_dim,
+    ext_ger,
     ext_min,
     ext_pairs,
     ext_set,
     generic_ext,
+    generic_pairs,
     hom_omega_dim,
     identify,
     kp_enumerate,
@@ -121,6 +123,16 @@ def test_connecting_map_ranks_agree_with_identify(request, which, max_total, n_p
                 assert _classify_u(mu, nu, q, u) == expected, (kp_format(mu), kp_format(nu), q, u)
                 points += 1
     assert points == n_points
+
+
+def test_ext_set_rejects_an_empty_field_list(t2):
+    # a union over no field would have no split class to check against
+    s1, s2 = kp_parse(t2, "[1,1]"), kp_parse(t2, "[2,2]")
+    for method in (METHOD_U, METHOD_FILTER):
+        with pytest.raises(ValueError, match="at least one field"):
+            ext_set(s1, s2, fields=(), method=method, cap=0)
+        with pytest.raises(ValueError, match="at least one field"):
+            generic_ext(s1, s2, fields=[], method=method)
 
 
 def test_every_middle_term_degenerates_to_split(t3):
@@ -241,6 +253,15 @@ def test_ext_pairs_validates_split(t3):
     lam = kp_parse(t3, "[1,3]+[2,2]")
     with pytest.raises(PartitionError):
         ext_pairs(lam, (1, 0, 0), (0, 1, 1))  # alpha+beta != dim lambda
+
+
+def test_ext_pairs_rejects_an_empty_field_list(t2):
+    # no pairs over no field is not an answer, so every caller refuses
+    lam = kp_parse(t2, "[1,2]")
+    for func in (ext_pairs, generic_pairs, ext_ger, ext_min):
+        with pytest.raises(ValueError, match="at least one field"):
+            func(lam, (1, 0), (0, 1), fields=(), cap=0)
+    assert pair_names(ext_pairs(lam, (1, 0), (0, 1), fields=(2,))) == [("[1,1]", "[2,2]")]
 
 
 # ------------------------------------------------------------- dimensions

@@ -17,6 +17,7 @@ from quiverlab import (
     hom_basis,
     hom_dim,
     identify,
+    indecomposable,
     kp_enumerate,
     kp_format,
     kp_parse,
@@ -31,7 +32,7 @@ from quiverlab import (
     subreps,
 )
 from quiverlab.cli import main
-from quiverlab.grassmannian import _classify, _hom_bases
+from quiverlab.grassmannian import _classify, _generator_coordinates, _hom_bases
 from quiverlab.linalg import rank
 from quiverlab.reps import RepError
 
@@ -246,9 +247,9 @@ def test_classifier_agrees_with_sub_quotient_and_identify(
 
 
 # In the standard A3 (1 -> 2 -> 3), P_i = [i,3] and I_i = [1,i] are forced
-# with no basis computed.  Of the other roots, the into-root [1,2] passes
-# the span test for both lam, and so does the out-of root [2,3] for the
-# second; the rest need a rank per point.
+# (one generator at i, h = d_i).  Of the other roots, the into-root [1,2]
+# reaches dim Hom = sum(w * d) for both lam, and so does the out-of root
+# [2,3] for the second; the rest need a basis and a rank per point.
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize(
     "lam,into_forced,into_ranked,out_forced,out_ranked",
@@ -273,6 +274,62 @@ def test_forced_roots_read_their_counts_off_beta(
 
     assert [names(into[1]), names(into[2])] == [into_forced, into_ranked]
     assert [names(out_of[1]), names(out_of[2])] == [out_forced, out_ranked]
+
+
+@pytest.mark.parametrize(
+    "which,max_total,fields,n_forced,n_ranked",
+    [
+        pytest.param("t3", 4, (2, 3), 872, 48, id="t3-4"),
+        pytest.param("t4", 3, (2, 3), 1190, 48, id="t4-3"),
+        pytest.param("zigzag_a4", 3, (2, 3), 932, 68, id="zigzag_a4-3"),
+        pytest.param("sink_d4", 3, (2, 3), 1144, 132, id="sink_d4-3"),
+        pytest.param("e6", 2, (2, 3), 1646, 2, id="e6-2"),
+        pytest.param("t3", 3, (5,), 182, 4, id="t3-3-q5"),
+    ],
+)
+def test_forced_roots_are_those_whose_basis_spans_the_generator_values(
+    request, which, max_total, fields, n_forced, n_ranked
+):
+    # the dimension count against a rank: a Hom basis evaluated at the
+    # (co)generators of M_a has rank h <= sum(w * d), and the root is
+    # forced exactly when that rank is sum(w * d), so that the values
+    # there can be chosen freely
+    table = request.getfixturevalue(which)
+    seen = [0, 0]
+    for lam in all_classes(table, max_total):
+        forced_per_field = set()
+        for q in fields:
+            m = build(lam, q)
+            _, *sides = _hom_bases(lam, q)
+            forced_per_field.add(tuple(side[1] for side in sides))
+            for dual, (_, forced, ranked) in enumerate(sides):
+                forced, ranked = dict(forced), {a for a, _ in ranked}
+                for a in range(len(table)):
+                    m_a = indecomposable(table, a, q)
+                    basis = hom_basis(m, m_a) if dual else hom_basis(m_a, m)
+                    coords = _generator_coordinates(m_a, bool(dual))
+                    w = tuple(map(len, coords))
+                    values = [
+                        [
+                            x
+                            for f_v, c_v in zip(f, coords)
+                            for c in c_v
+                            for x in (f_v[c] if dual else [row[c] for row in f_v])
+                        ]
+                        for f in basis
+                    ]
+                    bound = sum(map(mul, w, m.dims))
+                    if not basis:
+                        assert a not in forced and a not in ranked
+                        continue
+                    r = rank(values, q)
+                    assert r == len(basis) <= bound, (kp_format(lam), a, q)
+                    assert (a in forced) == (r == bound) == (a not in ranked)
+                    assert forced.get(a, w) == w
+                    seen[a in ranked] += 1
+        # the dimension count does not depend on the field
+        assert len(forced_per_field) == 1, kp_format(lam)
+    assert seen == [n_forced, n_ranked]
 
 
 def test_classifier_rejects_what_sub_quotient_rejects(t2):
