@@ -192,7 +192,7 @@ def _resolve_quiver(args):
 
 
 def _resolve_fields(args) -> tuple[int, ...]:
-    fields = tuple(args.fields) if args.fields else (2, 3)
+    fields = tuple(args.fields) if args.fields else linalg.DEFAULT_FIELDS
     for q in fields:
         if q not in linalg.SUPPORTED_FIELDS:
             raise CliParseError(

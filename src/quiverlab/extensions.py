@@ -219,7 +219,7 @@ def ext_set(
     mu: KostantPartition,
     nu: KostantPartition,
     *,
-    fields: Sequence[int] = (2, 3),
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     method: str = METHOD_U,
     cap: int = linalg.DEFAULT_CAP,
 ) -> ExtSetResult:
@@ -260,7 +260,7 @@ def generic_ext(
     mu: KostantPartition,
     nu: KostantPartition,
     *,
-    fields: Sequence[int] = (2, 3),
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     method: str = METHOD_U,
     cap: int = linalg.DEFAULT_CAP,
 ) -> KostantPartition:
@@ -292,7 +292,7 @@ def ext_min(
     alpha: Sequence[int],
     beta: Sequence[int],
     *,
-    fields: Sequence[int] = (2, 3),
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int = linalg.DEFAULT_CAP,
 ) -> frozenset[Pair]:
     """Pairs minimal under the product order: no other realized pair is
@@ -347,7 +347,7 @@ def e_lambda(
     mu: KostantPartition,
     nu: KostantPartition,
     *,
-    fields: Sequence[int] = (2, 3),
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int = linalg.DEFAULT_CAP,
 ) -> int:
     """Fiber dimension over the lam-stratum: dim of the connecting-map
@@ -375,7 +375,7 @@ def degree_bound(
     mu: KostantPartition,
     nu: KostantPartition,
     *,
-    fields: Sequence[int] = (2, 3),
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int = linalg.DEFAULT_CAP,
 ) -> int:
     """Upper bound ``2*e_lambda + d_lambda`` for the degree attached to
@@ -388,7 +388,7 @@ def pair_stratum_dim(
     mu: KostantPartition,
     nu: KostantPartition,
     *,
-    fields: Sequence[int] = (2, 3),
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int = linalg.DEFAULT_CAP,
     check: bool = True,
 ) -> int:
@@ -431,7 +431,7 @@ def stratum_dim_report(
     mu: KostantPartition,
     nu: KostantPartition,
     *,
-    fields: Sequence[int] = (2, 3),
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int = linalg.DEFAULT_CAP,
     check: bool = True,
 ) -> StratumDimReport:

@@ -12,26 +12,28 @@ Points are classified without building the sub or the quotient.  A map
 out of an indecomposable M_a is fixed by its values on the generators of
 M_a (a map vanishing there vanishes on the submodule they generate,
 which is M_a), and a map into M_a by its values under the cogenerators
-(the coordinate functionals that generate its dual).  With w_v of them
-at vertex ``v`` and ``d`` the dimension vector of M, this bounds
-dim Hom(M_a, M) or dim Hom(M, M_a) by sum(w * d).  Once per ``(lam, q)``
-every root is sorted by comparing its closed-form count with that bound:
+(the coordinate functionals that generate its dual).  The number w_v of
+them at vertex ``v`` is the multiplicity of the simple S_v in the top
+of M_a, dim Hom(M_a, S_v), or in its socle, dim Hom(S_v, M_a), both read
+off the closed-form hom table.  With ``d`` the dimension vector of M,
+this bounds dim Hom(M_a, M) or dim Hom(M, M_a) by sum(w * d).  Once per
+``(lam, q)`` every root is sorted by comparing its closed-form count
+with that bound:
 
 * a root that reaches it is *forced*: every choice of values is a map,
   so at a point U, dim Hom(M_a, U) = sum(w * beta) and
   dim Hom(M/U, M_a) = sum(w * (d - beta)), read off ``beta`` with no
-  basis and no rank.  The projective P_i and the injective I_i are the
+  matrix at all.  The projective P_i and the injective I_i are the
   case w = e_i, h = d_i;
-* for the other roots, the *ranked* ones, bases of Hom(M_a, M) and
-  Hom(M, M_a) are computed (kernels of the intertwiner systems of
-  :mod:`.reps`).  For a point U with projection ``pi: M -> M/U`` the
-  counts are then a few small ranks: dim Hom(M_a, U) =
-  dim Hom(M_a, M) - rank{pi f} over the basis f, with f read on the
-  generators of M_a, and dim Hom(M/U, M_a) = dim Hom(M, M_a) -
-  rank{g|_U} over the basis g, with g read through the cogenerators.
-  Per point, every generator image is reduced modulo U, read off the
-  reduced echelon basis of U, and every cogenerator row is restricted
-  to U, once for all ranked roots together.
+* for the other roots, the *ranked* ones, M_a is built and bases of
+  Hom(M_a, M) and Hom(M, M_a) are computed (kernels of the intertwiner
+  systems of :mod:`.reps`).  For a point U with projection
+  ``pi: M -> M/U`` the counts are then a few small ranks:
+  dim Hom(M_a, U) = dim Hom(M_a, M) - rank{pi f} over the basis f and
+  dim Hom(M/U, M_a) = dim Hom(M, M_a) - rank{g|_U} over the basis g,
+  each morphism read through its whole matrices.  Per point, every
+  column of every f is reduced modulo U, read off the reduced echelon
+  basis of U, and every row of every g is restricted to U.
 
 The sub follows from the first counts by ``identify``'s forward
 triangular solve, the quotient from the second by the transposed solve
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import linalg
-from .homs import hom_dim
+from .homs import hom_dim, hom_table
 from .order import lt
 from .quiver import (
     KostantPartition,
@@ -192,100 +194,56 @@ def _strata(lam: KostantPartition, beta: tuple[int, ...], q: int) -> StrataRepor
 
 
 @functools.cache
-def _generator_coordinates(m: Rep, dual: bool) -> tuple[tuple[int, ...], ...]:
-    """Per vertex, coordinates whose unit vectors span a complement of the
-    images of the arrows into it; together they generate ``m``, so a map
-    out of ``m`` is zero when it vanishes on them.  With ``dual``, the
-    coordinates whose functionals span a complement of the rows of the
-    arrows out of it; a map into ``m`` is zero when these functionals
-    vanish on it (they generate the dual of ``m``).  Memoized: every
-    ``(lam, q)`` reads the same shared indecomposables."""
-    arrows = m.quiver.arrows
-    out = []
-    for v in m.quiver.vertices:
-        if dual:
-            vectors = [row for k, (s, _) in enumerate(arrows) if s == v for row in m.mats[k]]
-        else:
-            vectors = [
-                [row[j] for row in m.mats[k]]
-                for k, (s, t) in enumerate(arrows)
-                if t == v
-                for j in range(m.dims[s - 1])
-            ]
-        pivots = linalg.rref(vectors, m.q)[1]
-        out.append(tuple(c for c in range(m.dims[v - 1]) if c not in pivots))
-    return tuple(out)
-
-
-@functools.cache
 def _hom_bases(lam: KostantPartition, q: int) -> tuple:
     """What :func:`_classify` reads: ``(mats, into, out_of)``.
 
     ``mats`` are the arrow matrices of ``M = build(lam, q)``, whose
     dimension vector is ``d``.  ``into`` covers every root index ``a``
     with h = dim Hom(M_a, M) > 0 (closed form), ``out_of`` every ``a``
-    with h = dim Hom(M, M_a) > 0; ``w[v]`` counts the generator
-    coordinates ``(v, c)`` of M_a at ``v`` (the cogenerator coordinates
-    for ``out_of``, :func:`_generator_coordinates`).  A map is fixed by
-    its values there, so h <= sum(w * d).  Each side is
-    ``(vectors, forced, ranked)``:
+    with h = dim Hom(M, M_a) > 0.  ``w[v]`` is the multiplicity of the
+    simple S_v in the top of M_a, dim Hom(M_a, S_v), for ``into``, and in
+    its socle, dim Hom(S_v, M_a), for ``out_of``, both read off the
+    closed-form hom table: the number of generators (cogenerators) of
+    M_a at ``v``.  A map is fixed by its values there, so
+    h <= sum(w * d).  Each side is ``(forced, ranked)``:
 
     * ``forced`` holds ``(a, w)`` for the roots with h = sum(w * d): every
       choice of values is a map, so the count at a point U is
       sum(w * beta) into U and sum(w * (d - beta)) out of M/U
-      (:func:`_forced_counts`), with no basis computed;
+      (:func:`_forced_counts`), with no matrix built;
     * ``ranked`` holds ``(a, fs)`` for the roots with h < sum(w * d): per
-      element of a basis of Hom(M_a, M), the indices in ``vectors`` of
-      the images of the generators, or per element of a basis of
-      Hom(M, M_a), of its rows at the cogenerators.  ``vectors`` are the
-      distinct ``(v, vector)`` pairs of all ranked roots (they share many).
+      element f of a basis of Hom(M_a, M), the ``(v, column)`` pairs of
+      every column of f_v, or per element g of a basis of Hom(M, M_a),
+      the ``(v, row)`` pairs of every row of g_v.
     """
     table = lam.table
     m = build(lam, q)
-    # per side (into, out_of): the forced roots, the ranked roots, and the
-    # index of each distinct (v, vector) pair of the ranked roots' bases
-    sides = (([], [], {}), ([], [], {}))
+    hom = hom_table(table).hom
+    simples = [table.simple_root_index(v) for v in table.quiver.vertices]
+    sides = (([], []), ([], []))
     for a in range(len(table)):
         single = kp_single(table, a)
-        m_a = indecomposable(table, a, q)
         for dual, h in enumerate((hom_dim(single, lam), hom_dim(lam, single))):
             if not h:
                 continue
-            forced, ranked, index = sides[dual]
-            coords = _generator_coordinates(m_a, bool(dual))
-            w = tuple(map(len, coords))
+            forced, ranked = sides[dual]
+            w = tuple(hom[s][a] if dual else hom[a][s] for s in simples)
             bound = sum(map(mul, w, m.dims))
             if h == bound:
                 forced.append((a, w))
                 continue
             if h > bound:
                 raise RepError("a closed-form Hom count exceeds sum(w * d)")
+            m_a = indecomposable(table, a, q)
             basis = hom_basis(m, m_a) if dual else hom_basis(m_a, m)
             if len(basis) != h:
                 raise RepError("a Hom basis disagrees with the closed-form count")
-            if dual:  # the rows of g at the cogenerators
-                vectors = [
-                    [
-                        (v, tuple(g_v[c]))
-                        for v, (g_v, c_v) in enumerate(zip(g, coords))
-                        for c in c_v
-                    ]
-                    for g in basis
-                ]
-            else:  # the images of the generators under f
-                vectors = [
-                    [
-                        (v, tuple(row[c] for row in f_v))
-                        for v, (f_v, c_v) in enumerate(zip(f, coords))
-                        for c in c_v
-                    ]
-                    for f in basis
-                ]
-            fs = [tuple(index.setdefault(x, len(index)) for x in f) for f in vectors]
+            if dual:  # the rows of g
+                fs = [[(v, row) for v, g_v in enumerate(g) for row in g_v] for g in basis]
+            else:  # the columns of f
+                fs = [[(v, col) for v, f_v in enumerate(f) for col in zip(*f_v)] for f in basis]
             ranked.append((a, fs))
-    return (m.mats,) + tuple(
-        (tuple(index), tuple(forced), tuple(ranked)) for forced, ranked, index in sides
-    )
+    return (m.mats,) + tuple((tuple(forced), tuple(ranked)) for forced, ranked in sides)
 
 
 @functools.cache
@@ -295,9 +253,10 @@ def _forced_counts(
     """``(quot_dims, sub_counts, quot_counts)`` at every point with sub
     dimension vector ``beta``: the quotient's dimension vector, and the
     counts of the forced roots ``(a, w)`` of :func:`_hom_bases` (0 at the
-    others), dim Hom(M_a, U) = sum(w * beta) and
-    dim Hom(M/U, M_a) = sum(w * quot_dims)."""
-    _, (_, into_forced, _), (_, out_forced, _) = _hom_bases(lam, q)
+    others), dim Hom(M_a, U) = sum(w * beta) with w the top of M_a and
+    dim Hom(M/U, M_a) = sum(w * quot_dims) with w its socle.  No matrix
+    is read: w and forcedness come from the hom table and d = dim lam."""
+    _, (into_forced, _), (out_forced, _) = _hom_bases(lam, q)
     quot_dims = dim_sub(lam.total, beta)
     sub_counts = [0] * len(lam.table)
     for a, w in into_forced:
@@ -321,7 +280,7 @@ def _classify(lam: KostantPartition, q: int, bases: list[list[list[int]]]) -> Pa
     :func:`reps._partition_from_counts`.  Raises :class:`RepError` if a
     basis is malformed or the subspace is not stable.
     """
-    mats, (cols, _, into_ranked), (g_rows, _, out_ranked) = _hom_bases(lam, q)
+    mats, (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
     table = lam.table
     dims = lam.total
     beta = tuple(map(len, bases))
@@ -352,17 +311,13 @@ def _classify(lam: KostantPartition, q: int, bases: list[list[list[int]]]) -> Pa
             if any(x % q for x in residue(image, t - 1)):
                 raise RepError(f"subspace is not stable along arrow {s}->{t}")
     quot_dims, forced_sub, forced_quot = _forced_counts(lam, q, beta)
-    # the ranked roots read every distinct generator image modulo U, and
-    # every distinct g row on U, computed once for all of them
     sub_counts = list(forced_sub)
-    residues = [residue(col, v) for v, col in cols]
     for a, fs in into_ranked:
-        system = [[x for i in f for x in residues[i]] for f in fs]
+        system = [[x for v, col in f for x in residue(col, v)] for f in fs]
         sub_counts[a] = len(fs) - linalg.rank(system, q)
     quot_counts = list(forced_quot)
-    restricted = [[sum(map(mul, row, u)) for u in bases[v]] for v, row in g_rows]
     for a, gs in out_ranked:
-        system = [[x for i in g for x in restricted[i]] for g in gs]
+        system = [[sum(map(mul, row, u)) for v, row in g for u in bases[v]] for g in gs]
         quot_counts[a] = len(gs) - linalg.rank(system, q)
     nu = _partition_from_counts(table, tuple(sub_counts), beta)
     mu = _partition_from_counts(table, tuple(quot_counts), quot_dims, into=False)
@@ -393,7 +348,7 @@ def ext_pairs(
     alpha: Sequence[int],
     beta: Sequence[int],
     *,
-    fields: Sequence[int] = (2, 3),
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int | None = linalg.DEFAULT_CAP,
 ) -> frozenset[Pair]:
     """All (quotient, sub) class pairs realized by stable subspaces of
@@ -414,7 +369,7 @@ def generic_pairs(
     alpha: Sequence[int],
     beta: Sequence[int],
     *,
-    fields: Sequence[int] = (2, 3),
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int | None = linalg.DEFAULT_CAP,
 ) -> frozenset[Pair]:
     """Realized pairs that are minimal in each coordinate separately:
@@ -437,7 +392,7 @@ def ext_ger(
     alpha: Sequence[int],
     beta: Sequence[int],
     *,
-    fields: Sequence[int] = (2, 3),
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int | None = linalg.DEFAULT_CAP,
 ) -> frozenset[Pair]:
     """Generic pairs satisfying ``[nu, lambda] = [nu, nu] + [nu, mu]``;

@@ -98,7 +98,7 @@ def is_support_pair(
     mu: KostantPartition,
     nu: KostantPartition,
     *,
-    fields: Sequence[int] = (2, 3),
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int = linalg.DEFAULT_CAP,
 ) -> SupportPairResult:
     """True iff no strictly-smaller middle term has (mu, nu) among the
@@ -133,7 +133,7 @@ def two_sided_support_pair(
     mu: KostantPartition,
     nu: KostantPartition,
     *,
-    fields: Sequence[int] = (2, 3),
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int = linalg.DEFAULT_CAP,
 ) -> TwoSidedSupportPairResult:
     """Support-pair test of (mu, nu) and of (nu, mu); passes only if
@@ -182,7 +182,7 @@ def simplicity_necessary(
     mu: KostantPartition,
     nu: KostantPartition,
     *,
-    fields: Sequence[int] = (2, 3),
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int = linalg.DEFAULT_CAP,
 ) -> SimplicityVerdict:
     """Necessary condition: if the product were simple, (mu, nu) would
@@ -228,7 +228,7 @@ def socle_prediction(
     mu: KostantPartition,
     nu: KostantPartition,
     *,
-    fields: Sequence[int] = (2, 3),
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int = linalg.DEFAULT_CAP,
 ) -> SoclePrediction:
     """Predict the socle class mu*nu when (mu, nu) labels a component
@@ -253,7 +253,7 @@ def length_two_report(
     mu: KostantPartition,
     nu: KostantPartition,
     *,
-    fields: Sequence[int] = (2, 3),
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int = linalg.DEFAULT_CAP,
 ) -> LengthTwoReport:
     """When ext_dim(mu, nu) = 1 the product has length two: socle
@@ -276,7 +276,7 @@ def head_socle_bounds(
     mu: KostantPartition,
     nu: KostantPartition,
     *,
-    fields: Sequence[int] = (2, 3),
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int = linalg.DEFAULT_CAP,
 ) -> HeadSocleBounds:
     """Head class lies between nu*mu and the split class, socle class
@@ -297,7 +297,7 @@ def semicuspidal_pairs(
     table: RootTable,
     alpha_root: Sequence[int],
     *,
-    fields: Sequence[int] = (2, 3),
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int = linalg.DEFAULT_CAP,
 ) -> frozenset[tuple[KostantPartition, KostantPartition]]:
     """Proper pairs (mu, nu) with generic extension the class of the
@@ -359,7 +359,7 @@ def degree_report(
     mu: KostantPartition,
     nu: KostantPartition,
     *,
-    fields: Sequence[int] = (2, 3),
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int = linalg.DEFAULT_CAP,
 ) -> DegreeReport:
     """One row per middle term: d, e, the bound 2e + d, whether

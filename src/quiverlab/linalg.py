@@ -25,6 +25,7 @@ from typing import Iterator, Sequence
 __all__ = [
     "CapExceeded",
     "DEFAULT_CAP",
+    "DEFAULT_FIELDS",
     "SUPPORTED_FIELDS",
     "check_cap",
     "enumerate_subspaces",
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 SUPPORTED_FIELDS = (2, 3, 5)
+DEFAULT_FIELDS = (2, 3)
 DEFAULT_CAP = 2**24
 
 
@@ -171,7 +173,8 @@ def enumerate_subspaces(
     _check_field(q)
     if d < 0 or d > n:
         return
-    check_cap(gaussian_binomial(n, d, q), cap, f"Gr({d}, F_{q}^{n})")
+    if cap is not None:
+        check_cap(gaussian_binomial(n, d, q), cap, f"Gr({d}, F_{q}^{n})")
     for pivots in itertools.combinations(range(n), d):
         free_positions = [
             (r, c)

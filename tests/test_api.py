@@ -44,3 +44,14 @@ def test_package_names_are_in_their_module_all():
 
 def test_package_exports_every_library_all_name():
     assert _package_names() == {name for m in LIBRARY for name in m.__all__}
+
+
+def test_every_fields_default_is_the_one_default():
+    for module in LIBRARY:
+        for name in module.__all__:
+            value = getattr(module, name)
+            if not inspect.isfunction(value):
+                continue
+            fields = inspect.signature(value).parameters.get("fields")
+            if fields is not None and fields.default is not inspect.Parameter.empty:
+                assert fields.default is quiverlab.linalg.DEFAULT_FIELDS, f"{module.__name__}.{name}"

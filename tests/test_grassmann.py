@@ -16,6 +16,7 @@ from quiverlab import (
     generic_pairs,
     hom_basis,
     hom_dim,
+    hom_table,
     identify,
     indecomposable,
     kp_enumerate,
@@ -32,9 +33,9 @@ from quiverlab import (
     subreps,
 )
 from quiverlab.cli import main
-from quiverlab.grassmannian import _classify, _generator_coordinates, _hom_bases
-from quiverlab.linalg import rank
-from quiverlab.reps import RepError
+from quiverlab.grassmannian import _classify, _forced_counts, _hom_bases
+from quiverlab.linalg import rank, rref
+from quiverlab.reps import RepError, _partition_from_counts
 
 
 def pair_names(pairs):
@@ -214,6 +215,28 @@ def e6():
     return positive_roots(standard_quiver("E", 6))
 
 
+def generator_coordinates(m, dual):
+    """Per vertex, the coordinates whose unit vectors span a complement of
+    the images of the arrows into it (they generate ``m``); with ``dual``,
+    those whose functionals span a complement of the rows of the arrows
+    out of it (they generate the dual of ``m``)."""
+    arrows = m.quiver.arrows
+    out = []
+    for v in m.quiver.vertices:
+        if dual:
+            vectors = [row for k, (s, _) in enumerate(arrows) if s == v for row in m.mats[k]]
+        else:
+            vectors = [
+                [row[j] for row in m.mats[k]]
+                for k, (s, t) in enumerate(arrows)
+                if t == v
+                for j in range(m.dims[s - 1])
+            ]
+        pivots = rref(vectors, m.q)[1]
+        out.append(tuple(c for c in range(m.dims[v - 1]) if c not in pivots))
+    return tuple(out)
+
+
 # which roots read their counts off the dimension vectors depends on the
 # orientation and on lam: t3 and t4 are the standard A3 and D4
 @pytest.mark.parametrize(
@@ -272,8 +295,8 @@ def test_forced_roots_read_their_counts_off_beta(
     def names(entries):
         return sorted(kp_format(kp_single(t3, a)) for a, *_ in entries)
 
-    assert [names(into[1]), names(into[2])] == [into_forced, into_ranked]
-    assert [names(out_of[1]), names(out_of[2])] == [out_forced, out_ranked]
+    assert [names(into[0]), names(into[1])] == [into_forced, into_ranked]
+    assert [names(out_of[0]), names(out_of[1])] == [out_forced, out_ranked]
 
 
 @pytest.mark.parametrize(
@@ -301,13 +324,13 @@ def test_forced_roots_are_those_whose_basis_spans_the_generator_values(
         for q in fields:
             m = build(lam, q)
             _, *sides = _hom_bases(lam, q)
-            forced_per_field.add(tuple(side[1] for side in sides))
-            for dual, (_, forced, ranked) in enumerate(sides):
+            forced_per_field.add(tuple(side[0] for side in sides))
+            for dual, (forced, ranked) in enumerate(sides):
                 forced, ranked = dict(forced), {a for a, _ in ranked}
                 for a in range(len(table)):
                     m_a = indecomposable(table, a, q)
                     basis = hom_basis(m, m_a) if dual else hom_basis(m_a, m)
-                    coords = _generator_coordinates(m_a, bool(dual))
+                    coords = generator_coordinates(m_a, dual)
                     w = tuple(map(len, coords))
                     values = [
                         [
@@ -330,6 +353,62 @@ def test_forced_roots_are_those_whose_basis_spans_the_generator_values(
         # the dimension count does not depend on the field
         assert len(forced_per_field) == 1, kp_format(lam)
     assert seen == [n_forced, n_ranked]
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    [
+        ("A", 3, None),
+        ("D", 4, None),
+        ("A", 4, [(2, 1), (2, 3), (4, 3)]),
+        ("D", 4, [(1, 2), (3, 2), (4, 2)]),
+        ("E", 6, None),
+        ("E", 8, None),
+        ("A", 6, None),
+    ],
+    ids=["A3", "D4", "zigzag_A4", "sink_D4", "E6", "E8", "A6"],
+)
+def test_top_and_socle_from_the_hom_table_count_the_generators(diagram):
+    # the generators of M_a at v number dim Hom(M_a, S_v) (the top of M_a),
+    # its cogenerators dim Hom(S_v, M_a) (the socle), over every field
+    kind, n, arrows = diagram
+    quiver = standard_quiver(kind, n) if arrows is None else build_quiver(kind, n, arrows)
+    table = positive_roots(quiver)
+    hom = hom_table(table).hom
+    simples = [table.simple_root_index(v) for v in quiver.vertices]
+    for a in range(len(table)):
+        top = [hom[a][s] for s in simples]
+        socle = [hom[s][a] for s in simples]
+        for q in (2, 3, 5):
+            m_a = indecomposable(table, a, q)
+            assert [len(c) for c in generator_coordinates(m_a, False)] == top, (a, q)
+            assert [len(c) for c in generator_coordinates(m_a, True)] == socle, (a, q)
+
+
+def test_all_forced_classes_have_at_most_one_stratum_fixed_by_beta(
+    t3, t4, zigzag_a4, sink_d4, e6
+):
+    # when no root of (lam, q) is ranked, every count at a point is read off
+    # beta, so the (quotient, sub) pair is the same at every point
+    all_forced = classes_seen = reports = 0
+    for table, max_total in [(t3, 4), (t4, 3), (zigzag_a4, 3), (sink_d4, 3), (e6, 2)]:
+        for lam in all_classes(table, max_total):
+            for q in (2, 3):
+                classes_seen += 1
+                _, (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
+                if into_ranked or out_ranked:
+                    continue
+                all_forced += 1
+                for beta in itertools.product(*(range(x + 1) for x in lam.total)):
+                    report = strata(lam, beta, q)
+                    reports += 1
+                    assert len(report.entries) <= 1, (kp_format(lam), beta, q)
+                    if report.entries:
+                        quot_dims, sub_counts, quot_counts = _forced_counts(lam, q, beta)
+                        nu = _partition_from_counts(table, sub_counts, beta)
+                        mu = _partition_from_counts(table, quot_counts, quot_dims, into=False)
+                        assert report.pairs() == {(mu, nu)}, (kp_format(lam), beta, q)
+    assert (all_forced, classes_seen, reports) == (368, 496, 1842)
 
 
 def test_classifier_rejects_what_sub_quotient_rejects(t2):

@@ -12,6 +12,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quiverlab import linalg
 from quiverlab.linalg import (
     CapExceeded,
     SUPPORTED_FIELDS,
@@ -185,3 +186,15 @@ def test_cap_exceeded():
     assert exc.value.cap == 10
     # generous cap is fine
     assert len(list(enumerate_subspaces(3, 2, 2, cap=100))) == 7
+
+
+def test_no_cap_counts_no_states(monkeypatch):
+    # with no cap there is nothing to check, so the Gaussian binomial is skipped
+    def forbidden(*args):
+        raise AssertionError("gaussian_binomial called with no cap")
+
+    monkeypatch.setattr(linalg, "gaussian_binomial", forbidden)
+    assert len(list(enumerate_subspaces(3, 2, 2, cap=None))) == 7
+    assert len(list(subspaces_containing([[1, 0, 0]], 3, 2, 2, None))) == 3
+    with pytest.raises(AssertionError):
+        list(enumerate_subspaces(3, 2, 2, cap=100))
