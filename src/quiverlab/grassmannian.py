@@ -3,10 +3,10 @@
 ``subreps`` enumerates all stable graded subspaces of a built
 representation with a prescribed dimension vector, walking vertices in
 topological order so that at each vertex only subspaces containing the
-images of the already-chosen spaces are generated.  Every point is
-classified by the isomorphism classes of its subrepresentation and
-quotient, giving the stratification by pairs ``(quotient class mu, sub
-class nu)`` recorded in a :class:`StrataReport`.
+images of the already-chosen spaces are generated.  The points fall
+into strata by the isomorphism classes of their subrepresentation and
+quotient, pairs ``(quotient class mu, sub class nu)`` recorded in a
+:class:`StrataReport`.
 
 Points are classified without building the sub or the quotient.  A map
 out of an indecomposable M_a is fixed by its values on the generators of
@@ -42,6 +42,21 @@ vector, and each point is checked to be stable.  Everything per point
 is int-list arithmetic.  ``reps.sub_quotient`` with ``identify`` is the
 matrix-level route the tests compare against.
 
+Points are counted with no walk (``point_count``).  A Dynkin diagram is
+a tree, so its vertices split into two colour classes with no edge
+inside either.  Once the subspaces on one class are fixed, each vertex
+y of the other needs only A_y <= U_y <= B_y: A_y is spanned by the
+images of its in-neighbours' subspaces, B_y is the common preimage of
+its out-neighbours' ones, and the U_y between them are counted by one
+Gaussian binomial.  So only the class with fewer states is enumerated.
+This count is the total of every strata report, and an empty
+Grassmannian needs nothing more.  When every root of ``(lam, q)`` is
+forced, every count at a point is read off ``beta``, so the points lie
+in one stratum: ``strata`` solves its pair from the forced counts and
+walks no point.  Only a ``lam`` with a ranked root is walked and
+classified point by point, and the tests check both shortcuts against
+that walk.
+
 ``ext_pairs`` unions the realized pairs over several fields.  A
 realized pair is *generic* when neither coordinate can be degenerated
 while keeping the other fixed among those pairs; the generic pairs
@@ -56,6 +71,7 @@ value in q, which is how the tests pin projective lines and points.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from operator import mul
 from dataclasses import dataclass
@@ -103,9 +119,18 @@ Pair = tuple[KostantPartition, KostantPartition]
 def scan_states(dims: Sequence[int], beta: Sequence[int], q: int) -> int:
     """States a scan of ``beta``-dimensional graded subspaces of ``dims``
     visits before pruning: the product of per-vertex Gaussian binomials."""
+    _check_scan(dims, beta, q, None)
+    return math.prod(linalg.gaussian_binomial(n, b, q) for n, b in zip(dims, beta))
+
+
+def _check_scan(dims: Sequence[int], beta: Sequence[int], q: int, cap: int | None) -> None:
+    """The checks made before any scan: ``beta`` has one entry per vertex,
+    and with a cap the :func:`scan_states` count fits it (with none, the
+    count is not computed)."""
     if len(beta) != len(dims):
         raise PartitionError("beta length does not match the rank")
-    return math.prod(linalg.gaussian_binomial(n, b, q) for n, b in zip(dims, beta))
+    if cap is not None:
+        linalg.check_cap(scan_states(dims, beta, q), cap, "subrepresentation scan")
 
 
 def subreps(
@@ -121,7 +146,7 @@ def subreps(
     already chosen.
     """
     beta = tuple(beta)
-    linalg.check_cap(scan_states(m.dims, beta, m.q), cap, "subrepresentation scan")
+    _check_scan(m.dims, beta, m.q, cap)
     quiver = m.quiver
     if not dim_leq(beta, m.dims):
         return
@@ -174,18 +199,31 @@ def strata(
 ) -> StrataReport:
     """Classify every point of the Grassmannian by (quotient, sub) classes."""
     beta = tuple(beta)
-    linalg.check_cap(scan_states(lam.total, beta, q), cap, "subrepresentation scan")
+    _check_scan(lam.total, beta, q, cap)
     return _strata(lam, beta, q)
 
 
 @functools.cache
 def _strata(lam: KostantPartition, beta: tuple[int, ...], q: int) -> StrataReport:
+    """The report of :func:`strata`.  Its total is :func:`_colour_count`,
+    and an empty Grassmannian needs nothing more.  When some root of
+    ``(lam, q)`` is ranked, every point is walked (:func:`subreps`) and
+    classified (:func:`_classify`).  When every root is forced, every count
+    at a point is read off ``beta``, so all the points lie in one stratum,
+    whose pair is solved from :func:`_forced_counts`: no point is walked."""
+    total = _colour_count(lam, beta, q)
     counts: dict[Pair, int] = {}
-    total = 0
-    for bases in subreps(build(lam, q), beta, None):
-        pair = _classify(lam, q, bases)
-        counts[pair] = counts.get(pair, 0) + 1
-        total += 1
+    if total:
+        _, (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
+        if into_ranked or out_ranked:
+            for bases in subreps(build(lam, q), beta, None):
+                pair = _classify(lam, q, bases)
+                counts[pair] = counts.get(pair, 0) + 1
+        else:
+            quot_dims, sub_counts, quot_counts = _forced_counts(lam, q, beta)
+            nu = _partition_from_counts(lam.table, sub_counts, beta)
+            mu = _partition_from_counts(lam.table, quot_counts, quot_dims, into=False)
+            counts[(mu, nu)] = total
     entries = tuple(
         StratumEntry(mu, nu, counts[(mu, nu)], stratum_dim(lam, nu, check=False))
         for mu, nu in sorted(counts, key=lambda p: (p[0].parts, p[1].parts))
@@ -330,8 +368,86 @@ def point_count(
     q: int,
     cap: int | None = linalg.DEFAULT_CAP,
 ) -> int:
-    """Number of F_q-points of the Grassmannian of beta-dimensional subreps."""
-    return strata(lam, beta, q, cap).total
+    """Number of F_q-points of the Grassmannian of beta-dimensional subreps,
+    counted over the two colour classes of the diagram with no walk; the
+    cap is checked as :func:`strata` checks it."""
+    beta = tuple(beta)
+    _check_scan(lam.total, beta, q, cap)
+    return _colour_count(lam, beta, q)
+
+
+@functools.cache
+def _colour_count(lam: KostantPartition, beta: tuple[int, ...], q: int) -> int:
+    """Number of points of the Grassmannian of ``beta``-dimensional
+    subrepresentations of ``M = build(lam, q)``, counted with no walk.
+
+    A Dynkin diagram is a tree, so its vertices fall into two colour
+    classes with no edge inside either.  The subspaces U_x on the class
+    with fewer states (a product of Gaussian binomials) are enumerated.
+    A vertex y of the other class then only needs A_y <= U_y <= B_y,
+    where A_y is spanned by the images of U_s along the arrows s -> y,
+    and B_y is the common preimage of U_t along the arrows y -> t (cut
+    out by the annihilator of each U_t pulled back to M_y).  So y
+    contributes the Gaussian binomial
+    [dim B_y - dim A_y choose beta_y - dim A_y]_q when A_y <= B_y, and 0
+    otherwise.
+    """
+    m = build(lam, q)
+    quiver, dims, mats = m.quiver, m.dims, m.mats
+    colour = {1: 0}
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        for w in quiver.neighbours(v):
+            if w not in colour:
+                colour[w] = 1 - colour[v]
+                stack.append(w)
+    classes = [[v for v in quiver.vertices if colour[v] == c] for c in (0, 1)]
+    states = [
+        math.prod(linalg.gaussian_binomial(dims[v - 1], beta[v - 1], q) for v in c)
+        for c in classes
+    ]
+    xs, ys = classes if states[0] <= states[1] else classes[::-1]
+    # per vertex x and subspace U_x: for every arrow at x, the vectors it
+    # puts at the other end, images of U_x or functionals vanishing on B_y
+    options = []
+    for x in xs:
+        per_u = []
+        for u in linalg.enumerate_subspaces(dims[x - 1], beta[x - 1], q, None):
+            vectors = {}
+            for k, (s, t) in enumerate(quiver.arrows):
+                if s == x:
+                    vectors[k] = [[sum(map(mul, row, b)) for row in mats[k]] for b in u]
+                elif t == x:
+                    columns = list(zip(*mats[k]))
+                    vectors[k] = [
+                        [sum(map(mul, z, col)) for col in columns]
+                        for z in linalg.kernel_basis(u, dims[x - 1], q)
+                    ]
+            per_u.append(vectors)
+        options.append(per_u)
+    arrows_at = [
+        (y, [k for k, (_, t) in enumerate(quiver.arrows) if t == y],
+         [k for k, (s, _) in enumerate(quiver.arrows) if s == y])
+        for y in ys
+    ]
+    total = 0
+    for choice in itertools.product(*options):
+        vectors = {k: vs for option in choice for k, vs in option.items()}
+        points = 1
+        for y, into, out_of in arrows_at:
+            images = [a for k in into for a in vectors[k]]
+            forms = [f for k in out_of for f in vectors[k]]
+            if any(sum(map(mul, f, a)) % q for f in forms for a in images):
+                points = 0  # A_y is not inside B_y
+                break
+            low = linalg.rank(images, q)
+            high = dims[y - 1] - linalg.rank(forms, q)
+            points *= linalg.gaussian_binomial(high - low, beta[y - 1] - low, q)
+            if not points:
+                break
+        total += points
+    return total
 
 
 def realized_pairs(

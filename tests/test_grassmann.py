@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 from operator import mul
 
 import pytest
@@ -32,6 +33,7 @@ from quiverlab import (
     sub_quotient,
     subreps,
 )
+from quiverlab import grassmannian, linalg
 from quiverlab.cli import main
 from quiverlab.grassmannian import _classify, _forced_counts, _hom_bases
 from quiverlab.linalg import rank, rref
@@ -211,6 +213,11 @@ def sink_d4():
 
 
 @pytest.fixture(scope="module")
+def a4():
+    return positive_roots(standard_quiver("A", 4))
+
+
+@pytest.fixture(scope="module")
 def e6():
     return positive_roots(standard_quiver("E", 6))
 
@@ -385,11 +392,17 @@ def test_top_and_socle_from_the_hom_table_count_the_generators(diagram):
             assert [len(c) for c in generator_coordinates(m_a, True)] == socle, (a, q)
 
 
+def walked_strata(lam, beta, q):
+    """The (quotient, sub) pairs of every point, walked and classified one by one."""
+    return Counter(_classify(lam, q, bases) for bases in subreps(build(lam, q), beta, None))
+
+
 def test_all_forced_classes_have_at_most_one_stratum_fixed_by_beta(
     t3, t4, zigzag_a4, sink_d4, e6
 ):
     # when no root of (lam, q) is ranked, every count at a point is read off
-    # beta, so the (quotient, sub) pair is the same at every point
+    # beta, so the (quotient, sub) pair is the same at every point; strata
+    # reads it off beta with no walk, checked here against the walk
     all_forced = classes_seen = reports = 0
     for table, max_total in [(t3, 4), (t4, 3), (zigzag_a4, 3), (sink_d4, 3), (e6, 2)]:
         for lam in all_classes(table, max_total):
@@ -401,14 +414,114 @@ def test_all_forced_classes_have_at_most_one_stratum_fixed_by_beta(
                 all_forced += 1
                 for beta in itertools.product(*(range(x + 1) for x in lam.total)):
                     report = strata(lam, beta, q)
+                    walked = walked_strata(lam, beta, q)
                     reports += 1
-                    assert len(report.entries) <= 1, (kp_format(lam), beta, q)
-                    if report.entries:
+                    assert len(walked) <= 1, (kp_format(lam), beta, q)
+                    assert report.total == sum(walked.values()), (kp_format(lam), beta, q)
+                    assert report.pairs() == set(walked), (kp_format(lam), beta, q)
+                    if walked:
                         quot_dims, sub_counts, quot_counts = _forced_counts(lam, q, beta)
                         nu = _partition_from_counts(table, sub_counts, beta)
                         mu = _partition_from_counts(table, quot_counts, quot_dims, into=False)
-                        assert report.pairs() == {(mu, nu)}, (kp_format(lam), beta, q)
+                        assert set(walked) == {(mu, nu)}, (kp_format(lam), beta, q)
     assert (all_forced, classes_seen, reports) == (368, 496, 1842)
+
+
+@pytest.mark.parametrize(
+    "which,max_total,fields,n_inputs,n_ranked,n_one_side",
+    [
+        pytest.param("t3", 4, (2, 3), 906, 340, 256, id="t3-4"),
+        pytest.param("t4", 4, (2, 3), 2376, 1198, 720, id="t4-4"),
+        pytest.param("a4", 3, (2, 3), 552, 72, 72, id="a4-3"),
+        pytest.param("zigzag_a4", 4, (2, 3), 2264, 1198, 728, id="zigzag_a4-4"),
+        pytest.param("sink_d4", 3, (2, 3), 568, 240, 108, id="sink_d4-3"),
+        pytest.param("e6", 2, (2, 3), 220, 8, 8, id="e6-2"),
+        pytest.param("t3", 3, (5,), 139, 24, 24, id="t3-3-q5"),
+    ],
+)
+def test_colour_count_equals_the_walked_count(
+    request, which, max_total, fields, n_inputs, n_ranked, n_one_side
+):
+    # point_count counts over the two colour classes, and strata walks only
+    # when a root is ranked: both against the walk, on every (lam, beta, q);
+    # the pins show the sweep covers the inputs the walk still serves
+    table = request.getfixturevalue(which)
+    seen = [0, 0, 0]
+    for lam in all_classes(table, max_total):
+        for q in fields:
+            _, (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
+            for beta in itertools.product(*(range(x + 1) for x in lam.total)):
+                walked = walked_strata(lam, beta, q)
+                report = strata(lam, beta, q)
+                where = (kp_format(lam), beta, q)
+                assert point_count(lam, beta, q) == sum(walked.values()) == report.total, where
+                assert {(e.mu, e.nu): e.count for e in report.entries} == walked, where
+                seen[0] += 1
+                seen[1] += bool(into_ranked or out_ranked)
+                seen[2] += bool(into_ranked) != bool(out_ranked)
+    assert seen == [n_inputs, n_ranked, n_one_side]
+
+
+@pytest.mark.parametrize(
+    "part,beta,n_enumerated",
+    [("[1,1]", (3, 0, 0), 1), ("[2,2]", (0, 3, 0), 2)],
+    ids=["sources", "middle"],
+)
+def test_all_forced_strata_walk_no_point(t3, monkeypatch, part, beta, n_enumerated):
+    # six copies of a simple over GF(5): every root is forced, so the one
+    # stratum is read off beta, and its gaussian_binomial(6, 3, 5) points are
+    # counted on the colour class with a single state (one empty subspace per
+    # vertex), not on the other class, which has them all
+    lam = kp_parse(t3, "+".join([part] * 6))
+    half = kp_parse(t3, "+".join([part] * 3))
+    grassmannian._strata.cache_clear()
+    grassmannian._colour_count.cache_clear()
+
+    def no_walk(*args):
+        raise AssertionError("an all-forced Grassmannian was walked")
+
+    enumerate_subspaces = linalg.enumerate_subspaces
+    enumerated = []
+
+    def counted(*args):
+        for rows in enumerate_subspaces(*args):
+            enumerated.append(rows)
+            if len(enumerated) > n_enumerated:
+                raise AssertionError("the colour class with more states was enumerated")
+            yield rows
+
+    monkeypatch.setattr(grassmannian, "subreps", no_walk)
+    monkeypatch.setattr(linalg, "enumerate_subspaces", counted)
+    report = strata(lam, beta, 5)
+    count = linalg.gaussian_binomial(6, 3, 5)
+    assert count == 2558556
+    assert [(e.mu, e.nu, e.count) for e in report.entries] == [(half, half, count)]
+    assert report.total == point_count(lam, beta, 5) == count
+    assert len(enumerated) == n_enumerated
+
+
+def test_no_cap_computes_no_scan_states(t3, monkeypatch):
+    # with no cap there is nothing to check the Gaussian-binomial product
+    # against, so it is not computed; the length of beta is still checked
+    lam = kp_parse(t3, "[1,2]+[2,3]")
+    m = build(lam, 2)
+
+    def forbidden(*args):
+        raise AssertionError("scan_states computed with no cap")
+
+    monkeypatch.setattr(grassmannian, "scan_states", forbidden)
+    assert len(list(subreps(m, (0, 1, 1), None))) == 3
+    assert strata(lam, (0, 1, 1), 2, None).total == 3
+    assert point_count(lam, (0, 1, 1), 3, None) == 4
+    for call in (
+        lambda: list(subreps(m, (0, 1), None)),
+        lambda: strata(lam, (0, 1), 2, None),
+        lambda: point_count(lam, (0, 1), 2, None),
+    ):
+        with pytest.raises(PartitionError, match="beta length does not match the rank"):
+            call()
+    with pytest.raises(AssertionError, match="scan_states"):
+        strata(lam, (0, 1, 1), 2)
 
 
 def test_classifier_rejects_what_sub_quotient_rejects(t2):
