@@ -6,15 +6,20 @@ class ``mu``.  Two independent routes are kept deliberately separate:
 
 * u-enumeration: every middle term is a block representation
   ``[[y, u], [0, x]]`` with ``y = build(nu)``, ``x = build(mu)`` and
-  ``u`` running over the full affine space of connecting maps
-  (one ``beta_t x alpha_s`` block per arrow); collecting the class of
-  every u is exhaustive.  The block representation E_u is not built:
-  dim Hom(M_a, E_u) is hom(a, nu) + hom(a, mu) minus the rank of the
-  connecting map Hom(M_a, M_mu) -> Ext^1(M_a, M_nu), f -> [u f], whose
-  matrices in u are computed once per ``(mu, nu, q)``, and the class
-  follows from these counts by ``identify``'s triangular solve.
+  ``u`` in the affine space of connecting maps (one
+  ``beta_t x alpha_s`` block per arrow).  E_u depends only on the line
+  of [u] in Ext^1(M_mu, M_nu), so one u per line is classified, and
+  u = 0 for the split class: 1 + (q^e - 1)/(q - 1) points for
+  e = dim Ext^1, not all q^(n_u).  The block representation E_u is not
+  built: dim Hom(M_a, E_u) is hom(a, nu) + hom(a, mu) minus the rank of
+  the connecting map Hom(M_a, M_mu) -> Ext^1(M_a, M_nu), f -> [u f],
+  whose matrices in u are computed once per ``(mu, nu, q)``, and the
+  class follows from these counts by ``identify``'s triangular solve.
 * subrep-filter: a candidate ``lam <= mu (+) nu`` belongs to the set iff
   the Grassmannian of ``build(lam)`` realizes the pair ``(mu, nu)``.
+  Only the candidates in the hom box are scanned:
+  [a, nu] <= [a, lam] and [mu, a] <= [lam, a] for every root a, since
+  Hom(M_a, -) and Hom(-, M_a) are left exact.
 
 Both run over small prime fields; the result carries a stability flag
 recording whether every field produced the same set.
@@ -29,12 +34,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import mul
+from operator import le, mul
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import grassmannian, linalg
-from .homs import ext_dim, hom_dim
+from .homs import ext_dim, hom_dim, hom_ext_vectors, hom_table
 from .order import _check_kp_cap, leq
 from .quiver import (
     KostantPartition,
@@ -105,21 +110,24 @@ class ExtSetResult:
     stable: bool
 
 
-def _ext_coordinates(m_a: Rep, y: Rep) -> list[list[int]]:
-    """Rows that read coordinates on Ext^1(m_a, y) off a cocycle.
+def _coboundaries(x: Rep, y: Rep) -> list[list[int]]:
+    """The coboundaries h -> (h_t X_k - Y_k h_s) of the unit vectors h,
+    the columns of ``reps._intertwiner_system(x, y)``: cocycles, one
+    ``dims_y[t] x dims_x[s]`` block per arrow ``s -> t``, arrow by arrow
+    and row by row."""
+    system, offsets = _intertwiner_system(x, y)
+    return [[row[c] for row in system] for c in range(offsets[-1])] if system else []
 
-    A cocycle is one ``dims_y[t] x dims_a[s]`` block per arrow ``s -> t``,
-    flattened arrow by arrow and row by row: the layout of the rows of
-    ``reps._intertwiner_system(m_a, y)``, whose columns span the
-    coboundaries h -> (h_t A_k - Y_k h_s).  The coordinates are the
-    residues modulo the coboundaries at the non-pivot positions c of
-    their reduced echelon form E, x -> x[c] - sum_i x[pivot_i] E[i][c]:
-    the rows :func:`linalg.kernel_basis` builds from E.
+
+def _ext_coordinates(m_a: Rep, y: Rep) -> list[list[int]]:
+    """Rows that read coordinates on Ext^1(m_a, y) off a cocycle (layout
+    in :func:`_coboundaries`).  The coordinates are the residues modulo
+    the coboundaries at the non-pivot positions c of their reduced
+    echelon form E, x -> x[c] - sum_i x[pivot_i] E[i][c]: the rows
+    :func:`linalg.kernel_basis` builds from E.
     """
     width = sum(y.dims[t - 1] * m_a.dims[s - 1] for s, t in m_a.quiver.arrows)
-    system, offsets = _intertwiner_system(m_a, y)
-    coboundaries = [[row[c] for row in system] for c in range(offsets[-1])] if system else []
-    return linalg.kernel_basis(coboundaries, width, m_a.q)
+    return linalg.kernel_basis(_coboundaries(m_a, y), width, m_a.q)
 
 
 @functools.cache
@@ -194,10 +202,21 @@ def _classify_u(
 
 @functools.cache
 def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
+    """One u per line of Ext^1(M_mu, M_nu), and u = 0: every class [u]
+    has one representative on the non-pivot coordinates of the
+    coboundaries' echelon form, and scaling u keeps the class of E_u."""
     n_u = hom_omega_dim(mu.total, nu.total, mu.table.quiver)
-    return frozenset(
-        _classify_u(mu, nu, q, u) for u in itertools.product(range(q), repeat=n_u)
-    )
+    pivots = linalg.rref(_coboundaries(build(mu, q), build(nu, q)), q)[1]
+    free = [c for c in range(n_u) if c not in pivots]
+    if len(free) != ext_dim(mu, nu):
+        raise RepError("Ext^1 coordinates disagree with the closed-form count")
+    ranges = [(0,)] * n_u
+    lines = [itertools.product(*ranges)]  # u = 0
+    for c in reversed(free):  # the first nonzero entry of u is a 1 at c
+        ranges[c] = (1,)
+        lines.append(itertools.product(*ranges))
+        ranges[c] = range(q)
+    return frozenset(_classify_u(mu, nu, q, u) for u in itertools.chain(*lines))
 
 
 @functools.cache
@@ -206,11 +225,28 @@ def _candidates(split: KostantPartition) -> tuple[KostantPartition, ...]:
     return tuple(lam for lam in kp_enumerate(split.table, split.total) if leq(lam, split))
 
 
+def _hom_box(mu: KostantPartition, nu: KostantPartition) -> list[KostantPartition]:
+    """The candidates with [a, nu] <= [a, lam] and [mu, a] <= [lam, a]
+    for every root a, which every middle term has."""
+    hom = hom_table(mu.table).hom
+
+    def out_of(x: KostantPartition) -> list[int]:  # [x, a] for every root a
+        return [sum(col) for col in zip(*map(hom.__getitem__, x.parts))]
+
+    into_nu, out_of_mu = hom_ext_vectors(nu)[0], out_of(mu)
+    return [
+        lam
+        for lam in _candidates(mu + nu)
+        if all(map(le, into_nu, hom_ext_vectors(lam)[0]))
+        and all(map(le, out_of_mu, out_of(lam)))
+    ]
+
+
 @functools.cache
 def _ext_set_filter(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
     return frozenset(
         lam
-        for lam in _candidates(mu + nu)
+        for lam in _hom_box(mu, nu)
         if (mu, nu) in grassmannian.realized_pairs(lam, nu.total, q, None)
     )
 

@@ -49,13 +49,12 @@ y of the other needs only A_y <= U_y <= B_y: A_y is spanned by the
 images of its in-neighbours' subspaces, B_y is the common preimage of
 its out-neighbours' ones, and the U_y between them are counted by one
 Gaussian binomial.  So only the class with fewer states is enumerated.
-This count is the total of every strata report, and an empty
-Grassmannian needs nothing more.  When every root of ``(lam, q)`` is
-forced, every count at a point is read off ``beta``, so the points lie
-in one stratum: ``strata`` solves its pair from the forced counts and
+When every root of ``(lam, q)`` is forced, every count at a point is
+read off ``beta``, so the points lie in one stratum: ``strata`` takes
+its total from this count, solves its pair from the forced counts and
 walks no point.  Only a ``lam`` with a ranked root is walked and
-classified point by point, and the tests check both shortcuts against
-that walk.
+classified point by point, and its total is the number of points
+walked.  The tests check the count and the shortcut against that walk.
 
 ``ext_pairs`` unions the realized pairs over several fields.  A
 realized pair is *generic* when neither coordinate can be degenerated
@@ -205,21 +204,23 @@ def strata(
 
 @functools.cache
 def _strata(lam: KostantPartition, beta: tuple[int, ...], q: int) -> StrataReport:
-    """The report of :func:`strata`.  Its total is :func:`_colour_count`,
-    and an empty Grassmannian needs nothing more.  When some root of
-    ``(lam, q)`` is ranked, every point is walked (:func:`subreps`) and
-    classified (:func:`_classify`).  When every root is forced, every count
-    at a point is read off ``beta``, so all the points lie in one stratum,
-    whose pair is solved from :func:`_forced_counts`: no point is walked."""
-    total = _colour_count(lam, beta, q)
+    """The report of :func:`strata`.  When some root of ``(lam, q)`` is
+    ranked, every point is walked (:func:`subreps`) and classified
+    (:func:`_classify`), and the total is the number of points walked.
+    When every root is forced, the total is :func:`_colour_count`, and
+    every count at a point is read off ``beta``, so all the points lie in
+    one stratum, whose pair is solved from :func:`_forced_counts`: no
+    point is walked."""
     counts: dict[Pair, int] = {}
-    if total:
-        _, (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
-        if into_ranked or out_ranked:
-            for bases in subreps(build(lam, q), beta, None):
-                pair = _classify(lam, q, bases)
-                counts[pair] = counts.get(pair, 0) + 1
-        else:
+    _, (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
+    if into_ranked or out_ranked:
+        for bases in subreps(build(lam, q), beta, None):
+            pair = _classify(lam, q, bases)
+            counts[pair] = counts.get(pair, 0) + 1
+        total = sum(counts.values())
+    else:
+        total = _colour_count(lam, beta, q)
+        if total:
             quot_dims, sub_counts, quot_counts = _forced_counts(lam, q, beta)
             nu = _partition_from_counts(lam.table, sub_counts, beta)
             mu = _partition_from_counts(lam.table, quot_counts, quot_dims, into=False)

@@ -1,6 +1,6 @@
 import pytest
 
-from quiverlab import positive_roots, standard_quiver
+from quiverlab import build_quiver, positive_roots, standard_quiver
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +31,13 @@ def t3(a3):
 @pytest.fixture(scope="session")
 def t4(d4):
     return positive_roots(d4)
+
+
+@pytest.fixture(scope="session")
+def zigzag_a4():
+    return positive_roots(build_quiver("A", 4, [(2, 1), (2, 3), (4, 3)]))
+
+
+@pytest.fixture(scope="session")
+def sink_d4():
+    return positive_roots(build_quiver("D", 4, [(1, 2), (3, 2), (4, 2)]))

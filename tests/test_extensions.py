@@ -23,6 +23,7 @@ from quiverlab import (
     generic_pairs,
     hom_omega_dim,
     identify,
+    interval,
     kp_enumerate,
     kp_format,
     kp_from_vectors,
@@ -35,8 +36,9 @@ from quiverlab import (
     strata,
     stratum_dim_report,
 )
-from quiverlab.extensions import _classify_u
-from quiverlab.reps import Rep
+from quiverlab import extensions, grassmannian
+from quiverlab.extensions import _candidates, _classify_u, _ext_set_u, _hom_box
+from quiverlab.reps import Rep, RepError
 
 
 def names(classes):
@@ -152,19 +154,33 @@ def test_u_enumeration_cap(t3):
     assert "subrep-filter" in str(exc.value)  # points at the fallback method
 
 
-def test_subrep_cap_counts_every_candidate_scan(t3):
-    # the subrep route scans the Grassmannian of each of the 10 classes
-    # lam <= mu + nu, 27 states each over GF(2) and 64 over GF(3)
+def test_subrep_cap_counts_every_candidate_scan(t3, monkeypatch):
+    # the cap counts a scan of the Grassmannian of each of the 10 classes
+    # lam <= mu + nu, 27 states each over GF(2) and 64 over GF(3), though
+    # only the 5 in the hom box are scanned
     mu = kp_parse(t3, "[1,1]+[2,2]+[3,3]")
     split = mu + mu
     assert sum(leq(lam, split) for lam in kp_enumerate(t3, split.total)) == 10
+    box = _hom_box(mu, mu)
+    assert len(box) == 5
+    scanned = []
+    realized_pairs = grassmannian.realized_pairs
+
+    def counted(lam, beta, q, cap):
+        scanned.append((lam, q))
+        return realized_pairs(lam, beta, q, cap)
+
+    monkeypatch.setattr(grassmannian, "realized_pairs", counted)
+    extensions._ext_set_filter.cache_clear()
     with pytest.raises(CapExceeded) as exc:
         ext_set(mu, mu, method=METHOD_FILTER, cap=64)
     assert exc.value.needed == 270 and "subrepresentation scan" in str(exc.value)
     with pytest.raises(CapExceeded) as exc:
         ext_set(mu, mu, method=METHOD_FILTER, cap=639)
     assert exc.value.needed == 640
+    assert scanned == []
     result = ext_set(mu, mu, method=METHOD_FILTER, cap=640)
+    assert scanned == [(lam, q) for q in (2, 3) for lam in box]
     assert sorted(kp_format(lam) for lam in result.classes) == [
         "[1,1]+[1,1]+[2,2]+[2,2]+[3,3]+[3,3]",
         "[1,1]+[1,1]+[2,2]+[2,3]+[3,3]",
@@ -175,6 +191,101 @@ def test_subrep_cap_counts_every_candidate_scan(t3):
     # the candidates are counted before any is listed
     with pytest.raises(CapExceeded, match="counting stopped past the cap"):
         ext_set(mu, mu, method=METHOD_FILTER, cap=9)
+
+
+def sweep_pairs(table, bound):
+    """The pairs of nonzero classes whose dimension vectors add up inside
+    ``bound``: a tuple bounds each vertex, an int the total."""
+    box = bound if isinstance(bound, tuple) else (bound,) * table.quiver.rank
+    limit = sum(box) if isinstance(bound, tuple) else bound
+    classes = [
+        kp
+        for g in itertools.product(*(range(b + 1) for b in box))
+        if 0 < sum(g) <= limit
+        for kp in kp_enumerate(table, g)
+    ]
+    for mu, nu in itertools.product(classes, repeat=2):
+        total = dim_add(mu.total, nu.total)
+        if all(map(int.__le__, total, box)) and sum(total) <= limit:
+            yield mu, nu
+
+
+SWEEPS = [
+    pytest.param("t2", (2, 2), (2, 3), 60, 18, 248, 155, id="A2-box22"),
+    pytest.param("t3", 5, (2, 3), 1386, 751, 10204, 5471, id="A3-5"),
+    pytest.param("t4", 4, (2, 3), 1138, 551, 3152, 2179, id="D4-4"),
+    pytest.param("zigzag_a4", 4, (2, 3), 1122, 467, 3183, 2195, id="zigzag_A4-4"),
+    pytest.param("sink_d4", 3, (2, 3), 240, 60, 420, 345, id="sink_D4-3"),
+    pytest.param("t2", 4, (5,), 60, 24, 1224, 322, id="A2-4-q5"),
+]
+
+
+@pytest.mark.parametrize("which,bound,fields,n_triples,n_skipped,n_points,n_lines", SWEEPS)
+def test_every_middle_term_lies_in_the_hom_box(
+    request, which, bound, fields, n_triples, n_skipped, n_points, n_lines
+):
+    # Hom(M_a, -) and Hom(-, M_a) are left exact, so every middle term found
+    # by the u-route passes the box the subrep route scans; the pin counts
+    # the candidates lam <= mu + nu the box leaves out
+    table = request.getfixturevalue(which)
+    triples = skipped = 0
+    for mu, nu in sweep_pairs(table, bound):
+        box = _hom_box(mu, nu)
+        skipped += len(_candidates(mu + nu)) - len(box)
+        for q in fields:
+            assert _ext_set_u(mu, nu, q) <= set(box), (kp_format(mu), kp_format(nu), q)
+            triples += 1
+    assert (triples, skipped) == (n_triples, n_skipped)
+
+
+@pytest.mark.parametrize("which,bound,fields,n_triples,n_skipped,n_points,n_lines", SWEEPS)
+def test_u_route_classifies_one_u_per_line_of_ext(
+    request, monkeypatch, which, bound, fields, n_triples, n_skipped, n_points, n_lines
+):
+    # the classes of one representative per line of Ext^1 (and of u = 0)
+    # against the classes of every point of u-space
+    table = request.getfixturevalue(which)
+    calls = []
+
+    def counted(mu, nu, q, u):
+        calls.append(tuple(u))
+        return _classify_u(mu, nu, q, u)
+
+    monkeypatch.setattr(extensions, "_classify_u", counted)
+    triples = points = lines = 0
+    for mu, nu in sweep_pairs(table, bound):
+        n_u = hom_omega_dim(mu.total, nu.total, table.quiver)
+        e = ext_dim(mu, nu)
+        for q in fields:
+            walked = {_classify_u(mu, nu, q, u) for u in itertools.product(range(q), repeat=n_u)}
+            calls.clear()
+            assert _ext_set_u.__wrapped__(mu, nu, q) == walked, (kp_format(mu), kp_format(nu), q)
+            assert len(calls) == len(set(calls)) == 1 + (q**e - 1) // (q - 1)
+            triples += 1
+            points += q**n_u
+            lines += len(calls)
+    assert (triples, points, lines) == (n_triples, n_points, n_lines)
+
+
+def test_u_route_checks_the_ext_count(t2, monkeypatch):
+    # the free coordinates of the coboundaries' echelon form are checked
+    # against the closed-form dim Ext^1
+    s1, s2 = kp_parse(t2, "[1,1]"), kp_parse(t2, "[2,2]")
+    monkeypatch.setattr(extensions, "ext_dim", lambda x, y: 2)
+    with pytest.raises(RepError, match="closed-form count"):
+        _ext_set_u.__wrapped__(s1, s2, 2)
+
+
+def test_middle_terms_are_neither_an_interval_nor_the_hom_box(t3):
+    # neither closed form can replace the Grassmannian scan: both hold a
+    # class that is no middle term
+    mu, nu = kp_parse(t3, "[1,1]"), kp_parse(t3, "[1,2]+[2,3]")
+    expected = ["[1,1]+[1,2]+[2,3]", "[1,2]+[1,3]"]
+    assert names(ext_set(mu, nu).classes) == expected
+    assert names(ext_set(mu, nu, method=METHOD_FILTER).classes) == expected
+    extra = ["[1,1]+[1,3]+[2,2]"]
+    assert names(interval(generic_ext(mu, nu), mu + nu)) == sorted(expected + extra)
+    assert names(_hom_box(mu, nu)) == sorted(expected + extra)
 
 
 def test_cap_is_checked_after_a_warm_memo(t3):

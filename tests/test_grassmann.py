@@ -203,16 +203,6 @@ def all_classes(table, max_total):
 
 
 @pytest.fixture(scope="module")
-def zigzag_a4():
-    return positive_roots(build_quiver("A", 4, [(2, 1), (2, 3), (4, 3)]))
-
-
-@pytest.fixture(scope="module")
-def sink_d4():
-    return positive_roots(build_quiver("D", 4, [(1, 2), (3, 2), (4, 2)]))
-
-
-@pytest.fixture(scope="module")
 def a4():
     return positive_roots(standard_quiver("A", 4))
 
@@ -498,6 +488,28 @@ def test_all_forced_strata_walk_no_point(t3, monkeypatch, part, beta, n_enumerat
     assert [(e.mu, e.nu, e.count) for e in report.entries] == [(half, half, count)]
     assert report.total == point_count(lam, beta, 5) == count
     assert len(enumerated) == n_enumerated
+
+
+def test_walked_strata_count_their_points_with_no_colour_count(t3, t4, monkeypatch):
+    # a lam with a ranked root is walked, so its total is the number of
+    # points walked; the colour count, run afterwards, must agree with it
+    def forbidden(*args):
+        raise AssertionError("a walked stratum ran the colour count")
+
+    grassmannian._strata.cache_clear()
+    monkeypatch.setattr(grassmannian, "_colour_count", forbidden)
+    totals = {}
+    for table, max_total in [(t3, 4), (t4, 3)]:
+        for lam in all_classes(table, max_total):
+            for q in (2, 3):
+                _, (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
+                if into_ranked or out_ranked:
+                    for beta in itertools.product(*(range(x + 1) for x in lam.total)):
+                        totals[lam, beta, q] = strata(lam, beta, q).total
+    monkeypatch.undo()
+    for (lam, beta, q), total in totals.items():
+        assert point_count(lam, beta, q) == total, (kp_format(lam), beta, q)
+    assert (len(totals), sum(totals.values())) == (524, 714)
 
 
 def test_no_cap_computes_no_scan_states(t3, monkeypatch):
