@@ -24,6 +24,11 @@ This module owns the output schema: every JSON payload and TSV table
 is built here from the library's result objects.  Numeric reports state
 how they were obtained (closed-form vs enumeration) and which field
 orders were used.
+
+Only ``quiver`` and ``linalg`` load with this module, since every
+subcommand resolves a quiver and parses classes.  Each ``_cmd_*``
+handler imports the library modules it runs, so a one-shot query loads
+and compiles no more of the package than it uses.
 """
 
 from __future__ import annotations
@@ -35,20 +40,8 @@ import sys
 from typing import Sequence
 
 from . import linalg
-from .extensions import _normalize_method, ext_min, ext_set, generic_ext
-from .grassmannian import ext_ger, point_count, strata
-from .homs import ext_dim, hom_dim
-from .klr import (
-    PASSES_NECESSARY_TEST,
-    degree_report,
-    is_support_pair,
-    simplicity_necessary,
-    socle_prediction,
-)
-from .order import _check_kp_cap, leq
 from .quiver import (
     PartitionError,
-    QuiverError,
     dim_sub,
     kp_enumerate,
     kp_format,
@@ -60,14 +53,6 @@ from .quiver import (
     standard_quiver,
     weight,
 )
-from .repetition import (
-    RepetitionError,
-    build_repetition,
-    epsilon,
-    v_lambda,
-    w_gamma,
-)
-from .reps import RepError
 
 __all__ = ["main"]
 
@@ -312,6 +297,8 @@ def _cmd_roots(args, table) -> tuple[dict, int]:
 
 
 def _cmd_kp(args, table) -> tuple[dict, int]:
+    from .order import _check_kp_cap
+
     gamma = _parse_dim(args.gamma, table.quiver.rank)
     cap = _resolve_cap(args)
     # both the partitions and the parts of one (up to |gamma|) count as
@@ -328,24 +315,32 @@ def _cmd_kp(args, table) -> tuple[dict, int]:
 
 
 def _cmd_hom(args, table, x, y) -> tuple[dict, int]:
+    from .homs import hom_dim
+
     return {
         "x": kp_format(x), "y": kp_format(y), "hom": hom_dim(x, y), "method": "closed-form"
     }, EXIT_OK
 
 
 def _cmd_ext1(args, table, x, y) -> tuple[dict, int]:
+    from .homs import ext_dim
+
     return {
         "x": kp_format(x), "y": kp_format(y), "ext1": ext_dim(x, y), "method": "closed-form"
     }, EXIT_OK
 
 
 def _cmd_order(args, table, x, y) -> tuple[dict, int]:
+    from .order import leq
+
     result = leq(x, y)
     code = EXIT_OK if result else EXIT_FALSE
     return {"x": kp_format(x), "y": kp_format(y), "leq": result}, code
 
 
 def _cmd_ext_set(args, table, mu, nu) -> tuple[dict, int]:
+    from .extensions import ext_set
+
     fields, cap = _resolve_fields(args), _resolve_cap(args)
     result = ext_set(mu, nu, fields=fields, method=args.method, cap=cap)
     return {
@@ -359,6 +354,8 @@ def _cmd_ext_set(args, table, mu, nu) -> tuple[dict, int]:
 
 
 def _cmd_generic_ext(args, table, mu, nu) -> tuple[dict, int]:
+    from .extensions import _normalize_method, generic_ext
+
     fields, cap = _resolve_fields(args), _resolve_cap(args)
     gen = generic_ext(mu, nu, fields=fields, method=args.method, cap=cap)
     return {
@@ -371,6 +368,8 @@ def _cmd_generic_ext(args, table, mu, nu) -> tuple[dict, int]:
 
 
 def _cmd_ext_min(args, table) -> tuple[dict, int]:
+    from .extensions import ext_min
+
     lam = _parse_kp(table, args.lam)
     alpha = _parse_dim(args.alpha, table.quiver.rank)
     beta = dim_sub(lam.total, alpha)
@@ -388,6 +387,8 @@ def _cmd_ext_min(args, table) -> tuple[dict, int]:
 
 
 def _cmd_grass(args, table) -> tuple[dict, int]:
+    from .grassmannian import ext_ger, point_count, strata
+
     lam = _parse_kp(table, args.lam)
     beta = _parse_dim(args.beta, table.quiver.rank)
     fields, cap = _resolve_fields(args), _resolve_cap(args)
@@ -432,6 +433,8 @@ def _cmd_grass(args, table) -> tuple[dict, int]:
 
 
 def _cmd_support_pair(args, table, mu, nu) -> tuple[dict, int]:
+    from .klr import is_support_pair
+
     result = is_support_pair(mu, nu, fields=_resolve_fields(args), cap=_resolve_cap(args))
     return {
         "mu": kp_format(mu),
@@ -442,6 +445,8 @@ def _cmd_support_pair(args, table, mu, nu) -> tuple[dict, int]:
 
 
 def _cmd_simplicity(args, table, mu, nu) -> tuple[dict, int]:
+    from .klr import PASSES_NECESSARY_TEST, simplicity_necessary
+
     verdict = simplicity_necessary(
         mu, nu, fields=_resolve_fields(args), cap=_resolve_cap(args)
     )
@@ -464,6 +469,8 @@ def _cmd_simplicity(args, table, mu, nu) -> tuple[dict, int]:
 
 
 def _cmd_socle(args, table, mu, nu) -> tuple[dict, int]:
+    from .klr import socle_prediction
+
     prediction = socle_prediction(
         mu, nu, fields=_resolve_fields(args), cap=_resolve_cap(args)
     )
@@ -477,6 +484,8 @@ def _cmd_socle(args, table, mu, nu) -> tuple[dict, int]:
 
 
 def _cmd_degree_report(args, table, mu, nu) -> tuple[dict, int]:
+    from .klr import degree_report
+
     fields = _resolve_fields(args)
     report = degree_report(mu, nu, fields=fields, cap=_resolve_cap(args))
     return {
@@ -499,6 +508,8 @@ def _cmd_degree_report(args, table, mu, nu) -> tuple[dict, int]:
 
 
 def _cmd_epsilon(args, table, mu, nu) -> tuple[dict, int]:
+    from .repetition import build_repetition, epsilon, v_lambda, w_gamma
+
     rq = build_repetition(table.quiver, tuple(args.window) if args.window else None)
     value = epsilon(
         rq,
@@ -511,6 +522,8 @@ def _cmd_epsilon(args, table, mu, nu) -> tuple[dict, int]:
 
 
 def _cmd_rep_quiver(args, table) -> tuple[dict, int]:
+    from .repetition import build_repetition
+
     rq = build_repetition(table.quiver, tuple(args.window) if args.window else None)
     return {
         "window": list(rq.window),
@@ -543,7 +556,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except linalg.CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (PartitionError, QuiverError, RepError, RepetitionError, ValueError) as exc:
+    except ValueError as exc:  # every library domain error subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     _emit(args.fmt, payload)

@@ -4,7 +4,11 @@ and the package exports exactly the names in its library modules'
 
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import quiverlab
 
@@ -16,10 +20,11 @@ LIBRARY = [m for m in MODULES if m.__name__ != "quiverlab.cli"]
 
 
 def _package_names():
+    # dir() loads the package, which binds its names on first use
     return {
         name
-        for name, value in vars(quiverlab).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
+        for name in dir(quiverlab)
+        if not name.startswith("_") and not inspect.ismodule(getattr(quiverlab, name))
     }
 
 
@@ -44,6 +49,28 @@ def test_package_names_are_in_their_module_all():
 
 def test_package_exports_every_library_all_name():
     assert _package_names() == {name for m in LIBRARY for name in m.__all__}
+
+
+def test_import_loads_nothing_until_a_name_is_used():
+    # a child interpreter, so that no test has loaded the library yet
+    script = (
+        "import json, sys\n"
+        "import quiverlab\n"
+        "loaded = [m for m in sys.modules if m.startswith('quiverlab.')]\n"
+        "star = {}\n"
+        "exec('from quiverlab import *', star)\n"
+        "print(json.dumps({'loaded': loaded, 'star': sorted(set(star) - {'__builtins__'})}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(quiverlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == []
+    assert result["star"] == sorted(name for m in LIBRARY for name in m.__all__)
 
 
 def test_every_fields_default_is_the_one_default():

@@ -341,6 +341,61 @@ def test_readme_examples_run_without_numpy():
     assert result["numpy"] == []
 
 
+# the library modules a fresh interpreter holds after one subcommand:
+# every one resolves a quiver and parses classes, then loads what it runs
+_COLD = {"cli", "linalg", "quiver"}
+_GRASS = _COLD | {"grassmannian", "homs", "order", "reps"}
+_EXT = _GRASS | {"extensions"}
+_KLR = _EXT | {"klr", "repetition"}
+COLD_MODULES = {
+    "roots": _COLD,
+    "hom": _COLD | {"homs"},
+    "ext1": _COLD | {"homs"},
+    "kp": _COLD | {"homs", "order"},
+    "order": _COLD | {"homs", "order"},
+    "epsilon": _COLD | {"homs", "repetition"},
+    "rep-quiver": _COLD | {"homs", "repetition"},
+    "grass": _GRASS,
+    "ext-set": _EXT,
+    "generic-ext": _EXT,
+    "ext-min": _EXT,
+    "support-pair": _KLR,
+    "simplicity": _KLR,
+    "socle": _KLR,
+    "degree-report": _KLR,
+}
+
+
+def test_readme_examples_load_only_the_modules_they_run():
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from quiverlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('quiverlab.')]))\n"
+    )
+    loaded, expected = {}, {}
+    for argv, _ in README_EXAMPLES:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argv)],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        key = " ".join(argv[:2])
+        loaded[key] = {m.removeprefix("quiverlab.") for m in json.loads(proc.stdout)}
+        expected[key] = COLD_MODULES[argv[0]]
+    assert loaded == expected
+
+
+def test_domain_errors_are_value_errors():
+    # main maps ValueError to exit 1, so every library domain error must be one
+    for error in (
+        quiverlab.PartitionError, quiverlab.QuiverError, quiverlab.RepError,
+        quiverlab.RepetitionError,
+    ):
+        assert issubclass(error, ValueError), error
+
+
 def test_kp_cap_is_checked_before_the_enumeration():
     # in a child process with a timeout, since listing the partitions of
     # (6, ..., 6) in E8 ran past it
