@@ -66,7 +66,6 @@ __all__ = [
     "METHOD_FILTER",
     "METHOD_U",
     "ExtSetResult",
-    "StratumDimReport",
     "d_lambda",
     "degree_bound",
     "e_lambda",
@@ -75,8 +74,6 @@ __all__ = [
     "generic_ext",
     "hom_omega_dim",
     "orbit_dim",
-    "pair_stratum_dim",
-    "stratum_dim_report",
 ]
 
 METHOD_U = "u-enumeration"
@@ -418,59 +415,3 @@ def degree_bound(
     the lam-row of a pair (mu, nu)."""
     return 2 * e_lambda(lam, mu, nu, fields=fields, cap=cap) + d_lambda(lam, mu, nu)
 
-
-def pair_stratum_dim(
-    lam: KostantPartition,
-    mu: KostantPartition,
-    nu: KostantPartition,
-    *,
-    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
-    cap: int = linalg.DEFAULT_CAP,
-    check: bool = True,
-) -> int:
-    """Dimension ``[lam, mu*nu] - [mu, mu] - [nu, nu]`` attached to the
-    locus of subspaces with sub class nu and quotient class mu."""
-    if check:
-        pairs = grassmannian.ext_pairs(lam, mu.total, nu.total, fields=fields, cap=cap)
-        if (mu, nu) not in pairs:
-            raise PartitionError(
-                f"pair ({kp_format(mu)}, {kp_format(nu)}) is not realized in "
-                f"the Grassmannian of {kp_format(lam)}"
-            )
-    gen = generic_ext(mu, nu, fields=fields, cap=cap)
-    return hom_dim(lam, gen) - hom_dim(mu, mu) - hom_dim(nu, nu)
-
-
-@dataclass(frozen=True)
-class StratumDimReport:
-    """Both available stratum-dimension formulas, side by side.
-
-    ``via_pair`` is ``[lam, mu*nu] - [mu, mu] - [nu, nu]``; ``via_sub``
-    is ``[nu, lam] - [nu, nu]``.  They do not always agree (the split A2
-    stratum is the smallest case where they differ by one); the report
-    carries both and a flag instead of silently preferring one.
-    """
-
-    lam: KostantPartition
-    mu: KostantPartition
-    nu: KostantPartition
-    via_pair: int
-    via_sub: int
-
-    @property
-    def agree(self) -> bool:
-        return self.via_pair == self.via_sub
-
-
-def stratum_dim_report(
-    lam: KostantPartition,
-    mu: KostantPartition,
-    nu: KostantPartition,
-    *,
-    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
-    cap: int = linalg.DEFAULT_CAP,
-    check: bool = True,
-) -> StratumDimReport:
-    via_pair = pair_stratum_dim(lam, mu, nu, fields=fields, cap=cap, check=check)
-    via_sub = grassmannian.stratum_dim(lam, nu, check=False)
-    return StratumDimReport(lam, mu, nu, via_pair, via_sub)

@@ -65,6 +65,14 @@ of the Grassmannian (``ext_ger``).
 
 Point counts are exact; over F_q the count of a stratum is a polynomial
 value in q, which is how the tests pin projective lines and points.
+Each entry of a report carries ``dim = [nu, lambda] - [nu, nu]``, the
+dimension of the sub-class locus: the points whose sub is M_nu, over
+every quotient, which is Hom^inj(M_nu, M_lambda) / Aut M_nu
+(Caldero-Reineke, "On the quiver Grassmannian in the acyclic case",
+J. Pure Appl. Algebra 212 (2008)).  Every entry with the same sub class
+shares it, so it is not the dimension of an entry's own (mu, nu) locus:
+the counts of the entries with sub class nu sum to a monic polynomial
+in q of degree ``dim``, and exactly one of them has that degree.
 """
 
 from __future__ import annotations
@@ -172,6 +180,13 @@ def subreps(
 
 @dataclass(frozen=True)
 class StratumEntry:
+    """The ``count`` points whose quotient is M_mu and whose sub is M_nu.
+
+    ``dim`` is :func:`stratum_dim` of ``nu``, the dimension of the locus
+    of points whose sub is M_nu, over every quotient.  Every entry with
+    the same ``nu`` shares it; it is not the dimension of this entry's
+    own locus, which can be smaller."""
+
     mu: KostantPartition
     nu: KostantPartition
     count: int
@@ -180,6 +195,11 @@ class StratumEntry:
 
 @dataclass(frozen=True)
 class StrataReport:
+    """The ``total`` points of Gr_beta(M_lam) over F_q, sorted by
+    (quotient, sub) class into entries.  An entry's ``dim`` belongs to
+    its sub class, not to the entry: the entries with sub class nu share
+    it, and their counts sum to a monic polynomial in q of that degree."""
+
     lam: KostantPartition
     beta: tuple[int, ...]
     q: int
@@ -530,9 +550,13 @@ def stratum_dim(
     q: int = 2,
     cap: int | None = linalg.DEFAULT_CAP,
 ) -> int:
-    """Dimension ``[nu, lambda] - [nu, nu]`` of the stratum of points whose
-    subrepresentation has class ``nu``.  With ``check`` the stratum is
-    required to be realized (checked over F_q)."""
+    """Dimension ``[nu, lambda] - [nu, nu]`` of the sub-class locus, the
+    points whose subrepresentation is M_nu, over every quotient:
+    Hom^inj(M_nu, M_lambda) / Aut M_nu (Caldero-Reineke).  Every
+    :class:`StratumEntry` with sub class ``nu`` carries it as ``dim``; it
+    is not the dimension of an entry's own (mu, nu) locus.  With
+    ``check`` the sub class is required to be realized (checked over
+    F_q)."""
     if check:
         beta = nu.total
         if not any(pair[1] == nu for pair in realized_pairs(lam, beta, q, cap)):

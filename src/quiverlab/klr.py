@@ -17,8 +17,8 @@ product L(mu) o L(nu) to exact quiver-side computations:
 * ``two_sided_support_pair``: the support-pair test run in both orders.
   ``is_support_pair(mu, nu)`` only scans extensions of ``mu`` by ``nu``,
   so it cannot see Ext^1(nu, mu); the two-sided test is the exact
-  rigid-case test, agreeing with ``rigid_simplicity`` (one direction is
-  immediate, the other verified; see its docstring).
+  rigid-case test, agreeing with ``rigid_simplicity`` (both directions
+  are argued in its docstring).
 * ``socle_prediction``: predicts the socle class mu*nu when the
   defining hypothesis ((mu, nu) in ext_ger(mu*nu)) holds, and abstains
   otherwise.
@@ -145,12 +145,27 @@ def two_sided_support_pair(
     the other is.  A failed support-pair test in either order therefore
     rules out simplicity of L(mu) o L(nu).
 
-    On rigid classes this is the exact test.  If both extension groups
-    vanish, each ext_set holds only the split class, so both orders pass.
-    The converse, that a two-sided pass forces both extension groups to
-    vanish, is settled neither by the paper nor here: it is verified on
-    every rigid pair of type A3 with total dimension at most 5
-    (acceptance criterion 9)."""
+    On rigid classes this is the exact test, equal to
+    :func:`rigid_simplicity`.  If both extension groups vanish, each
+    ext_set holds only the split class, so both orders pass.  Conversely,
+    let mu and nu be rigid with Ext^1(mu, nu) != 0:
+
+    * a non-split extension exists over every field, and its middle term
+      lam is not mu (+) nu, since a short exact sequence of finite-length
+      modules whose middle term is isomorphic to the direct sum of its
+      ends splits (Miyata, "Note on direct summands of modules",
+      J. Math. Kyoto Univ. 7 (1967));
+    * for every middle term lam, Hom(nu, -) is exact on the sequence
+      because Ext^1(nu, nu) = 0, so [nu, lam] = [nu, nu] + [nu, mu];
+    * a rigid class has the open orbit of its dimension vector (Voigt),
+      so it is the unique minimum of that vector in the degeneration
+      order (Bongartz), and no realized pair has a strictly smaller sub
+      or quotient: (mu, nu) is a generic pair.
+
+    So (mu, nu) lies in ext_ger(lam) for every non-split lam, and
+    ``is_support_pair(mu, nu)`` fails.  On rigid pairs the one-sided test
+    therefore passes iff Ext^1(mu, nu) = 0, and the two-sided one iff
+    both groups vanish, on every Dynkin quiver and field."""
     return TwoSidedSupportPairResult(
         is_support_pair(mu, nu, fields=fields, cap=cap),
         is_support_pair(nu, mu, fields=fields, cap=cap),

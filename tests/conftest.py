@@ -41,3 +41,8 @@ def zigzag_a4():
 @pytest.fixture(scope="session")
 def sink_d4():
     return positive_roots(build_quiver("D", 4, [(1, 2), (3, 2), (4, 2)]))
+
+
+@pytest.fixture(scope="session")
+def e6():
+    return positive_roots(standard_quiver("E", 6))

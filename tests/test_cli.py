@@ -620,3 +620,19 @@ def test_tsv_grass_strata_prints_one_block_per_field(capsys):
     assert lines.count("strata:\tmu\tnu\tcount\tdim") == 2
     assert [line for line in lines if line.startswith("q\t")] == ["q\t2", "q\t3"]
     assert "{" not in out
+
+
+def test_tsv_grass_strata_entries_sharing_a_sub_class_share_dim(capsys):
+    # dim is the dimension of the sub-class locus: both entries have sub
+    # [3,3] and print dim 2; their counts q^2 + q and 1 sum to q^2 + q + 1
+    rc, out = run(
+        capsys, "grass", "strata", "[2,3]+[3,3]+[3,3]", "--beta", "0,0,1",
+        "--field", "2", "--field", "3", "--field", "5", "--format", "tsv", *A3,
+    )
+    assert rc == 0
+    assert out == "".join(
+        "lambda\t[2,3]+[3,3]+[3,3]\nbeta\t0,0,1\n"
+        f"q\t{q}\ntotal\t{q * q + q + 1}\nstrata:\tmu\tnu\tcount\tdim\n"
+        f"\t[2,3]+[3,3]\t[3,3]\t{q * q + q}\t2\n\t[2,2]+[3,3]+[3,3]\t[3,3]\t1\t2\n"
+        for q in (2, 3, 5)
+    )

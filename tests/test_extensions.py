@@ -30,11 +30,9 @@ from quiverlab import (
     kp_parse,
     leq,
     orbit_dim,
-    pair_stratum_dim,
     point_count,
     positive_roots,
     strata,
-    stratum_dim_report,
 )
 from quiverlab import extensions, grassmannian
 from quiverlab.extensions import _candidates, _classify_u, _ext_set_u, _hom_box
@@ -80,6 +78,20 @@ def test_methods_agree_on_a_bigger_example(t3):
     for method in ("magic", "u-enum", "filter"):
         with pytest.raises(ValueError):
             ext_set(mu, nu, method=method)
+
+
+def test_a_middle_term_with_no_f2_point(t4):
+    # the (mu, nu) stratum of Gr(M_lam) counts q - 2 points: none over GF(2),
+    # so GF(2) alone misses lam, and the default fields find it over GF(3)
+    mu, nu, lam = (kp_parse(t4, x) for x in ("1,1,0,0", "0,1,1,1", "1,2,1,1"))
+    assert [
+        sum(e.count for e in strata(lam, nu.total, q).entries if (e.mu, e.nu) == (mu, nu))
+        for q in (2, 3, 5)
+    ] == [0, 1, 3]
+    alone = ext_set(mu, nu, fields=(2,))
+    assert lam not in alone.classes and alone.stable
+    default = ext_set(mu, nu)
+    assert default.classes == alone.classes | {lam} and not default.stable
 
 
 def block_rep(mu, nu, q, u):
@@ -414,30 +426,3 @@ def test_d_lambda_rejects_weight_mismatch(t2):
     with pytest.raises(PartitionError):
         d_lambda(kp_parse(t2, "[1,2]"), s1, s1)
 
-
-# ------------------------------------------------------------- stratum dims
-
-def test_stratum_dim_report_disagreement_a2(t2):
-    s1, s2 = kp_parse(t2, "[1,1]"), kp_parse(t2, "[2,2]")
-    lam = kp_parse(t2, "[1,2]")
-    report = stratum_dim_report(lam, s1, s2)
-    assert report.via_sub == 0  # the point Gr_(0,1)(M[1,2]) is a single point
-    assert report.via_pair == -1
-    assert not report.agree
-
-
-def test_stratum_dim_report_disagreement_a3(t3):
-    lam = kp_parse(t3, "[1,2]+[2,3]")
-    mu, nu = kp_parse(t3, "[1,2]"), kp_parse(t3, "[2,3]")
-    report = stratum_dim_report(lam, mu, nu)
-    assert report.via_sub == 1  # P^1 of subrepresentations
-    assert report.via_pair == 0
-    assert not report.agree
-
-
-def test_pair_stratum_dim_requires_realization(t3):
-    lam = kp_parse(t3, "[1,3]+[2,2]")
-    mu, nu = kp_parse(t3, "[1,1]+[2,2]"), kp_parse(t3, "[2,2]+[3,3]")
-    # ([1,1]+[2,2], [2,2]+[3,3]) is not realized inside this lambda
-    with pytest.raises(PartitionError):
-        pair_stratum_dim(lam, mu, nu)

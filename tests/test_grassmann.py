@@ -3,6 +3,7 @@
 import itertools
 import json
 from collections import Counter
+from fractions import Fraction
 from operator import mul
 
 import pytest
@@ -150,7 +151,9 @@ def test_subreps_cap(t3):
         list(subreps(m, (1, 1, 0), cap=2))
 
 
-def test_stratum_dim_checks_realization(t3):
+def test_stratum_dim_checks_realization(t2, t3):
+    # Gr_(0,1)(M[1,2]) is a single point
+    assert stratum_dim(kp_parse(t2, "[1,2]"), kp_parse(t2, "[2,2]")) == 0
     lam = kp_parse(t3, "[1,2]+[2,3]")
     assert stratum_dim(lam, kp_parse(t3, "[2,3]")) == 1
     assert stratum_dim(lam, kp_parse(t3, "[2,2]+[3,3]")) == 0
@@ -205,11 +208,6 @@ def all_classes(table, max_total):
 @pytest.fixture(scope="module")
 def a4():
     return positive_roots(standard_quiver("A", 4))
-
-
-@pytest.fixture(scope="module")
-def e6():
-    return positive_roots(standard_quiver("E", 6))
 
 
 def generator_coordinates(m, dual):
@@ -574,3 +572,74 @@ def test_hom_basis_is_a_basis_of_intertwiners(t3, q):
                 flat.append([v for f_v in f for row in f_v for v in row])
             if flat:
                 assert rank(flat, q) == len(basis)
+
+
+# --------------------------------------------------- what dim means
+
+FIELDS = (2, 3, 5, 7, 11)
+
+
+def lagrange_basis():
+    """Per prime qi of FIELDS, the coefficients, constant term first, of
+    the polynomial that is 1 at qi and 0 at the other primes."""
+    rows = []
+    for i, qi in enumerate(FIELDS):
+        row = [Fraction(1)]
+        for qj in FIELDS[:i] + FIELDS[i + 1 :]:  # times (x - qj) / (qi - qj)
+            row = [(a - qj * b) / (qi - qj) for a, b in zip([0] + row, row + [0])]
+        rows.append(row)
+    return rows
+
+
+LAGRANGE = lagrange_basis()
+
+
+def interpolate(values):
+    """The coefficients, constant term first and no trailing zeros, of the
+    polynomial of degree < len(FIELDS) taking ``values`` at the primes of
+    FIELDS, or None when one is not an integer."""
+    coeffs = [sum(map(mul, values, column)) for column in zip(*LAGRANGE)]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return None if any(c.denominator != 1 for c in coeffs) else [int(c) for c in coeffs]
+
+
+@pytest.mark.parametrize(
+    "which,max_total,n_subs,n_entries",
+    [("t3", 4, 411, 427), ("t4", 3, 255, 258), ("zigzag_a4", 3, 252, 255)],
+)
+def test_dim_is_the_degree_of_the_sub_class_count(
+    request, monkeypatch, which, max_total, n_subs, n_entries
+):
+    # StratumEntry.dim = [nu, lam] - [nu, nu] is the dimension of the locus
+    # of points whose sub is M_nu, over every quotient (Caldero-Reineke): the
+    # counts of the entries with sub class nu sum to a monic polynomial in q
+    # of that degree.  Each entry's own count is a monic polynomial of degree
+    # at most dim, and exactly one entry per sub class reaches it.  Every
+    # polynomial is read off q = 2..11 and must predict the count at q = 13
+    table = request.getfixturevalue(which)
+    monkeypatch.setattr(linalg, "SUPPORTED_FIELDS", FIELDS + (13,))
+
+    def degree(values, where):
+        poly = interpolate(values[:-1])
+        assert poly is not None and poly[-1] == 1, where
+        assert sum(c * 13**k for k, c in enumerate(poly)) == values[-1], where
+        return len(poly) - 1
+
+    subs = entries = 0
+    for lam in all_classes(table, max_total):
+        for beta in itertools.product(*(range(x + 1) for x in lam.total)):
+            counts, dims = {}, {}  # (mu, nu) -> count per field, nu -> dim
+            for i, q in enumerate(FIELDS + (13,)):
+                for e in strata(lam, beta, q).entries:
+                    counts.setdefault((e.mu, e.nu), [0] * (len(FIELDS) + 1))[i] = e.count
+                    assert dims.setdefault(e.nu, e.dim) == e.dim
+            for nu, dim in dims.items():
+                where = (kp_format(lam), beta, kp_format(nu))
+                per_entry = [c for (_, n), c in counts.items() if n == nu]
+                assert degree([sum(col) for col in zip(*per_entry)], where) == dim, where
+                degrees = [degree(values, where) for values in per_entry]
+                assert max(degrees) == dim and degrees.count(dim) == 1, where
+                subs += 1
+                entries += len(per_entry)
+    assert (subs, entries) == (n_subs, n_entries)

@@ -5,6 +5,7 @@ one order has a nonsplit extension (product not simple, socle the
 nonsplit middle term), the other is generic (split product).
 """
 
+import itertools
 import json
 
 import pytest
@@ -14,7 +15,12 @@ from quiverlab import (
     PartitionError,
     degree_report,
     head_socle_bounds,
+    ext_dim,
+    ext_ger,
+    ext_set,
+    is_rigid,
     is_support_pair,
+    kp_enumerate,
     kp_format,
     kp_parse,
     length_two_report,
@@ -84,6 +90,37 @@ def test_two_sided_support_pair_fails_in_both_argument_orders(s1, s2):
     res = two_sided_support_pair(s2, s1)
     assert not res.ok and res.forward.ok
     assert kp_format(res.reverse.witness) == "[1,2]"
+
+
+@pytest.mark.parametrize(
+    "which,bound,n_pairs,n_members",
+    [("t4", 4, 356, 109), ("zigzag_a4", 4, 356, 115), ("sink_d4", 4, 356, 124),
+     ("e6", 3, 288, 56)],
+)
+def test_rigid_converse(request, which, bound, n_pairs, n_members):
+    # for rigid mu and nu with Ext^1(mu, nu) != 0, every non-split middle
+    # term lam has (mu, nu) in ext_ger(lam) (see two_sided_support_pair), so
+    # the one-sided test passes iff Ext^1(mu, nu) = 0 and the two-sided test
+    # is rigid_simplicity; pairs of total dimension at most the bound
+    table = request.getfixturevalue(which)
+    rigid = [
+        kp
+        for g in itertools.product(range(bound), repeat=table.quiver.rank)
+        if 0 < sum(g) < bound
+        for kp in kp_enumerate(table, g)
+        if is_rigid(kp)
+    ]
+    pairs = [(m, n) for m in rigid for n in rigid if sum(m.total) + sum(n.total) <= bound]
+    members = 0
+    for mu, nu in pairs:
+        where = (kp_format(mu), kp_format(nu))
+        e = ext_dim(mu, nu)
+        for lam in ext_set(mu, nu).classes - {mu + nu}:
+            assert e and (mu, nu) in ext_ger(lam, mu.total, nu.total), where
+            members += 1
+        assert is_support_pair(mu, nu).ok == (e == 0), where
+        assert two_sided_support_pair(mu, nu).ok == rigid_simplicity(mu, nu), where
+    assert (len(pairs), members) == (n_pairs, n_members)
 
 
 # ------------------------------------------------------------ simplicity
