@@ -99,6 +99,13 @@ def hom_omega_dim(alpha: Sequence[int], beta: Sequence[int], quiver) -> int:
 
 @dataclass(frozen=True)
 class ExtSetResult:
+    """The middle terms of :func:`ext_set`, unioned over ``fields``.
+
+    ``stable`` is true when every field found the same classes.  It
+    compares the fields given and promises nothing with a single field,
+    where it is always true, even when that field misses a middle term
+    (in D4, GF(2) misses ``1,2,1,1`` for ``1,1,0,0`` by ``0,1,1,1``)."""
+
     mu: KostantPartition
     nu: KostantPartition
     classes: frozenset[KostantPartition]
@@ -258,7 +265,9 @@ def ext_set(
 ) -> ExtSetResult:
     """All middle-term classes of extensions of ``mu`` (quotient) by
     ``nu`` (sub), unioned over the given fields.  The cap is checked for
-    every field before any enumeration starts."""
+    every field before any enumeration starts.  The result is ``stable``
+    when the fields agree; with one field it is always stable, which says
+    nothing about the classes that field misses."""
     if not fields:
         raise ValueError("ext_set needs at least one field")
     method = _normalize_method(method)

@@ -1,7 +1,7 @@
 """Exact dense linear algebra over the prime fields F_2, F_3 (and F_5).
 
-One pure-Python Gauss–Jordan routine does every elimination, so
-arithmetic is exact.  A matrix is a sequence of rows, each a sequence of
+Arithmetic is exact: every elimination is pure Python, over int lists
+or over packed rows.  A matrix is a sequence of rows, each a sequence of
 Python ints read mod p; results are int lists reduced mod p.  A matrix
 with no rows carries no width, so the functions that need it
 (:func:`kernel_basis`, :func:`subspaces_containing`) take the column
@@ -13,12 +13,20 @@ row-echelon profiles in a fixed lexicographic order, so iterating twice
 gives the same sequence and the number of bases produced always equals
 the Gaussian binomial.
 
+The private :func:`_packed_rank` ranks rows packed into one Python int
+each (:func:`_pack`): one bit per entry over F_2, where a row operation
+is one XOR, and one byte per entry over odd q, where it is one big-int
+multiply-add followed by a byte-wise reduction mod q.  It serves the
+intertwiner count of :func:`.reps.hom_space_dim`, whose systems are so
+small that per-entry Python overhead is the whole cost.
+
 Enumerations that would exceed an explicit cap raise :class:`CapExceeded`
 up front instead of running forever.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator, Sequence
 
@@ -59,6 +67,77 @@ def check_cap(needed: int, cap: int | None, what: str) -> None:
 def _check_field(q: int) -> None:
     if q not in SUPPORTED_FIELDS:
         raise ValueError(f"unsupported field F_{q}; supported: {SUPPORTED_FIELDS}")
+
+
+# Packed rows: one Python int per row, the entry of column c in slot c
+# (bits c*w .. c*w + w - 1, w = _slot_bits(q)).  Over F_2 a slot is one
+# bit and addition is XOR; over odd q a slot is one byte, wide enough to
+# hold row + (q - lead) * pivot, at most q(q - 1) < 256, before each byte
+# is reduced mod q by one bytes.translate.
+
+
+def _slot_bits(q: int) -> int:
+    """Bits per entry of a packed row over F_q."""
+    return 1 if q == 2 else 8
+
+
+def _pack(entries: Sequence[int], q: int) -> int:
+    """The packed row of the int entries (read mod q), entry c in slot c."""
+    w = _slot_bits(q)
+    return sum((x % q) << (c * w) for c, x in enumerate(entries))
+
+
+@functools.cache
+def _byte_table(q: int) -> tuple[bytes, tuple[int, ...]]:
+    """The translate table taking a byte b to b mod q, and the inverses
+    mod q (0 at 0), built the first time F_q is eliminated over."""
+    if q * (q - 1) > 255:
+        raise ValueError(f"F_{q} entries do not fit a one-byte slot")
+    inverses = (0,) + tuple(pow(x, q - 2, q) for x in range(1, q))
+    return bytes(b % q for b in range(256)), inverses
+
+
+def _packed_rank(rows: Sequence[int], q: int, ncols: int) -> int:
+    """Rank over F_q of packed rows of ``ncols`` entries, each in
+    ``range(q)`` (see :func:`_pack`).
+
+    Each row is reduced against the pivots found so far, keyed by its
+    leading slot, until it vanishes or leads a slot no pivot holds.  Over
+    F_2 a reduction is one XOR; over odd q it is ``row + (q - lead) *
+    pivot`` on a pivot with leading 1, then every byte mod q.
+    """
+    _check_field(q)
+    if q == 2:
+        pivots: dict[int, int] = {}
+        for row in rows:
+            while row:
+                top = row.bit_length()
+                pivot = pivots.get(top)
+                if pivot is None:
+                    pivots[top] = row
+                    break
+                row ^= pivot
+        return len(pivots)
+    table, inverses = _byte_table(q)
+    pivots = {}
+    for row in rows:
+        while row:
+            top = (row.bit_length() - 1) & ~7
+            lead = row >> top
+            pivot = pivots.get(top)
+            if pivot is None:
+                if lead != 1:
+                    row = int.from_bytes(
+                        (row * inverses[lead]).to_bytes(ncols, "little").translate(table),
+                        "little",
+                    )
+                pivots[top] = row
+                break
+            row = int.from_bytes(
+                (row + (q - lead) * pivot).to_bytes(ncols, "little").translate(table),
+                "little",
+            )
+    return len(pivots)
 
 
 def _rows(a, ncols: int | None = None) -> list[list[int]]:

@@ -10,7 +10,12 @@ a cross-check.
 
 ``hom_space_dim`` counts intertwiners by exact linear algebra — the
 matrix-level oracle against which the closed forms in :mod:`.homs` are
-tested — and ``identify`` recovers the Kostant partition of an
+tested.  It ranks the intertwiner system as packed rows, one Python int
+per equation, assembled from arrow matrices each representation packs
+once; the dense int-list system (``_intertwiner_system``) serves the
+callers that need its kernel (``hom_basis``, the coboundaries of
+:mod:`.extensions`) and is the reference the packed rows are tested
+against.  ``identify`` recovers the Kostant partition of an
 arbitrary representation from its hom counts against the
 indecomposables (the counting matrix is unitriangular in the adapted
 order, so a forward substitution inverts it).
@@ -22,6 +27,7 @@ them as immutable.
 from __future__ import annotations
 
 import functools
+from itertools import accumulate
 from operator import mul
 from dataclasses import dataclass
 from typing import Sequence
@@ -81,6 +87,21 @@ class Rep:
 
     def __repr__(self) -> str:
         return f"Rep({self.quiver!r}, q={self.q}, dims={self.dims})"
+
+    @functools.cached_property
+    def _packed(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per arrow, the columns of its matrix X and the rows of -X as
+        packed rows over F_q (:func:`.linalg._pack`), the pieces
+        :func:`hom_space_dim` assembles its equations from.  Packed once
+        per representation, as a partition hashes once."""
+        q = self.q
+        return tuple(
+            (
+                tuple(linalg._pack([row[j] for row in x], q) for j in range(self.dims[s - 1])),
+                tuple(linalg._pack([-y for y in row], q) for row in x),
+            )
+            for (s, _), x in zip(self.quiver.arrows, self.mats)
+        )
 
 
 def zero_rep(quiver: DynkinQuiver, q: int) -> Rep:
@@ -194,8 +215,16 @@ def build(kp: KostantPartition, q: int) -> Rep:
 # intertwiner counting and identification
 
 
+def _check_same_space(m: Rep, n: Rep) -> None:
+    if (m.quiver is not n.quiver and m.quiver != n.quiver) or m.q != n.q:
+        raise RepError("representations live over different quivers or fields")
+
+
 def _intertwiner_system(m: Rep, n: Rep) -> tuple[list[list[int]], list[int]]:
-    """The linear system whose solutions are the intertwiners ``m -> n``.
+    """The linear system whose solutions are the intertwiners ``m -> n``,
+    as dense int-list rows: the system :func:`hom_basis` and the
+    coboundaries of :mod:`.extensions` take kernels of, and the reference
+    for the packed rows :func:`hom_space_dim` ranks.
 
     ``f_v`` is an ``e_v x d_v`` matrix (``e`` = dims of ``n``, ``d`` =
     dims of ``m``); its entry ``(a, b)`` is unknown number
@@ -204,8 +233,7 @@ def _intertwiner_system(m: Rep, n: Rep) -> tuple[list[list[int]], list[int]]:
     ``f_t X_h - Y_h f_s`` for every arrow ``h: s -> t``; entries need not
     be reduced mod q (the :mod:`.linalg` kernel reads them mod q).
     """
-    if m.quiver != n.quiver or m.q != n.q:
-        raise RepError("representations live over different quivers or fields")
+    _check_same_space(m, n)
     offsets = [0]
     for d_v, e_v in zip(m.dims, n.dims):
         offsets.append(offsets[-1] + d_v * e_v)
@@ -234,18 +262,57 @@ def _intertwiner_system(m: Rep, n: Rep) -> tuple[list[list[int]], list[int]]:
     return rows, offsets
 
 
+@functools.lru_cache(maxsize=4096)
+def _spread(row: int, stride: int, width: int) -> int:
+    """The packed row ``row`` (slots of ``width`` bits) with its slot b
+    moved to slot ``b * stride``."""
+    mask = (1 << width) - 1
+    step = stride * width
+    out = shift = 0
+    while row:
+        out |= (row & mask) << shift
+        row >>= width
+        shift += step
+    return out
+
+
 def hom_space_dim(m: Rep, n: Rep) -> int:
     """dim of the space of intertwiners ``f`` with ``f_t X_h = Y_h f_s``
-    for every arrow ``h: s -> t``, by exact rank computation."""
-    rows, offsets = _intertwiner_system(m, n)
-    return offsets[-1] - linalg.rank(rows, m.q)
+    for every arrow ``h: s -> t``, by exact rank computation.
+
+    The equations are those of :func:`_intertwiner_system`, in the same
+    unknowns, built as packed rows (:func:`.linalg._packed_rank`) from
+    the arrow matrices each side packs once: the row for entry ``(a, j)``
+    of arrow ``h`` is X_h's column j at row a of ``f_t`` plus -Y_h's row
+    a spread along column j of ``f_s``.
+    """
+    _check_same_space(m, n)
+    q = m.q
+    width = linalg._slot_bits(q)
+    d = m.dims
+    offsets = list(accumulate(map(mul, d, n.dims), initial=0))
+    rows: list[int] = []
+    for (s, t), (x_cols, _), (_, y_rows) in zip(m.quiver.arrows, m._packed, n._packed):
+        d_s = d[s - 1]
+        if not (d_s and y_rows):
+            continue
+        step = d[t - 1] * width
+        base = offsets[t - 1] * width
+        c_s = offsets[s - 1] * width
+        shifts = range(c_s, c_s + d_s * width, width)
+        for y_row in y_rows:
+            spread = _spread(y_row, d_s, width)
+            for x_col, j in zip(x_cols, shifts):
+                rows.append((x_col << base) + (spread << j))
+            base += step
+    return offsets[-1] - linalg._packed_rank(rows, q, offsets[-1])
 
 
 def hom_basis(m: Rep, n: Rep) -> list[tuple[list[list[int]], ...]]:
-    """A basis of the intertwiners ``m -> n``: the kernel of the system
-    :func:`hom_space_dim` ranks.  Each element is one ``e_v x d_v``
-    matrix per vertex (``e`` = dims of ``n``, ``d`` = dims of ``m``), as
-    int-list rows reduced mod q."""
+    """A basis of the intertwiners ``m -> n``: the kernel of
+    :func:`_intertwiner_system`, the system :func:`hom_space_dim` ranks.
+    Each element is one ``e_v x d_v`` matrix per vertex (``e`` = dims of
+    ``n``, ``d`` = dims of ``m``), as int-list rows reduced mod q."""
     rows, offsets = _intertwiner_system(m, n)
     kernel = linalg.kernel_basis(rows, offsets[-1], m.q)
     return [

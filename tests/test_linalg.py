@@ -198,3 +198,65 @@ def test_no_cap_counts_no_states(monkeypatch):
     assert len(list(subspaces_containing([[1, 0, 0]], 3, 2, 2, None))) == 3
     with pytest.raises(AssertionError):
         list(enumerate_subspaces(3, 2, 2, cap=100))
+
+
+# ------------------------------------------------------------- packed rows
+
+
+def _low_rank_matrix(q, r, c, k, rng):
+    """An r x c matrix over F_q of rank at most k: a product of random
+    r x k and k x c matrices, so that rows cancel in the elimination."""
+    left = [[rng.randrange(q) for _ in range(k)] for _ in range(r)]
+    right = [[rng.randrange(q) for _ in range(c)] for _ in range(k)]
+    return [[sum(x * right[l][j] for l, x in enumerate(row)) % q for j in range(c)] for row in left]
+
+
+def packed(a, q):
+    return [linalg._pack(row, q) for row in a]
+
+
+@given(
+    st.tuples(fields, st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
+)
+@settings(max_examples=300, deadline=None)
+def test_packed_rank_equals_rank(params):
+    q, r, c, k, seed = params
+    rng = random.Random(seed)
+    a = _low_rank_matrix(q, r, c, k, rng)
+    # packing reads entries mod q: entries off by multiples of q, negative
+    # ones too, pack to the same row
+    shifted = [[x + q * rng.randint(-3, 3) for x in row] for row in a]
+    assert packed(shifted, q) == packed(a, q)
+    assert linalg._packed_rank(packed(shifted, q), q, c) == rank(a, q)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_FIELDS)
+def test_packed_rank_of_empty_systems(q):
+    assert linalg._packed_rank([], q, 0) == 0
+    assert linalg._packed_rank([], q, 4) == 0
+    # rows with zero columns pack to 0 and add nothing to the rank
+    assert linalg._packed_rank(packed([[], [], []], q), q, 0) == 0
+
+
+def test_packed_rank_rejects_unsupported_fields():
+    for q in (4, 7):
+        # the field is checked even when there is nothing to eliminate
+        with pytest.raises(ValueError):
+            linalg._packed_rank([], q, 0)
+        with pytest.raises(ValueError):
+            linalg._packed_rank([1], q, 1)
+
+
+def test_packed_rank_over_fields_added_after_import(monkeypatch):
+    # the byte tables are built the first time a field is eliminated over,
+    # so fields added to SUPPORTED_FIELDS later work as the others do; a
+    # slot holds up to q(q - 1), which is below 256 up to q = 13
+    monkeypatch.setattr(linalg, "SUPPORTED_FIELDS", SUPPORTED_FIELDS + (7, 11, 13, 17))
+    rng = random.Random(20261019)
+    for q in (7, 11, 13):
+        for _ in range(60):
+            r, c = rng.randint(0, 6), rng.randint(0, 6)
+            a = _low_rank_matrix(q, r, c, rng.randint(0, 6), rng)
+            assert linalg._packed_rank(packed(a, q), q, c) == rank(a, q)
+    with pytest.raises(ValueError):
+        linalg._packed_rank([], 17, 0)

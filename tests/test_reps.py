@@ -12,6 +12,7 @@ from quiverlab import (
     chain_rep,
     direct_sum,
     hom_basis,
+    hom_dim,
     hom_space_dim,
     identify,
     indecomposable,
@@ -24,7 +25,7 @@ from quiverlab import (
     zero_rep,
 )
 from quiverlab import linalg
-from quiverlab.reps import RepError
+from quiverlab.reps import RepError, _intertwiner_system
 
 
 def random_invertible(rng, n, q):
@@ -102,7 +103,7 @@ def test_indecomposables_have_right_dims_and_trivial_end(dt, rank, arrows, q):
             assert hom_space_dim(m, m) == 1
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 5])
 def test_identify_roundtrip(t3, q):
     for gamma in itertools.product(range(5), repeat=3):
         if not 0 < sum(gamma) <= 4:
@@ -243,6 +244,14 @@ def test_hom_space_dim_without_unknowns_or_equations(t3):
     assert hom_space_dim(simple_rep(quiver, q, 1), m12) == 0
     assert hom_basis(simple_rep(quiver, q, 1), m12) == []
     assert hom_basis(m12, simple_rep(quiver, q, 1)) == [([[1]], [], [])]
+    # both sides must share quiver and field, and the field is checked
+    # even when there is nothing to rank
+    with pytest.raises(RepError):
+        hom_space_dim(z, zero_rep(quiver, 3))
+    with pytest.raises(RepError):
+        hom_space_dim(z, zero_rep(build_quiver("A", 3, [(2, 1), (2, 3)]), q))
+    with pytest.raises(ValueError):
+        hom_space_dim(zero_rep(quiver, 4), zero_rep(quiver, 4))
 
 
 def test_hom_space_dim_reads_entries_mod_q(t3):
@@ -255,3 +264,66 @@ def test_hom_space_dim_reads_entries_mod_q(t3):
             negated = Rep(n.quiver, q, n.dims, shift(n.mats, -2 * q))
             assert hom_space_dim(shifted, negated) == hom_space_dim(m, n)
 
+
+def random_rep(rng, quiver, q, max_dim=3):
+    """A representation with random dims and random, mostly sparse arrow
+    matrices, not built as a direct sum.  Entries are unreduced and often
+    negative: about half are multiples of q, which read as 0."""
+
+    def entry():
+        return rng.randrange(-2 * q, 3 * q) if rng.random() < 0.5 else q * rng.randint(-2, 2)
+
+    dims = tuple(rng.randint(0, max_dim) for _ in quiver.vertices)
+    mats = tuple(
+        tuple(tuple(entry() for _ in range(dims[s - 1])) for _ in range(dims[t - 1]))
+        for s, t in quiver.arrows
+    )
+    return Rep(quiver, q, dims, mats)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize(
+    "dt,rank,arrows",
+    [
+        pytest.param("A", 3, None, id="A-3"),
+        pytest.param("D", 4, None, id="D-4"),
+        pytest.param("A", 4, [(2, 1), (2, 3), (4, 3)], id="A-4-zigzag"),
+        pytest.param("E", 6, None, id="E-6"),
+    ],
+)
+def test_hom_space_dim_agrees_with_the_dense_system(dt, rank, arrows, q):
+    # the packed rows hom_space_dim ranks against the reference dense
+    # system, ranked by linalg.rank, and against the size of hom_basis
+    quiver = standard_quiver(dt, rank) if arrows is None else build_quiver(dt, rank, arrows)
+    rng = random.Random(f"{dt}{rank}/{arrows}/{q}")
+    dependent = 0  # systems whose elimination clears a row
+    for _ in range(80):
+        m, n = random_rep(rng, quiver, q), random_rep(rng, quiver, q)
+        rows, offsets = _intertwiner_system(m, n)
+        r = linalg.rank(rows, q)
+        assert hom_space_dim(m, n) == offsets[-1] - r == len(hom_basis(m, n)), (m.mats, n.mats)
+        dependent += 0 < r < len(rows)
+    assert dependent >= 20
+
+
+def test_hom_oracle_over_f5(t3, t4):
+    # criterion 4 sweeps GF(2) and GF(3); over GF(5) the packed rows also
+    # meet leads other than 1 and -1
+    counts = []
+    for table, max_total in ((t3, 4), (t4, 3)):
+        classes = [
+            kp
+            for gamma in itertools.product(range(max_total + 1), repeat=table.quiver.rank)
+            if 0 < sum(gamma) <= max_total
+            for kp in kp_enumerate(table, gamma)
+        ]
+        built = {kp: build(kp, 5) for kp in classes}
+        mismatches = [
+            (kp_format(x), kp_format(y))
+            for x in classes
+            for y in classes
+            if hom_dim(x, y) != hom_space_dim(built[x], built[y])
+        ]
+        assert not mismatches
+        counts.append(len(classes) ** 2)
+    assert counts == [3721, 2704]
