@@ -114,13 +114,13 @@ class ExtSetResult:
     stable: bool
 
 
-def _coboundaries(x: Rep, y: Rep) -> list[list[int]]:
+def _coboundaries(x: Rep, y: Rep) -> list[tuple[int, ...]]:
     """The coboundaries h -> (h_t X_k - Y_k h_s) of the unit vectors h,
-    the columns of ``reps._intertwiner_system(x, y)``: cocycles, one
-    ``dims_y[t] x dims_x[s]`` block per arrow ``s -> t``, arrow by arrow
-    and row by row."""
-    system, offsets = _intertwiner_system(x, y)
-    return [[row[c] for row in system] for c in range(offsets[-1])] if system else []
+    the columns of the unpacked rows of ``reps._intertwiner_system(x, y)``:
+    cocycles, one ``dims_y[t] x dims_x[s]`` block per arrow ``s -> t``,
+    arrow by arrow and row by row."""
+    rows, offsets = _intertwiner_system(x, y)
+    return list(zip(*(linalg._unpack(row, x.q, offsets[-1]) for row in rows)))
 
 
 def _ext_coordinates(m_a: Rep, y: Rep) -> list[list[int]]:
@@ -130,7 +130,7 @@ def _ext_coordinates(m_a: Rep, y: Rep) -> list[list[int]]:
     echelon form E, x -> x[c] - sum_i x[pivot_i] E[i][c]: the rows
     :func:`linalg.kernel_basis` builds from E.
     """
-    width = sum(y.dims[t - 1] * m_a.dims[s - 1] for s, t in m_a.quiver.arrows)
+    width = hom_omega_dim(m_a.dims, y.dims, m_a.quiver)
     return linalg.kernel_basis(_coboundaries(m_a, y), width, m_a.q)
 
 

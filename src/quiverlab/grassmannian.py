@@ -90,6 +90,7 @@ from .order import lt
 from .quiver import (
     KostantPartition,
     PartitionError,
+    _heights,
     dim_add,
     dim_leq,
     dim_sub,
@@ -415,15 +416,9 @@ def _colour_count(lam: KostantPartition, beta: tuple[int, ...], q: int) -> int:
     """
     m = build(lam, q)
     quiver, dims, mats = m.quiver, m.dims, m.mats
-    colour = {1: 0}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in quiver.neighbours(v):
-            if w not in colour:
-                colour[w] = 1 - colour[v]
-                stack.append(w)
-    classes = [[v for v in quiver.vertices if colour[v] == c] for c in (0, 1)]
+    # the parity of the height colours the tree, vertex 1's class first
+    xi = _heights(quiver)
+    classes = [[v for v in quiver.vertices if (xi[v - 1] - xi[0]) % 2 == c] for c in (0, 1)]
     states = [
         math.prod(linalg.gaussian_binomial(dims[v - 1], beta[v - 1], q) for v in c)
         for c in classes

@@ -16,9 +16,11 @@ the Gaussian binomial.
 The private :func:`_packed_rank` ranks rows packed into one Python int
 each (:func:`_pack`): one bit per entry over F_2, where a row operation
 is one XOR, and one byte per entry over odd q, where it is one big-int
-multiply-add followed by a byte-wise reduction mod q.  It serves the
-intertwiner count of :func:`.reps.hom_space_dim`, whose systems are so
-small that per-entry Python overhead is the whole cost.
+multiply-add followed by a byte-wise reduction mod q; :func:`_unpack`
+reads a packed row back as an int list.  They serve the intertwiner
+systems of :mod:`.reps`, which are so small that per-entry Python
+overhead is the whole cost: :func:`.reps.hom_space_dim` ranks the packed
+rows, and the kernels and coboundaries read them unpacked.
 
 Enumerations that would exceed an explicit cap raise :class:`CapExceeded`
 up front instead of running forever.
@@ -85,6 +87,14 @@ def _pack(entries: Sequence[int], q: int) -> int:
     """The packed row of the int entries (read mod q), entry c in slot c."""
     w = _slot_bits(q)
     return sum((x % q) << (c * w) for c, x in enumerate(entries))
+
+
+def _unpack(row: int, q: int, ncols: int) -> list[int]:
+    """The ``ncols`` entries of the packed row ``row``, the inverse of
+    :func:`_pack` on entries in ``range(q)``."""
+    if q == 2:
+        return [(row >> c) & 1 for c in range(ncols)]
+    return list(row.to_bytes(ncols, "little"))
 
 
 @functools.cache

@@ -206,6 +206,24 @@ def _component(adj, start: int, cut: int | None = None) -> set[int]:
     return seen
 
 
+def _heights(quiver: DynkinQuiver) -> tuple[int, ...]:
+    """The heights ``xi`` of the vertices, one walk of the tree from
+    vertex 1: ``xi_s = xi_t + 1`` along every arrow ``s -> t``, normalized
+    to minimum 0.  Adjacent vertices differ by one, so the parity of the
+    height 2-colours the diagram."""
+    xi = {1: 0}
+    frontier = [1]
+    while frontier:
+        v = frontier.pop()
+        for w in quiver.neighbours(v):
+            if w not in xi:
+                # an arrow points to its larger vertex and lowers the height
+                xi[w] = xi[v] - 1 if w > v else xi[v] + 1
+                frontier.append(w)
+    low = min(xi.values())
+    return tuple(xi[v] - low for v in quiver.vertices)
+
+
 def build_quiver(
     diagram_type: str,
     rank: int,

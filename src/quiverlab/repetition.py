@@ -35,6 +35,7 @@ from .quiver import (
     DynkinQuiver,
     KostantPartition,
     QuiverError,
+    _heights,
     coxeter_number,
     injective_root,
     positive_roots,
@@ -126,20 +127,6 @@ def coxeter_tau_inv(quiver: DynkinQuiver, v: Sequence[int]) -> tuple[int, ...]:
     for i in quiver.vertices:
         out = simple_reflection(quiver, i, out)
     return out
-
-
-def _heights(quiver: DynkinQuiver) -> tuple[int, ...]:
-    xi = {1: 0}
-    frontier = [1]
-    while frontier:
-        v = frontier.pop()
-        for w in quiver.neighbours(v):
-            if w not in xi:
-                # an arrow points to its larger vertex and lowers the height
-                xi[w] = xi[v] - 1 if w > v else xi[v] + 1
-                frontier.append(w)
-    low = min(xi.values())
-    return tuple(xi[v] - low for v in quiver.vertices)
 
 
 class RepetitionQuiver:

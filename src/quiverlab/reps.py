@@ -10,12 +10,12 @@ a cross-check.
 
 ``hom_space_dim`` counts intertwiners by exact linear algebra — the
 matrix-level oracle against which the closed forms in :mod:`.homs` are
-tested.  It ranks the intertwiner system as packed rows, one Python int
-per equation, assembled from arrow matrices each representation packs
-once; the dense int-list system (``_intertwiner_system``) serves the
-callers that need its kernel (``hom_basis``, the coboundaries of
-:mod:`.extensions`) and is the reference the packed rows are tested
-against.  ``identify`` recovers the Kostant partition of an
+tested.  The intertwiner system is built in one place,
+``_intertwiner_system``, as packed rows (one Python int per equation)
+assembled from arrow matrices each representation packs once.
+``hom_space_dim`` ranks those rows; ``hom_basis`` and the coboundaries
+of :mod:`.extensions` unpack them and take a kernel or the columns.
+``identify`` recovers the Kostant partition of an
 arbitrary representation from its hom counts against the
 indecomposables (the counting matrix is unitriangular in the adapted
 order, so a forward substitution inverts it).
@@ -78,6 +78,8 @@ class Rep:
     mats: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
+        if len(self.dims) != self.quiver.rank or any(d < 0 for d in self.dims):
+            raise RepError(f"dims {self.dims} are not {self.quiver.rank} sizes >= 0")
         if len(self.mats) != len(self.quiver.arrows):
             raise RepError("one matrix per arrow required")
         for (s, t), m in zip(self.quiver.arrows, self.mats):
@@ -215,53 +217,6 @@ def build(kp: KostantPartition, q: int) -> Rep:
 # intertwiner counting and identification
 
 
-def _check_same_space(m: Rep, n: Rep) -> None:
-    if (m.quiver is not n.quiver and m.quiver != n.quiver) or m.q != n.q:
-        raise RepError("representations live over different quivers or fields")
-
-
-def _intertwiner_system(m: Rep, n: Rep) -> tuple[list[list[int]], list[int]]:
-    """The linear system whose solutions are the intertwiners ``m -> n``,
-    as dense int-list rows: the system :func:`hom_basis` and the
-    coboundaries of :mod:`.extensions` take kernels of, and the reference
-    for the packed rows :func:`hom_space_dim` ranks.
-
-    ``f_v`` is an ``e_v x d_v`` matrix (``e`` = dims of ``n``, ``d`` =
-    dims of ``m``); its entry ``(a, b)`` is unknown number
-    ``offsets[v-1] + a * d_v + b``, so ``offsets[-1]`` counts the
-    unknowns.  There is one int-list row per entry ``(a, j)`` of
-    ``f_t X_h - Y_h f_s`` for every arrow ``h: s -> t``; entries need not
-    be reduced mod q (the :mod:`.linalg` kernel reads them mod q).
-    """
-    _check_same_space(m, n)
-    offsets = [0]
-    for d_v, e_v in zip(m.dims, n.dims):
-        offsets.append(offsets[-1] + d_v * e_v)
-    total_cols = offsets[-1]
-    rows: list[list[int]] = []
-    if total_cols == 0:
-        return rows, offsets
-    for k, (s, t) in enumerate(m.quiver.arrows):
-        e_t, d_s, d_t = n.dims[t - 1], m.dims[s - 1], m.dims[t - 1]
-        if not e_t * d_s:
-            continue
-        x, y_rows = m.mats[k], n.mats[k]
-        x_cols = [[row[j] for row in x] for j in range(d_s)]
-        c_t, c_s = offsets[t - 1], offsets[s - 1]
-        end_s = offsets[s]
-        # X_h's column j meets row a of f_t, and -Y_h's row a meets
-        # column j of f_s
-        for a in range(e_t):
-            lo = c_t + a * d_t
-            y_row = [-y for y in y_rows[a]]
-            for j in range(d_s):
-                row = [0] * total_cols
-                row[lo : lo + d_t] = x_cols[j]
-                row[c_s + j : end_s : d_s] = y_row
-                rows.append(row)
-    return rows, offsets
-
-
 @functools.lru_cache(maxsize=4096)
 def _spread(row: int, stride: int, width: int) -> int:
     """The packed row ``row`` (slots of ``width`` bits) with its slot b
@@ -276,19 +231,25 @@ def _spread(row: int, stride: int, width: int) -> int:
     return out
 
 
-def hom_space_dim(m: Rep, n: Rep) -> int:
-    """dim of the space of intertwiners ``f`` with ``f_t X_h = Y_h f_s``
-    for every arrow ``h: s -> t``, by exact rank computation.
+def _intertwiner_system(m: Rep, n: Rep) -> tuple[list[int], list[int]]:
+    """The linear system whose solutions are the intertwiners ``m -> n``,
+    as packed rows over F_q (:func:`.linalg._pack`), and the offsets of
+    its unknowns: the one system :func:`hom_space_dim` ranks and
+    :func:`hom_basis` and the coboundaries of :mod:`.extensions` read
+    back with :func:`.linalg._unpack`.
 
-    The equations are those of :func:`_intertwiner_system`, in the same
-    unknowns, built as packed rows (:func:`.linalg._packed_rank`) from
-    the arrow matrices each side packs once: the row for entry ``(a, j)``
-    of arrow ``h`` is X_h's column j at row a of ``f_t`` plus -Y_h's row
-    a spread along column j of ``f_s``.
+    ``f_v`` is an ``e_v x d_v`` matrix (``e`` = dims of ``n``, ``d`` =
+    dims of ``m``); its entry ``(a, b)`` is unknown number
+    ``offsets[v-1] + a * d_v + b``, so ``offsets[-1]`` counts the
+    unknowns.  There is one row per entry ``(a, j)`` of
+    ``f_t X_h - Y_h f_s`` for every arrow ``h: s -> t``, arrow by arrow
+    and row by row: X_h's column j at row a of ``f_t`` plus -Y_h's row a
+    spread along column j of ``f_s``, from the arrow matrices each side
+    packs once (``Rep._packed``).
     """
-    _check_same_space(m, n)
-    q = m.q
-    width = linalg._slot_bits(q)
+    if (m.quiver is not n.quiver and m.quiver != n.quiver) or m.q != n.q:
+        raise RepError("representations live over different quivers or fields")
+    width = linalg._slot_bits(m.q)
     d = m.dims
     offsets = list(accumulate(map(mul, d, n.dims), initial=0))
     rows: list[int] = []
@@ -305,16 +266,27 @@ def hom_space_dim(m: Rep, n: Rep) -> int:
             for x_col, j in zip(x_cols, shifts):
                 rows.append((x_col << base) + (spread << j))
             base += step
-    return offsets[-1] - linalg._packed_rank(rows, q, offsets[-1])
+    return rows, offsets
+
+
+def hom_space_dim(m: Rep, n: Rep) -> int:
+    """dim of the space of intertwiners ``f`` with ``f_t X_h = Y_h f_s``
+    for every arrow ``h: s -> t``: the unknowns of
+    :func:`_intertwiner_system` minus the rank of its packed rows
+    (:func:`.linalg._packed_rank`)."""
+    rows, offsets = _intertwiner_system(m, n)
+    return offsets[-1] - linalg._packed_rank(rows, m.q, offsets[-1])
 
 
 def hom_basis(m: Rep, n: Rep) -> list[tuple[list[list[int]], ...]]:
-    """A basis of the intertwiners ``m -> n``: the kernel of
-    :func:`_intertwiner_system`, the system :func:`hom_space_dim` ranks.
-    Each element is one ``e_v x d_v`` matrix per vertex (``e`` = dims of
-    ``n``, ``d`` = dims of ``m``), as int-list rows reduced mod q."""
+    """A basis of the intertwiners ``m -> n``: the kernel of the unpacked
+    rows of :func:`_intertwiner_system`, the system :func:`hom_space_dim`
+    ranks.  Each element is one ``e_v x d_v`` matrix per vertex (``e`` =
+    dims of ``n``, ``d`` = dims of ``m``), as int-list rows reduced mod q."""
+    q = m.q
     rows, offsets = _intertwiner_system(m, n)
-    kernel = linalg.kernel_basis(rows, offsets[-1], m.q)
+    ncols = offsets[-1]
+    kernel = linalg.kernel_basis([linalg._unpack(row, q, ncols) for row in rows], ncols, q)
     return [
         tuple(
             [vec[offsets[v] + a * d : offsets[v] + (a + 1) * d] for a in range(e)]
@@ -386,6 +358,8 @@ def sub_quotient(m: Rep, bases: Sequence[Sequence[Sequence[int]]]) -> tuple[Rep,
     the non-pivot columns of ``E_v``.
     """
     q = m.q
+    if len(bases) != len(m.dims):
+        raise RepError(f"{len(bases)} bases given for {len(m.dims)} vertices")
     echelons: list[tuple[list[list[int]], tuple[int, ...], list[int]]] = []
     for v, d in enumerate(m.dims, start=1):
         rows = bases[v - 1]

@@ -230,6 +230,16 @@ def test_packed_rank_equals_rank(params):
     assert linalg._packed_rank(packed(shifted, q), q, c) == rank(a, q)
 
 
+@given(st.tuples(fields, st.lists(st.integers(-40, 40), max_size=8), st.integers(0, 3)))
+@settings(max_examples=300, deadline=None)
+def test_unpack_inverts_pack(params):
+    # entries off by multiples of q, negative ones too, unpack reduced;
+    # zero columns (empty rows, trailing zeros) unpack to zeros
+    q, row, zeros = params
+    row = row + [q * k for k in range(-zeros, 0)]
+    assert linalg._unpack(linalg._pack(row, q), q, len(row)) == [x % q for x in row]
+
+
 @pytest.mark.parametrize("q", SUPPORTED_FIELDS)
 def test_packed_rank_of_empty_systems(q):
     assert linalg._packed_rank([], q, 0) == 0
@@ -258,5 +268,8 @@ def test_packed_rank_over_fields_added_after_import(monkeypatch):
             r, c = rng.randint(0, 6), rng.randint(0, 6)
             a = _low_rank_matrix(q, r, c, rng.randint(0, 6), rng)
             assert linalg._packed_rank(packed(a, q), q, c) == rank(a, q)
+            for row in a:
+                shifted = [x + q * rng.randint(-3, 3) for x in row] + [0]
+                assert linalg._unpack(linalg._pack(shifted, q), q, c + 1) == row + [0]
     with pytest.raises(ValueError):
         linalg._packed_rank([], 17, 0)

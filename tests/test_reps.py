@@ -195,6 +195,10 @@ def test_sub_quotient_rejects_unstable_subspace(t2):
     bases = ([[1]], [])
     with pytest.raises(RepError):
         sub_quotient(m, bases)
+    # one basis per vertex, no fewer and no more
+    for bases in (([],), ([], [[1]], [])):
+        with pytest.raises(RepError, match="bases"):
+            sub_quotient(m, bases)
 
 
 def test_rep_shape_validation(t2):
@@ -212,6 +216,14 @@ def test_rep_shape_validation(t2):
         Rep(quiver, 2, (0, 2), ((),))
     with pytest.raises(RepError):
         Rep(quiver, 2, (2, 0), (((), ()),))
+    # one size per vertex, none negative: a phantom third vertex would add
+    # a free unknown to every hom count
+    with pytest.raises(RepError, match="dims"):
+        Rep(quiver, 2, (1, 1, 1), (((1,),),))
+    with pytest.raises(RepError, match="dims"):
+        Rep(quiver, 2, (1,), (((1,),),))
+    with pytest.raises(RepError, match="dims"):
+        Rep(quiver, 2, (-1, 1), ((),))
 
 
 def test_build_builds_over_each_field(t3):
@@ -281,6 +293,37 @@ def random_rep(rng, quiver, q, max_dim=3):
     return Rep(quiver, q, dims, mats)
 
 
+def intertwines(f, m, n):
+    """Whether the per-vertex matrices ``f`` satisfy f_t X_h = Y_h f_s
+    mod q on every arrow ``h: s -> t``, by direct matrix products."""
+    q = m.q
+    return all(
+        matmul(f[t - 1], x, m.dims[s - 1], q) == matmul(y, f[s - 1], m.dims[s - 1], q)
+        for (s, t), x, y in zip(m.quiver.arrows, m.mats, n.mats)
+    )
+
+
+def brute_force_count(m, n):
+    """The number of intertwiners ``m -> n``, over every choice of f."""
+    shapes = list(zip(n.dims, m.dims))
+    count = 0
+    for values in itertools.product(range(m.q), repeat=sum(e * d for e, d in shapes)):
+        it = iter(values)
+        f = [[[next(it) for _ in range(d)] for _ in range(e)] for e, d in shapes]
+        count += intertwines(f, m, n)
+    return count
+
+
+# the pairs of each case with at most 4096 candidate f, which are counted
+# by brute force
+BRUTE_FORCED = {
+    "A3": {2: 67, 3: 46, 5: 32},
+    "D4": {2: 58, 3: 30, 5: 20},
+    "A4": {2: 65, 3: 31, 5: 24},
+    "E6": {2: 34, 3: 19, 5: 6},
+}
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 @pytest.mark.parametrize(
     "dt,rank,arrows",
@@ -292,18 +335,33 @@ def random_rep(rng, quiver, q, max_dim=3):
     ],
 )
 def test_hom_space_dim_agrees_with_the_dense_system(dt, rank, arrows, q):
-    # the packed rows hom_space_dim ranks against the reference dense
-    # system, ranked by linalg.rank, and against the size of hom_basis
+    # the dense system is the definition itself, the arrow matrices
+    # multiplied out: hom_basis must span intertwiners, independent ones,
+    # as many as hom_space_dim counts; the count must be the closed form's
+    # for the identified classes, and q^count must be the number of all f
+    # that intertwine wherever there are few enough f to try
     quiver = standard_quiver(dt, rank) if arrows is None else build_quiver(dt, rank, arrows)
+    table = positive_roots(quiver)
     rng = random.Random(f"{dt}{rank}/{arrows}/{q}")
     dependent = 0  # systems whose elimination clears a row
+    tried = 0  # pairs counted by brute force
     for _ in range(80):
         m, n = random_rep(rng, quiver, q), random_rep(rng, quiver, q)
+        dim = hom_space_dim(m, n)
+        basis = hom_basis(m, n)
+        assert dim == len(basis), (m.mats, n.mats)
+        assert all(intertwines(f, m, n) for f in basis), (m.mats, n.mats)
+        flat = [[x for mat in f for row in mat for x in row] for f in basis]
+        assert linalg.rank(flat, q) == dim, (m.mats, n.mats)
+        assert dim == hom_dim(identify(m, table), identify(n, table)), (m.mats, n.mats)
         rows, offsets = _intertwiner_system(m, n)
-        r = linalg.rank(rows, q)
-        assert hom_space_dim(m, n) == offsets[-1] - r == len(hom_basis(m, n)), (m.mats, n.mats)
+        r = linalg._packed_rank(rows, q, offsets[-1])
         dependent += 0 < r < len(rows)
+        if q ** offsets[-1] <= 4096:
+            assert brute_force_count(m, n) == q**dim, (m.mats, n.mats)
+            tried += 1
     assert dependent >= 20
+    assert tried == BRUTE_FORCED[f"{dt}{rank}"][q]
 
 
 def test_hom_oracle_over_f5(t3, t4):
