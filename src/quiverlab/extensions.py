@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 from operator import le, mul
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import grassmannian, linalg
@@ -45,6 +44,7 @@ from .quiver import (
     KostantPartition,
     PartitionError,
     QuiverError,
+    _record,
     dim_add,
     euler_form,
     kp_enumerate,
@@ -97,7 +97,7 @@ def hom_omega_dim(alpha: Sequence[int], beta: Sequence[int], quiver) -> int:
     return sum(alpha[s - 1] * beta[t - 1] for s, t in quiver.arrows)
 
 
-@dataclass(frozen=True)
+@_record
 class ExtSetResult:
     """The middle terms of :func:`ext_set`, unioned over ``fields``.
 

@@ -81,7 +81,6 @@ import functools
 import itertools
 import math
 from operator import mul
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -91,6 +90,7 @@ from .quiver import (
     KostantPartition,
     PartitionError,
     _heights,
+    _record,
     dim_add,
     dim_leq,
     dim_sub,
@@ -179,7 +179,7 @@ def subreps(
     yield from walk(1)
 
 
-@dataclass(frozen=True)
+@_record
 class StratumEntry:
     """The ``count`` points whose quotient is M_mu and whose sub is M_nu.
 
@@ -194,7 +194,7 @@ class StratumEntry:
     dim: int
 
 
-@dataclass(frozen=True)
+@_record
 class StrataReport:
     """The ``total`` points of Gr_beta(M_lam) over F_q, sorted by
     (quotient, sub) class into entries.  An entry's ``dim`` belongs to

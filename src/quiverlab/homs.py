@@ -19,12 +19,12 @@ and the two are compared over exhaustive desk ranges in the test suite.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .quiver import (
     KostantPartition,
     PartitionError,
     RootTable,
+    _record,
     dim_sub,
     euler_form,
     kp_single,
@@ -82,7 +82,7 @@ def ext_dim(x: KostantPartition, y: KostantPartition) -> int:
     return sum(map(hom_ext_vectors(y)[1].__getitem__, x.parts))
 
 
-@dataclass(frozen=True)
+@_record
 class HomTable:
     """Full ``m x m`` tables of hom and ext dimensions between indecomposables."""
 

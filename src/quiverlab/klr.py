@@ -41,7 +41,6 @@ of scope; statements are about ungraded classes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
@@ -53,6 +52,7 @@ from .quiver import (
     KostantPartition,
     PartitionError,
     RootTable,
+    _record,
     kp_enumerate,
     kp_single,
 )
@@ -85,7 +85,7 @@ CANNOT_BE_SIMPLE = "cannot_be_simple"
 PASSES_NECESSARY_TEST = "passes_necessary_test"
 
 
-@dataclass(frozen=True)
+@_record
 class SupportPairResult:
     ok: bool
     witness: KostantPartition | None
@@ -113,7 +113,7 @@ def is_support_pair(
     return SupportPairResult(True, None)
 
 
-@dataclass(frozen=True)
+@_record
 class TwoSidedSupportPairResult:
     """The one-sided results for (mu, nu) and for (nu, mu); a failure
     names its order (``forward`` or ``reverse``) and its witness."""
@@ -172,7 +172,7 @@ def two_sided_support_pair(
     )
 
 
-@dataclass(frozen=True)
+@_record
 class InequalityRow:
     """Hom counts entering the twin strictness test for one nontrivial
     middle term."""
@@ -184,7 +184,7 @@ class InequalityRow:
     hom_mu_lam: int
 
 
-@dataclass(frozen=True)
+@_record
 class SimplicityVerdict:
     mu: KostantPartition
     nu: KostantPartition
@@ -227,7 +227,7 @@ def rigid_simplicity(mu: KostantPartition, nu: KostantPartition) -> bool:
     return ext_dim(mu, nu) == 0 and ext_dim(nu, mu) == 0
 
 
-@dataclass(frozen=True)
+@_record
 class SoclePrediction:
     mu: KostantPartition
     nu: KostantPartition
@@ -254,7 +254,7 @@ def socle_prediction(
     return SoclePrediction(mu, nu, gen, predicted)
 
 
-@dataclass(frozen=True)
+@_record
 class LengthTwoReport:
     socle: KostantPartition
     head: KostantPartition
@@ -281,7 +281,7 @@ def length_two_report(
     return LengthTwoReport(generic_ext(mu, nu, fields=fields, cap=cap), mu + nu)
 
 
-@dataclass(frozen=True)
+@_record
 class HeadSocleBounds:
     head_interval: frozenset[KostantPartition]
     socle_interval: frozenset[KostantPartition]
@@ -352,7 +352,7 @@ def semicuspidal_pairs(
     return frozenset(out)
 
 
-@dataclass(frozen=True)
+@_record
 class DegreeRow:
     lam: KostantPartition
     d: int
@@ -363,7 +363,7 @@ class DegreeRow:
     eps: int | None
 
 
-@dataclass(frozen=True)
+@_record
 class DegreeReport:
     mu: KostantPartition
     nu: KostantPartition

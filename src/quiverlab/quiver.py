@@ -34,8 +34,8 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+import sys
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -82,6 +82,73 @@ class QuiverError(ValueError):
 
 class PartitionError(ValueError):
     """Malformed Kostant-partition text, or a summand that is not a positive root."""
+
+
+# ---------------------------------------------------------------------------
+# frozen records
+
+
+class _FrozenError(AttributeError):
+    """An attribute of a :func:`_record` instance was assigned or deleted."""
+
+
+def _frozen_setattr(self, name, value):
+    raise _FrozenError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise _FrozenError(f"cannot delete field {name!r}")
+
+
+def _record(cls=None, *, eq: bool = True):
+    """Make ``cls`` an immutable record of its annotated fields, as
+    ``dataclass(frozen=True, eq=eq)`` does, without importing
+    :mod:`dataclasses`, which loads :mod:`inspect`, :mod:`ast` and
+    :mod:`dis` into every cold CLI query.
+
+    ``__init__`` takes the fields, which have no defaults, by position or
+    keyword, then calls ``__post_init__`` if the class has one.
+    ``__repr__``, ``__eq__`` and ``__hash__`` read the fields as a tuple;
+    a method the class defines itself is kept, and with ``eq=False``
+    instances compare and hash by identity.  The methods are written out
+    per class and compiled in one ``exec``, because every memo compares
+    partitions, and reading the fields in a loop made partition ``==``
+    1.5x (``operator.attrgetter``) to 7x (a generator) slower.
+    ``cached_property`` writes to ``__dict__``, past the frozen
+    ``__setattr__``."""
+    if cls is None:
+        return functools.partial(_record, eq=eq)
+    annotations = cls.__dict__.get("__annotations__", {})
+    names = tuple(annotations)
+    mine = ", ".join(f"self.{n}" for n in names)
+    theirs = ", ".join(f"other.{n}" for n in names)
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    source = (
+        f"def __init__(self, {', '.join(names)}):\n"
+        + "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+        + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else "")
+        + "def __repr__(self):\n"
+        f"    return f'{{self.__class__.__qualname__}}({shown})'\n"
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return ({mine},) == ({theirs},)\n"
+        "    return NotImplemented\n"
+        "def __hash__(self):\n"
+        f"    return hash(({mine},))\n"
+    )
+    methods = {"_set": object.__setattr__}
+    exec(source, methods)
+    wanted = ("__init__", "__repr__", "__eq__", "__hash__") if eq else ("__init__", "__repr__")
+    for name in wanted:
+        if name not in cls.__dict__:
+            methods[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, methods[name])
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    cls.__match_args__ = names
+    if cls.__doc__ is None:
+        fields = ", ".join(f"{n}: {a!r}" for n, a in annotations.items())
+        cls.__doc__ = f"{cls.__name__}({fields})"
+    return cls
 
 
 _E_ROOT_COUNTS = {6: 36, 7: 63, 8: 120}
@@ -142,7 +209,7 @@ def parse_dim_vector(text: str, rank: int) -> tuple[int, ...]:
 # the quiver itself
 
 
-@dataclass(frozen=True)
+@_record
 class DynkinQuiver:
     """An oriented simply-laced Dynkin diagram with topological vertex numbering.
 
@@ -446,7 +513,7 @@ def _state_without_hash(obj) -> dict:
     return {k: v for k, v in vars(obj).items() if k != "_hash"}
 
 
-@dataclass(frozen=True)
+@_record
 class RootTable:
     """The positive roots in the total order induced by an adapted word.
 
@@ -555,7 +622,7 @@ def injective_root(quiver: DynkinQuiver, i: int) -> tuple[int, ...]:
 # Kostant partitions
 
 
-@dataclass(frozen=True)
+@_record
 class KostantPartition:
     """A multiset of positive roots, stored as non-increasing root indices."""
 
@@ -705,7 +772,11 @@ def kp_enumerate(table: RootTable, gamma: tuple[int, ...]) -> tuple[KostantParti
 def kp_count(table: RootTable, gamma: Sequence[int], limit: int | None = None) -> int:
     """The number of Kostant partitions of ``gamma``, without building
     them; with ``limit`` the walk stops there and ``min(count, limit)`` is
-    returned, so a caller can check a cap before :func:`kp_enumerate`."""
+    returned, so a caller can check a cap before :func:`kp_enumerate`.
+    ``islice`` takes no stop past ``sys.maxsize``, and no walk that long
+    can finish, so a larger limit counts as ``sys.maxsize``."""
+    if limit is not None:
+        limit = min(limit, sys.maxsize)
     return sum(1 for _ in itertools.islice(_kp_walk(table, tuple(gamma)), limit))
 
 

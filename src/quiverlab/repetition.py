@@ -27,7 +27,6 @@ operators move support by +1 (for the q^{-1} twist) or -1 (for q), and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .homs import hom_ext_vectors, projective_resolution
@@ -36,6 +35,7 @@ from .quiver import (
     KostantPartition,
     QuiverError,
     _heights,
+    _record,
     coxeter_number,
     injective_root,
     positive_roots,
@@ -73,7 +73,7 @@ class RepetitionError(QuiverError):
     pass
 
 
-@dataclass(frozen=True)
+@_record
 class GradedDimVector:
     """Finitely supported integer map on I x Z, stored as sorted
     (vertex, level, value) triples with zero values dropped."""

@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 from itertools import accumulate
 from operator import mul
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
@@ -37,6 +36,7 @@ from .quiver import (
     DynkinQuiver,
     KostantPartition,
     RootTable,
+    _record,
     positive_roots,
 )
 from .homs import hom_table
@@ -63,7 +63,7 @@ class RepError(ValueError):
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class Rep:
     """A finite-dimensional representation: one matrix per arrow, acting
     on column vectors, with ``mats[k]`` attached to ``quiver.arrows[k]``.

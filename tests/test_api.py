@@ -59,7 +59,9 @@ def test_import_loads_nothing_until_a_name_is_used():
         "loaded = [m for m in sys.modules if m.startswith('quiverlab.')]\n"
         "star = {}\n"
         "exec('from quiverlab import *', star)\n"
-        "print(json.dumps({'loaded': loaded, 'star': sorted(set(star) - {'__builtins__'})}))\n"
+        "heavy = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "print(json.dumps({'loaded': loaded, 'star': sorted(set(star) - {'__builtins__'}),\n"
+        "                  'heavy': heavy}))\n"
     )
     src = os.path.dirname(os.path.dirname(quiverlab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -71,6 +73,8 @@ def test_import_loads_nothing_until_a_name_is_used():
     result = json.loads(proc.stdout)
     assert result["loaded"] == []
     assert result["star"] == sorted(name for m in LIBRARY for name in m.__all__)
+    # loading every module still loads neither
+    assert result["heavy"] == []
 
 
 def test_every_fields_default_is_the_one_default():

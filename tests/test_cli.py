@@ -372,7 +372,8 @@ def test_readme_examples_load_only_the_modules_they_run():
         "from quiverlab.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    main(json.loads(sys.argv[1]))\n"
-        "print(json.dumps([m for m in sys.modules if m.startswith('quiverlab.')]))\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('quiverlab.')\n"
+        "                  or m in ('dataclasses', 'inspect')]))\n"
     )
     loaded, expected = {}, {}
     for argv, _ in README_EXAMPLES:
@@ -384,6 +385,7 @@ def test_readme_examples_load_only_the_modules_they_run():
         key = " ".join(argv[:2])
         loaded[key] = {m.removeprefix("quiverlab.") for m in json.loads(proc.stdout)}
         expected[key] = COLD_MODULES[argv[0]]
+    # and none loads dataclasses or inspect: the records are quiver._record's
     assert loaded == expected
 
 
@@ -546,6 +548,16 @@ def test_cap_env_var(capsys, monkeypatch):
         "--field", "2", "--cap", "100000", *A3,
     )
     assert rc == 0 and data["counts"][0]["count"] == 3
+
+
+def test_caps_past_sys_maxsize_exit_0(capsys, monkeypatch):
+    # a count checked against cap + 1 once stopped islice past sys.maxsize
+    for cap in ("99999999999999999999999", str(sys.maxsize)):
+        rc, data = run_json(capsys, "kp", "1,2,1", "--cap", cap, *A3)
+        assert rc == 0 and data["count"] == 5
+    monkeypatch.setenv("QUIVERLAB_CAP", "100000000000000000000")
+    rc, data = run_json(capsys, "ext-set", "[1,1]", "[2,2]", "--method", "subrep", *A2)
+    assert rc == 0 and data["classes"] == ["[1,1]+[2,2]", "[1,2]"]
 
 
 def test_cap_env_var_not_an_integer_exit_2(capsys, monkeypatch):

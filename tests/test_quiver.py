@@ -4,22 +4,41 @@ import itertools
 import pickle
 import random
 import re
+import sys
 
 import pytest
 
 from quiverlab import (
+    DegreeReport,
+    DegreeRow,
     DynkinQuiver,
+    ExtSetResult,
+    GradedDimVector,
+    HeadSocleBounds,
+    HomTable,
+    InequalityRow,
     KostantPartition,
+    LengthTwoReport,
     QuiverError,
     PartitionError,
+    Rep,
     RootTable,
+    SimplicityVerdict,
+    SoclePrediction,
+    StrataReport,
+    StratumEntry,
+    SupportPairResult,
+    TwoSidedSupportPairResult,
     adapted_reduced_word,
     build_quiver,
     coxeter_number,
     dim_add,
     euler_form,
+    ext_set,
     format_quiver_spec,
+    head_socle_bounds,
     injective_root,
+    interval,
     kp_count,
     kp_enumerate,
     kp_format,
@@ -38,6 +57,7 @@ from quiverlab import (
     segments_of,
     simple_reflection,
     standard_quiver,
+    strata,
     weight,
 )
 
@@ -353,6 +373,16 @@ def test_kp_count_stops_at_its_limit():
     assert kp_count(e8, (10**9,) + (0,) * 7, 5) == 1
 
 
+def test_caps_past_sys_maxsize_do_not_stop_the_count(t2, t3):
+    # islice takes no stop past sys.maxsize, and a cap check asks for cap + 1
+    assert kp_count(t3, (1, 2, 1), 2**70) == kp_count(t3, (1, 2, 1), sys.maxsize + 1) == 5
+    low, high = kp_parse(t3, "[1,3]+[2,2]"), kp_parse(t3, "[1,1]+[2,2]+[2,2]+[3,3]")
+    assert len(interval(low, high, cap=2**70)) == 5
+    mu, nu = kp_parse(t2, "[1,1]"), kp_parse(t2, "[2,2]")
+    assert len(ext_set(mu, nu, method="subrep", cap=2**70).classes) == 2
+    assert head_socle_bounds(mu, nu, cap=2**70) == head_socle_bounds(mu, nu)
+
+
 def test_partitions_and_tables_hash_by_value(t3):
     x = kp_parse(t3, "[1,2]+[2,3]")
     y = KostantPartition(t3, tuple(reversed(x.parts)))
@@ -365,9 +395,80 @@ def test_partitions_and_tables_hash_by_value(t3):
         # string hashes are salted per process, so pickles leave the
         # cached hash out
         assert "_hash" in vars(obj) and "_hash" not in obj.__getstate__()
+    for obj in (t3.quiver, GradedDimVector(((1, 0, 1),)), strata(x, (0, 1, 1), 2)):
+        clone = pickle.loads(pickle.dumps(obj))
+        assert clone == obj and hash(clone) == hash(obj)
+    rep = Rep(t3.quiver, 2, (1, 1, 0), (((1,),), ()))
+    clone = pickle.loads(pickle.dumps(rep))
+    # a representation compares by identity, so compare its fields
+    assert vars(clone) == vars(rep) and clone != rep
 
 
-def test_quiver_is_frozen(a3):
-    assert isinstance(a3, DynkinQuiver)
-    with pytest.raises(AttributeError):
-        a3.rank = 5
+RECORDS = [
+    DynkinQuiver, RootTable, KostantPartition, Rep, GradedDimVector, HomTable,
+    StratumEntry, StrataReport, ExtSetResult, SupportPairResult,
+    TwoSidedSupportPairResult, InequalityRow, SimplicityVerdict, SoclePrediction,
+    LengthTwoReport, HeadSocleBounds, DegreeRow, DegreeReport,
+]
+
+
+def record_fields(t2):
+    """The field values of one small instance of each record class."""
+    a2 = t2.quiver
+    mu, nu, lam = (kp_parse(t2, text) for text in ("[1,1]", "[2,2]", "[1,2]"))
+    entry, one_sided = (mu, nu, 1, 0), (False, lam)
+    return {
+        DynkinQuiver: (a2.diagram_type, a2.rank, a2.arrows, a2.renumbering),
+        RootTable: (a2, t2.word, t2.roots),
+        KostantPartition: (t2, (2,)),
+        Rep: (a2, 2, (1, 0), ((),)),
+        GradedDimVector: (((1, 0, 1),),),
+        HomTable: (t2, ((1,),), ((0,),)),
+        StratumEntry: entry,
+        StrataReport: (lam, (0, 1), 2, (StratumEntry(*entry),), 1),
+        ExtSetResult: (mu, nu, frozenset({lam}), "u-enumeration", (2,), True),
+        SupportPairResult: one_sided,
+        TwoSidedSupportPairResult: (SupportPairResult(*one_sided), SupportPairResult(True, None)),
+        InequalityRow: (lam, 1, 0, 1, 0),
+        SimplicityVerdict: (mu, nu, "cannot_be_simple", lam, ()),
+        SoclePrediction: (mu, nu, lam, None),
+        LengthTwoReport: (lam, mu + nu),
+        HeadSocleBounds: (frozenset({lam}), frozenset({mu + nu})),
+        DegreeRow: (lam, 1, 0, 1, True, False, None),
+        DegreeReport: (mu, nu, ()),
+    }
+
+
+# reprs pinned to the `Name(field=value, ...)` form
+RECORD_REPRS = {
+    SupportPairResult: "SupportPairResult(ok=False, witness=KP([1,2]))",
+    StratumEntry: "StratumEntry(mu=KP([1,1]), nu=KP([2,2]), count=1, dim=0)",
+    GradedDimVector: "GradedDimVector(entries=((1, 0, 1),))",
+    DegreeRow: (
+        "DegreeRow(lam=KP([1,2]), d=1, e=0, bound=1, is_generic_pair=True, "
+        "in_ext_ger=False, eps=None)"
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_are_frozen_values(cls, t2):
+    values = record_fields(t2)[cls]
+    names = cls.__match_args__
+    assert names == tuple(cls.__annotations__) and len(names) == len(values)
+    x, y = cls(*values), cls(**dict(zip(names, values)))
+    assert tuple(getattr(x, name) for name in names) == values
+    for args, kwargs in ((values[:-1], {}), (values + (None,), {}), (values, {"other": 1})):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    for change in (lambda: setattr(x, names[0], values[0]), lambda: setattr(x, "other", 1),
+                   lambda: delattr(x, names[0])):
+        with pytest.raises(AttributeError):
+            change()
+    assert tuple(getattr(x, name) for name in names) == values
+    if cls is Rep:
+        assert x == x and x != y and hash(x) != hash(y)
+    else:
+        assert x == y and hash(x) == hash(y) == hash(values) and x != values
+    if cls in RECORD_REPRS:
+        assert repr(x) == RECORD_REPRS[cls]
