@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import le, mul
+from operator import add, le, mul
 from typing import Sequence
 
 from . import grassmannian, linalg
-from .homs import ext_dim, hom_dim, hom_ext_vectors, hom_table
+from .homs import ext_dim, hom_dim, hom_ext_vectors
 from .order import _check_kp_cap, leq
 from .quiver import (
     KostantPartition,
@@ -49,7 +49,6 @@ from .quiver import (
     euler_form,
     kp_enumerate,
     kp_format,
-    kp_single,
 )
 from .reps import (
     Rep,
@@ -160,12 +159,11 @@ def _connecting_maps(mu: KostantPartition, nu: KostantPartition, q: int) -> tupl
     arrows = table.quiver.arrows
     beta = nu.total
     x, y = build(mu, q), build(nu, q)
-    base, maps = [], []
-    for a in range(len(table)):
-        single = kp_single(table, a)
-        h = hom_dim(single, mu)
-        base.append(hom_dim(single, nu) + h)
-        e = ext_dim(single, nu)
+    into_mu = hom_ext_vectors(mu)[0]
+    into_nu, ext_nu, _ = hom_ext_vectors(nu)
+    base = tuple(map(add, into_mu, into_nu))
+    maps = []
+    for a, (h, e) in enumerate(zip(into_mu, ext_nu)):
         if not (h and e):
             continue
         m_a = indecomposable(table, a, q)
@@ -187,7 +185,7 @@ def _connecting_maps(mu: KostantPartition, nu: KostantPartition, q: int) -> tupl
                         row.extend(sum(map(mul, block, f_row)) % q for f_row in f_s)
                 rows.append(row)
         maps.append((a, e, rows))
-    return tuple(base), tuple(maps)
+    return base, tuple(maps)
 
 
 def _classify_u(
@@ -232,17 +230,12 @@ def _candidates(split: KostantPartition) -> tuple[KostantPartition, ...]:
 def _hom_box(mu: KostantPartition, nu: KostantPartition) -> list[KostantPartition]:
     """The candidates with [a, nu] <= [a, lam] and [mu, a] <= [lam, a]
     for every root a, which every middle term has."""
-    hom = hom_table(mu.table).hom
-
-    def out_of(x: KostantPartition) -> list[int]:  # [x, a] for every root a
-        return [sum(col) for col in zip(*map(hom.__getitem__, x.parts))]
-
-    into_nu, out_of_mu = hom_ext_vectors(nu)[0], out_of(mu)
+    into_nu, out_of_mu = hom_ext_vectors(nu)[0], hom_ext_vectors(mu)[2]
     return [
         lam
         for lam in _candidates(mu + nu)
         if all(map(le, into_nu, hom_ext_vectors(lam)[0]))
-        and all(map(le, out_of_mu, out_of(lam)))
+        and all(map(le, out_of_mu, hom_ext_vectors(lam)[2]))
     ]
 
 

@@ -15,7 +15,7 @@ which is M_a), and a map into M_a by its values under the cogenerators
 (the coordinate functionals that generate its dual).  The number w_v of
 them at vertex ``v`` is the multiplicity of the simple S_v in the top
 of M_a, dim Hom(M_a, S_v), or in its socle, dim Hom(S_v, M_a), both read
-off the closed-form hom table.  With ``d`` the dimension vector of M,
+off the closed-form Hom counts.  With ``d`` the dimension vector of M,
 this bounds dim Hom(M_a, M) or dim Hom(M, M_a) by sum(w * d).  Once per
 ``(lam, q)`` every root is sorted by comparing its closed-form count
 with that bound:
@@ -84,7 +84,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from . import linalg
-from .homs import hom_dim, hom_table
+from .homs import hom_dim, hom_ext_pair, hom_ext_vectors
 from .order import lt
 from .quiver import (
     KostantPartition,
@@ -95,7 +95,6 @@ from .quiver import (
     dim_leq,
     dim_sub,
     kp_format,
-    kp_single,
 )
 from .reps import (
     Rep,
@@ -259,13 +258,13 @@ def _hom_bases(lam: KostantPartition, q: int) -> tuple:
 
     ``mats`` are the arrow matrices of ``M = build(lam, q)``, whose
     dimension vector is ``d``.  ``into`` covers every root index ``a``
-    with h = dim Hom(M_a, M) > 0 (closed form), ``out_of`` every ``a``
-    with h = dim Hom(M, M_a) > 0.  ``w[v]`` is the multiplicity of the
-    simple S_v in the top of M_a, dim Hom(M_a, S_v), for ``into``, and in
-    its socle, dim Hom(S_v, M_a), for ``out_of``, both read off the
-    closed-form hom table: the number of generators (cogenerators) of
-    M_a at ``v``.  A map is fixed by its values there, so
-    h <= sum(w * d).  Each side is ``(forced, ranked)``:
+    with h = dim Hom(M_a, M) > 0, ``out_of`` every ``a`` with
+    h = dim Hom(M, M_a) > 0, both read off :func:`~.homs.hom_ext_vectors`.
+    ``w[v]`` is the multiplicity of the simple S_v in the top of M_a,
+    dim Hom(M_a, S_v), for ``into``, and in its socle, dim Hom(S_v, M_a),
+    for ``out_of``, both read off :func:`~.homs.hom_ext_pair`: the number
+    of generators (cogenerators) of M_a at ``v``.  A map is fixed by its
+    values there, so h <= sum(w * d).  Each side is ``(forced, ranked)``:
 
     * ``forced`` holds ``(a, w)`` for the roots with h = sum(w * d): every
       choice of values is a map, so the count at a point U is
@@ -278,16 +277,18 @@ def _hom_bases(lam: KostantPartition, q: int) -> tuple:
     """
     table = lam.table
     m = build(lam, q)
-    hom = hom_table(table).hom
+    into, _, out_of = hom_ext_vectors(lam)
     simples = [table.simple_root_index(v) for v in table.quiver.vertices]
     sides = (([], []), ([], []))
     for a in range(len(table)):
-        single = kp_single(table, a)
-        for dual, h in enumerate((hom_dim(single, lam), hom_dim(lam, single))):
+        for dual, h in enumerate((into[a], out_of[a])):
             if not h:
                 continue
             forced, ranked = sides[dual]
-            w = tuple(hom[s][a] if dual else hom[a][s] for s in simples)
+            w = tuple(
+                (hom_ext_pair(table, s, a) if dual else hom_ext_pair(table, a, s))[0]
+                for s in simples
+            )
             bound = sum(map(mul, w, m.dims))
             if h == bound:
                 forced.append((a, w))
@@ -315,7 +316,7 @@ def _forced_counts(
     counts of the forced roots ``(a, w)`` of :func:`_hom_bases` (0 at the
     others), dim Hom(M_a, U) = sum(w * beta) with w the top of M_a and
     dim Hom(M/U, M_a) = sum(w * quot_dims) with w its socle.  No matrix
-    is read: w and forcedness come from the hom table and d = dim lam."""
+    is read: w and forcedness come from the closed form and d = dim lam."""
     _, (into_forced, _), (out_forced, _) = _hom_bases(lam, q)
     quot_dims = dim_sub(lam.total, beta)
     sub_counts = [0] * len(lam.table)

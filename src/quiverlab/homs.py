@@ -9,8 +9,10 @@ every ordered pair of roots:
 * ``a < b``:  ``(hom, ext) = (0, -<beta_a, beta_b>)``;
 * ``a > b``:  ``(hom, ext) = (<beta_a, beta_b>, 0)``.
 
+Each pair is memoized on its own (:func:`hom_ext_pair`), and a partition
+reads only the pairs of its parts: at most 2N of them per part for N roots.
 Both counts extend biadditively over the parts of a Kostant partition:
-each y has one memoized pair of vectors into M_y (:func:`hom_ext_vectors`),
+each y has one memoized triple of vectors (:func:`hom_ext_vectors`),
 which :func:`hom_dim` and :func:`ext_dim` sum over the parts of x.  The
 independent matrix-level count lives in :mod:`.reps` (``hom_space_dim``)
 and the two are compared over exhaustive desk ranges in the test suite.
@@ -24,7 +26,6 @@ from .quiver import (
     KostantPartition,
     PartitionError,
     RootTable,
-    _record,
     dim_sub,
     euler_form,
     kp_single,
@@ -34,12 +35,10 @@ from .quiver import (
 )
 
 __all__ = [
-    "HomTable",
     "ext_dim",
     "hom_dim",
     "hom_ext_pair",
     "hom_ext_vectors",
-    "hom_table",
     "projective_resolution",
     "typeA_ext_dim",
     "typeA_hom_dim",
@@ -63,11 +62,23 @@ def _check_same_table(x: KostantPartition, y: KostantPartition) -> None:
 
 
 @functools.cache
-def hom_ext_vectors(y: KostantPartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(dim Hom(M_a, M_y), dim Ext^1(M_a, M_y))`` for every root index a:
-    the sums over the parts of y of the columns of :func:`hom_table`."""
-    t = hom_table(y.table)
-    return tuple(tuple(sum(row[b] for b in y.parts) for row in m) for m in (t.hom, t.ext))
+def hom_ext_vectors(
+    y: KostantPartition,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """``(dim Hom(M_a, M_y), dim Ext^1(M_a, M_y), dim Hom(M_y, M_a))`` for
+    every root index a: the sums of :func:`hom_ext_pair` over the parts of y.
+    A part b maps to M_a only for a <= b, so the last sum stops at b."""
+    table = y.table
+    n = len(table)
+    into_hom, into_ext, out_hom = [0] * n, [0] * n, [0] * n
+    for b in y.parts:
+        for a in range(n):
+            h, e = hom_ext_pair(table, a, b)
+            into_hom[a] += h
+            into_ext[a] += e
+        for a in range(b + 1):
+            out_hom[a] += hom_ext_pair(table, b, a)[0]
+    return tuple(into_hom), tuple(into_ext), tuple(out_hom)
 
 
 def hom_dim(x: KostantPartition, y: KostantPartition) -> int:
@@ -80,42 +91,6 @@ def ext_dim(x: KostantPartition, y: KostantPartition) -> int:
     """dim Ext^1(M_x, M_y): the ext vector of y summed over the parts of x."""
     _check_same_table(x, y)
     return sum(map(hom_ext_vectors(y)[1].__getitem__, x.parts))
-
-
-@_record
-class HomTable:
-    """Full ``m x m`` tables of hom and ext dimensions between indecomposables."""
-
-    table: RootTable
-    hom: tuple[tuple[int, ...], ...]
-    ext: tuple[tuple[int, ...], ...]
-
-    def validate(self) -> None:
-        """Check positivity, the Euler identity, and the vanishing pattern."""
-        roots = self.table.roots
-        for a in range(len(roots)):
-            for b in range(len(roots)):
-                h, e = self.hom[a][b], self.ext[a][b]
-                if h < 0 or e < 0:
-                    raise AssertionError(f"negative entry at ({a},{b})")
-                if h - e != euler_form(self.table.quiver, roots[a], roots[b]):
-                    raise AssertionError(f"Euler identity fails at ({a},{b})")
-                if a < b and h != 0:
-                    raise AssertionError(f"hom should vanish upward at ({a},{b})")
-                if a > b and e != 0:
-                    raise AssertionError(f"ext should vanish downward at ({a},{b})")
-
-
-@functools.cache
-def hom_table(table: RootTable) -> HomTable:
-    """The hom and ext tables of one root table, indexed by its root order."""
-    idx = range(len(table))
-    pairs = [[hom_ext_pair(table, a, b) for b in idx] for a in idx]
-    return HomTable(
-        table,
-        tuple(tuple(h for h, _ in row) for row in pairs),
-        tuple(tuple(e for _, e in row) for row in pairs),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .quiver import (
     _record,
     positive_roots,
 )
-from .homs import hom_table
+from .homs import hom_ext_pair
 
 __all__ = [
     "Rep",
@@ -304,20 +304,21 @@ def _partition_from_counts(
     indecomposables, checked against the dimension vector ``dims``.
     Memoized: the point walks meet the same count vectors over and over.
 
-    With ``into``, ``counts[a]`` is dim Hom(M_a, X); the counting matrix
-    ``hom[a][b]`` vanishes above its unit diagonal, so a forward
-    substitution inverts it.  Otherwise ``counts[a]`` is dim Hom(X, M_a),
-    counted by the transposed matrix, and the substitution runs from the
-    last root down.  Raises :class:`RepError` if the counts are not those
-    of any multiset of roots with dimension vector ``dims``.
+    With ``into``, ``counts[a]`` is dim Hom(M_a, X); the closed-form
+    counts dim Hom(M_a, M_b) of :func:`~.homs.hom_ext_pair` vanish for
+    a < b and are 1 at a == b, so a forward substitution over the parts
+    found so far inverts them.  Otherwise ``counts[a]`` is dim Hom(X, M_a),
+    counted by dim Hom(M_b, M_a), and the substitution runs from the last
+    root down.  Raises :class:`RepError` if the counts are not those of
+    any multiset of roots with dimension vector ``dims``.
     """
-    homs = hom_table(table).hom
     n = len(table)
     found: list[tuple[int, int]] = []  # (root index, multiplicity > 0)
     for a in range(n) if into else range(n - 1, -1, -1):
         residue = counts[a]
         for b, c in found:
-            residue -= c * (homs[a][b] if into else homs[b][a])
+            pair = hom_ext_pair(table, a, b) if into else hom_ext_pair(table, b, a)
+            residue -= c * pair[0]
         if residue < 0:
             raise RepError("hom counts are not consistent with a root multiset")
         if residue:

@@ -433,6 +433,26 @@ def test_roots_and_kp_past_the_recursion_limit(capsys):
     assert rc == 0 and data["count"] == 1 and data["classes"] == [simple]
 
 
+def test_closed_form_queries_at_rank_50(capsys):
+    # A50 has 1275 positive roots; a closed-form query reads one row of
+    # pairs per part, not the N x N table of all of them
+    a50 = ("--type", "A", "--rank", "50")
+    x, y = "[1,20]+[3,7]", "[5,30]"
+    assert run_json(capsys, "hom", x, y, *a50) == (
+        0, {"x": x, "y": y, "hom": 0, "method": "closed-form"}
+    )
+    assert run_json(capsys, "ext1", x, y, *a50) == (
+        0, {"x": x, "y": y, "ext1": 2, "method": "closed-form"}
+    )
+    root, split = "[1,30]", "[1,20]+[21,30]"
+    assert run_json(capsys, "order", root, split, *a50) == (
+        0, {"x": root, "y": split, "leq": True}
+    )
+    assert run_json(capsys, "order", split, root, *a50) == (
+        3, {"x": split, "y": root, "leq": False}
+    )
+
+
 # ------------------------------------------------------------ quiver sources
 
 def test_quiver_file(capsys, tmp_path):

@@ -18,7 +18,7 @@ from quiverlab import (
     generic_pairs,
     hom_basis,
     hom_dim,
-    hom_table,
+    hom_ext_pair,
     identify,
     indecomposable,
     kp_enumerate,
@@ -369,11 +369,10 @@ def test_top_and_socle_from_the_hom_table_count_the_generators(diagram):
     kind, n, arrows = diagram
     quiver = standard_quiver(kind, n) if arrows is None else build_quiver(kind, n, arrows)
     table = positive_roots(quiver)
-    hom = hom_table(table).hom
     simples = [table.simple_root_index(v) for v in quiver.vertices]
     for a in range(len(table)):
-        top = [hom[a][s] for s in simples]
-        socle = [hom[s][a] for s in simples]
+        top = [hom_ext_pair(table, a, s)[0] for s in simples]
+        socle = [hom_ext_pair(table, s, a)[0] for s in simples]
         for q in (2, 3, 5):
             m_a = indecomposable(table, a, q)
             assert [len(c) for c in generator_coordinates(m_a, False)] == top, (a, q)

@@ -15,7 +15,6 @@ from quiverlab import (
     ExtSetResult,
     GradedDimVector,
     HeadSocleBounds,
-    HomTable,
     InequalityRow,
     KostantPartition,
     LengthTwoReport,
@@ -405,7 +404,7 @@ def test_partitions_and_tables_hash_by_value(t3):
 
 
 RECORDS = [
-    DynkinQuiver, RootTable, KostantPartition, Rep, GradedDimVector, HomTable,
+    DynkinQuiver, RootTable, KostantPartition, Rep, GradedDimVector,
     StratumEntry, StrataReport, ExtSetResult, SupportPairResult,
     TwoSidedSupportPairResult, InequalityRow, SimplicityVerdict, SoclePrediction,
     LengthTwoReport, HeadSocleBounds, DegreeRow, DegreeReport,
@@ -423,7 +422,6 @@ def record_fields(t2):
         KostantPartition: (t2, (2,)),
         Rep: (a2, 2, (1, 0), ((),)),
         GradedDimVector: (((1, 0, 1),),),
-        HomTable: (t2, ((1,),), ((0,),)),
         StratumEntry: entry,
         StrataReport: (lam, (0, 1), 2, (StratumEntry(*entry),), 1),
         ExtSetResult: (mu, nu, frozenset({lam}), "u-enumeration", (2,), True),
