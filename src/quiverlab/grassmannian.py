@@ -1,12 +1,22 @@
 """Quiver Grassmannians of subrepresentations over small finite fields.
 
-``subreps`` enumerates all stable graded subspaces of a built
-representation with a prescribed dimension vector, walking vertices in
-topological order so that at each vertex only subspaces containing the
-images of the already-chosen spaces are generated.  The points fall
-into strata by the isomorphism classes of their subrepresentation and
-quotient, pairs ``(quotient class mu, sub class nu)`` recorded in a
-:class:`StrataReport`.
+``subreps`` walks the stable graded subspaces of a built representation
+with a given dimension vector.  The b-dimensional subspaces of F_q^d
+are listed once per ``(d, b, q)`` in a memoized table, in
+:func:`.linalg.enumerate_subspaces` order; each entry is checked to be
+a reduced echelon basis when its table is built, and keeps the
+functionals that read a vector modulo it (the vector's residue).  At
+each vertex, in topological order, the walk keeps the entries whose
+residues kill the images of the spaces already chosen, once per walk
+for each choice of table indices there.  A table holds
+gaussian_binomial(d, b, q) entries (about 0.5 to 1 KB each for d <= 6),
+a factor of the :func:`scan_states` count, and is built only after that
+count has passed the cap: the cap bounds every table, and a call it
+refuses builds none.  The points fall into strata by the classes of
+their subrepresentation and quotient (Caldero-Reineke, "On the quiver
+Grassmannian in the acyclic case", J. Pure Appl. Algebra 212 (2008)),
+pairs ``(quotient class mu, sub class nu)`` in a :class:`StrataReport`;
+an entry's ``dim`` is that of its sub-class locus (:func:`stratum_dim`).
 
 Points are classified without building the sub or the quotient.  A map
 out of an indecomposable M_a is fixed by its values on the generators of
@@ -14,65 +24,47 @@ M_a (a map vanishing there vanishes on the submodule they generate,
 which is M_a), and a map into M_a by its values under the cogenerators
 (the coordinate functionals that generate its dual).  The number w_v of
 them at vertex ``v`` is the multiplicity of the simple S_v in the top
-of M_a, dim Hom(M_a, S_v), or in its socle, dim Hom(S_v, M_a), both read
-off the closed-form Hom counts.  With ``d`` the dimension vector of M,
-this bounds dim Hom(M_a, M) or dim Hom(M, M_a) by sum(w * d).  Once per
-``(lam, q)`` every root is sorted by comparing its closed-form count
-with that bound:
+of M_a, dim Hom(M_a, S_v), or in its socle, dim Hom(S_v, M_a), read off
+the closed form and memoized per root.  With ``d`` the dimension vector
+of M, this bounds dim Hom(M_a, M) or dim Hom(M, M_a) by sum(w * d).
+Once per ``(lam, q)`` every root is sorted by comparing its closed-form
+count with that bound:
 
 * a root that reaches it is *forced*: every choice of values is a map,
   so at a point U, dim Hom(M_a, U) = sum(w * beta) and
   dim Hom(M/U, M_a) = sum(w * (d - beta)), read off ``beta`` with no
   matrix at all.  The projective P_i and the injective I_i are the
   case w = e_i, h = d_i;
-* for the other roots, the *ranked* ones, M_a is built and bases of
-  Hom(M_a, M) and Hom(M, M_a) are computed (kernels of the intertwiner
-  systems of :mod:`.reps`).  For a point U with projection
-  ``pi: M -> M/U`` the counts are then a few small ranks:
-  dim Hom(M_a, U) = dim Hom(M_a, M) - rank{pi f} over the basis f and
-  dim Hom(M/U, M_a) = dim Hom(M, M_a) - rank{g|_U} over the basis g,
-  each morphism read through its whole matrices.  Per point, every
-  column of every f is reduced modulo U, read off the reduced echelon
-  basis of U, and every row of every g is restricted to U.
+* for the other roots, the *ranked* ones, bases f of Hom(M_a, M) and g
+  of Hom(M, M_a) are assembled from bases of Hom(M_a, M_b) and
+  Hom(M_b, M_a), memoized per pair of roots, placed at the block of each
+  part b of ``lam``: no kernel is taken over the direct sum M.  With
+  ``pi: M -> M/U``, dim Hom(M_a, U) = dim Hom(M_a, M) - rank{pi f} and
+  dim Hom(M/U, M_a) = dim Hom(M, M_a) - rank{g|_U}.  Once per walk, each
+  (vertex, table entry) met gets a block, the residues of the columns of
+  every f_v and the rows of every g_v applied to U_v, packed; a point
+  sums its blocks into one packed rank per ranked root, and a dict per
+  walk maps the tuple of ranks to its pair.
 
 The sub follows from the first counts by ``identify``'s forward
 triangular solve, the quotient from the second by the transposed solve
 from the last root down; both check the counts and the dimension
-vector, and each point is checked to be stable.  Everything per point
-is int-list arithmetic.  ``reps.sub_quotient`` with ``identify`` is the
-matrix-level route the tests compare against.
+vector.  ``reps.sub_quotient`` with ``identify`` is the matrix-level
+route the tests compare against.
 
-Points are counted with no walk (``point_count``).  A Dynkin diagram is
-a tree, so its vertices split into two colour classes with no edge
-inside either.  Once the subspaces on one class are fixed, each vertex
-y of the other needs only A_y <= U_y <= B_y: A_y is spanned by the
-images of its in-neighbours' subspaces, B_y is the common preimage of
-its out-neighbours' ones, and the U_y between them are counted by one
-Gaussian binomial.  So only the class with fewer states is enumerated.
-When every root of ``(lam, q)`` is forced, every count at a point is
-read off ``beta``, so the points lie in one stratum: ``strata`` takes
-its total from this count, solves its pair from the forced counts and
-walks no point.  Only a ``lam`` with a ranked root is walked and
-classified point by point, and its total is the number of points
-walked.  The tests check the count and the shortcut against that walk.
+Points are counted with no walk (``point_count``): a Dynkin diagram is
+a tree, and only the colour class with fewer states is enumerated
+(``_colour_count``).  When every root of ``(lam, q)`` is forced, every
+count at a point is read off ``beta``, so the points lie in one
+stratum: ``strata`` takes its total from this count, solves its pair
+from the forced counts and walks no point.  Only a ``lam`` with a
+ranked root is walked, and its total is the number of points walked.
 
 ``ext_pairs`` unions the realized pairs over several fields.  A
 realized pair is *generic* when neither coordinate can be degenerated
 while keeping the other fixed among those pairs; the generic pairs
-whose sub class satisfies the hom-count equality
-``[nu, lambda] = [nu, nu] + [nu, mu]`` index the irreducible components
-of the Grassmannian (``ext_ger``).
-
-Point counts are exact; over F_q the count of a stratum is a polynomial
-value in q, which is how the tests pin projective lines and points.
-Each entry of a report carries ``dim = [nu, lambda] - [nu, nu]``, the
-dimension of the sub-class locus: the points whose sub is M_nu, over
-every quotient, which is Hom^inj(M_nu, M_lambda) / Aut M_nu
-(Caldero-Reineke, "On the quiver Grassmannian in the acyclic case",
-J. Pure Appl. Algebra 212 (2008)).  Every entry with the same sub class
-shares it, so it is not the dimension of an entry's own (mu, nu) locus:
-the counts of the entries with sub class nu sum to a monic polynomial
-in q of degree ``dim``, and exactly one of them has that degree.
+whose sub class satisfies ``[nu, lambda] = [nu, nu] + [nu, mu]`` index
+the irreducible components of the Grassmannian (``ext_ger``).
 """
 
 from __future__ import annotations
@@ -80,8 +72,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import linalg
 from .homs import hom_dim, hom_ext_pair, hom_ext_vectors
@@ -89,6 +82,7 @@ from .order import lt
 from .quiver import (
     KostantPartition,
     PartitionError,
+    RootTable,
     _heights,
     _record,
     dim_add,
@@ -132,12 +126,43 @@ def scan_states(dims: Sequence[int], beta: Sequence[int], q: int) -> int:
 
 def _check_scan(dims: Sequence[int], beta: Sequence[int], q: int, cap: int | None) -> None:
     """The checks made before any scan: ``beta`` has one entry per vertex,
-    and with a cap the :func:`scan_states` count fits it (with none, the
-    count is not computed)."""
+    none negative, and with a cap the :func:`scan_states` count fits it
+    (with none, the count is not computed)."""
     if len(beta) != len(dims):
         raise PartitionError("beta length does not match the rank")
+    if any(b < 0 for b in beta):
+        raise PartitionError(f"beta {tuple(beta)} has a negative entry")
     if cap is not None:
         linalg.check_cap(scan_states(dims, beta, q), cap, "subrepresentation scan")
+
+
+class _Subspace(list):
+    """An entry of :func:`_subspace_table`: the reduced echelon basis of a
+    subspace U of F_q^d, a list of rows u with pivots p, its ``index`` in
+    the table, and its ``readings`` (:func:`.linalg.kernel_basis`), one
+    per non-pivot column c: x -> x[c] - sum(x[p] * u[c]), which reads x
+    modulo U at c.  Raises :class:`RepError` on a malformed basis.
+    Shared by every walk: treat it as immutable."""
+
+    __slots__ = ("index", "readings")
+
+    def __init__(self, rows: list[list[int]], d: int, q: int, index: int):
+        super().__init__(rows)
+        if any(len(u) != d for u in rows):
+            raise RepError("basis has wrong width")
+        reduced, pivots = linalg.rref(rows, q)
+        if len(pivots) != len(rows) or reduced != rows:
+            raise RepError("basis is not in reduced echelon form")
+        self.index = index
+        self.readings = linalg.kernel_basis(rows, d, q)
+
+
+@functools.cache
+def _subspace_table(d: int, b: int, q: int) -> tuple[_Subspace, ...]:
+    """The gaussian_binomial(d, b, q) subspaces of dimension ``b`` of
+    F_q^d, in :func:`.linalg.enumerate_subspaces` order."""
+    bases = linalg.enumerate_subspaces(d, b, q, None)
+    return tuple(_Subspace(rows, d, q, i) for i, rows in enumerate(bases))
 
 
 def subreps(
@@ -145,37 +170,42 @@ def subreps(
 ) -> Iterator[tuple[list[list[int]], ...]]:
     """All stable graded subspaces of ``m`` with dimension vector ``beta``,
     as tuples of row bases (one per vertex, in reduced echelon form, as
-    int lists reduced mod q).
+    int lists reduced mod q), entries of :func:`_subspace_table` shared
+    by every walk: treat them as immutable.
 
     The :func:`scan_states` count is checked against ``cap`` before any
-    enumeration starts.  The walk visits vertices in topological order
-    and, at each, only the subspaces containing the images of the spaces
-    already chosen.
-    """
+    table is built.  At each vertex, in topological order, the walk keeps
+    the entries whose residues kill the images of the spaces chosen."""
     beta = tuple(beta)
     _check_scan(m.dims, beta, m.q, cap)
-    quiver = m.quiver
     if not dim_leq(beta, m.dims):
         return
-    chosen: list[list[list[int]]] = []
+    q = m.q
+    tables = [_subspace_table(d, b, q) for d, b in zip(m.dims, beta)]
+    arrows = list(zip(m.mats, m.quiver.arrows))
+    into = [[(x, s - 1) for x, (s, t) in arrows if t == v] for v in m.quiver.vertices]
+    kept: list[dict[tuple[int, ...], list[_Subspace]]] = [{} for _ in beta]
+    chosen: list[_Subspace] = []
 
     def walk(v: int) -> Iterator[tuple[list[list[int]], ...]]:
-        if v > quiver.rank:
+        if v == len(tables):
             yield tuple(chosen)
             return
-        images = [
-            [sum(map(mul, x_row, u)) for x_row in m.mats[k]]
-            for k, (s, t) in enumerate(quiver.arrows)
-            if t == v
-            for u in chosen[s - 1]
-        ]
-        d, b = m.dims[v - 1], beta[v - 1]
-        for w in linalg.subspaces_containing(images, d, b, m.q, None):
-            chosen.append(w)
+        key = tuple(chosen[s].index for _, s in into[v])
+        entries = kept[v].get(key)
+        if entries is None:
+            images = [[sum(map(mul, row, u)) for row in x] for x, s in into[v] for u in chosen[s]]
+            entries = kept[v][key] = [
+                e
+                for e in tables[v]
+                if not any(sum(map(mul, r, y)) % q for y in images for r in e.readings)
+            ]
+        for e in entries:
+            chosen.append(e)
             yield from walk(v + 1)
             chosen.pop()
 
-    yield from walk(1)
+    yield from walk(0)
 
 
 @_record
@@ -224,19 +254,14 @@ def strata(
 
 @functools.cache
 def _strata(lam: KostantPartition, beta: tuple[int, ...], q: int) -> StrataReport:
-    """The report of :func:`strata`.  When some root of ``(lam, q)`` is
-    ranked, every point is walked (:func:`subreps`) and classified
-    (:func:`_classify`), and the total is the number of points walked.
-    When every root is forced, the total is :func:`_colour_count`, and
-    every count at a point is read off ``beta``, so all the points lie in
-    one stratum, whose pair is solved from :func:`_forced_counts`: no
-    point is walked."""
+    """The report of :func:`strata`: every point walked (:func:`subreps`)
+    and classified (:func:`_classifier`) when a root of ``(lam, q)`` is
+    ranked, else the one stratum of :func:`_forced_counts`, with
+    :func:`_colour_count` points."""
     counts: dict[Pair, int] = {}
-    _, (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
+    (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
     if into_ranked or out_ranked:
-        for bases in subreps(build(lam, q), beta, None):
-            pair = _classify(lam, q, bases)
-            counts[pair] = counts.get(pair, 0) + 1
+        counts = Counter(map(_classifier(lam, q, beta), subreps(build(lam, q), beta, None)))
         total = sum(counts.values())
     else:
         total = _colour_count(lam, beta, q)
@@ -253,58 +278,68 @@ def _strata(lam: KostantPartition, beta: tuple[int, ...], q: int) -> StrataRepor
 
 
 @functools.cache
-def _hom_bases(lam: KostantPartition, q: int) -> tuple:
-    """What :func:`_classify` reads: ``(mats, into, out_of)``.
-
-    ``mats`` are the arrow matrices of ``M = build(lam, q)``, whose
-    dimension vector is ``d``.  ``into`` covers every root index ``a``
-    with h = dim Hom(M_a, M) > 0, ``out_of`` every ``a`` with
-    h = dim Hom(M, M_a) > 0, both read off :func:`~.homs.hom_ext_vectors`.
-    ``w[v]`` is the multiplicity of the simple S_v in the top of M_a,
-    dim Hom(M_a, S_v), for ``into``, and in its socle, dim Hom(S_v, M_a),
-    for ``out_of``, both read off :func:`~.homs.hom_ext_pair`: the number
-    of generators (cogenerators) of M_a at ``v``.  A map is fixed by its
-    values there, so h <= sum(w * d).  Each side is ``(forced, ranked)``:
-
-    * ``forced`` holds ``(a, w)`` for the roots with h = sum(w * d): every
-      choice of values is a map, so the count at a point U is
-      sum(w * beta) into U and sum(w * (d - beta)) out of M/U
-      (:func:`_forced_counts`), with no matrix built;
-    * ``ranked`` holds ``(a, fs)`` for the roots with h < sum(w * d): per
-      element f of a basis of Hom(M_a, M), the ``(v, column)`` pairs of
-      every column of f_v, or per element g of a basis of Hom(M, M_a),
-      the ``(v, row)`` pairs of every row of g_v.
-    """
-    table = lam.table
-    m = build(lam, q)
-    into, _, out_of = hom_ext_vectors(lam)
+def _generators(table: RootTable, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The top and the socle of M_a: per vertex v, dim Hom(M_a, S_v) and
+    dim Hom(S_v, M_a), its generators and cogenerators at v."""
     simples = [table.simple_root_index(v) for v in table.quiver.vertices]
+    top = tuple(hom_ext_pair(table, a, s)[0] for s in simples)
+    return top, tuple(hom_ext_pair(table, s, a)[0] for s in simples)
+
+
+@functools.cache
+def _pair_basis(table: RootTable, a: int, b: int, q: int) -> list:
+    """:func:`~.reps.hom_basis` of M_a and M_b, memoized per pair of roots."""
+    return hom_basis(indecomposable(table, a, q), indecomposable(table, b, q))
+
+
+def _assembled_basis(lam: KostantPartition, a: int, q: int, dual: bool) -> list:
+    """A basis of Hom(M_a, M), or with ``dual`` of Hom(M, M_a), for
+    M = build(lam, q), written as :func:`~.reps.hom_basis` writes one: a
+    basis of Hom(M_a, M_b) or Hom(M_b, M_a) (:func:`_pair_basis`) per
+    part b of ``lam``, placed at that part's rows or columns."""
+    table, dims, d_a = lam.table, lam.total, lam.table.roots[a]
+    basis = []
+    start = [0] * len(dims)
+    for b in lam.parts:
+        d_b = table.roots[b]
+        for f in _pair_basis(table, b, a, q) if dual else _pair_basis(table, a, b, q):
+            basis.append(tuple(
+                [[0] * o + row + [0] * (n - o - e) for row in f_v]
+                if dual
+                else [[0] * k for _ in range(o)] + f_v + [[0] * k for _ in range(n - o - e)]
+                for f_v, o, n, e, k in zip(f, start, dims, d_b, d_a)
+            ))
+        start = dim_add(start, d_b)
+    return basis
+
+
+@functools.cache
+def _hom_bases(lam: KostantPartition, q: int) -> tuple:
+    """``(into, out_of)``, each ``(forced, ranked)``: the roots a with
+    h = dim Hom(M_a, M) > 0, or h = dim Hom(M, M_a) > 0, read off
+    :func:`~.homs.hom_ext_vectors`, sorted by the bound sum(w * d), w the
+    top or the socle of M_a (:func:`_generators`).  ``forced`` holds
+    ``(a, w)`` where h reaches it, ``ranked`` holds ``(a, basis)``
+    elsewhere (:func:`_assembled_basis`); a basis of other than h elements,
+    as where h passes the bound, raises :class:`RepError`."""
+    table = lam.table
+    into, _, out_of = hom_ext_vectors(lam)
     sides = (([], []), ([], []))
     for a in range(len(table)):
         for dual, h in enumerate((into[a], out_of[a])):
             if not h:
                 continue
             forced, ranked = sides[dual]
-            w = tuple(
-                (hom_ext_pair(table, s, a) if dual else hom_ext_pair(table, a, s))[0]
-                for s in simples
-            )
-            bound = sum(map(mul, w, m.dims))
+            w = _generators(table, a)[dual]
+            bound = sum(map(mul, w, lam.total))
             if h == bound:
                 forced.append((a, w))
                 continue
-            if h > bound:
-                raise RepError("a closed-form Hom count exceeds sum(w * d)")
-            m_a = indecomposable(table, a, q)
-            basis = hom_basis(m, m_a) if dual else hom_basis(m_a, m)
+            basis = _assembled_basis(lam, a, q, dual)
             if len(basis) != h:
                 raise RepError("a Hom basis disagrees with the closed-form count")
-            if dual:  # the rows of g
-                fs = [[(v, row) for v, g_v in enumerate(g) for row in g_v] for g in basis]
-            else:  # the columns of f
-                fs = [[(v, col) for v, f_v in enumerate(f) for col in zip(*f_v)] for f in basis]
-            ranked.append((a, fs))
-    return (m.mats,) + tuple((tuple(forced), tuple(ranked)) for forced, ranked in sides)
+            ranked.append((a, basis))
+    return tuple((tuple(forced), tuple(ranked)) for forced, ranked in sides)
 
 
 @functools.cache
@@ -314,10 +349,9 @@ def _forced_counts(
     """``(quot_dims, sub_counts, quot_counts)`` at every point with sub
     dimension vector ``beta``: the quotient's dimension vector, and the
     counts of the forced roots ``(a, w)`` of :func:`_hom_bases` (0 at the
-    others), dim Hom(M_a, U) = sum(w * beta) with w the top of M_a and
-    dim Hom(M/U, M_a) = sum(w * quot_dims) with w its socle.  No matrix
-    is read: w and forcedness come from the closed form and d = dim lam."""
-    _, (into_forced, _), (out_forced, _) = _hom_bases(lam, q)
+    others), dim Hom(M_a, U) = sum(w * beta) and
+    dim Hom(M/U, M_a) = sum(w * quot_dims), with no matrix read."""
+    (into_forced, _), (out_forced, _) = _hom_bases(lam, q)
     quot_dims = dim_sub(lam.total, beta)
     sub_counts = [0] * len(lam.table)
     for a, w in into_forced:
@@ -328,61 +362,66 @@ def _forced_counts(
     return quot_dims, tuple(sub_counts), tuple(quot_counts)
 
 
-def _classify(lam: KostantPartition, q: int, bases: list[list[list[int]]]) -> Pair:
-    """The (quotient, sub) classes of the point of ``build(lam, q)`` whose
-    subspace at vertex ``v`` has the reduced row-echelon basis
-    ``bases[v-1]`` (int-list rows, reduced mod q).
+def _classifier(
+    lam: KostantPartition, q: int, beta: tuple[int, ...]
+) -> Callable[[tuple[_Subspace, ...]], Pair]:
+    """The map from the points :func:`subreps` yields on ``build(lam, q)``
+    with dimension vector ``beta`` to their (quotient, sub) pairs.
 
-    With ``pi`` the projection onto M/U and the Hom bases of
-    :func:`_hom_bases`, dim Hom(M_a, U) = h - rank{pi f} and
-    dim Hom(M/U, M_a) = h' - rank{g|_U}, except that the forced roots
-    read their counts off the dimension vectors; the sub and the
-    quotient follow by the two triangular solves of
-    :func:`reps._partition_from_counts`.  Raises :class:`RepError` if a
-    basis is malformed or the subspace is not stable.
-    """
-    mats, (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
-    table = lam.table
-    dims = lam.total
-    beta = tuple(map(len, bases))
-    free = []
-    for v, (rows, d) in enumerate(zip(bases, dims), start=1):
-        pivots: list[int] = []
-        for u in rows:
-            if len(u) != d:
-                raise RepError(f"basis at vertex {v} has wrong width")
-            lead = next((c for c, x in enumerate(u) if x % q), d)
-            if lead == d or u[lead] % q != 1 or (pivots and lead <= pivots[-1]):
-                raise RepError(f"basis at vertex {v} is not in reduced echelon form")
-            pivots.append(lead)
-        if any(u[p] % q for i, u in enumerate(rows) for p in pivots[i + 1 :]):
-            raise RepError(f"basis at vertex {v} is not in reduced echelon form")
-        # x modulo U_v is read at each free column c of the echelon basis
-        # as x[c] - sum_i x[pivot_i] * rows[i][c]
-        free.append(
-            [(c, [(p, u[c]) for p, u in zip(pivots, rows)]) for c in range(d) if c not in pivots]
-        )
-
-    def residue(x: Sequence[int], v: int) -> list[int]:
-        return [x[c] - sum(x[p] * e for p, e in row) for c, row in free[v]]
-
-    for k, (s, t) in enumerate(table.quiver.arrows):
-        for u in bases[s - 1]:
-            image = [sum(map(mul, x_row, u)) for x_row in mats[k]]
-            if any(x % q for x in residue(image, t - 1)):
-                raise RepError(f"subspace is not stable along arrow {s}->{t}")
+    The row of a basis element is the sum of its blocks, one per vertex v,
+    computed once per table entry U_v met: the residues of the columns of
+    f_v, or the rows of g_v applied to the basis of U_v, packed at v's
+    place.  Each tuple of ranks is solved once (:func:`_partition_from_counts`)."""
+    table, dims = lam.table, lam.total
+    (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
     quot_dims, forced_sub, forced_quot = _forced_counts(lam, q, beta)
-    sub_counts = list(forced_sub)
-    for a, fs in into_ranked:
-        system = [[x for v, col in f for x in residue(col, v)] for f in fs]
-        sub_counts[a] = len(fs) - linalg.rank(system, q)
-    quot_counts = list(forced_quot)
-    for a, gs in out_ranked:
-        system = [[sum(map(mul, row, u)) for v, row in g for u in bases[v]] for g in gs]
-        quot_counts[a] = len(gs) - linalg.rank(system, q)
-    nu = _partition_from_counts(table, tuple(sub_counts), beta)
-    mu = _partition_from_counts(table, tuple(quot_counts), quot_dims, into=False)
-    return mu, nu
+    width = linalg._slot_bits(q)
+    # per ranked root: (dual, a, h, slots in a row, per vertex (first slot,
+    # per basis element the columns of f_v or the rows of g_v))
+    roots = []
+    for dual, ranked in enumerate((into_ranked, out_ranked)):
+        for a, basis in ranked:
+            slots, at = 0, []
+            for v, (n, b, k) in enumerate(zip(dims, beta, table.roots[a])):
+                at.append((slots, [f[v] if dual else list(zip(*f[v])) for f in basis]))
+                slots += k * (b if dual else n - b)
+            roots.append((dual, a, len(basis), slots, at))
+    blocks: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in dims]
+    pairs: dict[tuple[int, ...], Pair] = {}
+
+    def block(v: int, u: _Subspace) -> list[tuple[int, ...]]:
+        out = []
+        for dual, _, _, _, at in roots:
+            first, vectors = at[v]
+            ys = u if dual else u.readings
+            out.append(tuple(
+                linalg._pack([sum(map(mul, x, y)) for x in xs for y in ys], q) << first * width
+                for xs in vectors
+            ))
+        return out
+
+    def classify(point: tuple[_Subspace, ...]) -> Pair:
+        parts = []
+        for v, u in enumerate(point):
+            got = blocks[v].get(u.index)
+            if got is None:
+                got = blocks[v][u.index] = block(v, u)
+            parts.append(got)
+        ranks = tuple(
+            linalg._packed_rank([sum(row) for row in zip(*(p[i] for p in parts))], q, slots)
+            for i, (_, _, _, slots, _) in enumerate(roots)
+        )
+        pair = pairs.get(ranks)
+        if pair is None:
+            counts = (list(forced_sub), list(forced_quot))
+            for (dual, a, h, _, _), r in zip(roots, ranks):
+                counts[dual][a] = h - r
+            nu = _partition_from_counts(table, tuple(counts[0]), beta)
+            mu = _partition_from_counts(table, tuple(counts[1]), quot_dims, into=False)
+            pair = pairs[ranks] = (mu, nu)
+        return pair
+
+    return classify
 
 
 def point_count(
@@ -405,15 +444,13 @@ def _colour_count(lam: KostantPartition, beta: tuple[int, ...], q: int) -> int:
     subrepresentations of ``M = build(lam, q)``, counted with no walk.
 
     A Dynkin diagram is a tree, so its vertices fall into two colour
-    classes with no edge inside either.  The subspaces U_x on the class
-    with fewer states (a product of Gaussian binomials) are enumerated.
-    A vertex y of the other class then only needs A_y <= U_y <= B_y,
-    where A_y is spanned by the images of U_s along the arrows s -> y,
-    and B_y is the common preimage of U_t along the arrows y -> t (cut
-    out by the annihilator of each U_t pulled back to M_y).  So y
-    contributes the Gaussian binomial
-    [dim B_y - dim A_y choose beta_y - dim A_y]_q when A_y <= B_y, and 0
-    otherwise.
+    classes with no edge inside either, and the subspaces U_x on the one
+    with fewer states are enumerated.  A vertex y of the other class then only needs
+    A_y <= U_y <= B_y, where A_y is spanned by the images of U_s along
+    the arrows s -> y, and B_y is cut out by the annihilator of each U_t
+    pulled back along the arrows y -> t.  So y contributes the Gaussian
+    binomial [dim B_y - dim A_y choose beta_y - dim A_y]_q when
+    A_y <= B_y, and 0 otherwise.
     """
     m = build(lam, q)
     quiver, dims, mats = m.quiver, m.dims, m.mats
@@ -430,17 +467,14 @@ def _colour_count(lam: KostantPartition, beta: tuple[int, ...], q: int) -> int:
     options = []
     for x in xs:
         per_u = []
-        for u in linalg.enumerate_subspaces(dims[x - 1], beta[x - 1], q, None):
+        for u in _subspace_table(dims[x - 1], beta[x - 1], q):
             vectors = {}
             for k, (s, t) in enumerate(quiver.arrows):
                 if s == x:
                     vectors[k] = [[sum(map(mul, row, b)) for row in mats[k]] for b in u]
                 elif t == x:
                     columns = list(zip(*mats[k]))
-                    vectors[k] = [
-                        [sum(map(mul, z, col)) for col in columns]
-                        for z in linalg.kernel_basis(u, dims[x - 1], q)
-                    ]
+                    vectors[k] = [[sum(map(mul, z, col)) for col in columns] for z in u.readings]
             per_u.append(vectors)
         options.append(per_u)
     arrows_at = [

@@ -3,15 +3,13 @@
 Arithmetic is exact: every elimination is pure Python, over int lists
 or over packed rows.  A matrix is a sequence of rows, each a sequence of
 Python ints read mod p; results are int lists reduced mod p.  A matrix
-with no rows carries no width, so the functions that need it
-(:func:`kernel_basis`, :func:`subspaces_containing`) take the column
-count from the caller.  Forward elimination gives :func:`rank`; the
-same loop with back-substitution gives the canonical reduced
-row-echelon form behind :func:`rref`, :func:`kernel_basis` and
-:func:`subspaces_containing`.  Enumeration of subspaces walks reduced
-row-echelon profiles in a fixed lexicographic order, so iterating twice
-gives the same sequence and the number of bases produced always equals
-the Gaussian binomial.
+with no rows carries no width, so :func:`kernel_basis`, which needs
+it, takes the column count from the caller.  Forward elimination gives
+:func:`rank`; the same loop with back-substitution gives the canonical
+reduced row-echelon form behind :func:`rref` and :func:`kernel_basis`.
+Enumeration of subspaces walks reduced row-echelon profiles in a fixed
+lexicographic order, so iterating twice gives the same sequence and the
+number of bases produced always equals the Gaussian binomial.
 
 The private :func:`_packed_rank` ranks rows packed into one Python int
 each (:func:`_pack`): one bit per entry over F_2, where a row operation
@@ -20,7 +18,8 @@ multiply-add followed by a byte-wise reduction mod q; :func:`_unpack`
 reads a packed row back as an int list.  They serve the intertwiner
 systems of :mod:`.reps`, which are so small that per-entry Python
 overhead is the whole cost: :func:`.reps.hom_space_dim` ranks the packed
-rows, and the kernels and coboundaries read them unpacked.
+rows, and the kernels and coboundaries read them unpacked.  The point
+classifier of :mod:`.grassmannian` ranks its per-point systems packed.
 
 Enumerations that would exceed an explicit cap raise :class:`CapExceeded`
 up front instead of running forever.
@@ -43,7 +42,6 @@ __all__ = [
     "kernel_basis",
     "rank",
     "rref",
-    "subspaces_containing",
 ]
 
 SUPPORTED_FIELDS = (2, 3, 5)
@@ -279,37 +277,3 @@ def enumerate_subspaces(
                 rows[r][c] = v
             yield rows
 
-
-def subspaces_containing(
-    lower, n: int, d: int, q: int, cap: int | None = DEFAULT_CAP
-) -> Iterator[list[list[int]]]:
-    """All d-dimensional subspaces of F_q^n containing the row space of
-    ``lower`` (rows of length ``n``, entries read mod q).
-
-    Works through the quotient by ``lower``: bases are the rows of
-    ``lower`` (in echelon form) plus lifts of echelon bases of the
-    quotient, re-echelonised and reduced mod q.  Deterministic order
-    inherited from :func:`enumerate_subspaces`.
-    """
-    _check_field(q)
-    low = _rows(lower, n)
-    piv = _eliminate(low, q, True)
-    u = len(piv)
-    low = low[:u]
-    if d < u or d > n:
-        return
-    if u == 0:
-        yield from enumerate_subspaces(n, d, q, cap)
-        return
-    # complement coordinates: non-pivot columns of the lower space
-    free_cols = [c for c in range(n) if c not in piv]
-    for small in enumerate_subspaces(len(free_cols), d - u, q, cap):
-        rows = list(low)
-        for small_row in small:
-            lift = [0] * n
-            for c, x in zip(free_cols, small_row):
-                lift[c] = x
-            rows.append(lift)
-        fpiv = _eliminate(rows, q, True)
-        assert len(fpiv) == d
-        yield [[x % q for x in row] for row in rows]

@@ -15,10 +15,12 @@ from quiverlab import (
     build,
     build_quiver,
     ext_ger,
+    ext_pairs,
     generic_pairs,
     hom_basis,
     hom_dim,
     hom_ext_pair,
+    hom_ext_vectors,
     identify,
     indecomposable,
     kp_enumerate,
@@ -28,6 +30,7 @@ from quiverlab import (
     point_count,
     positive_roots,
     realized_pairs,
+    scan_states,
     standard_quiver,
     strata,
     stratum_dim,
@@ -36,13 +39,25 @@ from quiverlab import (
 )
 from quiverlab import grassmannian, linalg
 from quiverlab.cli import main
-from quiverlab.grassmannian import _classify, _forced_counts, _hom_bases
+from quiverlab.grassmannian import (
+    _assembled_basis,
+    _classifier,
+    _forced_counts,
+    _hom_bases,
+    _Subspace,
+    _subspace_table,
+)
 from quiverlab.linalg import rank, rref
 from quiverlab.reps import RepError, _partition_from_counts
 
 
 def pair_names(pairs):
     return sorted((kp_format(m), kp_format(n)) for m, n in pairs)
+
+
+def apply(x, u):
+    """The matrix ``x`` times the column vector ``u``."""
+    return [sum(map(mul, row, u)) for row in x]
 
 
 def matmul(a, b, ncols, q):
@@ -151,6 +166,157 @@ def test_subreps_cap(t3):
         list(subreps(m, (1, 1, 0), cap=2))
 
 
+def contains(u, x, q):
+    """Whether the readings of the table entry ``u`` put ``x`` in its subspace."""
+    return not any(sum(map(mul, r, x)) % q for r in u.readings)
+
+
+def test_subspace_table_entries_containing_a_space(monkeypatch):
+    # the entries of F_2^4's plane table that contain a fixed line: [3 1]_2 = 7
+    lower = [[1, 0, 0, 0]]
+    got = [u for u in _subspace_table(4, 2, 2) if contains(u, lower[0], 2)]
+    assert len(got) == 7
+    for basis in got:
+        assert rank(basis, 2) == rank(basis + lower, 2) == 2
+    # every entry contains the zero space
+    assert len(_subspace_table(3, 1, 3)) == linalg.gaussian_binomial(3, 1, 3)
+
+    # a table is built with no cap, so no Gaussian binomial is counted
+    def forbidden(*args):
+        raise AssertionError("gaussian_binomial called for a table")
+
+    monkeypatch.setattr(linalg, "gaussian_binomial", forbidden)
+    grassmannian._subspace_table.cache_clear()
+    table = _subspace_table(3, 2, 2)
+    assert len(table) == 7
+    assert sum(contains(u, [1, 0, 0], 2) for u in table) == 3
+
+
+@pytest.mark.parametrize(
+    "which,max_total,n_inputs,n_points,n_tables",
+    [
+        pytest.param("t3", 4, 906, 2743, 30, id="A3-4"),
+        pytest.param("t4", 3, 568, 818, 20, id="D4-3"),
+        pytest.param("zigzag_a4", 3, 552, 812, 20, id="zigzag_A4-3"),
+    ],
+)
+def test_walk_equals_the_stable_tuples_of_the_subspace_product(
+    request, which, max_total, n_inputs, n_points, n_tables
+):
+    # every class and every beta <= dim lam, over GF(2) and GF(3): subreps
+    # yields, in order, the stable tuples of the product of the per-vertex
+    # enumerations, stability checked by rank; every table it reads is that
+    # enumeration, entry i at index i, with readings spanning the annihilator
+    table = request.getfixturevalue(which)
+    arrows = table.quiver.arrows
+    inputs = points = 0
+    tables = set()
+    for lam in all_classes(table, max_total):
+        for q in (2, 3):
+            m = build(lam, q)
+            for beta in itertools.product(*(range(x + 1) for x in lam.total)):
+                tables.update((d, b, q) for d, b in zip(m.dims, beta))
+                walked = list(subreps(m, beta, None))
+                brute = [
+                    bases
+                    for bases in itertools.product(
+                        *(linalg.enumerate_subspaces(d, b, q, None) for d, b in zip(m.dims, beta))
+                    )
+                    if all(
+                        rank(bases[t - 1] + [apply(m.mats[k], u) for u in bases[s - 1]], q)
+                        == beta[t - 1]
+                        for k, (s, t) in enumerate(arrows)
+                    )
+                ]
+                assert walked == brute, (kp_format(lam), beta, q)
+                inputs += 1
+                points += len(walked)
+    for d, b, q in tables:
+        entries = _subspace_table(d, b, q)
+        assert list(entries) == list(linalg.enumerate_subspaces(d, b, q, None))
+        assert [u.index for u in entries] == list(range(len(entries)))
+        for u in entries:
+            assert len(u.readings) == rank(u.readings, q) == d - b
+            assert all(sum(map(mul, r, x)) % q == 0 for r in u.readings for x in u)
+    assert (inputs, points, len(tables)) == (n_inputs, n_points, n_tables)
+
+
+@pytest.mark.parametrize(
+    "which,max_total,n_bases", [("t3", 4, 1464), ("t4", 3, 1686), ("zigzag_a4", 3, 1368)]
+)
+def test_assembled_hom_bases_are_bases_of_intertwiners(request, which, max_total, n_bases):
+    # for every root a and class lam, over GF(2) and GF(3): the bases placed
+    # part by part are intertwiners, independent, as many as the closed form
+    # counts, and have dim M_a[v] columns (or rows) at every vertex; the
+    # ranked roots of _hom_bases carry exactly these bases
+    table = request.getfixturevalue(which)
+    arrows = table.quiver.arrows
+    seen = 0
+    for lam in all_classes(table, max_total):
+        into, _, out_of = hom_ext_vectors(lam)
+        for q in (2, 3):
+            m = build(lam, q)
+            ranked = [dict(side[1]) for side in _hom_bases(lam, q)]
+            for a in range(len(table)):
+                m_a = indecomposable(table, a, q)
+                for dual, h in enumerate((into[a], out_of[a])):
+                    basis = _assembled_basis(lam, a, q, dual)
+                    src, dst = (m, m_a) if dual else (m_a, m)
+                    assert len(basis) == h, (kp_format(lam), a, q, dual)
+                    for f in basis:
+                        for f_v, d, e in zip(f, src.dims, dst.dims):
+                            assert len(f_v) == e and all(len(row) == d for row in f_v)
+                        for k, (s, t) in enumerate(arrows):
+                            lhs = matmul(f[t - 1], src.mats[k], src.dims[s - 1], q)
+                            rhs = matmul(dst.mats[k], f[s - 1], src.dims[s - 1], q)
+                            assert lhs == rhs, (kp_format(lam), a, q, dual)
+                    flat = [[x for f_v in f for row in f_v for x in row] for f in basis]
+                    if flat:
+                        assert rank(flat, q) == h, (kp_format(lam), a, q, dual)
+                    assert ranked[dual].get(a, basis) == basis
+                    seen += len(basis)
+    assert seen == n_bases
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lam: strata(lam, (-1, 2), 2),
+        lambda lam: point_count(lam, (-1, 2), 2),
+        lambda lam: list(subreps(build(lam, 2), (-1, 2))),
+        lambda lam: realized_pairs(lam, (-1, 2), 2),
+        lambda lam: ext_pairs(lam, (2, 0), (-1, 2)),
+    ],
+    ids=["strata", "point_count", "subreps", "realized_pairs", "ext_pairs"],
+)
+def test_a_negative_beta_is_rejected(t2, call):
+    with pytest.raises(PartitionError, match="negative entry"):
+        call(kp_parse(t2, "[1,2]+[2,2]"))
+
+
+def test_a_call_refused_by_the_cap_builds_no_table(t3):
+    # a table holds gaussian_binomial(d, b, q) entries, a factor of the
+    # scan_states count the cap is checked against, so a refused call
+    # builds none and an accepted one builds none larger than the cap
+    lam = kp_parse(t3, "[1,1]+[1,1]+[1,1]+[1,2]")
+    beta = (2, 1, 0)
+    assert scan_states(lam.total, beta, 3) == 130
+    grassmannian._subspace_table.cache_clear()
+    grassmannian._strata.cache_clear()
+    grassmannian._colour_count.cache_clear()
+    for call in (
+        lambda cap: list(subreps(build(lam, 3), beta, cap)),
+        lambda cap: strata(lam, beta, 3, cap),
+        lambda cap: point_count(lam, beta, 3, cap),
+    ):
+        with pytest.raises(CapExceeded):
+            call(129)
+        assert grassmannian._subspace_table.cache_info().currsize == 0
+    assert strata(lam, beta, 3, 130).total == 130
+    assert grassmannian._subspace_table.cache_info().currsize > 0
+    assert max(len(_subspace_table(d, b, 3)) for d, b in zip(lam.total, beta)) == 130
+
+
 def test_stratum_dim_checks_realization(t2, t3):
     # Gr_(0,1)(M[1,2]) is a single point
     assert stratum_dim(kp_parse(t2, "[1,2]"), kp_parse(t2, "[2,2]")) == 0
@@ -255,10 +421,11 @@ def test_classifier_agrees_with_sub_quotient_and_identify(
         for q in fields:
             m = build(lam, q)
             for beta in itertools.product(*(range(x + 1) for x in lam.total)):
+                classify = _classifier(lam, q, beta)
                 for bases in subreps(m, beta):
                     sub, quot = sub_quotient(m, bases)
                     expected = (identify(quot, table), identify(sub, table))
-                    got = _classify(lam, q, bases)
+                    got = classify(bases)
                     assert got == expected, (kp_format(lam), beta, q)
                     points += 1
     assert points == n_points
@@ -285,7 +452,7 @@ def test_classifier_agrees_with_sub_quotient_and_identify(
 def test_forced_roots_read_their_counts_off_beta(
     t3, q, lam, into_forced, into_ranked, out_forced, out_ranked
 ):
-    _, into, out_of = _hom_bases(kp_parse(t3, lam), q)
+    into, out_of = _hom_bases(kp_parse(t3, lam), q)
 
     def names(entries):
         return sorted(kp_format(kp_single(t3, a)) for a, *_ in entries)
@@ -318,7 +485,7 @@ def test_forced_roots_are_those_whose_basis_spans_the_generator_values(
         forced_per_field = set()
         for q in fields:
             m = build(lam, q)
-            _, *sides = _hom_bases(lam, q)
+            sides = _hom_bases(lam, q)
             forced_per_field.add(tuple(side[0] for side in sides))
             for dual, (forced, ranked) in enumerate(sides):
                 forced, ranked = dict(forced), {a for a, _ in ranked}
@@ -381,7 +548,7 @@ def test_top_and_socle_from_the_hom_table_count_the_generators(diagram):
 
 def walked_strata(lam, beta, q):
     """The (quotient, sub) pairs of every point, walked and classified one by one."""
-    return Counter(_classify(lam, q, bases) for bases in subreps(build(lam, q), beta, None))
+    return Counter(map(_classifier(lam, q, beta), subreps(build(lam, q), beta, None)))
 
 
 def test_all_forced_classes_have_at_most_one_stratum_fixed_by_beta(
@@ -395,7 +562,7 @@ def test_all_forced_classes_have_at_most_one_stratum_fixed_by_beta(
         for lam in all_classes(table, max_total):
             for q in (2, 3):
                 classes_seen += 1
-                _, (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
+                (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
                 if into_ranked or out_ranked:
                     continue
                 all_forced += 1
@@ -436,7 +603,7 @@ def test_colour_count_equals_the_walked_count(
     seen = [0, 0, 0]
     for lam in all_classes(table, max_total):
         for q in fields:
-            _, (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
+            (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
             for beta in itertools.product(*(range(x + 1) for x in lam.total)):
                 walked = walked_strata(lam, beta, q)
                 report = strata(lam, beta, q)
@@ -451,18 +618,20 @@ def test_colour_count_equals_the_walked_count(
 
 @pytest.mark.parametrize(
     "part,beta,n_enumerated",
-    [("[1,1]", (3, 0, 0), 1), ("[2,2]", (0, 3, 0), 2)],
+    [("[1,1]", (3, 0, 0), 1), ("[2,2]", (0, 3, 0), 1)],
     ids=["sources", "middle"],
 )
 def test_all_forced_strata_walk_no_point(t3, monkeypatch, part, beta, n_enumerated):
     # six copies of a simple over GF(5): every root is forced, so the one
     # stratum is read off beta, and its gaussian_binomial(6, 3, 5) points are
     # counted on the colour class with a single state (one empty subspace per
-    # vertex), not on the other class, which has them all
+    # vertex, from the one table of the empty subspace of F_5^0), not on the
+    # other class, which has them all
     lam = kp_parse(t3, "+".join([part] * 6))
     half = kp_parse(t3, "+".join([part] * 3))
     grassmannian._strata.cache_clear()
     grassmannian._colour_count.cache_clear()
+    grassmannian._subspace_table.cache_clear()
 
     def no_walk(*args):
         raise AssertionError("an all-forced Grassmannian was walked")
@@ -499,7 +668,7 @@ def test_walked_strata_count_their_points_with_no_colour_count(t3, t4, monkeypat
     for table, max_total in [(t3, 4), (t4, 3)]:
         for lam in all_classes(table, max_total):
             for q in (2, 3):
-                _, (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
+                (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
                 if into_ranked or out_ranked:
                     for beta in itertools.product(*(range(x + 1) for x in lam.total)):
                         totals[lam, beta, q] = strata(lam, beta, q).total
@@ -535,20 +704,30 @@ def test_no_cap_computes_no_scan_states(t3, monkeypatch):
 
 def test_classifier_rejects_what_sub_quotient_rejects(t2):
     lam = kp_parse(t2, "[1,2]")
+    m = build(lam, 2)
     # vertex 2's line is the unique proper subrep of M[1,2]
-    assert pair_names([_classify(lam, 2, [[], [[1]]])]) == [("[1,1]", "[2,2]")]
-    # vertex 1's line is not stable: the arrow maps it out
+    (line,) = subreps(m, (0, 1))
+    assert line == ([], [[1]])
+    assert pair_names([_classifier(lam, 2, (0, 1))(line)]) == [("[1,1]", "[2,2]")]
+    # vertex 1's line is not stable: the arrow maps it out, so sub_quotient
+    # raises and the walk's residue test drops it
     with pytest.raises(RepError):
-        _classify(lam, 2, [[[1]], []])
-    # a basis must be in reduced echelon form, of the right width
-    with pytest.raises(RepError):
-        _classify(lam, 3, [[[2]], [[1]]])
-    with pytest.raises(RepError):
-        _classify(lam, 2, [[], [[1, 0]]])
+        sub_quotient(m, [[[1]], []])
+    assert list(subreps(m, (1, 0))) == []
+    # a table entry must be a reduced echelon basis, of the right width
+    for rows, d, q in [
+        ([[2]], 1, 3),
+        ([[1, 0]], 1, 2),
+        ([[0]], 1, 2),
+        ([[1, 1], [0, 1]], 2, 3),
+        ([[0, 1], [1, 0]], 2, 3),
+    ]:
+        with pytest.raises(RepError):
+            _Subspace(rows, d, q, 0)
     plane = kp_parse(t2, "[1,1]+[1,1]")
-    assert pair_names([_classify(plane, 3, [[[1, 0], [0, 1]], []])]) == [("0", "[1,1]+[1,1]")]
-    with pytest.raises(RepError):
-        _classify(plane, 3, [[[1, 1], [0, 1]], []])
+    (whole,) = subreps(build(plane, 3), (2, 0))
+    assert whole == ([[1, 0], [0, 1]], [])
+    assert pair_names([_classifier(plane, 3, (2, 0))(whole)]) == [("0", "[1,1]+[1,1]")]
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

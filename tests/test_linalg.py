@@ -2,7 +2,7 @@
 
 Property tests pin the row-echelon and kernel contracts and check the
 rank against a brute-force kernel count; counting tests pin the
-subspace enumerators against Gaussian binomials.
+subspace enumerator against Gaussian binomials.
 """
 
 import itertools
@@ -21,7 +21,6 @@ from quiverlab.linalg import (
     kernel_basis,
     rank,
     rref,
-    subspaces_containing,
 )
 
 
@@ -167,18 +166,6 @@ def test_enumerate_subspaces_counts(n, q):
     assert subspace_count(n, q) == galois[q][n]
 
 
-def test_subspaces_containing_counts():
-    # subspaces of F_2^4 of dim 2 containing a fixed line: [3 1]_2 = 7
-    lower = [[1, 0, 0, 0]]
-    got = list(subspaces_containing(lower, 4, 2, 2))
-    assert len(got) == 7
-    for basis in got:
-        assert rank(basis, 2) == rank(basis + lower, 2) == 2
-    # containing the zero space = plain enumeration
-    zero = []
-    assert len(list(subspaces_containing(zero, 3, 1, 3))) == gaussian_binomial(3, 1, 3)
-
-
 def test_cap_exceeded():
     with pytest.raises(CapExceeded) as exc:
         list(enumerate_subspaces(8, 4, 3, cap=10))
@@ -195,7 +182,6 @@ def test_no_cap_counts_no_states(monkeypatch):
 
     monkeypatch.setattr(linalg, "gaussian_binomial", forbidden)
     assert len(list(enumerate_subspaces(3, 2, 2, cap=None))) == 7
-    assert len(list(subspaces_containing([[1, 0, 0]], 3, 2, 2, None))) == 3
     with pytest.raises(AssertionError):
         list(enumerate_subspaces(3, 2, 2, cap=100))
 
