@@ -440,7 +440,7 @@ def _cmd_support_pair(args, table, mu, nu) -> tuple[dict, int]:
         "mu": kp_format(mu),
         "nu": kp_format(nu),
         "is_support_pair": result.ok,
-        "witness": kp_format(result.witness) if result.witness else None,
+        "witness": kp_format(result.witness) if result.witness is not None else None,
     }, (EXIT_OK if result.ok else EXIT_FALSE)
 
 
@@ -454,7 +454,7 @@ def _cmd_simplicity(args, table, mu, nu) -> tuple[dict, int]:
         "mu": kp_format(mu),
         "nu": kp_format(nu),
         "verdict": verdict.verdict,
-        "witness": kp_format(verdict.witness) if verdict.witness else None,
+        "witness": kp_format(verdict.witness) if verdict.witness is not None else None,
         "inequalities": [
             {
                 "lambda": kp_format(r.lam),
@@ -478,7 +478,7 @@ def _cmd_socle(args, table, mu, nu) -> tuple[dict, int]:
         "mu": kp_format(mu),
         "nu": kp_format(nu),
         "generic_product": kp_format(prediction.generic_product),
-        "predicted": kp_format(prediction.predicted) if prediction.predicted else None,
+        "predicted": kp_format(prediction.predicted) if prediction.predicted is not None else None,
         "abstained": prediction.abstained,
     }, (EXIT_ABSTAIN if prediction.abstained else EXIT_OK)
 

@@ -25,8 +25,10 @@ which is M_a), and a map into M_a by its values under the cogenerators
 (the coordinate functionals that generate its dual).  The number w_v of
 them at vertex ``v`` is the multiplicity of the simple S_v in the top
 of M_a, dim Hom(M_a, S_v), or in its socle, dim Hom(S_v, M_a), read off
-the closed form and memoized per root.  With ``d`` the dimension vector
-of M, this bounds dim Hom(M_a, M) or dim Hom(M, M_a) by sum(w * d).
+the closed form and memoized per root (``homs._top_and_socle``).  With
+``d`` the dimension vector of M, this bounds dim Hom(M_a, M) or
+dim Hom(M, M_a) by sum(w * d), the Hom count of the projective cover
+(or injective hull) of M_a, as :mod:`.homs` states.
 Once per ``(lam, q)`` every root is sorted by comparing its closed-form
 count with that bound:
 
@@ -77,7 +79,7 @@ from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from . import linalg
-from .homs import hom_dim, hom_ext_pair, hom_ext_vectors
+from .homs import _top_and_socle, hom_dim, hom_ext_vectors
 from .order import lt
 from .quiver import (
     KostantPartition,
@@ -278,15 +280,6 @@ def _strata(lam: KostantPartition, beta: tuple[int, ...], q: int) -> StrataRepor
 
 
 @functools.cache
-def _generators(table: RootTable, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The top and the socle of M_a: per vertex v, dim Hom(M_a, S_v) and
-    dim Hom(S_v, M_a), its generators and cogenerators at v."""
-    simples = [table.simple_root_index(v) for v in table.quiver.vertices]
-    top = tuple(hom_ext_pair(table, a, s)[0] for s in simples)
-    return top, tuple(hom_ext_pair(table, s, a)[0] for s in simples)
-
-
-@functools.cache
 def _pair_basis(table: RootTable, a: int, b: int, q: int) -> list:
     """:func:`~.reps.hom_basis` of M_a and M_b, memoized per pair of roots."""
     return hom_basis(indecomposable(table, a, q), indecomposable(table, b, q))
@@ -318,7 +311,7 @@ def _hom_bases(lam: KostantPartition, q: int) -> tuple:
     """``(into, out_of)``, each ``(forced, ranked)``: the roots a with
     h = dim Hom(M_a, M) > 0, or h = dim Hom(M, M_a) > 0, read off
     :func:`~.homs.hom_ext_vectors`, sorted by the bound sum(w * d), w the
-    top or the socle of M_a (:func:`_generators`).  ``forced`` holds
+    top or the socle of M_a (:func:`~.homs._top_and_socle`).  ``forced`` holds
     ``(a, w)`` where h reaches it, ``ranked`` holds ``(a, basis)``
     elsewhere (:func:`_assembled_basis`); a basis of other than h elements,
     as where h passes the bound, raises :class:`RepError`."""
@@ -330,7 +323,7 @@ def _hom_bases(lam: KostantPartition, q: int) -> tuple:
             if not h:
                 continue
             forced, ranked = sides[dual]
-            w = _generators(table, a)[dual]
+            w = _top_and_socle(table, a)[dual]
             bound = sum(map(mul, w, lam.total))
             if h == bound:
                 forced.append((a, w))
@@ -342,7 +335,6 @@ def _hom_bases(lam: KostantPartition, q: int) -> tuple:
     return tuple((tuple(forced), tuple(ranked)) for forced, ranked in sides)
 
 
-@functools.cache
 def _forced_counts(
     lam: KostantPartition, q: int, beta: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:

@@ -16,6 +16,15 @@ each y has one memoized triple of vectors (:func:`hom_ext_vectors`),
 which :func:`hom_dim` and :func:`ext_dim` sum over the parts of x.  The
 independent matrix-level count lives in :mod:`.reps` (``hom_space_dim``)
 and the two are compared over exhaustive desk ranges in the test suite.
+
+The top and the socle of each M_a, read off the pairs with the simples,
+are memoized per root (:func:`_top_and_socle`).  The top sets the
+projective cover: Q = sum over v of top_v copies of P_v maps onto M_a,
+and since Hom(P_v, M) = M_v, dim Hom(Q, M) = sum(top * dim M).  This
+bounds dim Hom(M_a, M), and M_a is *forced* for M where it reaches it
+(every map Q -> M then factors through M_a).  ``grassmannian`` reads
+the bound to sort roots and ``repetition.v_lambda`` the gap to it; the
+socle plays the same part for the injective hull and Hom(M, M_a).
 """
 
 from __future__ import annotations
@@ -26,11 +35,7 @@ from .quiver import (
     KostantPartition,
     PartitionError,
     RootTable,
-    dim_sub,
     euler_form,
-    kp_single,
-    kp_zero,
-    projective_root,
     segments_of,
 )
 
@@ -39,7 +44,6 @@ __all__ = [
     "hom_dim",
     "hom_ext_pair",
     "hom_ext_vectors",
-    "projective_resolution",
     "typeA_ext_dim",
     "typeA_hom_dim",
 ]
@@ -79,6 +83,15 @@ def hom_ext_vectors(
         for a in range(b + 1):
             out_hom[a] += hom_ext_pair(table, b, a)[0]
     return tuple(into_hom), tuple(into_ext), tuple(out_hom)
+
+
+@functools.cache
+def _top_and_socle(table: RootTable, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The top and the socle of M_a: per vertex v, dim Hom(M_a, S_v) and
+    dim Hom(S_v, M_a), the multiplicities of the simple S_v in them."""
+    simples = [table.simple_root_index(v) for v in table.quiver.vertices]
+    top = tuple(hom_ext_pair(table, a, s)[0] for s in simples)
+    return top, tuple(hom_ext_pair(table, s, a)[0] for s in simples)
 
 
 def hom_dim(x: KostantPartition, y: KostantPartition) -> int:
@@ -127,55 +140,3 @@ def typeA_ext_dim(x: KostantPartition, y: KostantPartition) -> int:
         for (i, j) in segments_of(y)
         if k + 1 <= i <= l + 1 <= j
     )
-
-
-# ---------------------------------------------------------------------------
-# projective resolutions
-
-
-@functools.cache
-def projective_resolution(
-    table: RootTable, root_index: int
-) -> tuple[KostantPartition, KostantPartition]:
-    """The two-step projective resolution ``0 -> P -> Q -> M_beta -> 0``.
-
-    ``Q`` collects one projective ``P_i`` for every simple ``S_i`` in the
-    head of ``M_beta`` (multiplicity ``dim Hom(M_beta, S_i)``), and ``P``
-    is the unique non-negative combination of projectives with
-    ``dim P = dim Q - beta`` (solved by forward substitution, since the
-    projective at ``i`` is supported downstream of ``i``).  A projective
-    root returns ``(itself, 0)``.
-    """
-    quiver = table.quiver
-    beta = table.roots[root_index]
-    m_beta = kp_single(table, root_index)
-    projectives = {i: projective_root(quiver, i) for i in quiver.vertices}
-    if any(beta == v for v in projectives.values()):
-        return m_beta, kp_zero(table)
-
-    projective_index = {i: table.index_of(v) for i, v in projectives.items()}
-    head = {
-        i: hom_dim(m_beta, kp_single(table, table.simple_root_index(i)))
-        for i in quiver.vertices
-    }
-    q_parts: list[int] = []
-    q_dim = [0] * quiver.rank
-    for i, count in head.items():
-        q_parts.extend([projective_index[i]] * count)
-        for j, x in enumerate(projectives[i]):
-            q_dim[j] += count * x
-    q_cover = KostantPartition(table, tuple(q_parts))
-
-    remaining = list(dim_sub(tuple(q_dim), beta))
-    p_parts: list[int] = []
-    for i in quiver.vertices:
-        c = remaining[i - 1]
-        if c < 0:
-            raise AssertionError(f"negative projective multiplicity at vertex {i}")
-        if c:
-            p_parts.extend([projective_index[i]] * c)
-            for j, x in enumerate(projectives[i]):
-                remaining[j] -= c * x
-    if any(remaining):
-        raise AssertionError("projective kernel does not resolve")
-    return q_cover, KostantPartition(table, tuple(p_parts))

@@ -66,7 +66,6 @@ __all__ = [
     "parse_quiver_spec",
     "positive_root_count",
     "positive_roots",
-    "projective_root",
     "root_segment",
     "segment_root",
     "segments_of",
@@ -598,24 +597,13 @@ def positive_roots(quiver: DynkinQuiver, variant: str = "canonical") -> RootTabl
     return RootTable._checked(quiver, *_adapted_walk(quiver, variant))
 
 
-def _reach(quiver: DynkinQuiver, i: int, forward: bool) -> tuple[int, ...]:
-    """1 on ``i`` and on every vertex reached from it along the arrows
-    (``forward``) or against them; arrows point to the larger vertex."""
-    adj = [[w for w in ws if (w > v) == forward] for v, ws in enumerate(quiver._neighbours)]
-    reach = _component(adj, i)
-    return tuple(1 if v in reach else 0 for v in quiver.vertices)
-
-
-@functools.cache
-def projective_root(quiver: DynkinQuiver, i: int) -> tuple[int, ...]:
-    """Dimension vector of the projective at ``i``: 1 on every vertex reachable from ``i``."""
-    return _reach(quiver, i, forward=True)
-
-
 @functools.cache
 def injective_root(quiver: DynkinQuiver, i: int) -> tuple[int, ...]:
-    """Dimension vector of the injective at ``i``: 1 on every vertex that reaches ``i``."""
-    return _reach(quiver, i, forward=False)
+    """Dimension vector of the injective at ``i``: 1 on ``i`` and on every
+    vertex that reaches it; arrows point to the larger vertex."""
+    adj = [[w for w in ws if w < v] for v, ws in enumerate(quiver._neighbours)]
+    reach = _component(adj, i)
+    return tuple(1 if v in reach else 0 for v in quiver.vertices)
 
 
 # ---------------------------------------------------------------------------

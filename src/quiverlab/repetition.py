@@ -14,9 +14,11 @@ slice is in bijection with the positive roots.
 Graded dimension vectors are finitely supported integer maps on
 ``I x Z``.  ``w_gamma`` puts mass ``gamma_i`` on the vertex labeled
 ``(alpha_i, 0)``.  ``v_lambda`` encodes a module class through its
-projective presentations: for each root ``U`` with resolution
-``0 -> P -> Q -> M_U -> 0`` the mass ``[Q, lam] - [U, lam]`` sits one
-step below the ``(root(U), 0)`` vertex (see V_COORDINATE_SHIFT).
+projective presentations: for each root ``U`` with projective cover
+``Q -> M_U`` the mass ``[Q, lam] - [U, lam]`` sits one step below the
+``(root(U), 0)`` vertex (see V_COORDINATE_SHIFT).  ``[Q, lam]`` is read
+off the top of M_U (``homs._top_and_socle``), so the mass is how far U
+falls short of being forced for lam, and no resolution is built.
 
 ``cartan_q`` is the graded Cartan operator
 ``(C_q V)(i,p) = V(i,p-1) + V(i,p+1) - sum_{j ~ i} V(j,p)``; the shift
@@ -27,9 +29,10 @@ operators move support by +1 (for the q^{-1} twist) or -1 (for q), and
 from __future__ import annotations
 
 import functools
+from operator import mul
 from typing import Mapping, Sequence
 
-from .homs import hom_ext_vectors, projective_resolution
+from .homs import _top_and_socle, hom_ext_vectors
 from .quiver import (
     DynkinQuiver,
     KostantPartition,
@@ -266,17 +269,17 @@ def w_gamma(rq: RepetitionQuiver, gamma: Sequence[int]) -> GradedDimVector:
 
 
 def v_lambda(rq: RepetitionQuiver, lam: KostantPartition) -> GradedDimVector:
-    """For each root ``U`` with resolution ``0 -> P -> Q -> M_U -> 0``,
-    mass ``[Q, lam] - [U, lam]`` one step below the ``(root(U), 0)``
-    vertex.  Projective roots get zero automatically (Q = M_U there)."""
+    """For each root ``U`` with projective cover ``Q -> M_U``, mass
+    ``[Q, lam] - [U, lam]`` one step below the ``(root(U), 0)`` vertex,
+    where ``[Q, lam] = sum(top_U * dim lam)``.  Projective roots get zero
+    (Q = M_U there)."""
     table = lam.table
     if table.quiver != rq.quiver:
         raise RepetitionError("class and repetition quiver disagree on the base quiver")
     into = hom_ext_vectors(lam)[0]
     data: dict[tuple[int, int], int] = {}
     for idx, root in enumerate(table.roots):
-        q_cover, _ = projective_resolution(table, idx)
-        val = sum(into[a] for a in q_cover.parts) - into[idx]
+        val = sum(map(mul, _top_and_socle(table, idx)[0], lam.total)) - into[idx]
         if val:
             i, p = rq.vertex_of_root(root)
             data[(i, p + V_COORDINATE_SHIFT)] = val

@@ -247,6 +247,16 @@ def test_socle_abstains(capsys):
     }
 
 
+def test_socle_of_zero_classes_predicts_the_zero_class(capsys):
+    # the zero class is a prediction, not an abstention: "0", never null
+    rc, data = run_json(capsys, "socle", "0", "0", *A2)
+    assert rc == 0
+    assert data["predicted"] == "0" and data["abstained"] is False
+    rc, out = run(capsys, "socle", "0", "0", "--format", "tsv", *A2)
+    assert rc == 0
+    assert "predicted\t0\n" in out and "abstained\tfalse\n" in out
+
+
 def test_degree_report(capsys):
     rc, data = run_json(capsys, "degree-report", "[1,1]", "[2,2]", *A2)
     assert rc == 0

@@ -11,15 +11,16 @@ import pytest
 from quiverlab import (
     CapExceeded,
     PartitionError,
+    V_COORDINATE_SHIFT,
     a2_component_range,
     build,
     build_quiver,
+    build_repetition,
     ext_ger,
     ext_pairs,
     generic_pairs,
     hom_basis,
     hom_dim,
-    hom_ext_pair,
     hom_ext_vectors,
     identify,
     indecomposable,
@@ -36,6 +37,7 @@ from quiverlab import (
     stratum_dim,
     sub_quotient,
     subreps,
+    v_lambda,
 )
 from quiverlab import grassmannian, linalg
 from quiverlab.cli import main
@@ -47,6 +49,7 @@ from quiverlab.grassmannian import (
     _Subspace,
     _subspace_table,
 )
+from quiverlab.homs import _top_and_socle
 from quiverlab.linalg import rank, rref
 from quiverlab.reps import RepError, _partition_from_counts
 
@@ -536,14 +539,38 @@ def test_top_and_socle_from_the_hom_table_count_the_generators(diagram):
     kind, n, arrows = diagram
     quiver = standard_quiver(kind, n) if arrows is None else build_quiver(kind, n, arrows)
     table = positive_roots(quiver)
-    simples = [table.simple_root_index(v) for v in quiver.vertices]
     for a in range(len(table)):
-        top = [hom_ext_pair(table, a, s)[0] for s in simples]
-        socle = [hom_ext_pair(table, s, a)[0] for s in simples]
+        top, socle = _top_and_socle(table, a)
         for q in (2, 3, 5):
             m_a = indecomposable(table, a, q)
-            assert [len(c) for c in generator_coordinates(m_a, False)] == top, (a, q)
-            assert [len(c) for c in generator_coordinates(m_a, True)] == socle, (a, q)
+            assert tuple(len(c) for c in generator_coordinates(m_a, False)) == top, (a, q)
+            assert tuple(len(c) for c in generator_coordinates(m_a, True)) == socle, (a, q)
+
+
+def test_forced_into_roots_are_the_roots_v_lambda_leaves_empty(t3, t4, zigzag_a4, sink_d4, e6):
+    # a root U with a map into M_lam is forced on the into side when
+    # [U, lam] reaches the Hom count sum(top_U * dim lam) of its projective
+    # cover, and v_lam puts the gap between the two at U: so it is forced
+    # exactly when v_lam has no mass at U, over every field
+    checked = 0
+    for table, max_total in [(t3, 4), (t4, 3), (zigzag_a4, 3), (sink_d4, 3), (e6, 2)]:
+        rq = build_repetition(table.quiver)
+        at = {}
+        for a, root in enumerate(table.roots):
+            i, p = rq.vertex_of_root(root)
+            at[a] = (i, p + V_COORDINATE_SHIFT)
+        for lam in all_classes(table, max_total):
+            mass = v_lambda(rq, lam).as_dict()
+            into = hom_ext_vectors(lam)[0]
+            for q in (2, 3):
+                (forced, ranked), _ = _hom_bases(lam, q)
+                forced = {a for a, _ in forced}
+                assert forced.isdisjoint(a for a, _ in ranked)
+                for a in range(len(table)):
+                    if into[a]:
+                        assert (a in forced) == (at[a] not in mass), (kp_format(lam), a, q)
+                        checked += 1
+    assert checked == 3022
 
 
 def walked_strata(lam, beta, q):

@@ -1,4 +1,4 @@
-"""Hom/Ext dimensions: closed form, segment formulas, resolutions."""
+"""Hom/Ext dimensions: closed form and segment formulas."""
 
 import itertools
 import random
@@ -21,7 +21,6 @@ from quiverlab import (
     kp_single,
     leq,
     positive_roots,
-    projective_resolution,
     segments_of,
     standard_quiver,
     typeA_ext_dim,
@@ -222,33 +221,3 @@ def test_rank_50_closed_forms_equal_the_segment_counts():
                 assert leq(u, v) == typeA_leq(u, v), (u, v)
     grown = hom_ext_pair.cache_info().currsize - before
     assert grown <= 2 * n * len(roots_met) < n * n // 10
-
-
-def test_projective_resolution_values(t2, t3):
-    def fmt(pair):
-        from quiverlab import kp_format
-
-        return tuple(kp_format(k) for k in pair)
-
-    assert fmt(projective_resolution(t2, t2.index_of((1, 0)))) == ("[1,2]", "[2,2]")
-    assert fmt(projective_resolution(t3, t3.index_of((0, 1, 0)))) == ("[2,3]", "[3,3]")
-    # projectives resolve themselves
-    assert fmt(projective_resolution(t3, t3.index_of((1, 1, 1)))) == ("[1,3]", "0")
-
-
-@pytest.mark.parametrize("dt,rank", [("A", 3), ("D", 4)])
-def test_projective_resolution_is_exact(dt, rank):
-    """0 -> P -> Q -> M -> 0 forces dim Q = dim P + root and
-    [Q,X] - [P,X] = <root, dim X> for every class X."""
-    quiver = standard_quiver(dt, rank)
-    table = positive_roots(quiver)
-    probes = all_kps(table, 3)
-    for idx, root in enumerate(table.roots):
-        q_cover, p_kernel = projective_resolution(table, idx)
-        assert tuple(
-            a - b for a, b in zip(q_cover.total, p_kernel.total)
-        ) == root
-        for x in probes:
-            assert hom_dim(q_cover, x) - hom_dim(p_kernel, x) == euler_form(
-                quiver, root, x.total
-            )

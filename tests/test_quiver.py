@@ -50,7 +50,6 @@ from quiverlab import (
     parse_quiver_spec,
     positive_root_count,
     positive_roots,
-    projective_root,
     root_segment,
     segment_root,
     segments_of,
@@ -249,12 +248,9 @@ def test_simple_reflection(a2):
 
 
 def test_projective_and_injective_roots(a3, d4):
-    # arrows ascend, so P_i collects paths out of i, I_i paths into i
-    assert projective_root(a3, 1) == (1, 1, 1)
-    assert projective_root(a3, 3) == (0, 0, 1)
+    # arrows ascend, so I_i collects the paths into i
     assert injective_root(a3, 1) == (1, 0, 0)
     assert injective_root(a3, 3) == (1, 1, 1)
-    assert projective_root(d4, 2) == (0, 1, 1, 1)
     assert injective_root(d4, 4) == (1, 1, 0, 1)
 
 

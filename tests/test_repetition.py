@@ -11,6 +11,7 @@ import pytest
 
 from quiverlab import (
     GradedDimVector,
+    KostantPartition,
     RepetitionError,
     V_COORDINATE_SHIFT,
     build_quiver,
@@ -20,10 +21,15 @@ from quiverlab import (
     coxeter_tau_inv,
     d_value,
     epsilon,
+    euler_form,
     ext_dim,
+    hom_dim,
     kp_enumerate,
     kp_parse,
+    kp_single,
     pairing,
+    positive_roots,
+    standard_quiver,
     v_lambda,
     w_gamma,
 )
@@ -184,6 +190,82 @@ def test_v_lambda_injective_per_dimension_vector(rq3, t3):
         kps = kp_enumerate(t3, gamma)
         images = {v_lambda(rq3, kp).entries for kp in kps}
         assert len(images) == len(kps)
+
+
+def projective_presentation(table, a):
+    """``(Q, P)`` of ``0 -> P -> Q -> M_a -> 0``, built from the quiver:
+    Q takes dim Hom(M_a, S_v) copies of the projective P_v (1 on v and on
+    every vertex reached from it), and P is the combination of projectives
+    with dim P = dim Q - root, solved by forward substitution since P_v
+    lives on v and on larger vertices."""
+    quiver = table.quiver
+    projective = {}
+    for v in quiver.vertices:
+        reached = {v}
+        for s, t in sorted(quiver.arrows):
+            if s in reached:
+                reached.add(t)
+        projective[v] = tuple(int(w in reached) for w in quiver.vertices)
+    m_a = kp_single(table, a)
+    q_parts, remaining = [], [-x for x in table.roots[a]]
+    for v in quiver.vertices:
+        top = hom_dim(m_a, kp_single(table, table.simple_root_index(v)))
+        q_parts += [table.index_of(projective[v])] * top
+        remaining = [r + top * x for r, x in zip(remaining, projective[v])]
+    p_parts = []
+    for v in quiver.vertices:
+        c = remaining[v - 1]
+        assert c >= 0, (table.roots[a], v)
+        p_parts += [table.index_of(projective[v])] * c
+        remaining = [r - c * x for r, x in zip(remaining, projective[v])]
+    assert not any(remaining), table.roots[a]
+    return KostantPartition(table, tuple(q_parts)), KostantPartition(table, tuple(p_parts))
+
+
+@pytest.mark.parametrize(
+    "kind,rank,arrows,pairs",
+    [
+        ("A", 3, None, 540),
+        ("A", 4, None, 2100),
+        ("D", 4, None, 2640),
+        ("D", 5, None, 8320),
+        ("E", 6, None, 25344),
+        ("A", 4, [(2, 1), (2, 3), (4, 3)], 2100),
+        ("D", 4, [(1, 2), (3, 2), (4, 2)], 2640),
+    ],
+    ids=["A3", "A4", "D4", "D5", "E6", "zigzag_A4", "sink_D4"],
+)
+def test_v_lambda_is_the_gap_to_the_projective_cover(kind, rank, arrows, pairs):
+    # v_lam puts [Q, lam] - [U, lam] at U for the projective cover Q of M_U;
+    # checked against a presentation 0 -> P -> Q -> M_U -> 0 built here, over
+    # both adapted words, on every class with entries <= 2 and weight <= 4.
+    # The presentation is exact: [Q, X] - [P, X] = <U, X> for every such X
+    quiver = standard_quiver(kind, rank) if arrows is None else build_quiver(kind, rank, arrows)
+    rq = build_repetition(quiver)
+    checked = 0
+    for variant in ("canonical", "alternate"):
+        table = positive_roots(quiver, variant)
+        classes = [
+            lam
+            for gamma in itertools.product(range(3), repeat=rank)
+            if 0 < sum(gamma) <= 4
+            for lam in kp_enumerate(table, gamma)
+        ]
+        masses = [v_lambda(rq, lam).as_dict() for lam in classes]
+        for a, root in enumerate(table.roots):
+            q_cover, p_kernel = projective_presentation(table, a)
+            m_a = kp_single(table, a)
+            i, p = rq.vertex_of_root(root)
+            at = (i, p + V_COORDINATE_SHIFT)
+            for lam, mass in zip(classes, masses):
+                assert hom_dim(q_cover, lam) - hom_dim(p_kernel, lam) == euler_form(
+                    quiver, root, lam.total
+                ), (variant, root, lam)
+                assert mass.get(at, 0) == hom_dim(q_cover, lam) - hom_dim(m_a, lam), (
+                    variant, root, lam
+                )
+                checked += 1
+    assert checked == pairs
 
 
 def test_dominance_golden(rq2, t2):
