@@ -7,14 +7,20 @@ class ``mu``.  Two independent routes are kept deliberately separate:
 * u-enumeration: every middle term is a block representation
   ``[[y, u], [0, x]]`` with ``y = build(nu)``, ``x = build(mu)`` and
   ``u`` in the affine space of connecting maps (one
-  ``beta_t x alpha_s`` block per arrow).  E_u depends only on the line
-  of [u] in Ext^1(M_mu, M_nu), so one u per line is classified, and
-  u = 0 for the split class: 1 + (q^e - 1)/(q - 1) points for
-  e = dim Ext^1, not all q^(n_u).  The block representation E_u is not
-  built: dim Hom(M_a, E_u) is hom(a, nu) + hom(a, mu) minus the rank of
-  the connecting map Hom(M_a, M_mu) -> Ext^1(M_a, M_nu), f -> [u f],
-  whose matrices in u are computed once per ``(mu, nu, q)``, and the
-  class follows from these counts by ``identify``'s triangular solve.
+  ``beta_t x alpha_s`` block per arrow).  E_u depends only on the
+  orbit of [u] in Ext^1(M_mu, M_nu) under Aut(M_mu) x Aut(M_nu): for g
+  in Aut(M_nu) and h in Aut(M_mu), conjugating by diag(g, h) gives
+  E_{g u h^-1} = E_u.  The general linear groups of the repeated parts
+  suffice: one u is classified per subspace of the Ext^1 coordinates of
+  each root's copies (:func:`_ext_set_u`), on the side, nu's or mu's,
+  with fewer of them.  For ``[1,1]+[1,1]+[1,1]`` by ``[2,2]+[2,2]+[2,2]``
+  in A2 over GF(5) that is 64 points, where u-space and Ext^1 are both
+  F_5^9 and one u per line would be 1 + (5^9 - 1)/4.  The block
+  representation E_u is not built:
+  dim Hom(M_a, E_u) is hom(a, nu) + hom(a, mu) minus the rank of the
+  connecting map Hom(M_a, M_mu) -> Ext^1(M_a, M_nu), f -> [u f], whose
+  matrices in u are computed once per ``(mu, nu, q)``, and the class
+  follows from these counts by ``identify``'s triangular solve.
 * subrep-filter: a candidate ``lam <= mu (+) nu`` belongs to the set iff
   the Grassmannian of ``build(lam)`` realizes the pair ``(mu, nu)``.
   Only the candidates in the hom box are scanned:
@@ -32,13 +38,15 @@ two equivalent expressions for ``d_lambda`` both evaluated and compared.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
+import math
 from operator import add, le, mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import grassmannian, linalg
-from .homs import ext_dim, hom_dim, hom_ext_vectors
+from .homs import ext_dim, hom_dim, hom_ext_pair, hom_ext_vectors
 from .order import _check_kp_cap, leq
 from .quiver import (
     KostantPartition,
@@ -203,15 +211,115 @@ def _classify_u(
 
 
 @functools.cache
+def _subspaces_up_to(e: int, m: int, q: int) -> int:
+    """The subspaces of F_q^e of dimension at most m: the orbits of GL_m
+    on the e x m matrices, one per column space."""
+    return sum(linalg.gaussian_binomial(e, r, q) for r in range(min(m, e) + 1))
+
+
+def _representatives(copies: list[list[int]], m: int, q: int) -> list[list[tuple[int, int]]]:
+    """One u-part per subspace W of F_q^e of dimension at most m, where
+    e = len(copies[0]), the zero space first: W's echelon basis as
+    ``(position, value)`` entries, basis row i at the positions copies[i]."""
+    e = len(copies[0])
+    if e == 1:  # F_q^1 has one nonzero subspace, spanned by 1
+        return [[], [(copies[0][0], 1)]]
+    return [[]] + [
+        [(c, x) for row, cs in zip(basis, copies) for c, x in zip(cs, row) if x]
+        for r in range(1, min(m, e) + 1)
+        for basis in linalg.enumerate_subspaces(e, r, q, None)
+    ]
+
+
+def _runs(parts: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """``(root, first, m)`` per root of the sorted ``parts``: its m copies
+    are parts first .. first + m - 1."""
+    runs, first = [], 0
+    for root, copies in itertools.groupby(parts):
+        m = sum(1 for _ in copies)
+        runs.append((root, first, m))
+        first += m
+    return runs
+
+
+def _orbit_options(
+    mu: KostantPartition, nu: KostantPartition, q: int, free: list[int]
+) -> list[list[list[tuple[int, int]]]] | None:
+    """The u-parts :func:`_ext_set_u` combines, one list per root of the
+    side it walks (:func:`_representatives` of the root's copies), or None
+    when neither side has fewer representatives than u = 0 and the lines
+    of Ext^1, 1 + (q^e - 1)/(q - 1).
+
+    A free position c lies in the block of arrow k = s -> t at row i and
+    column j; on nu's side row i names the part (by vertex t's rows), on
+    mu's side column j (by vertex s's columns), and the rest of (k, i, j)
+    is the place within the part's block, which the copies must share."""
+    table = mu.table
+    into_nu = hom_ext_vectors(nu)[1]
+    sides = []
+    for on_nu, side in ((True, nu), (False, mu)):
+        runs = []
+        for root, first, m in _runs(side.parts):
+            e = sum(hom_ext_pair(table, c, root)[1] for c in mu.parts) if on_nu else into_nu[root]
+            runs.append((first, m, e))
+        sides.append((math.prod(_subspaces_up_to(e, m, q) for _, m, e in runs), on_nu, side, runs))
+    count, on_nu, side, runs = min(sides, key=lambda entry: entry[0])  # nu on a tie
+    if count == _subspaces_up_to(len(free), 1, q):
+        return None
+    roots, arrows, alpha, beta = table.roots, table.quiver.arrows, mu.total, nu.total
+    sizes = (beta[t - 1] * alpha[s - 1] for s, t in arrows)
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    coords: list[list[int]] = [[] for _ in side.parts]
+    places: list[list[tuple[int, int, int]]] = [[] for _ in side.parts]
+    for c in free:
+        k = bisect.bisect_right(offsets, c) - 1
+        s, t = arrows[k]
+        i, j = divmod(c - offsets[k], alpha[s - 1])
+        index, v = (i, t) if on_nu else (j, s)
+        # the part whose basis vectors at vertex v hold the index
+        p, first = 0, 0
+        while first + roots[side.parts[p]][v - 1] <= index:
+            first += roots[side.parts[p]][v - 1]
+            p += 1
+        coords[p].append(c)
+        places[p].append((k, i - first, j) if on_nu else (k, i, j - first))
+    options = []
+    for first, m, e in runs:
+        shared = places[first]
+        if len(shared) != e or places[first : first + m].count(shared) != m:
+            raise RepError("the copies of a root disagree on their Ext^1 coordinates")
+        if e:
+            options.append(_representatives(coords[first : first + m], m, q))
+    return options
+
+
+@functools.cache
 def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
-    """One u per line of Ext^1(M_mu, M_nu), and u = 0: every class [u]
-    has one representative on the non-pivot coordinates of the
-    coboundaries' echelon form, and scaling u keeps the class of E_u."""
+    """One u per orbit of the copies' general linear groups on Ext^1.
+
+    Every class [u] has one representative on the free (non-pivot)
+    coordinates of the coboundaries' echelon form.  The coboundaries
+    split by pairs of parts, so the m copies of a root b of nu share one
+    pattern of e = ext(mu, b) free coordinates, and their values form an
+    e x m matrix U_b, one column per copy.  For g in GL_m acting on the
+    copies, conjugating by diag(g x 1, 1) gives E_{(g x 1)u} = E_u, as
+    g x 1 commutes with y; this is U_b -> U_b g^T, so only the column
+    space W of U_b matters, and the representative of W puts W's echelon
+    basis on the first copies and zeros on the rest, over every W of
+    dim <= m and every root b (:func:`_orbit_options`).  Dually,
+    conjugating by diag(1, h x 1) gives E_{u(h x 1)^-1} = E_u for the
+    copies of a root of mu.  The side with fewer representatives is
+    walked, nu on a tie.  When neither has fewer than u = 0 and the
+    lines of Ext^1, as for e <= 1, those are walked, each line by its u
+    whose first nonzero entry is a 1."""
     n_u = hom_omega_dim(mu.total, nu.total, mu.table.quiver)
     pivots = linalg.rref(_coboundaries(build(mu, q), build(nu, q)), q)[1]
     free = [c for c in range(n_u) if c not in pivots]
     if len(free) != ext_dim(mu, nu):
         raise RepError("Ext^1 coordinates disagree with the closed-form count")
+    options = _orbit_options(mu, nu, q, free) if len(free) > 1 else None
+    if options is not None:
+        return frozenset(_classify_u(mu, nu, q, u) for u in _combine(options, n_u))
     ranges = [(0,)] * n_u
     lines = [itertools.product(*ranges)]  # u = 0
     for c in reversed(free):  # the first nonzero entry of u is a 1 at c
@@ -219,6 +327,16 @@ def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
         lines.append(itertools.product(*ranges))
         ranges[c] = range(q)
     return frozenset(_classify_u(mu, nu, q, u) for u in itertools.chain(*lines))
+
+
+def _combine(options: list[list[list[tuple[int, int]]]], n_u: int) -> Iterator[list[int]]:
+    """The flat u of each choice of one u-part per list of ``options``."""
+    for choice in itertools.product(*options):
+        u = [0] * n_u
+        for entries in choice:
+            for c, x in entries:
+                u[c] = x
+        yield u
 
 
 @functools.cache

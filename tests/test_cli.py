@@ -131,6 +131,22 @@ def test_generic_ext(capsys):
     assert rc == 0 and data["generic_ext"] == "[1,2]"
 
 
+def test_three_simples_by_three_over_gf5(capsys):
+    # u-space has 5^9 points; the u-route classifies 64 of them, one per
+    # subspace of F_5^3
+    pair = ("[1,1]+[1,1]+[1,1]", "[2,2]+[2,2]+[2,2]", *A2, "--field", "5")
+    rc, data = run_json(capsys, "generic-ext", *pair)
+    assert rc == 0 and data["generic_ext"] == "[1,2]+[1,2]+[1,2]"
+    rc, data = run_json(capsys, "ext-set", *pair)
+    assert rc == 0 and data["stable"] is True
+    assert data["classes"] == [
+        "[1,1]+[1,1]+[1,1]+[2,2]+[2,2]+[2,2]",
+        "[1,1]+[1,1]+[1,2]+[2,2]+[2,2]",
+        "[1,1]+[1,2]+[1,2]+[2,2]",
+        "[1,2]+[1,2]+[1,2]",
+    ]
+
+
 def test_ext_min_derives_beta(capsys):
     rc, data = run_json(capsys, "ext-min", "[1,3]+[2,2]", "--alpha", "1,1,0", *A3)
     assert rc == 0

@@ -1,11 +1,14 @@
 """Extension sets, generic extensions, and the dimension bookkeeping."""
 
 import itertools
+import math
+import random
 
 import pytest
 
 from quiverlab import (
     CapExceeded,
+    KostantPartition,
     METHOD_FILTER,
     METHOD_U,
     PartitionError,
@@ -19,6 +22,7 @@ from quiverlab import (
     ext_min,
     ext_pairs,
     ext_set,
+    gaussian_binomial,
     generic_ext,
     generic_pairs,
     hom_omega_dim,
@@ -32,10 +36,11 @@ from quiverlab import (
     orbit_dim,
     point_count,
     positive_roots,
+    rank,
     strata,
 )
 from quiverlab import extensions, grassmannian
-from quiverlab.extensions import _candidates, _classify_u, _ext_set_u, _hom_box
+from quiverlab.extensions import _candidates, _classify_u, _ext_set_filter, _ext_set_u, _hom_box
 from quiverlab.reps import Rep, RepError
 
 
@@ -223,18 +228,18 @@ def sweep_pairs(table, bound):
 
 
 SWEEPS = [
-    pytest.param("t2", (2, 2), (2, 3), 60, 18, 248, 155, id="A2-box22"),
-    pytest.param("t3", 5, (2, 3), 1386, 751, 10204, 5471, id="A3-5"),
-    pytest.param("t4", 4, (2, 3), 1138, 551, 3152, 2179, id="D4-4"),
-    pytest.param("zigzag_a4", 4, (2, 3), 1122, 467, 3183, 2195, id="zigzag_A4-4"),
-    pytest.param("sink_d4", 3, (2, 3), 240, 60, 420, 345, id="sink_D4-3"),
-    pytest.param("t2", 4, (5,), 60, 24, 1224, 322, id="A2-4-q5"),
+    pytest.param("t2", (2, 2), (2, 3), 60, 18, 248, 89, id="A2-box22"),
+    pytest.param("t3", 5, (2, 3), 1386, 751, 10204, 2138, id="A3-5"),
+    pytest.param("t4", 4, (2, 3), 1138, 551, 3152, 1624, id="D4-4"),
+    pytest.param("zigzag_a4", 4, (2, 3), 1122, 467, 3183, 1591, id="zigzag_A4-4"),
+    pytest.param("sink_d4", 3, (2, 3), 240, 60, 420, 312, id="sink_D4-3"),
+    pytest.param("t2", 4, (5,), 60, 24, 1224, 83, id="A2-4-q5"),
 ]
 
 
-@pytest.mark.parametrize("which,bound,fields,n_triples,n_skipped,n_points,n_lines", SWEEPS)
+@pytest.mark.parametrize("which,bound,fields,n_triples,n_skipped,n_points,n_reps", SWEEPS)
 def test_every_middle_term_lies_in_the_hom_box(
-    request, which, bound, fields, n_triples, n_skipped, n_points, n_lines
+    request, which, bound, fields, n_triples, n_skipped, n_points, n_reps
 ):
     # Hom(M_a, -) and Hom(-, M_a) are left exact, so every middle term found
     # by the u-route passes the box the subrep route scans; the pin counts
@@ -250,13 +255,8 @@ def test_every_middle_term_lies_in_the_hom_box(
     assert (triples, skipped) == (n_triples, n_skipped)
 
 
-@pytest.mark.parametrize("which,bound,fields,n_triples,n_skipped,n_points,n_lines", SWEEPS)
-def test_u_route_classifies_one_u_per_line_of_ext(
-    request, monkeypatch, which, bound, fields, n_triples, n_skipped, n_points, n_lines
-):
-    # the classes of one representative per line of Ext^1 (and of u = 0)
-    # against the classes of every point of u-space
-    table = request.getfixturevalue(which)
+def counting_classify(monkeypatch):
+    """The u passed to ``_classify_u`` by the u-route, recorded."""
     calls = []
 
     def counted(mu, nu, q, u):
@@ -264,7 +264,64 @@ def test_u_route_classifies_one_u_per_line_of_ext(
         return _classify_u(mu, nu, q, u)
 
     monkeypatch.setattr(extensions, "_classify_u", counted)
-    triples = points = lines = 0
+    return calls
+
+
+def part_blocks(mu, nu, u, on_nu):
+    """u's entries in the rows of each part of nu (``on_nu``) or in the
+    columns of each part of mu, one flat vector per part, read off the
+    layout of :func:`block_rep`."""
+    table = mu.table
+    alpha, beta = mu.total, nu.total
+    parts = nu.parts if on_nu else mu.parts
+    blocks = [[] for _ in parts]
+    pos = 0
+    for s, t in table.quiver.arrows:
+        width = alpha[s - 1]
+        rows = [u[pos + i * width : pos + (i + 1) * width] for i in range(beta[t - 1])]
+        pos += beta[t - 1] * width
+        first = 0
+        for p, block in zip(parts, blocks):
+            d = table.roots[p][(t if on_nu else s) - 1]
+            if on_nu:
+                block.extend(x for row in rows[first : first + d] for x in row)
+            else:
+                block.extend(x for row in rows for x in row[first : first + d])
+            first += d
+    return blocks
+
+
+def orbit_sides(mu, nu, q):
+    """For the copies of each root of nu, then of mu: ``(count, roots)``
+    with roots = [(root, m, e)], e = dim Ext^1 of mu by the root (nu) or
+    of the root by nu (mu), and count = prod over the roots of
+    sum_{r <= min(m, e)} [e choose r]_q."""
+    table = mu.table
+    sides = []
+    for parts, ext_of in (
+        (nu.parts, lambda b: ext_dim(mu, KostantPartition(table, (b,)))),
+        (mu.parts, lambda c: ext_dim(KostantPartition(table, (c,)), nu)),
+    ):
+        roots = [(b, parts.count(b), ext_of(b)) for b in sorted(set(parts), reverse=True)]
+        count = math.prod(
+            sum(gaussian_binomial(e, r, q) for r in range(min(m, e) + 1)) for _, m, e in roots
+        )
+        sides.append((count, roots))
+    return sides
+
+
+@pytest.mark.parametrize("which,bound,fields,n_triples,n_skipped,n_points,n_reps", SWEEPS)
+def test_u_route_classifies_one_u_per_orbit_representative(
+    request, monkeypatch, which, bound, fields, n_triples, n_skipped, n_points, n_reps
+):
+    # the classes of one representative per orbit of the copies' general
+    # linear groups against the classes of every point of u-space; the
+    # representatives are counted by the closed form on the side with
+    # fewer (nu on a tie), and they cover Ext^1: an e x m matrix of rank r
+    # is in the orbit of prod_{i<r} (q^m - q^i) matrices per root
+    table = request.getfixturevalue(which)
+    calls = counting_classify(monkeypatch)
+    triples = points = reps = 0
     for mu, nu in sweep_pairs(table, bound):
         n_u = hom_omega_dim(mu.total, nu.total, table.quiver)
         e = ext_dim(mu, nu)
@@ -272,11 +329,108 @@ def test_u_route_classifies_one_u_per_line_of_ext(
             walked = {_classify_u(mu, nu, q, u) for u in itertools.product(range(q), repeat=n_u)}
             calls.clear()
             assert _ext_set_u.__wrapped__(mu, nu, q) == walked, (kp_format(mu), kp_format(nu), q)
-            assert len(calls) == len(set(calls)) == 1 + (q**e - 1) // (q - 1)
+            (nu_count, nu_roots), (mu_count, mu_roots) = orbit_sides(mu, nu, q)
+            on_nu = nu_count <= mu_count
+            assert len(calls) == len(set(calls)) == min(nu_count, mu_count)
+            roots, parts = (nu_roots, nu.parts) if on_nu else (mu_roots, mu.parts)
+            covered = 0
+            for u in calls:
+                blocks = part_blocks(mu, nu, u, on_nu)
+                orbit = 1
+                for b, m, _ in roots:
+                    r = rank([blk for p, blk in zip(parts, blocks) if p == b], q)
+                    orbit *= math.prod(q**m - q**i for i in range(r))
+                covered += orbit
+            assert covered == q**e, (kp_format(mu), kp_format(nu), q)
             triples += 1
             points += q**n_u
-            lines += len(calls)
-    assert (triples, points, lines) == (n_triples, n_points, n_lines)
+            reps += len(calls)
+    assert (triples, points, reps) == (n_triples, n_points, n_reps)
+
+
+def on_copies(mu, nu, q, u, on_nu, first, g):
+    """The flat u with the m x m matrix g acting on the m copies of one
+    root, parts ``first .. first + m - 1``: (g x 1)u on the rows of those
+    parts of nu (``on_nu``), u(g x 1) on the columns of those parts of mu."""
+    table = mu.table
+    alpha, beta = mu.total, nu.total
+    parts = nu.parts if on_nu else mu.parts
+    m = len(g)
+    out, pos = list(u), 0
+    for s, t in table.quiver.arrows:
+        width, height = alpha[s - 1], beta[t - 1]
+        v = (t if on_nu else s) - 1
+        start = sum(table.roots[p][v] for p in parts[:first])
+        d = table.roots[parts[first]][v]
+        for j, l in itertools.product(range(m), range(d)):
+            if on_nu:  # row (j, l) of the block is sum_k g[j][k] row (k, l)
+                for col in range(width):
+                    at = [pos + (start + k * d + l) * width + col for k in range(m)]
+                    out[at[j]] = sum(g[j][k] * u[at[k]] for k in range(m)) % q
+            else:  # column (j, l) is sum_k column (k, l) g[k][j]
+                for row in range(height):
+                    at = [pos + row * width + start + k * d + l for k in range(m)]
+                    out[at[j]] = sum(u[at[k]] * g[k][j] for k in range(m)) % q
+        pos += height * width
+    return out
+
+
+@pytest.mark.parametrize("which,bound,n_cases", [("t3", 4, 1062), ("t4", 3, 130)])
+def test_copies_of_a_root_act_on_u_by_isomorphisms(request, which, bound, n_cases):
+    # the lemma behind the u-route, on the block representation and not on
+    # the connecting-map ranks: for g in GL_m acting on the m copies of a
+    # root, E_{(g x 1)u} = E_u on nu's side and E_{u(g x 1)} = E_u on mu's,
+    # the latter being u(h x 1)^-1 for h = g^-1
+    table = request.getfixturevalue(which)
+    rng = random.Random(2029)
+    cases = 0
+    for mu, nu in sweep_pairs(table, bound):
+        n_u = hom_omega_dim(mu.total, nu.total, table.quiver)
+        for on_nu, parts in ((True, nu.parts), (False, mu.parts)):
+            for first, b in enumerate(parts):
+                m = parts.count(b)
+                if m < 2 or (first and parts[first - 1] == b):
+                    continue
+                for q in (2, 3):
+                    g = [[rng.randrange(q) for _ in range(m)] for _ in range(m)]
+                    while rank(g, q) < m:
+                        g = [[rng.randrange(q) for _ in range(m)] for _ in range(m)]
+                    for u in itertools.product(range(q), repeat=n_u):
+                        moved = on_copies(mu, nu, q, u, on_nu, first, g)
+                        expected = identify(block_rep(mu, nu, q, u), table)
+                        assert identify(block_rep(mu, nu, q, moved), table) == expected, (
+                            kp_format(mu), kp_format(nu), q, u, g,
+                        )
+                        cases += 1
+    assert cases == n_cases
+
+
+def test_three_simples_by_three_walk_the_subspaces_of_ext(t2, monkeypatch):
+    # u-space and Ext^1 are F_5^9, a 3 x 3 matrix of coordinates on the
+    # copies of either simple, and GL_3 on the copies leaves one u per
+    # column space, a subspace of F_5^3: 1 + 31 + 31 + 1
+    calls = counting_classify(monkeypatch)
+    mu, nu = kp_parse(t2, "[1,1]+[1,1]+[1,1]"), kp_parse(t2, "[2,2]+[2,2]+[2,2]")
+    classes = _ext_set_u.__wrapped__(mu, nu, 5)
+    assert len(calls) == len(set(calls)) == 64
+    assert names(classes) == [
+        "[1,1]+[1,1]+[1,1]+[2,2]+[2,2]+[2,2]",
+        "[1,1]+[1,1]+[1,2]+[2,2]+[2,2]",
+        "[1,1]+[1,2]+[1,2]+[2,2]",
+        "[1,2]+[1,2]+[1,2]",
+    ]
+
+
+def test_u_route_walks_mu_side_of_a_class_against_itself(t2, monkeypatch):
+    # for x = [1,1]+[1,1]+[2,2], Ext^1(x, x) = F_q^2 sits on the two copies
+    # of [1,1] in the quotient (2 orbits) and on the one [2,2] in the sub
+    # (q + 2): mu's side is walked though mu is nu
+    calls = counting_classify(monkeypatch)
+    x = kp_parse(t2, "[1,1]+[1,1]+[2,2]")
+    for q in (2, 3):
+        calls.clear()
+        assert _ext_set_u.__wrapped__(x, x, q) == _ext_set_filter(x, x, q)
+        assert len(calls) == 2
 
 
 def test_u_route_checks_the_ext_count(t2, monkeypatch):
