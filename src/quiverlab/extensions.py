@@ -18,9 +18,10 @@ class ``mu``.  Two independent routes are kept deliberately separate:
   F_5^9 and one u per line would be 1 + (5^9 - 1)/4.  The block
   representation E_u is not built:
   dim Hom(M_a, E_u) is hom(a, nu) + hom(a, mu) minus the rank of the
-  connecting map Hom(M_a, M_mu) -> Ext^1(M_a, M_nu), f -> [u f], whose
-  matrices in u are computed once per ``(mu, nu, q)``, and the class
-  follows from these counts by ``identify``'s triangular solve.
+  connecting map Hom(M_a, M_mu) -> Ext^1(M_a, M_nu), f -> [u f].  Its
+  packed columns, one per position of u, are computed once per
+  ``(mu, nu, q)``; a u sums those of its nonzero entries into packed
+  rows to rank, and the class follows by ``identify``'s triangular solve.
 * subrep-filter: a candidate ``lam <= mu (+) nu`` belongs to the set iff
   the Grassmannian of ``build(lam)`` realizes the pair ``(mu, nu)``.
   Only the candidates in the hom box are scanned:
@@ -43,7 +44,7 @@ import functools
 import itertools
 import math
 from operator import add, le, mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import grassmannian, linalg
 from .homs import ext_dim, hom_dim, hom_ext_pair, hom_ext_vectors
@@ -64,7 +65,6 @@ from .reps import (
     _intertwiner_system,
     _partition_from_counts,
     build,
-    hom_basis,
     identify,  # not called here: bench/smoke_test.py rebinds it to test the tracer
     indecomposable,
 )
@@ -152,10 +152,11 @@ def _connecting_maps(mu: KostantPartition, nu: KostantPartition, q: int) -> tupl
     0 -> Hom(M_a, M_nu) -> Hom(M_a, E_u) -> Hom(M_a, M_mu) -> Ext^1(M_a, M_nu)
     gives dim Hom(M_a, E_u) = base[a] - rank{[u f]}, with
     ``base[a] = hom(a, nu) + hom(a, mu)``, f over a basis of
-    Hom(M_a, M_mu) and [u f] the class of (u_k f_s)_k.  ``maps`` holds
-    ``(a, e, rows)`` for every root index ``a`` with hom(a, mu) > 0 and
-    e = ext(a, nu) > 0 (elsewhere the rank is 0): ``rows`` has e rows
-    per basis element f, taking the flat u to the coordinates of [u f].
+    Hom(M_a, M_mu) (:func:`.grassmannian._assembled_basis`) and [u f] the
+    class of (u_k f_s)_k.  ``maps`` holds ``(a, h, e, columns)`` for every
+    root index ``a`` with h = hom(a, mu) > 0 and e = ext(a, nu) > 0
+    (elsewhere the rank is 0): ``columns[c]`` packs coordinate j of
+    [u f_i] at the unit u at position c in slot i * e + j.
 
     Entry (i, j) of u_k f_s is sum_l u_k[i][l] f_s[l][j], and a
     coordinate reads the entries of the u_k f_s in the cocycle layout of
@@ -166,7 +167,7 @@ def _connecting_maps(mu: KostantPartition, nu: KostantPartition, q: int) -> tupl
     table = mu.table
     arrows = table.quiver.arrows
     beta = nu.total
-    x, y = build(mu, q), build(nu, q)
+    y = build(nu, q)
     into_mu = hom_ext_vectors(mu)[0]
     into_nu, ext_nu, _ = hom_ext_vectors(nu)
     base = tuple(map(add, into_mu, into_nu))
@@ -175,7 +176,7 @@ def _connecting_maps(mu: KostantPartition, nu: KostantPartition, q: int) -> tupl
         if not (h and e):
             continue
         m_a = indecomposable(table, a, q)
-        fs = hom_basis(m_a, x)
+        fs = grassmannian._assembled_basis(mu, a, q, False)
         if len(fs) != h:
             raise RepError("a Hom basis disagrees with the closed-form count")
         coords = _ext_coordinates(m_a, y)
@@ -190,23 +191,33 @@ def _connecting_maps(mu: KostantPartition, nu: KostantPartition, q: int) -> tupl
                     for _ in range(beta[t - 1]):
                         block = coord[pos : pos + width]
                         pos += width
-                        row.extend(sum(map(mul, block, f_row)) % q for f_row in f_s)
+                        row.extend(sum(map(mul, block, f_row)) for f_row in f_s)
                 rows.append(row)
-        maps.append((a, e, rows))
+        maps.append((a, h, e, tuple(linalg._pack(column, q) for column in zip(*rows))))
     return base, tuple(maps)
 
 
 def _classify_u(
-    mu: KostantPartition, nu: KostantPartition, q: int, u: Sequence[int]
+    mu: KostantPartition, nu: KostantPartition, q: int, entries: Sequence[tuple[int, int]]
 ) -> KostantPartition:
-    """The class of the middle term E_u for the flat u (layout in
-    :func:`_connecting_maps`), from the ranks of the connecting maps and
-    the triangular solve of :func:`reps._partition_from_counts`."""
+    """The class of E_u for the u with nonzero ``entries`` ``(position,
+    value)`` (layout in :func:`_connecting_maps`): per root, the sum of
+    the entries' columns (XOR over F_2; over odd q reduced after each
+    term, so no slot passes q(q - 1)) is ranked as h packed rows of e
+    slots, and the counts are solved by :func:`reps._partition_from_counts`."""
     base, maps = _connecting_maps(mu, nu, q)
     counts = list(base)
-    for a, e, rows in maps:
-        images = [sum(map(mul, row, u)) for row in rows]
-        counts[a] -= linalg.rank([images[i : i + e] for i in range(0, len(images), e)], q)
+    width = linalg._slot_bits(q)
+    for a, h, e, columns in maps:
+        image = 0
+        for c, x in entries:
+            if q == 2:
+                image ^= columns[c]
+            else:
+                image = linalg._reduce(image + x * columns[c], q, h * e)
+        mask = (1 << e * width) - 1
+        rows = [image >> i * e * width & mask for i in range(h)]
+        counts[a] -= linalg._packed_rank(rows, q, e)
     return _partition_from_counts(mu.table, tuple(counts), dim_add(nu.total, mu.total))
 
 
@@ -310,33 +321,21 @@ def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
     conjugating by diag(1, h x 1) gives E_{u(h x 1)^-1} = E_u for the
     copies of a root of mu.  The side with fewer representatives is
     walked, nu on a tie.  When neither has fewer than u = 0 and the
-    lines of Ext^1, as for e <= 1, those are walked, each line by its u
-    whose first nonzero entry is a 1."""
+    lines of Ext^1, as for e <= 1, the one list of u-parts is those,
+    ``_representatives([free], 1, q)``.  One u is walked per choice of a
+    u-part from each list."""
     n_u = hom_omega_dim(mu.total, nu.total, mu.table.quiver)
     pivots = linalg.rref(_coboundaries(build(mu, q), build(nu, q)), q)[1]
     free = [c for c in range(n_u) if c not in pivots]
     if len(free) != ext_dim(mu, nu):
         raise RepError("Ext^1 coordinates disagree with the closed-form count")
     options = _orbit_options(mu, nu, q, free) if len(free) > 1 else None
-    if options is not None:
-        return frozenset(_classify_u(mu, nu, q, u) for u in _combine(options, n_u))
-    ranges = [(0,)] * n_u
-    lines = [itertools.product(*ranges)]  # u = 0
-    for c in reversed(free):  # the first nonzero entry of u is a 1 at c
-        ranges[c] = (1,)
-        lines.append(itertools.product(*ranges))
-        ranges[c] = range(q)
-    return frozenset(_classify_u(mu, nu, q, u) for u in itertools.chain(*lines))
-
-
-def _combine(options: list[list[list[tuple[int, int]]]], n_u: int) -> Iterator[list[int]]:
-    """The flat u of each choice of one u-part per list of ``options``."""
-    for choice in itertools.product(*options):
-        u = [0] * n_u
-        for entries in choice:
-            for c, x in entries:
-                u[c] = x
-        yield u
+    if options is None:
+        options = [_representatives([free], 1, q)]
+    return frozenset(
+        _classify_u(mu, nu, q, [*itertools.chain(*choice)])
+        for choice in itertools.product(*options)
+    )
 
 
 @functools.cache

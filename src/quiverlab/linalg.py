@@ -14,12 +14,12 @@ number of bases produced always equals the Gaussian binomial.
 The private :func:`_packed_rank` ranks rows packed into one Python int
 each (:func:`_pack`): one bit per entry over F_2, where a row operation
 is one XOR, and one byte per entry over odd q, where it is one big-int
-multiply-add followed by a byte-wise reduction mod q; :func:`_unpack`
-reads a packed row back as an int list.  They serve the intertwiner
-systems of :mod:`.reps`, which are so small that per-entry Python
-overhead is the whole cost: :func:`.reps.hom_space_dim` ranks the packed
-rows, and the kernels and coboundaries read them unpacked.  The point
-classifier of :mod:`.grassmannian` ranks its per-point systems packed.
+multiply-add followed by a byte-wise reduction mod q (:func:`_reduce`);
+:func:`_unpack` reads a packed row back as an int list.  They serve the
+intertwiner systems of :mod:`.reps`, which are so small that per-entry
+Python overhead is the whole cost: :func:`.reps.hom_space_dim` ranks the
+packed rows, and the kernels and coboundaries read them unpacked.  The
+classifiers of :mod:`.grassmannian` and :mod:`.extensions` rank packed sums.
 
 Enumerations that would exceed an explicit cap raise :class:`CapExceeded`
 up front instead of running forever.
@@ -105,6 +105,11 @@ def _byte_table(q: int) -> tuple[bytes, tuple[int, ...]]:
     return bytes(b % q for b in range(256)), inverses
 
 
+def _reduce(row: int, q: int, ncols: int) -> int:
+    """The packed row of ``ncols`` byte slots (odd q), each slot mod q."""
+    return int.from_bytes(row.to_bytes(ncols, "little").translate(_byte_table(q)[0]), "little")
+
+
 def _packed_rank(rows: Sequence[int], q: int, ncols: int) -> int:
     """Rank over F_q of packed rows of ``ncols`` entries, each in
     ``range(q)`` (see :func:`_pack`).
@@ -126,7 +131,7 @@ def _packed_rank(rows: Sequence[int], q: int, ncols: int) -> int:
                     break
                 row ^= pivot
         return len(pivots)
-    table, inverses = _byte_table(q)
+    inverses = _byte_table(q)[1]
     pivots = {}
     for row in rows:
         while row:
@@ -135,16 +140,10 @@ def _packed_rank(rows: Sequence[int], q: int, ncols: int) -> int:
             pivot = pivots.get(top)
             if pivot is None:
                 if lead != 1:
-                    row = int.from_bytes(
-                        (row * inverses[lead]).to_bytes(ncols, "little").translate(table),
-                        "little",
-                    )
+                    row = _reduce(row * inverses[lead], q, ncols)
                 pivots[top] = row
                 break
-            row = int.from_bytes(
-                (row + (q - lead) * pivot).to_bytes(ncols, "little").translate(table),
-                "little",
-            )
+            row = _reduce(row + (q - lead) * pivot, q, ncols)
     return len(pivots)
 
 

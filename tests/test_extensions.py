@@ -99,6 +99,12 @@ def test_a_middle_term_with_no_f2_point(t4):
     assert default.classes == alone.classes | {lam} and not default.stable
 
 
+def nonzero(u):
+    """The ``(position, value)`` entries of the flat u that are nonzero,
+    as :func:`_classify_u` reads a u."""
+    return [(c, x) for c, x in enumerate(u) if x]
+
+
 def block_rep(mu, nu, q, u):
     """The middle term ``[[y, u], [0, x]]`` with ``y = build(nu)`` and
     ``x = build(mu)``: the flat ``u`` holds one ``dim nu_t x dim mu_s``
@@ -139,7 +145,9 @@ def test_connecting_map_ranks_agree_with_identify(request, which, max_total, n_p
             n_u = hom_omega_dim(mu.total, nu.total, table.quiver)
             for u in itertools.product(range(q), repeat=n_u):
                 expected = identify(block_rep(mu, nu, q, u), table)
-                assert _classify_u(mu, nu, q, u) == expected, (kp_format(mu), kp_format(nu), q, u)
+                assert _classify_u(mu, nu, q, nonzero(u)) == expected, (
+                    kp_format(mu), kp_format(nu), q, u,
+                )
                 points += 1
     assert points == n_points
 
@@ -256,12 +264,16 @@ def test_every_middle_term_lies_in_the_hom_box(
 
 
 def counting_classify(monkeypatch):
-    """The u passed to ``_classify_u`` by the u-route, recorded."""
+    """The u classified by the u-route, recorded as flat u rebuilt from the
+    entries passed to ``_classify_u``."""
     calls = []
 
-    def counted(mu, nu, q, u):
+    def counted(mu, nu, q, entries):
+        u = [0] * hom_omega_dim(mu.total, nu.total, mu.table.quiver)
+        for c, x in entries:
+            u[c] = x
         calls.append(tuple(u))
-        return _classify_u(mu, nu, q, u)
+        return _classify_u(mu, nu, q, entries)
 
     monkeypatch.setattr(extensions, "_classify_u", counted)
     return calls
@@ -326,7 +338,10 @@ def test_u_route_classifies_one_u_per_orbit_representative(
         n_u = hom_omega_dim(mu.total, nu.total, table.quiver)
         e = ext_dim(mu, nu)
         for q in fields:
-            walked = {_classify_u(mu, nu, q, u) for u in itertools.product(range(q), repeat=n_u)}
+            walked = {
+                _classify_u(mu, nu, q, nonzero(u))
+                for u in itertools.product(range(q), repeat=n_u)
+            }
             calls.clear()
             assert _ext_set_u.__wrapped__(mu, nu, q) == walked, (kp_format(mu), kp_format(nu), q)
             (nu_count, nu_roots), (mu_count, mu_roots) = orbit_sides(mu, nu, q)
@@ -419,6 +434,45 @@ def test_three_simples_by_three_walk_the_subspaces_of_ext(t2, monkeypatch):
         "[1,1]+[1,2]+[1,2]+[2,2]",
         "[1,2]+[1,2]+[1,2]",
     ]
+
+
+@pytest.mark.parametrize(
+    "which,mu,nu",
+    [
+        ("t2", "[1,1]+[1,1]", "[2,2]+[2,2]"),
+        ("t2", "[1,1]+[1,2]", "[1,2]+[2,2]"),
+        ("t3", "[1,2]", "[2,2]+[3,3]"),
+        ("t3", "[1,1]+[1,2]", "[2,3]+[3,3]"),
+    ],
+)
+def test_classify_u_sums_columns_without_overflow(request, which, mu, nu):
+    # _classify_u is linear in its entries: 64 copies of (c, 4) sum to
+    # 256 (c, 1) = (c, 1) over GF(5), while their bytes, summed with no
+    # reduction between terms, would pass 255
+    table = request.getfixturevalue(which)
+    mu, nu = kp_parse(table, mu), kp_parse(table, nu)
+    n_u = hom_omega_dim(mu.total, nu.total, table.quiver)
+    classes = set()
+    for c in range(n_u):
+        expected = _classify_u(mu, nu, 5, [(c, 1)])
+        assert _classify_u(mu, nu, 5, [(c, 4)] * 64) == expected, (kp_format(mu), kp_format(nu), c)
+        classes.add(expected)
+    assert classes - {mu + nu}  # some entry alone is a non-split extension
+
+
+def test_u_route_on_an_e6_pair_with_ext_14(e6, monkeypatch):
+    # n_u = 99 and dim Ext^1 = 14: the orbit walk classifies 3,264 u over GF(2)
+    calls = counting_classify(monkeypatch)
+    mu = kp_parse(e6, "1,0,0,0,0,0 + 1,1,1,0,0,0 + 1,2,2,1,0,1 + 1,2,3,2,1,2 + 0,0,1,1,0,0")
+    nu = kp_parse(
+        e6,
+        "1,1,1,0,0,0 + 1,1,1,1,0,0 + 1,2,2,1,0,1 + 0,1,1,1,0,0 + 0,0,1,1,0,0"
+        " + 0,0,0,0,0,1 + 0,0,0,0,0,1",
+    )
+    assert hom_omega_dim(mu.total, nu.total, e6.quiver) == 99 and ext_dim(mu, nu) == 14
+    classes = _ext_set_u.__wrapped__(mu, nu, 2)
+    assert len(calls) == len(set(calls)) == 3264
+    assert len(classes) == 182 and mu + nu in classes
 
 
 def test_u_route_walks_mu_side_of_a_class_against_itself(t2, monkeypatch):
