@@ -253,6 +253,28 @@ def _runs(parts: tuple[int, ...]) -> list[tuple[int, int, int]]:
     return runs
 
 
+@functools.cache
+def _walked_side(mu: KostantPartition, nu: KostantPartition, q: int) -> tuple:
+    """``(count, on_nu, side, runs)`` for the side :func:`_ext_set_u`
+    walks, nu's or mu's, whichever has fewer representatives (nu on a
+    tie): ``count`` is their number, the product over the side's roots
+    of the subspaces of F_q^e of dim <= m, and ``runs`` holds
+    ``(first, m, e)`` per root.  ``count`` is also the number of u the
+    walk classifies, which the cap counts, with the coboundary echelon
+    form, before any work: where it equals 1 + (q^e - 1)/(q - 1), the walk
+    takes u = 0 and the lines of Ext^1, as many u."""
+    table = mu.table
+    into_nu = hom_ext_vectors(nu)[1]
+    sides = []
+    for on_nu, side in ((True, nu), (False, mu)):
+        runs = []
+        for root, first, m in _runs(side.parts):
+            e = sum(hom_ext_pair(table, c, root)[1] for c in mu.parts) if on_nu else into_nu[root]
+            runs.append((first, m, e))
+        sides.append((math.prod(_subspaces_up_to(e, m, q) for _, m, e in runs), on_nu, side, runs))
+    return min(sides, key=lambda entry: entry[0])
+
+
 def _orbit_options(
     mu: KostantPartition, nu: KostantPartition, q: int, free: list[int]
 ) -> list[list[list[tuple[int, int]]]] | None:
@@ -265,18 +287,10 @@ def _orbit_options(
     column j; on nu's side row i names the part (by vertex t's rows), on
     mu's side column j (by vertex s's columns), and the rest of (k, i, j)
     is the place within the part's block, which the copies must share."""
-    table = mu.table
-    into_nu = hom_ext_vectors(nu)[1]
-    sides = []
-    for on_nu, side in ((True, nu), (False, mu)):
-        runs = []
-        for root, first, m in _runs(side.parts):
-            e = sum(hom_ext_pair(table, c, root)[1] for c in mu.parts) if on_nu else into_nu[root]
-            runs.append((first, m, e))
-        sides.append((math.prod(_subspaces_up_to(e, m, q) for _, m, e in runs), on_nu, side, runs))
-    count, on_nu, side, runs = min(sides, key=lambda entry: entry[0])  # nu on a tie
+    count, on_nu, side, runs = _walked_side(mu, nu, q)
     if count == _subspaces_up_to(len(free), 1, q):
         return None
+    table = mu.table
     roots, arrows, alpha, beta = table.roots, table.quiver.arrows, mu.total, nu.total
     sizes = (beta[t - 1] * alpha[s - 1] for s, t in arrows)
     offsets = list(itertools.accumulate(sizes, initial=0))
@@ -386,10 +400,19 @@ def ext_set(
         # the candidates are counted before they are listed
         _check_kp_cap(mu.table, split.total, cap)
         scans = len(_candidates(split))
+    else:
+        # the entries of the coboundary matrix row-reduced before the walk,
+        # dim Hom_0(M_mu, M_nu) x n_u
+        echelon = sum(map(mul, mu.total, nu.total)) * hom_omega_dim(
+            mu.total, nu.total, mu.table.quiver
+        )
     for q in fields:
         if method == METHOD_U:
-            needed = q ** hom_omega_dim(mu.total, nu.total, mu.table.quiver)
-            what = "u-space enumeration (the subrep-filter method may be feasible)"
+            needed = echelon + _walked_side(mu, nu, q)[0]
+            what = (
+                "u-route coboundary echelon form and walk, one u per orbit "
+                "representative (the subrep-filter method may be feasible)"
+            )
         else:
             needed = scans * grassmannian.scan_states(split.total, nu.total, q)
             what = "subrepresentation scan (one per candidate middle term)"

@@ -61,7 +61,7 @@ def hom_ext_pair(table: RootTable, a: int, b: int) -> tuple[int, int]:
 
 
 def _check_same_table(x: KostantPartition, y: KostantPartition) -> None:
-    if x.table is not y.table and x.table != y.table:
+    if x.table is not y.table:
         raise PartitionError("partitions live over different root tables")
 
 

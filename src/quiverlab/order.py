@@ -17,6 +17,9 @@ minimum.
 
 from __future__ import annotations
 
+import functools
+from operator import ge, le
+
 from . import linalg
 from .homs import _check_same_table, ext_dim, hom_ext_vectors
 from .quiver import (
@@ -53,8 +56,7 @@ def leq(x: KostantPartition, y: KostantPartition) -> bool:
     _check_same_table(x, y)
     if x.total != y.total:
         return False
-    hx, hy = hom_vector(x), hom_vector(y)
-    return all(a <= b for a, b in zip(hx, hy))
+    return all(map(le, hom_vector(x), hom_vector(y)))
 
 
 def lt(x: KostantPartition, y: KostantPartition) -> bool:
@@ -70,14 +72,17 @@ def typeA_leq(x: KostantPartition, y: KostantPartition) -> bool:
         raise PartitionError("typeA_leq needs the linear type-A quiver")
     if x.total != y.total:
         return False
+    return all(map(ge, _containment(x), _containment(y)))
+
+
+@functools.cache
+def _containment(x: KostantPartition) -> tuple[int, ...]:
+    """For every segment ``[i,j]``, in lexicographic order, the number of
+    parts of x containing it."""
     n = x.table.quiver.rank
-    segs_x, segs_y = segments_of(x), segments_of(y)
-
-    def count(segs, i, j):
-        return sum(1 for a, b in segs if a <= i and j <= b)
-
-    return all(
-        count(segs_x, i, j) >= count(segs_y, i, j)
+    segs = segments_of(x)
+    return tuple(
+        sum(1 for a, b in segs if a <= i and j <= b)
         for i in range(1, n + 1)
         for j in range(i, n + 1)
     )

@@ -25,8 +25,11 @@ Conventions used throughout the package:
   root ``alpha_a + ... + alpha_b``.
 
 A Kostant partition is a multiset of positive roots; it is stored as a
-non-increasing tuple of indices into a :class:`RootTable`, so partitions
-are hashable and cheap to compare.
+non-increasing tuple of indices into a :class:`RootTable`.  Quivers, root
+tables and partitions are interned (``_record(intern=True)``): building
+one returns the existing object for an equal value, so they compare and
+hash by identity, and what is derived from one value (its dimension
+vector and text form) is computed once.
 """
 
 from __future__ import annotations
@@ -99,49 +102,87 @@ def _frozen_delattr(self, name):
     raise _FrozenError(f"cannot delete field {name!r}")
 
 
-def _record(cls=None, *, eq: bool = True):
+def _record(cls=None, *, eq: bool = True, intern: bool = False):
     """Make ``cls`` an immutable record of its annotated fields, as
     ``dataclass(frozen=True, eq=eq)`` does, without importing
     :mod:`dataclasses`, which loads :mod:`inspect`, :mod:`ast` and
     :mod:`dis` into every cold CLI query.
 
-    ``__init__`` takes the fields, which have no defaults, by position or
-    keyword, then calls ``__post_init__`` if the class has one.
+    The constructor takes the fields, which have no defaults, by position
+    or keyword, then calls ``__post_init__`` if the class has one.
     ``__repr__``, ``__eq__`` and ``__hash__`` read the fields as a tuple;
     a method the class defines itself is kept, and with ``eq=False``
-    instances compare and hash by identity.  The methods are written out
-    per class and compiled in one ``exec``, because every memo compares
-    partitions, and reading the fields in a loop made partition ``==``
-    1.5x (``operator.attrgetter``) to 7x (a generator) slower.
-    ``cached_property`` writes to ``__dict__``, past the frozen
+    instances compare and hash by identity.
+
+    With ``intern=True`` there is one instance per value: ``__new__``
+    looks the fields up in a table of the instances built so far, and
+    builds (and runs ``__post_init__``) only on a miss, so ``==`` and
+    ``hash`` are the identity ones and every memo keyed by the instance
+    hashes in C.  A class may define a static ``_key(*fields)`` that
+    returns the fields normalised, for example sorted.  ``__reduce__``
+    passes the fields back to the constructor, so pickling, ``copy`` and
+    ``deepcopy`` return the interned instance.  The table lives for the
+    process, as the memos holding these instances do.
+
+    The methods are written out per class and compiled in one ``exec``,
+    because sets and memos compare records, and reading the fields in a
+    loop made ``==`` 1.5x (``operator.attrgetter``) to 7x (a generator)
+    slower.  ``cached_property`` writes to ``__dict__``, past the frozen
     ``__setattr__``."""
     if cls is None:
-        return functools.partial(_record, eq=eq)
+        return functools.partial(_record, eq=eq, intern=intern)
     annotations = cls.__dict__.get("__annotations__", {})
     names = tuple(annotations)
+    args = ", ".join(names)
     mine = ", ".join(f"self.{n}" for n in names)
     theirs = ", ".join(f"other.{n}" for n in names)
     shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
-    source = (
-        f"def __init__(self, {', '.join(names)}):\n"
-        + "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
-        + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else "")
-        + "def __repr__(self):\n"
+    post = "self.__post_init__()" if hasattr(cls, "__post_init__") else "pass"
+    if intern:
+        # the fields are stored as the key holds them, normalised
+        key = f"cls._key({args})" if hasattr(cls, "_key") else f"({args},)"
+        source = (
+            f"def __new__(cls, {args}):\n"
+            f"    key = {key}\n"
+            "    self = _interned.get(key)\n"
+            "    if self is None:\n"
+            "        self = _new(cls)\n"
+            + "".join(f"        _set(self, {n!r}, key[{i}])\n" for i, n in enumerate(names))
+            + f"        {post}\n"
+            "        self = _interned.setdefault(key, self)\n"
+            "    return self\n"
+            "def __reduce__(self):\n"
+            f"    return (self.__class__, ({mine},))\n"
+        )
+        wanted = ["__new__", "__reduce__"]
+    else:
+        source = (
+            f"def __init__(self, {args}):\n"
+            + "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+            + f"    {post}\n"
+        )
+        wanted = ["__init__"]
+    if eq and not intern:
+        wanted += ["__eq__", "__hash__"]
+        source += (
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({mine},) == ({theirs},)\n"
+            "    return NotImplemented\n"
+            "def __hash__(self):\n"
+            f"    return hash(({mine},))\n"
+        )
+    source += (
+        "def __repr__(self):\n"
         f"    return f'{{self.__class__.__qualname__}}({shown})'\n"
-        "def __eq__(self, other):\n"
-        "    if other.__class__ is self.__class__:\n"
-        f"        return ({mine},) == ({theirs},)\n"
-        "    return NotImplemented\n"
-        "def __hash__(self):\n"
-        f"    return hash(({mine},))\n"
     )
-    methods = {"_set": object.__setattr__}
+    methods = {"_set": object.__setattr__, "_new": object.__new__, "_interned": {}}
     exec(source, methods)
-    wanted = ("__init__", "__repr__", "__eq__", "__hash__") if eq else ("__init__", "__repr__")
-    for name in wanted:
+    for name in wanted + ["__repr__"]:
         if name not in cls.__dict__:
-            methods[name].__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, methods[name])
+            method = methods[name]
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, staticmethod(method) if name == "__new__" else method)
     cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
     cls.__match_args__ = names
     if cls.__doc__ is None:
@@ -208,7 +249,7 @@ def parse_dim_vector(text: str, rank: int) -> tuple[int, ...]:
 # the quiver itself
 
 
-@_record
+@_record(intern=True)
 class DynkinQuiver:
     """An oriented simply-laced Dynkin diagram with topological vertex numbering.
 
@@ -401,8 +442,13 @@ def euler_form(quiver: DynkinQuiver, alpha: Sequence[int], beta: Sequence[int]) 
     """``<a,b> = sum_i a_i b_i - sum_{arrows s->t} a_s b_t``.
 
     Bilinear but not symmetric; for modules it computes
-    ``dim Hom - dim Ext^1``.
+    ``dim Hom - dim Ext^1``.  Memoized per ``(quiver, alpha, beta)``.
     """
+    return _euler_form(quiver, tuple(alpha), tuple(beta))
+
+
+@functools.cache
+def _euler_form(quiver: DynkinQuiver, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
     if len(alpha) != quiver.rank or len(beta) != quiver.rank:
         raise QuiverError("dimension vector length does not match the rank")
     total = sum(a * b for a, b in zip(alpha, beta))
@@ -506,13 +552,7 @@ def _adapted_walk(
     return tuple(word), tuple(roots)
 
 
-def _state_without_hash(obj) -> dict:
-    """Pickle state of a value object without its cached hash: string
-    hashes are salted per process, so the hash must be recomputed."""
-    return {k: v for k, v in vars(obj).items() if k != "_hash"}
-
-
-@_record
+@_record(intern=True)
 class RootTable:
     """The positive roots in the total order induced by an adapted word.
 
@@ -574,17 +614,6 @@ class RootTable:
     def __repr__(self) -> str:
         return f"RootTable({self.quiver!r}, word={self.word})"
 
-    # hashed once: tables key most memos
-    def __hash__(self) -> int:
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.quiver, self.word, self.roots))
-
-    def __getstate__(self) -> dict:
-        return _state_without_hash(self)
-
 
 @functools.cache
 def _root_index_map(table: RootTable) -> dict[tuple[int, ...], int]:
@@ -610,36 +639,36 @@ def injective_root(quiver: DynkinQuiver, i: int) -> tuple[int, ...]:
 # Kostant partitions
 
 
-@_record
+@_record(intern=True)
 class KostantPartition:
-    """A multiset of positive roots, stored as non-increasing root indices."""
+    """A multiset of positive roots, stored as non-increasing root indices.
+
+    ``total`` is the dimension vector, the sum of the parts, computed
+    once when the partition is first built."""
 
     table: RootTable
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for p in self.parts:
-            if not (0 <= p < len(self.table.roots)):
-                raise PartitionError(f"root index {p} out of range")
-        ordered = tuple(sorted(self.parts, reverse=True))
-        if ordered != self.parts:
-            object.__setattr__(self, "parts", ordered)
+    @staticmethod
+    def _key(table: RootTable, parts: Sequence[int]) -> tuple:
+        return table, tuple(sorted(parts, reverse=True))
 
-    @functools.cached_property
-    def total(self) -> tuple[int, ...]:
-        """Dimension vector: the sum of all parts."""
+    def __post_init__(self) -> None:
+        roots = self.table.roots
         vec = [0] * self.table.quiver.rank
         for p in self.parts:
-            for j, x in enumerate(self.table.roots[p]):
+            if not (0 <= p < len(roots)):
+                raise PartitionError(f"root index {p} out of range")
+            for j, x in enumerate(roots[p]):
                 vec[j] += x
-        return tuple(vec)
+        object.__setattr__(self, "total", tuple(vec))
 
     def part_roots(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.table.roots[p] for p in self.parts)
 
     def __add__(self, other: "KostantPartition") -> "KostantPartition":
         """Direct sum: concatenate the two multisets of parts."""
-        if self.table is not other.table and self.table != other.table:
+        if self.table is not other.table:
             raise PartitionError("cannot add partitions over different root tables")
         return KostantPartition(self.table, self.parts + other.parts)
 
@@ -648,17 +677,6 @@ class KostantPartition:
 
     def __repr__(self) -> str:
         return f"KP({kp_format(self)})"
-
-    # hashed once: partitions key most memos
-    def __hash__(self) -> int:
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.table, self.parts))
-
-    def __getstate__(self) -> dict:
-        return _state_without_hash(self)
 
 
 def kp_zero(table: RootTable) -> KostantPartition:
@@ -811,6 +829,7 @@ def kp_parse(table: RootTable, text: str) -> KostantPartition:
     return kp_from_vectors(table, vectors)
 
 
+@functools.cache
 def kp_format(kp: KostantPartition) -> str:
     """Canonical text form; inverse of :func:`kp_parse`."""
     if not kp.parts:

@@ -268,13 +268,14 @@ def w_gamma(rq: RepetitionQuiver, gamma: Sequence[int]) -> GradedDimVector:
     return GradedDimVector.from_dict(data)
 
 
+@functools.cache
 def v_lambda(rq: RepetitionQuiver, lam: KostantPartition) -> GradedDimVector:
     """For each root ``U`` with projective cover ``Q -> M_U``, mass
     ``[Q, lam] - [U, lam]`` one step below the ``(root(U), 0)`` vertex,
     where ``[Q, lam] = sum(top_U * dim lam)``.  Projective roots get zero
-    (Q = M_U there)."""
+    (Q = M_U there).  Memoized per ``(rq, lam)``."""
     table = lam.table
-    if table.quiver != rq.quiver:
+    if table.quiver is not rq.quiver:
         raise RepetitionError("class and repetition quiver disagree on the base quiver")
     into = hom_ext_vectors(lam)[0]
     data: dict[tuple[int, int], int] = {}

@@ -115,7 +115,7 @@ def direct_sum(*reps: Rep) -> Rep:
         raise RepError("direct_sum needs at least one summand")
     quiver, q = reps[0].quiver, reps[0].q
     for r in reps[1:]:
-        if r.quiver != quiver or r.q != q:
+        if r.quiver is not quiver or r.q != q:
             raise RepError("summands live over different quivers or fields")
     dims = tuple(sum(r.dims[v] for r in reps) for v in range(quiver.rank))
     mats = []
@@ -247,7 +247,7 @@ def _intertwiner_system(m: Rep, n: Rep) -> tuple[list[int], list[int]]:
     spread along column j of ``f_s``, from the arrow matrices each side
     packs once (``Rep._packed``).
     """
-    if (m.quiver is not n.quiver and m.quiver != n.quiver) or m.q != n.q:
+    if m.quiver is not n.quiver or m.q != n.q:
         raise RepError("representations live over different quivers or fields")
     width = linalg._slot_bits(m.q)
     d = m.dims

@@ -367,6 +367,71 @@ def test_readme_examples_run_without_numpy():
     assert result["numpy"] == []
 
 
+def test_outputs_do_not_depend_on_the_hash_seed():
+    # quivers, root tables and partitions hash by identity, that is by
+    # address, so set order differs between processes; two interpreters
+    # with different hash seeds must print the same bytes
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from quiverlab.cli import main\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    runs.append([code, out.getvalue()])\n"
+        "print(json.dumps(runs))\n"
+    )
+    d4_ext_set = ["ext-set", "1,1,0,0", "0,1,1,1", "--type", "D", "--rank", "4"]
+    argvs = [argv for argv, _ in README_EXAMPLES] + [d4_ext_set]
+    stdouts = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(child_env(), PYTHONHASHSEED=seed),
+        )
+        assert proc.returncode == 0, proc.stderr
+        stdouts.append(proc.stdout)
+    assert stdouts[0] == stdouts[1]
+    runs = json.loads(stdouts[0])
+    assert [code for code, _ in runs] == [code for _, code in README_EXAMPLES] + [0]
+    assert json.loads(runs[-1][1])["classes"][-1] == "1,2,1,1"
+
+
+class _InOrder(frozenset):
+    """A frozenset that iterates in the order it was built from."""
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self.order = list(items)
+        return self
+
+    def __iter__(self):
+        return iter(self.order)
+
+
+def test_ext_set_output_does_not_depend_on_set_order(capsys, monkeypatch):
+    # the same classes iterated in two orders print the same bytes, which
+    # two hash seeds cannot show where both processes place objects alike
+    import quiverlab.extensions as ext
+
+    real = ext.ext_set
+    argv = ["ext-set", "[1,1]+[1,1]+[1,1]", "[2,2]+[2,2]+[2,2]", "--type", "A", "--rank", "2",
+            "--field", "5"]
+    outs = []
+    for flip in (False, True):
+        def reordered(*args, flip=flip, **kwargs):
+            r = real(*args, **kwargs)
+            order = sorted(r.classes, key=lambda lam: lam.parts, reverse=flip)
+            return ext.ExtSetResult(r.mu, r.nu, _InOrder(order), r.method, r.fields, r.stable)
+
+        monkeypatch.setattr(ext, "ext_set", reordered)
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and len(json.loads(outs[0])["classes"]) == 4
+
+
 # the library modules a fresh interpreter holds after one subcommand:
 # every one resolves a quiver and parses classes, then loads what it runs
 _COLD = {"cli", "linalg", "quiver"}
@@ -580,6 +645,24 @@ def test_subrep_cap_counts_every_candidate_exit_5(capsys):
     assert "subrepresentation scan" in capsys.readouterr().err
     rc, data = run_json(capsys, *argv, "--cap", "640")
     assert rc == 0 and len(data["classes"]) == 4
+
+
+def test_u_route_cap_counts_orbit_representatives(capsys):
+    # u-space has 3^16 points over GF(3), past the default cap; the walk
+    # classifies 67 u over GF(2) and 212 over GF(3), and the cap counts those
+    pair = ("[2,2]+[2,2]+[2,2]+[2,2]", "[3,3]+[3,3]+[3,3]+[3,3]", *A3)
+    rc, data = run_json(capsys, "generic-ext", *pair)
+    assert rc == 0 and data["generic_ext"] == "[2,3]+[2,3]+[2,3]+[2,3]"
+    assert main(["generic-ext", *pair, "--cap", "211"]) == 5
+    assert "needs 212 states, cap is 211" in capsys.readouterr().err
+
+
+def test_u_route_cap_counts_the_coboundary_echelon_form(capsys):
+    # Ext^1 = 0, so the walk classifies one u, but the coboundary matrix
+    # row-reduced first is dim Hom_0 x n_u = 100^2 x 100^2 entries
+    pair = ("+".join(["[1,2]"] * 100), "+".join(["[2,2]"] * 100), "--type", "A", "--rank", "2")
+    assert main(["generic-ext", *pair]) == 5
+    assert "needs 100000001 states" in capsys.readouterr().err
 
 
 def test_cap_env_var(capsys, monkeypatch):

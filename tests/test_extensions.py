@@ -40,7 +40,14 @@ from quiverlab import (
     strata,
 )
 from quiverlab import extensions, grassmannian
-from quiverlab.extensions import _candidates, _classify_u, _ext_set_filter, _ext_set_u, _hom_box
+from quiverlab.extensions import (
+    _candidates,
+    _classify_u,
+    _ext_set_filter,
+    _ext_set_u,
+    _hom_box,
+    _walked_side,
+)
 from quiverlab.reps import Rep, RepError
 
 
@@ -177,6 +184,24 @@ def test_u_enumeration_cap(t3):
     with pytest.raises(CapExceeded) as exc:
         ext_set(mu, nu, cap=1)
     assert "subrep-filter" in str(exc.value)  # points at the fallback method
+
+
+def test_u_route_cap_counts_the_representatives_it_classifies(t3, monkeypatch):
+    # u-space is F_q^16, past the default cap at GF(3), but the walk
+    # classifies one u per subspace of dim <= 4 of F_q^4 on nu's side:
+    # 67 over GF(2) and 212 over GF(3); the cap is checked before any
+    mu = kp_parse(t3, "[2,2]+[2,2]+[2,2]+[2,2]")
+    nu = kp_parse(t3, "[3,3]+[3,3]+[3,3]+[3,3]")
+    calls = counting_classify(monkeypatch)
+    _ext_set_u.cache_clear()
+    with pytest.raises(CapExceeded) as exc:
+        ext_set(mu, nu, cap=211)
+    assert exc.value.needed == 212 and "orbit representative" in str(exc.value)
+    assert calls == []
+    assert len(ext_set(mu, nu, cap=212).classes) == 5
+    assert len(calls) == 67 + 212
+    # at the default cap, which 3^16 points of u-space pass
+    assert kp_format(generic_ext(mu, nu)) == "[2,3]+[2,3]+[2,3]+[2,3]"
 
 
 def test_subrep_cap_counts_every_candidate_scan(t3, monkeypatch):
@@ -347,6 +372,8 @@ def test_u_route_classifies_one_u_per_orbit_representative(
             (nu_count, nu_roots), (mu_count, mu_roots) = orbit_sides(mu, nu, q)
             on_nu = nu_count <= mu_count
             assert len(calls) == len(set(calls)) == min(nu_count, mu_count)
+            # the count the cap reads is the walk's
+            assert _walked_side(mu, nu, q)[0] == len(calls)
             roots, parts = (nu_roots, nu.parts) if on_nu else (mu_roots, mu.parts)
             covered = 0
             for u in calls:

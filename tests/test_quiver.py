@@ -1,13 +1,17 @@
 """Quivers, adapted words, root enumerations, Kostant partitions."""
 
+import copy
 import itertools
+import os
 import pickle
 import random
 import re
+import subprocess
 import sys
 
 import pytest
 
+import quiverlab
 from quiverlab import (
     DegreeReport,
     DegreeRow,
@@ -383,13 +387,13 @@ def test_partitions_and_tables_hash_by_value(t3):
     y = KostantPartition(t3, tuple(reversed(x.parts)))
     assert x == y and hash(x) == hash(y) and x.total == (1, 2, 1)
     table = RootTable.from_word(t3.quiver, t3.word)
-    assert table == t3 and table is not t3 and hash(table) == hash(t3)
+    assert table == t3 and table is t3 and hash(table) == hash(t3)
     for obj in (x, t3):
         clone = pickle.loads(pickle.dumps(obj))
         assert clone == obj and hash(clone) == hash(obj) and {obj: 1}[clone] == 1
-        # string hashes are salted per process, so pickles leave the
-        # cached hash out
-        assert "_hash" in vars(obj) and "_hash" not in obj.__getstate__()
+        # interned: the round-trip returns the same object, and its
+        # identity hash is the one every memo holds
+        assert clone is obj and pickle.loads(pickle.dumps(clone)) is obj
     for obj in (t3.quiver, GradedDimVector(((1, 0, 1),)), strata(x, (0, 1, 1), 2)):
         clone = pickle.loads(pickle.dumps(obj))
         assert clone == obj and hash(clone) == hash(obj)
@@ -398,6 +402,45 @@ def test_partitions_and_tables_hash_by_value(t3):
     # a representation compares by identity, so compare its fields
     assert vars(clone) == vars(rep) and clone != rep
 
+
+def test_equal_values_are_one_object(t3):
+    # quivers, root tables and partitions are interned, so equal values
+    # are one object and compare and hash by identity
+    assert KostantPartition(t3, (2, 1)) is KostantPartition(t3, (1, 2))
+    assert KostantPartition(t3, [1, 2, 1]) is KostantPartition(table=t3, parts=(2, 1, 1))
+    a3 = t3.quiver
+    assert RootTable.from_word(a3, positive_roots(a3).word) is positive_roots(a3)
+    zigzag = [(2, 1), (2, 3), (4, 3)]
+    assert build_quiver("A", 4, zigzag) is build_quiver("A", 4, reversed(zigzag))
+    assert build_quiver("A", 3, [(1, 2), (2, 3)]) is a3
+    for obj in (a3, t3, kp_parse(t3, "[1,2]+[2,3]"), kp_zero(t3)):
+        assert pickle.loads(pickle.dumps(obj)) is obj
+        assert copy.copy(obj) is obj and copy.deepcopy(obj) is obj
+    # a pickle written by another process loads as this process's object
+    script = (
+        "import pickle, sys\n"
+        "from quiverlab import kp_parse, positive_roots, standard_quiver\n"
+        "t3 = positive_roots(standard_quiver('A', 3))\n"
+        "sys.stdout.buffer.write(pickle.dumps((t3, kp_parse(t3, '[1,2]+[2,3]'))))\n"
+    )
+    src = os.path.dirname(os.path.dirname(quiverlab.__file__))
+    paths = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=paths, PYTHONHASHSEED="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    table, x = pickle.loads(proc.stdout)
+    assert table is t3 and x is kp_parse(t3, "[1,2]+[2,3]")
+    # an invalid value raises as before
+    with pytest.raises(PartitionError, match="out of range"):
+        KostantPartition(t3, (len(t3),))
+    with pytest.raises(QuiverError):
+        build_quiver("A", 4, zigzag[:2])
+
+
+# the records with one object per value
+INTERNED = {DynkinQuiver, RootTable, KostantPartition}
 
 RECORDS = [
     DynkinQuiver, RootTable, KostantPartition, Rep, GradedDimVector,
@@ -462,6 +505,8 @@ def test_records_are_frozen_values(cls, t2):
     assert tuple(getattr(x, name) for name in names) == values
     if cls is Rep:
         assert x == x and x != y and hash(x) != hash(y)
+    elif cls in INTERNED:
+        assert x == y and hash(x) == hash(y) and x is y and x != values
     else:
         assert x == y and hash(x) == hash(y) == hash(values) and x != values
     if cls in RECORD_REPRS:
