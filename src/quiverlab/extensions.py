@@ -32,14 +32,15 @@ Both run over small prime fields; the result carries a stability flag
 recording whether every field produced the same set.
 
 The numerical bookkeeping for a triple ``(lam, mu, nu)`` — codimension
-``d_lambda``, fiber dimension ``e_lambda``, and the degree bound
-``2*e + d`` — is implemented from the closed hom/ext formulas, with the
-two equivalent expressions for ``d_lambda`` both evaluated and compared.
+``d_lambda``, ``e_lambda = n_u + [lam, mu*nu] - [lam, lam]`` with n_u
+the dimension of the connecting-map space (it can be negative), and the
+degree bound ``2*e + d`` — is implemented from the closed hom/ext
+formulas, with the two equivalent expressions for ``d_lambda`` both
+evaluated and compared.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -53,6 +54,7 @@ from .quiver import (
     KostantPartition,
     PartitionError,
     QuiverError,
+    RootTable,
     _record,
     dim_add,
     euler_form,
@@ -128,6 +130,22 @@ def _coboundaries(x: Rep, y: Rep) -> list[tuple[int, ...]]:
     arrow by arrow and row by row."""
     rows, offsets = _intertwiner_system(x, y)
     return list(zip(*(linalg._unpack(row, x.q, offsets[-1]) for row in rows)))
+
+
+@functools.cache
+def _pair_free(table: RootTable, a: int, b: int, q: int) -> tuple[tuple[int, int, int], ...]:
+    """The free (non-pivot) positions of the reduced echelon form of the
+    coboundaries of M_a into M_b, as ``(arrow, row, column)`` in the
+    layout of :func:`_coboundaries`, memoized per pair of roots."""
+    x, y = indecomposable(table, a, q), indecomposable(table, b, q)
+    pivots = set(linalg.rref(_coboundaries(x, y), q)[1])
+    blocks = (
+        (k, i, j)
+        for k, (s, t) in enumerate(table.quiver.arrows)
+        for i in range(y.dims[t - 1])
+        for j in range(x.dims[s - 1])
+    )
+    return tuple(place for c, place in enumerate(blocks) if c not in pivots)
 
 
 def _ext_coordinates(m_a: Rep, y: Rep) -> list[list[int]]:
@@ -255,14 +273,14 @@ def _runs(parts: tuple[int, ...]) -> list[tuple[int, int, int]]:
 
 @functools.cache
 def _walked_side(mu: KostantPartition, nu: KostantPartition, q: int) -> tuple:
-    """``(count, on_nu, side, runs)`` for the side :func:`_ext_set_u`
+    """``(count, on_nu, runs)`` for the side :func:`_ext_set_u`
     walks, nu's or mu's, whichever has fewer representatives (nu on a
     tie): ``count`` is their number, the product over the side's roots
     of the subspaces of F_q^e of dim <= m, and ``runs`` holds
     ``(first, m, e)`` per root.  ``count`` is also the number of u the
-    walk classifies, which the cap counts, with the coboundary echelon
-    form, before any work: where it equals 1 + (q^e - 1)/(q - 1), the walk
-    takes u = 0 and the lines of Ext^1, as many u."""
+    walk classifies, which the cap counts before any work.  The copies'
+    groups contain the scalars, so it is at most 1 + (q^e - 1)/(q - 1)
+    for e = dim Ext^1: u = 0 and the lines of Ext^1."""
     table = mu.table
     into_nu = hom_ext_vectors(nu)[1]
     sides = []
@@ -271,51 +289,31 @@ def _walked_side(mu: KostantPartition, nu: KostantPartition, q: int) -> tuple:
         for root, first, m in _runs(side.parts):
             e = sum(hom_ext_pair(table, c, root)[1] for c in mu.parts) if on_nu else into_nu[root]
             runs.append((first, m, e))
-        sides.append((math.prod(_subspaces_up_to(e, m, q) for _, m, e in runs), on_nu, side, runs))
+        sides.append((math.prod(_subspaces_up_to(e, m, q) for _, m, e in runs), on_nu, runs))
     return min(sides, key=lambda entry: entry[0])
 
 
-def _orbit_options(
-    mu: KostantPartition, nu: KostantPartition, q: int, free: list[int]
-) -> list[list[list[tuple[int, int]]]] | None:
-    """The u-parts :func:`_ext_set_u` combines, one list per root of the
-    side it walks (:func:`_representatives` of the root's copies), or None
-    when neither side has fewer representatives than u = 0 and the lines
-    of Ext^1, 1 + (q^e - 1)/(q - 1).
-
-    A free position c lies in the block of arrow k = s -> t at row i and
-    column j; on nu's side row i names the part (by vertex t's rows), on
-    mu's side column j (by vertex s's columns), and the rest of (k, i, j)
-    is the place within the part's block, which the copies must share."""
-    count, on_nu, side, runs = _walked_side(mu, nu, q)
-    if count == _subspaces_up_to(len(free), 1, q):
-        return None
+def _free_by_part(
+    mu: KostantPartition, nu: KostantPartition, q: int, on_nu: bool
+) -> list[list[int]]:
+    """The free coordinates of u, those of :func:`_pair_free` placed at
+    each pair's block (layout in :func:`_connecting_maps`), per part of
+    nu (``on_nu``) or of mu, in ascending order."""
     table = mu.table
-    roots, arrows, alpha, beta = table.roots, table.quiver.arrows, mu.total, nu.total
-    sizes = (beta[t - 1] * alpha[s - 1] for s, t in arrows)
+    arrows, roots, alpha = table.quiver.arrows, table.roots, mu.total
+    sizes = (nu.total[t - 1] * alpha[s - 1] for s, t in arrows)
     offsets = list(itertools.accumulate(sizes, initial=0))
-    coords: list[list[int]] = [[] for _ in side.parts]
-    places: list[list[tuple[int, int, int]]] = [[] for _ in side.parts]
-    for c in free:
-        k = bisect.bisect_right(offsets, c) - 1
-        s, t = arrows[k]
-        i, j = divmod(c - offsets[k], alpha[s - 1])
-        index, v = (i, t) if on_nu else (j, s)
-        # the part whose basis vectors at vertex v hold the index
-        p, first = 0, 0
-        while first + roots[side.parts[p]][v - 1] <= index:
-            first += roots[side.parts[p]][v - 1]
-            p += 1
-        coords[p].append(c)
-        places[p].append((k, i - first, j) if on_nu else (k, i, j - first))
-    options = []
-    for first, m, e in runs:
-        shared = places[first]
-        if len(shared) != e or places[first : first + m].count(shared) != m:
-            raise RepError("the copies of a root disagree on their Ext^1 coordinates")
-        if e:
-            options.append(_representatives(coords[first : first + m], m, q))
-    return options
+    zero = (0,) * len(alpha)
+    lefts = list(itertools.accumulate((roots[a] for a in mu.parts), dim_add, initial=zero))
+    tops = itertools.accumulate((roots[b] for b in nu.parts), dim_add, initial=zero)
+    coords: list[list[int]] = [[] for _ in (nu if on_nu else mu).parts]
+    for i_nu, (b, top) in enumerate(zip(nu.parts, tops)):
+        for i_mu, (a, left) in enumerate(zip(mu.parts, lefts)):
+            part = coords[i_nu if on_nu else i_mu]
+            for k, i, j in _pair_free(table, a, b, q):
+                s, t = arrows[k]
+                part.append(offsets[k] + (top[t - 1] + i) * alpha[s - 1] + left[s - 1] + j)
+    return [sorted(part) for part in coords]
 
 
 @functools.cache
@@ -324,28 +322,28 @@ def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
 
     Every class [u] has one representative on the free (non-pivot)
     coordinates of the coboundaries' echelon form.  The coboundaries
-    split by pairs of parts, so the m copies of a root b of nu share one
-    pattern of e = ext(mu, b) free coordinates, and their values form an
-    e x m matrix U_b, one column per copy.  For g in GL_m acting on the
-    copies, conjugating by diag(g x 1, 1) gives E_{(g x 1)u} = E_u, as
-    g x 1 commutes with y; this is U_b -> U_b g^T, so only the column
-    space W of U_b matters, and the representative of W puts W's echelon
-    basis on the first copies and zeros on the rest, over every W of
-    dim <= m and every root b (:func:`_orbit_options`).  Dually,
-    conjugating by diag(1, h x 1) gives E_{u(h x 1)^-1} = E_u for the
-    copies of a root of mu.  The side with fewer representatives is
-    walked, nu on a tie.  When neither has fewer than u = 0 and the
-    lines of Ext^1, as for e <= 1, the one list of u-parts is those,
-    ``_representatives([free], 1, q)``.  One u is walked per choice of a
-    u-part from each list."""
-    n_u = hom_omega_dim(mu.total, nu.total, mu.table.quiver)
-    pivots = linalg.rref(_coboundaries(build(mu, q), build(nu, q)), q)[1]
-    free = [c for c in range(n_u) if c not in pivots]
-    if len(free) != ext_dim(mu, nu):
+    split by pairs of parts, so these are the free coordinates of each
+    pair (:func:`_pair_free`) placed at the pair's block of u, and the
+    m copies of a root b of nu share one pattern of e = ext(mu, b) free
+    coordinates, whose values form an e x m matrix U_b, one column per
+    copy.  For g in GL_m acting on the copies, conjugating by
+    diag(g x 1, 1) gives E_{(g x 1)u} = E_u, as g x 1 commutes with y;
+    this is U_b -> U_b g^T, so only the column space W of U_b matters,
+    and the representative of W puts W's echelon basis on the first
+    copies and zeros on the rest, over every W of dim <= m and every
+    root b (:func:`_representatives`).  Dually, conjugating by
+    diag(1, h x 1) gives E_{u(h x 1)^-1} = E_u for the copies of a root
+    of mu.  The side with fewer representatives is walked, nu on a tie
+    (:func:`_walked_side`), one u per choice of a u-part per root."""
+    _, on_nu, runs = _walked_side(mu, nu, q)
+    coords = _free_by_part(mu, nu, q, on_nu)
+    if sum(map(len, coords)) != ext_dim(mu, nu):
         raise RepError("Ext^1 coordinates disagree with the closed-form count")
-    options = _orbit_options(mu, nu, q, free) if len(free) > 1 else None
-    if options is None:
-        options = [_representatives([free], 1, q)]
+    options = [
+        _representatives(coords[first : first + m], m, q)
+        for first, m, e in runs
+        if e
+    ]
     return frozenset(
         _classify_u(mu, nu, q, [*itertools.chain(*choice)])
         for choice in itertools.product(*options)
@@ -400,18 +398,12 @@ def ext_set(
         # the candidates are counted before they are listed
         _check_kp_cap(mu.table, split.total, cap)
         scans = len(_candidates(split))
-    else:
-        # the entries of the coboundary matrix row-reduced before the walk,
-        # dim Hom_0(M_mu, M_nu) x n_u
-        echelon = sum(map(mul, mu.total, nu.total)) * hom_omega_dim(
-            mu.total, nu.total, mu.table.quiver
-        )
     for q in fields:
         if method == METHOD_U:
-            needed = echelon + _walked_side(mu, nu, q)[0]
+            needed = _walked_side(mu, nu, q)[0]
             what = (
-                "u-route coboundary echelon form and walk, one u per orbit "
-                "representative (the subrep-filter method may be feasible)"
+                "u-route walk, one u per orbit representative "
+                "(the subrep-filter method may be feasible)"
             )
         else:
             needed = scans * grassmannian.scan_states(split.total, nu.total, q)
@@ -525,9 +517,11 @@ def e_lambda(
     fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int = linalg.DEFAULT_CAP,
 ) -> int:
-    """Fiber dimension over the lam-stratum: dim of the connecting-map
-    space plus ``[lam, mu*nu] - [lam, lam]``.  Requires
-    ``mu*nu <= lam <= mu (+) nu``."""
+    """``n_u + [lam, mu*nu] - [lam, lam]``, with n_u the dimension of the
+    connecting-map space (:func:`hom_omega_dim`) and mu*nu the generic
+    extension.  It can be negative (-1 for the split class of ``[1,1]``
+    by ``[1,1]+[2,2]`` in A2), and no geometric meaning is read into it.
+    Requires ``mu*nu <= lam <= mu (+) nu``."""
     alpha, beta = mu.total, nu.total
     if dim_add(alpha, beta) != lam.total:
         raise PartitionError("dim lambda must equal dim mu + dim nu")

@@ -657,12 +657,14 @@ def test_u_route_cap_counts_orbit_representatives(capsys):
     assert "needs 212 states, cap is 211" in capsys.readouterr().err
 
 
-def test_u_route_cap_counts_the_coboundary_echelon_form(capsys):
-    # Ext^1 = 0, so the walk classifies one u, but the coboundary matrix
-    # row-reduced first is dim Hom_0 x n_u = 100^2 x 100^2 entries
+def test_u_route_with_ext_zero_classifies_one_u(capsys):
+    # Ext^1 = 0, so the walk classifies u = 0 alone, within a cap of 1;
+    # the Ext^1 coordinates are read per pair of roots, so no matrix of
+    # the whole sum, dim Hom_0 x n_u = 100^2 x 100^2, is row-reduced
     pair = ("+".join(["[1,2]"] * 100), "+".join(["[2,2]"] * 100), "--type", "A", "--rank", "2")
-    assert main(["generic-ext", *pair]) == 5
-    assert "needs 100000001 states" in capsys.readouterr().err
+    for cap in ((), ("--cap", "1")):
+        rc, data = run_json(capsys, "generic-ext", *pair, *cap)
+        assert rc == 0 and data["generic_ext"] == "+".join([pair[0], pair[1]])
 
 
 def test_cap_env_var(capsys, monkeypatch):

@@ -39,12 +39,14 @@ from quiverlab import (
     rank,
     strata,
 )
-from quiverlab import extensions, grassmannian
+from quiverlab import extensions, grassmannian, linalg
 from quiverlab.extensions import (
     _candidates,
     _classify_u,
+    _coboundaries,
     _ext_set_filter,
     _ext_set_u,
+    _free_by_part,
     _hom_box,
     _walked_side,
 )
@@ -372,8 +374,16 @@ def test_u_route_classifies_one_u_per_orbit_representative(
             (nu_count, nu_roots), (mu_count, mu_roots) = orbit_sides(mu, nu, q)
             on_nu = nu_count <= mu_count
             assert len(calls) == len(set(calls)) == min(nu_count, mu_count)
-            # the count the cap reads is the walk's
+            # the count the cap reads is the walk's, never past u = 0 and
+            # the lines of Ext^1, as the copies' groups hold the scalars
             assert _walked_side(mu, nu, q)[0] == len(calls)
+            assert len(calls) <= 1 + (q**e - 1) // (q - 1)
+            # the pairs' free coordinates, placed by the parts of either
+            # side, are those of the whole sum's coboundaries
+            pivots = linalg.rref(_coboundaries(build(mu, q), build(nu, q)), q)[1]
+            free = [c for c in range(n_u) if c not in pivots]
+            for side in (True, False):
+                assert sorted(itertools.chain(*_free_by_part(mu, nu, q, side))) == free
             roots, parts = (nu_roots, nu.parts) if on_nu else (mu_roots, mu.parts)
             covered = 0
             for u in calls:
