@@ -19,8 +19,8 @@ class ``mu``.  Two independent routes are kept deliberately separate:
   representation E_u is not built:
   dim Hom(M_a, E_u) is hom(a, nu) + hom(a, mu) minus the rank of the
   connecting map Hom(M_a, M_mu) -> Ext^1(M_a, M_nu), f -> [u f].  Its
-  packed columns, one per position of u, are computed once per
-  ``(mu, nu, q)``; a u sums those of its nonzero entries into packed
+  packed columns, one per position of u, come from Hom and Ext^1 bases
+  per pair of roots; a u sums those of its nonzero entries into packed
   rows to rank, and the class follows by ``identify``'s triangular solve.
 * subrep-filter: a candidate ``lam <= mu (+) nu`` belongs to the set iff
   the Grassmannian of ``build(lam)`` realizes the pair ``(mu, nu)``.
@@ -48,6 +48,7 @@ from operator import add, le, mul
 from typing import Sequence
 
 from . import grassmannian, linalg
+from .grassmannian import _pair_basis
 from .homs import ext_dim, hom_dim, hom_ext_pair, hom_ext_vectors
 from .order import _check_kp_cap, leq
 from .quiver import (
@@ -66,7 +67,6 @@ from .reps import (
     RepError,
     _intertwiner_system,
     _partition_from_counts,
-    build,
     identify,  # not called here: bench/smoke_test.py rebinds it to test the tracer
     indecomposable,
 )
@@ -133,30 +133,39 @@ def _coboundaries(x: Rep, y: Rep) -> list[tuple[int, ...]]:
 
 
 @functools.cache
-def _pair_free(table: RootTable, a: int, b: int, q: int) -> tuple[tuple[int, int, int], ...]:
-    """The free (non-pivot) positions of the reduced echelon form of the
-    coboundaries of M_a into M_b, as ``(arrow, row, column)`` in the
-    layout of :func:`_coboundaries`, memoized per pair of roots."""
+def _pair_ext(table: RootTable, a: int, b: int, q: int) -> tuple:
+    """``(free, coords)`` for Ext^1(M_a, M_b), memoized per pair of roots:
+    the free (non-pivot) positions c of the reduced echelon form E of the
+    coboundaries of M_a into M_b (:func:`_coboundaries`), and the rows
+    reading a cocycle x there, x[c] - sum_i x[pivot_i] E[i][c]."""
     x, y = indecomposable(table, a, q), indecomposable(table, b, q)
-    pivots = set(linalg.rref(_coboundaries(x, y), q)[1])
-    blocks = (
-        (k, i, j)
-        for k, (s, t) in enumerate(table.quiver.arrows)
-        for i in range(y.dims[t - 1])
-        for j in range(x.dims[s - 1])
-    )
-    return tuple(place for c, place in enumerate(blocks) if c not in pivots)
+    cocycles = _coboundaries(x, y)
+    width = hom_omega_dim(x.dims, y.dims, table.quiver)
+    pivots = set(linalg.rref(cocycles, q)[1])
+    free = tuple(c for c in range(width) if c not in pivots)
+    return free, linalg.kernel_basis(cocycles, width, q)
 
 
-def _ext_coordinates(m_a: Rep, y: Rep) -> list[list[int]]:
-    """Rows that read coordinates on Ext^1(m_a, y) off a cocycle (layout
-    in :func:`_coboundaries`).  The coordinates are the residues modulo
-    the coboundaries at the non-pivot positions c of their reduced
-    echelon form E, x -> x[c] - sum_i x[pivot_i] E[i][c]: the rows
-    :func:`linalg.kernel_basis` builds from E.
-    """
-    width = hom_omega_dim(m_a.dims, y.dims, m_a.quiver)
-    return linalg.kernel_basis(_coboundaries(m_a, y), width, m_a.q)
+def _blocks(mu: KostantPartition, nu: KostantPartition, keep):
+    """``(kept, i, j, at)`` for each part i of mu and part j of nu whose
+    roots c, b give a nonempty ``kept = keep(c, b)``, asked once per pair
+    of distinct roots: ``at`` holds the positions in u of their block,
+    in the layout of the cocycles of M_c into M_b (:func:`_coboundaries`)."""
+    arrows, roots, alpha = mu.table.quiver.arrows, mu.table.roots, mu.total
+    sizes = (nu.total[t - 1] * alpha[s - 1] for s, t in arrows)
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    zero = (0,) * len(alpha)
+    lefts = list(itertools.accumulate((roots[c] for c in mu.parts), dim_add, initial=zero))
+    tops = list(itertools.accumulate((roots[b] for b in nu.parts), dim_add, initial=zero))
+    for (c, i0, m), (b, j0, n) in itertools.product(_runs(mu.parts), _runs(nu.parts)):
+        if kept := keep(c, b):
+            for i, j in itertools.product(range(i0, i0 + m), range(j0, j0 + n)):
+                yield kept, i, j, [
+                    o + (tops[j][t - 1] + r) * alpha[s - 1] + lefts[i][s - 1] + l
+                    for o, (s, t) in zip(offsets, arrows)
+                    for r in range(roots[b][t - 1])
+                    for l in range(roots[c][s - 1])
+                ]
 
 
 @functools.cache
@@ -169,23 +178,22 @@ def _connecting_maps(mu: KostantPartition, nu: KostantPartition, q: int) -> tupl
     sequence
     0 -> Hom(M_a, M_nu) -> Hom(M_a, E_u) -> Hom(M_a, M_mu) -> Ext^1(M_a, M_nu)
     gives dim Hom(M_a, E_u) = base[a] - rank{[u f]}, with
-    ``base[a] = hom(a, nu) + hom(a, mu)``, f over a basis of
-    Hom(M_a, M_mu) (:func:`.grassmannian._assembled_basis`) and [u f] the
+    ``base[a] = hom(a, nu) + hom(a, mu)``, f over the bases of Hom(M_a, M_c)
+    per part c of mu (:func:`.grassmannian._pair_basis`) and [u f] the
     class of (u_k f_s)_k.  ``maps`` holds ``(a, h, e, columns)`` for every
     root index ``a`` with h = hom(a, mu) > 0 and e = ext(a, nu) > 0
     (elsewhere the rank is 0): ``columns[c]`` packs coordinate j of
     [u f_i] at the unit u at position c in slot i * e + j.
 
-    Entry (i, j) of u_k f_s is sum_l u_k[i][l] f_s[l][j], and a
-    coordinate reads the entries of the u_k f_s in the cocycle layout of
-    :func:`_ext_coordinates`, which is the layout of u with f_s's width
-    in place of alpha_s.  So the coefficient of u_k[i][l] in a
-    coordinate is the coordinate's (k, i) block dotted with row l of f_s.
+    The coordinates are those of Ext^1(M_a, M_b) per part b of nu
+    (:func:`_pair_ext`), so a unit u in the block of parts c and b meets
+    only those of b and the f of c.  Entry (i, j) of u_k f_s is
+    sum_l u_k[i][l] f_s[l][j]: the coefficient of u_k[i][l] is the
+    coordinate's (k, i) block dotted with row l of f_s.
     """
     table = mu.table
-    arrows = table.quiver.arrows
-    beta = nu.total
-    y = build(nu, q)
+    arrows, roots = table.quiver.arrows, table.roots
+    width = linalg._slot_bits(q)
     into_mu = hom_ext_vectors(mu)[0]
     into_nu, ext_nu, _ = hom_ext_vectors(nu)
     base = tuple(map(add, into_mu, into_nu))
@@ -193,25 +201,29 @@ def _connecting_maps(mu: KostantPartition, nu: KostantPartition, q: int) -> tupl
     for a, (h, e) in enumerate(zip(into_mu, ext_nu)):
         if not (h and e):
             continue
-        m_a = indecomposable(table, a, q)
-        fs = grassmannian._assembled_basis(mu, a, q, False)
-        if len(fs) != h:
-            raise RepError("a Hom basis disagrees with the closed-form count")
-        coords = _ext_coordinates(m_a, y)
-        if len(coords) != e:
-            raise RepError("Ext^1 coordinates disagree with the closed-form count")
-        rows = []
-        for f in fs:
-            for coord in coords:
-                row, pos = [], 0
-                for s, t in arrows:
-                    f_s, width = f[s - 1], m_a.dims[s - 1]
-                    for _ in range(beta[t - 1]):
-                        block = coord[pos : pos + width]
-                        pos += width
-                        row.extend(sum(map(mul, block, f_row)) for f_row in f_s)
-                rows.append(row)
-        maps.append((a, h, e, tuple(linalg._pack(column, q) for column in zip(*rows))))
+        step = e * width
+        h_at = [0, *itertools.accumulate(len(_pair_basis(table, a, c, q)) for c in mu.parts)]
+        e_at = [0, *itertools.accumulate(len(_pair_ext(table, a, b, q)[1]) for b in nu.parts)]
+        if (h_at[-1], e_at[-1]) != (h, e):
+            raise RepError("Hom or Ext^1 bases disagree with the closed-form counts")
+
+        def block(c: int, b: int) -> list[int]:
+            fs, coords = _pair_basis(table, a, c, q), _pair_ext(table, a, b, q)[1]
+            out, pos = [], 0
+            for s, t in arrows if fs and coords else ():
+                for _ in range(roots[b][t - 1]):
+                    reads = [coord[pos : pos + roots[a][s - 1]] for coord in coords]
+                    pos += roots[a][s - 1]
+                    for l in range(roots[c][s - 1]):
+                        dots = ([sum(map(mul, x, f[s - 1][l])) for x in reads] for f in fs)
+                        out.append(sum(linalg._pack(d, q) << i * step for i, d in enumerate(dots)))
+            return out
+
+        columns = [0] * hom_omega_dim(mu.total, nu.total, table.quiver)
+        for block_columns, i, j, at in _blocks(mu, nu, block):
+            for p, column in zip(at, block_columns):
+                columns[p] = column << h_at[i] * step + e_at[j] * width
+        maps.append((a, h, e, tuple(columns)))
     return base, tuple(maps)
 
 
@@ -293,26 +305,13 @@ def _walked_side(mu: KostantPartition, nu: KostantPartition, q: int) -> tuple:
     return min(sides, key=lambda entry: entry[0])
 
 
-def _free_by_part(
-    mu: KostantPartition, nu: KostantPartition, q: int, on_nu: bool
-) -> list[list[int]]:
-    """The free coordinates of u, those of :func:`_pair_free` placed at
-    each pair's block (layout in :func:`_connecting_maps`), per part of
-    nu (``on_nu``) or of mu, in ascending order."""
-    table = mu.table
-    arrows, roots, alpha = table.quiver.arrows, table.roots, mu.total
-    sizes = (nu.total[t - 1] * alpha[s - 1] for s, t in arrows)
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    zero = (0,) * len(alpha)
-    lefts = list(itertools.accumulate((roots[a] for a in mu.parts), dim_add, initial=zero))
-    tops = itertools.accumulate((roots[b] for b in nu.parts), dim_add, initial=zero)
+def _free_by_part(mu: KostantPartition, nu: KostantPartition, q: int, on_nu: bool) -> list:
+    """The free coordinates of u, those of :func:`_pair_ext` placed at
+    each pair's block (:func:`_blocks`), per part of nu (``on_nu``) or
+    of mu, in ascending order."""
     coords: list[list[int]] = [[] for _ in (nu if on_nu else mu).parts]
-    for i_nu, (b, top) in enumerate(zip(nu.parts, tops)):
-        for i_mu, (a, left) in enumerate(zip(mu.parts, lefts)):
-            part = coords[i_nu if on_nu else i_mu]
-            for k, i, j in _pair_free(table, a, b, q):
-                s, t = arrows[k]
-                part.append(offsets[k] + (top[t - 1] + i) * alpha[s - 1] + left[s - 1] + j)
+    for free, i, j, at in _blocks(mu, nu, lambda c, b: _pair_ext(mu.table, c, b, q)[0]):
+        coords[j if on_nu else i].extend(at[p] for p in free)
     return [sorted(part) for part in coords]
 
 
@@ -323,7 +322,7 @@ def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
     Every class [u] has one representative on the free (non-pivot)
     coordinates of the coboundaries' echelon form.  The coboundaries
     split by pairs of parts, so these are the free coordinates of each
-    pair (:func:`_pair_free`) placed at the pair's block of u, and the
+    pair (:func:`_pair_ext`) placed at the pair's block of u, and the
     m copies of a root b of nu share one pattern of e = ext(mu, b) free
     coordinates, whose values form an e x m matrix U_b, one column per
     copy.  For g in GL_m acting on the copies, conjugating by
@@ -352,7 +351,7 @@ def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
 
 @functools.cache
 def _candidates(split: KostantPartition) -> tuple[KostantPartition, ...]:
-    """The classes ``lam <= split``: the middle terms the subrep route scans."""
+    """The classes ``lam <= split``, which :func:`_hom_box` filters."""
     return tuple(lam for lam in kp_enumerate(split.table, split.total) if leq(lam, split))
 
 
@@ -397,7 +396,7 @@ def ext_set(
     if method == METHOD_FILTER:
         # the candidates are counted before they are listed
         _check_kp_cap(mu.table, split.total, cap)
-        scans = len(_candidates(split))
+        scans = len(_hom_box(mu, nu))
     for q in fields:
         if method == METHOD_U:
             needed = _walked_side(mu, nu, q)[0]
@@ -407,7 +406,7 @@ def ext_set(
             )
         else:
             needed = scans * grassmannian.scan_states(split.total, nu.total, q)
-            what = "subrepresentation scan (one per candidate middle term)"
+            what = "subrepresentation scan (one per candidate in the hom box)"
         linalg.check_cap(needed, cap, what)
     runner = _ext_set_u if method == METHOD_U else _ext_set_filter
     per_field = [runner(mu, nu, q) for q in fields]

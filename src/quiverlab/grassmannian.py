@@ -10,7 +10,8 @@ each vertex, in topological order, the walk keeps the entries whose
 residues kill the images of the spaces already chosen, once per walk
 for each choice of table indices there.  A table holds
 gaussian_binomial(d, b, q) entries (about 0.5 to 1 KB each for d <= 6),
-a factor of the :func:`scan_states` count, and is built only after that
+a factor of the :func:`scan_states` count (for ``point_count``, of the
+states of the colour class it enumerates), and is built only after that
 count has passed the cap: the cap bounds every table, and a call it
 refuses builds none.  The points fall into strata by the classes of
 their subrepresentation and quotient (Caldero-Reineke, "On the quiver
@@ -424,10 +425,30 @@ def point_count(
 ) -> int:
     """Number of F_q-points of the Grassmannian of beta-dimensional subreps,
     counted over the two colour classes of the diagram with no walk; the
-    cap is checked as :func:`strata` checks it."""
+    cap is checked against the states of the class enumerated
+    (:func:`_colour_classes`)."""
     beta = tuple(beta)
-    _check_scan(lam.total, beta, q, cap)
+    _check_scan(lam.total, beta, q, None)
+    states = _colour_classes(lam, beta, q)[2]
+    linalg.check_cap(states, cap, "subspace scan of the colour class with fewer states")
     return _colour_count(lam, beta, q)
+
+
+def _colour_classes(lam: KostantPartition, beta: tuple[int, ...], q: int) -> tuple:
+    """``(xs, ys, states)``: the two colour classes of the diagram, a
+    tree, by the parity of the height, xs the one whose subspaces of
+    dimension ``beta`` in ``lam.total`` have fewer states (vertex 1's
+    class on a tie), and ``states`` that number, a product of Gaussian
+    binomials."""
+    quiver, dims = lam.table.quiver, lam.total
+    xi = _heights(quiver)
+    classes = [[v for v in quiver.vertices if (xi[v - 1] - xi[0]) % 2 == c] for c in (0, 1)]
+    states = [
+        math.prod(linalg.gaussian_binomial(dims[v - 1], beta[v - 1], q) for v in c)
+        for c in classes
+    ]
+    xs, ys = classes if states[0] <= states[1] else classes[::-1]
+    return xs, ys, min(states)
 
 
 @functools.cache
@@ -437,23 +458,17 @@ def _colour_count(lam: KostantPartition, beta: tuple[int, ...], q: int) -> int:
 
     A Dynkin diagram is a tree, so its vertices fall into two colour
     classes with no edge inside either, and the subspaces U_x on the one
-    with fewer states are enumerated.  A vertex y of the other class then only needs
-    A_y <= U_y <= B_y, where A_y is spanned by the images of U_s along
-    the arrows s -> y, and B_y is cut out by the annihilator of each U_t
-    pulled back along the arrows y -> t.  So y contributes the Gaussian
+    with fewer states are enumerated (:func:`_colour_classes`).  A vertex
+    y of the other class then only needs A_y <= U_y <= B_y, where A_y is
+    spanned by the images of U_s along the arrows s -> y, and B_y is cut
+    out by the annihilator of each U_t pulled back along the arrows
+    y -> t.  So y contributes the Gaussian
     binomial [dim B_y - dim A_y choose beta_y - dim A_y]_q when
     A_y <= B_y, and 0 otherwise.
     """
     m = build(lam, q)
     quiver, dims, mats = m.quiver, m.dims, m.mats
-    # the parity of the height colours the tree, vertex 1's class first
-    xi = _heights(quiver)
-    classes = [[v for v in quiver.vertices if (xi[v - 1] - xi[0]) % 2 == c] for c in (0, 1)]
-    states = [
-        math.prod(linalg.gaussian_binomial(dims[v - 1], beta[v - 1], q) for v in c)
-        for c in classes
-    ]
-    xs, ys = classes if states[0] <= states[1] else classes[::-1]
+    xs, ys, _ = _colour_classes(lam, beta, q)
     # per vertex x and subspace U_x: for every arrow at x, the vectors it
     # puts at the other end, images of U_x or functionals vanishing on B_y
     options = []

@@ -631,19 +631,29 @@ def test_coordinate_pairs_need_two_tokens(capsys):
 # ------------------------------------------------------------ caps
 
 def test_cap_flag_exit_5(capsys):
+    # the count enumerates one colour class, 3 states, past the cap of 1
     rc, _ = run(
-        capsys, "grass", "count", "[1,2]+[2,3]", "--beta", "0,1,1",
+        capsys, "grass", "count", "[1,2]+[1,2]", "--beta", "1,1,0",
         "--field", "2", "--cap", "1", *A3,
     )
     assert rc == 5
 
 
-def test_subrep_cap_counts_every_candidate_exit_5(capsys):
-    # 10 candidate middle terms, each a 64-state scan over GF(3)
+def test_point_count_cap_counts_the_enumerated_colour_class(capsys):
+    # the whole scan has 2,558,556 states over GF(5), but the count
+    # enumerates the class of vertex 2, whose one subspace is 0
+    argv = ["grass", "count", "+".join(["[1,1]"] * 6), "--beta", "3,0,0", "--field", "5"]
+    rc, data = run_json(capsys, *argv, "--cap", "1", *A3)
+    assert rc == 0 and data["counts"] == [{"q": 5, "count": 2558556}]
+
+
+def test_subrep_cap_counts_the_hom_box_exit_5(capsys):
+    # 5 of the 10 candidate middle terms are in the hom box, each a
+    # 64-state scan over GF(3)
     argv = ["ext-set", "[1,1]+[2,2]+[3,3]", "[1,1]+[2,2]+[3,3]", "--method", "subrep", *A3]
-    assert main([*argv, "--cap", "64"]) == 5
-    assert "subrepresentation scan" in capsys.readouterr().err
-    rc, data = run_json(capsys, *argv, "--cap", "640")
+    assert main([*argv, "--cap", "319"]) == 5
+    assert "hom box) needs 320 states, cap is 319" in capsys.readouterr().err
+    rc, data = run_json(capsys, *argv, "--cap", "320")
     assert rc == 0 and len(data["classes"]) == 4
 
 
@@ -670,12 +680,12 @@ def test_u_route_with_ext_zero_classifies_one_u(capsys):
 def test_cap_env_var(capsys, monkeypatch):
     monkeypatch.setenv("QUIVERLAB_CAP", "1")
     rc, _ = run(
-        capsys, "grass", "count", "[1,2]+[2,3]", "--beta", "0,1,1", "--field", "2", *A3
+        capsys, "grass", "count", "[1,2]+[1,2]", "--beta", "1,1,0", "--field", "2", *A3
     )
     assert rc == 5
     # an explicit --cap wins over the environment
     rc, data = run_json(
-        capsys, "grass", "count", "[1,2]+[2,3]", "--beta", "0,1,1",
+        capsys, "grass", "count", "[1,2]+[1,2]", "--beta", "1,1,0",
         "--field", "2", "--cap", "100000", *A3,
     )
     assert rc == 0 and data["counts"][0]["count"] == 3

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from operator import mul
 
 import pytest
 
@@ -39,18 +40,20 @@ from quiverlab import (
     rank,
     strata,
 )
-from quiverlab import extensions, grassmannian, linalg
+from quiverlab import extensions, grassmannian, linalg, reps
 from quiverlab.extensions import (
     _candidates,
     _classify_u,
     _coboundaries,
+    _connecting_maps,
     _ext_set_filter,
     _ext_set_u,
     _free_by_part,
     _hom_box,
     _walked_side,
 )
-from quiverlab.reps import Rep, RepError
+from quiverlab.homs import hom_ext_vectors
+from quiverlab.reps import Rep, RepError, _partition_from_counts, indecomposable
 
 
 def names(classes):
@@ -206,10 +209,10 @@ def test_u_route_cap_counts_the_representatives_it_classifies(t3, monkeypatch):
     assert kp_format(generic_ext(mu, nu)) == "[2,3]+[2,3]+[2,3]+[2,3]"
 
 
-def test_subrep_cap_counts_every_candidate_scan(t3, monkeypatch):
-    # the cap counts a scan of the Grassmannian of each of the 10 classes
-    # lam <= mu + nu, 27 states each over GF(2) and 64 over GF(3), though
-    # only the 5 in the hom box are scanned
+def test_subrep_cap_counts_the_hom_box_scans(t3, monkeypatch):
+    # of the 10 classes lam <= mu + nu only the 5 in the hom box are
+    # scanned, and the cap counts a scan of the Grassmannian of each of
+    # those, 27 states each over GF(2) and 64 over GF(3)
     mu = kp_parse(t3, "[1,1]+[2,2]+[3,3]")
     split = mu + mu
     assert sum(leq(lam, split) for lam in kp_enumerate(t3, split.total)) == 10
@@ -226,12 +229,12 @@ def test_subrep_cap_counts_every_candidate_scan(t3, monkeypatch):
     extensions._ext_set_filter.cache_clear()
     with pytest.raises(CapExceeded) as exc:
         ext_set(mu, mu, method=METHOD_FILTER, cap=64)
-    assert exc.value.needed == 270 and "subrepresentation scan" in str(exc.value)
+    assert exc.value.needed == 135 and "subrepresentation scan" in str(exc.value)
     with pytest.raises(CapExceeded) as exc:
-        ext_set(mu, mu, method=METHOD_FILTER, cap=639)
-    assert exc.value.needed == 640
+        ext_set(mu, mu, method=METHOD_FILTER, cap=319)
+    assert exc.value.needed == 320
     assert scanned == []
-    result = ext_set(mu, mu, method=METHOD_FILTER, cap=640)
+    result = ext_set(mu, mu, method=METHOD_FILTER, cap=320)
     assert scanned == [(lam, q) for q in (2, 3) for lam in box]
     assert sorted(kp_format(lam) for lam in result.classes) == [
         "[1,1]+[1,1]+[2,2]+[2,2]+[3,3]+[3,3]",
@@ -400,6 +403,125 @@ def test_u_route_classifies_one_u_per_orbit_representative(
     assert (triples, points, reps) == (n_triples, n_points, n_reps)
 
 
+def whole_sum_ranks(mu, nu, q):
+    """The connecting maps f -> [u f] built from the whole direct sums,
+    as the u-route once built them: M_nu is built, the coordinates of
+    Ext^1(M_a, M_nu) are read off the kernel of the coboundaries of M_a
+    into all of M_nu, and f runs over the zero-padded basis of
+    Hom(M_a, M_mu) (``grassmannian._assembled_basis``).  Returns the map
+    from a flat u to ``{a: rank}`` over the roots a with hom(a, mu) > 0
+    and ext(a, nu) > 0."""
+    table = mu.table
+    alpha, beta = mu.total, nu.total
+    y = build(nu, q)
+    into_mu, ext_nu = hom_ext_vectors(mu)[0], hom_ext_vectors(nu)[1]
+    maps = []
+    for a, (h, e) in enumerate(zip(into_mu, ext_nu)):
+        if h and e:
+            m_a = indecomposable(table, a, q)
+            width = hom_omega_dim(m_a.dims, y.dims, table.quiver)
+            coords = linalg.kernel_basis(_coboundaries(m_a, y), width, q)
+            fs = grassmannian._assembled_basis(mu, a, q, False)
+            assert (len(fs), len(coords)) == (h, e)
+            maps.append((a, m_a.dims, coords, fs))
+
+    def ranks(u):
+        out = {}
+        for a, d_a, coords, fs in maps:
+            rows = []
+            for f in fs:
+                cocycle, pos = [], 0  # u_k f_s, arrow by arrow and row by row
+                for s, t in table.quiver.arrows:
+                    n = alpha[s - 1]
+                    for r in range(beta[t - 1]):
+                        u_row = u[pos + r * n : pos + (r + 1) * n]
+                        cocycle.extend(
+                            sum(u_row[l] * f[s - 1][l][j] for l in range(n))
+                            for j in range(d_a[s - 1])
+                        )
+                    pos += beta[t - 1] * n
+                rows.append([sum(map(mul, coord, cocycle)) % q for coord in coords])
+            out[a] = rank(rows, q)
+        return out
+
+    return ranks
+
+
+def packed_ranks(mu, nu, q, u):
+    """``{a: rank}`` read off the packed columns of ``_connecting_maps``,
+    unpacked and summed entry by entry."""
+    out = {}
+    for a, h, e, columns in _connecting_maps(mu, nu, q)[1]:
+        image = [0] * (h * e)
+        for c, x in nonzero(u):
+            column = linalg._unpack(columns[c], q, h * e)
+            image = [(v + x * w) % q for v, w in zip(image, column)]
+        out[a] = rank([image[i * e : (i + 1) * e] for i in range(h)], q)
+    return out
+
+
+@pytest.mark.parametrize(
+    "which,bound,fields",
+    [pytest.param(*p.values[:3], id=p.id) for p in SWEEPS]
+    + [
+        pytest.param("t2", "stacks", (2, 3, 5), id="A2-stacks"),
+        pytest.param("e6", "roots", (2, 3), id="E6-roots"),
+    ],
+)
+def test_connecting_maps_from_pair_blocks_match_the_whole_sum(
+    request, monkeypatch, which, bound, fields
+):
+    # the u-route fills its columns from pair pieces alone; at every u it
+    # classifies, each root's connecting map has the rank the whole-sum
+    # construction gives it, and with that construction made to raise,
+    # ext_set still returns the classes those ranks solve to
+    table = request.getfixturevalue(which)
+    if bound == "stacks":  # [1,1] or [1,2] times k by [2,2] times m, k, m <= 4
+        pairs = [
+            (kp_parse(table, "+".join([x] * k)), kp_parse(table, "+".join(["[2,2]"] * m)))
+            for x in ("[1,1]", "[1,2]")
+            for k, m in itertools.product(range(1, 5), repeat=2)
+        ]
+    elif bound == "roots":  # single roots, some of dimension 2 or 3 at a source
+        roots = [KostantPartition(table, (a,)) for a in range(len(table))]
+        pairs = [(mu, nu) for mu, nu in itertools.product(roots, repeat=2) if ext_dim(mu, nu)]
+    else:
+        pairs = list(sweep_pairs(table, bound))
+    calls = counting_classify(monkeypatch)
+    expected = {}
+    for mu, nu in pairs:
+        base = list(map(int.__add__, hom_ext_vectors(mu)[0], hom_ext_vectors(nu)[0]))
+        for q in fields:
+            calls.clear()
+            _ext_set_u.__wrapped__(mu, nu, q)
+            ranks = whole_sum_ranks(mu, nu, q)
+            classes = set()
+            for u in calls:
+                got = ranks(u)
+                assert packed_ranks(mu, nu, q, u) == got, (kp_format(mu), kp_format(nu), q, u)
+                counts = tuple(h - got.get(a, 0) for a, h in enumerate(base))
+                classes.add(_partition_from_counts(table, counts, dim_add(mu.total, nu.total)))
+            expected[mu, nu, q] = classes
+    monkeypatch.undo()
+
+    def forbidden(*args):
+        raise AssertionError("the u-route built a whole direct sum")
+
+    assert not hasattr(extensions, "build")
+    monkeypatch.setattr(reps, "build", forbidden)
+    monkeypatch.setattr(grassmannian, "_assembled_basis", forbidden)
+    for memo in (_ext_set_u, _connecting_maps, extensions._pair_ext):
+        memo.cache_clear()
+    for (mu, nu, q), classes in expected.items():
+        assert ext_set(mu, nu, fields=(q,), method="u").classes == classes
+    if bound == "stacks":
+        mu, nu = kp_parse(table, "+".join(["[1,1]"] * 300)), kp_parse(table, "[2,2]")
+        assert names(ext_set(mu, nu, method="u").classes) == [
+            "+".join(["[1,1]"] * 300 + ["[2,2]"]),
+            "+".join(["[1,1]"] * 299 + ["[1,2]"]),
+        ]
+
+
 def on_copies(mu, nu, q, u, on_nu, first, g):
     """The flat u with the m x m matrix g acting on the m copies of one
     root, parts ``first .. first + m - 1``: (g x 1)u on the rows of those
@@ -553,8 +675,9 @@ def test_cap_is_checked_after_a_warm_memo(t3):
         ext_set(mu, nu, method=method)
         with pytest.raises(CapExceeded):
             ext_set(mu, nu, method=method, cap=1)
+    # the count enumerates vertex 1 and 3's colour class, one state
     with pytest.raises(CapExceeded):
-        point_count(lam, beta, 2, cap=1)
+        point_count(lam, beta, 2, cap=0)
 
 
 def test_alternate_word_agrees_with_canonical(t3):

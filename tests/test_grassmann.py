@@ -307,13 +307,15 @@ def test_a_call_refused_by_the_cap_builds_no_table(t3):
     grassmannian._subspace_table.cache_clear()
     grassmannian._strata.cache_clear()
     grassmannian._colour_count.cache_clear()
-    for call in (
-        lambda cap: list(subreps(build(lam, 3), beta, cap)),
-        lambda cap: strata(lam, beta, 3, cap),
-        lambda cap: point_count(lam, beta, 3, cap),
+    # point_count enumerates only vertex 2's colour class, one state
+    for call, needed in (
+        (lambda cap: list(subreps(build(lam, 3), beta, cap)), 130),
+        (lambda cap: strata(lam, beta, 3, cap), 130),
+        (lambda cap: point_count(lam, beta, 3, cap), 1),
     ):
-        with pytest.raises(CapExceeded):
-            call(129)
+        with pytest.raises(CapExceeded) as exc:
+            call(needed - 1)
+        assert exc.value.needed == needed
         assert grassmannian._subspace_table.cache_info().currsize == 0
     assert strata(lam, beta, 3, 130).total == 130
     assert grassmannian._subspace_table.cache_info().currsize > 0
