@@ -15,13 +15,16 @@ class ``mu``.  Two independent routes are kept deliberately separate:
   each root's copies (:func:`_ext_set_u`), on the side, nu's or mu's,
   with fewer of them.  For ``[1,1]+[1,1]+[1,1]`` by ``[2,2]+[2,2]+[2,2]``
   in A2 over GF(5) that is 64 points, where u-space and Ext^1 are both
-  F_5^9 and one u per line would be 1 + (5^9 - 1)/4.  The block
-  representation E_u is not built:
-  dim Hom(M_a, E_u) is hom(a, nu) + hom(a, mu) minus the rank of the
-  connecting map Hom(M_a, M_mu) -> Ext^1(M_a, M_nu), f -> [u f].  Its
-  packed columns, one per position of u, come from Hom and Ext^1 bases
-  per pair of roots; a u sums those of its nonzero entries into packed
-  rows to rank, and the class follows by ``identify``'s triangular solve.
+  F_5^9 and one u per line would be 1 + (5^9 - 1)/4.  So u is written
+  in Ext^1 coordinates, ext(c, b) per part c of mu and part b of nu
+  (:func:`_part_pairs`), and E_u is not built: dim Hom(M_a, E_u) is
+  hom(a, nu) + hom(a, mu) minus the rank of the connecting map
+  Hom(M_a, M_mu) -> Ext^1(M_a, M_nu), f -> [u f].  Its packed columns,
+  one per Ext^1 coordinate, are pieces of the Yoneda pairing
+  Ext^1(M_c, M_b) x Hom(M_a, M_c) -> Ext^1(M_a, M_b), one per triple of
+  roots (:func:`_yoneda`); a u sums those of its nonzero coordinates
+  into packed rows to rank, and the class follows by ``identify``'s
+  triangular solve.
 * subrep-filter: a candidate ``lam <= mu (+) nu`` belongs to the set iff
   the Grassmannian of ``build(lam)`` realizes the pair ``(mu, nu)``.
   Only the candidates in the hom box are scanned:
@@ -45,7 +48,7 @@ import functools
 import itertools
 import math
 from operator import add, le, mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import grassmannian, linalg
 from .grassmannian import _pair_basis
@@ -146,53 +149,61 @@ def _pair_ext(table: RootTable, a: int, b: int, q: int) -> tuple:
     return free, linalg.kernel_basis(cocycles, width, q)
 
 
-def _blocks(mu: KostantPartition, nu: KostantPartition, keep):
-    """``(kept, i, j, at)`` for each part i of mu and part j of nu whose
-    roots c, b give a nonempty ``kept = keep(c, b)``, asked once per pair
-    of distinct roots: ``at`` holds the positions in u of their block,
-    in the layout of the cocycles of M_c into M_b (:func:`_coboundaries`)."""
-    arrows, roots, alpha = mu.table.quiver.arrows, mu.table.roots, mu.total
-    sizes = (nu.total[t - 1] * alpha[s - 1] for s, t in arrows)
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    zero = (0,) * len(alpha)
-    lefts = list(itertools.accumulate((roots[c] for c in mu.parts), dim_add, initial=zero))
-    tops = list(itertools.accumulate((roots[b] for b in nu.parts), dim_add, initial=zero))
-    for (c, i0, m), (b, j0, n) in itertools.product(_runs(mu.parts), _runs(nu.parts)):
-        if kept := keep(c, b):
-            for i, j in itertools.product(range(i0, i0 + m), range(j0, j0 + n)):
-                yield kept, i, j, [
-                    o + (tops[j][t - 1] + r) * alpha[s - 1] + lefts[i][s - 1] + l
-                    for o, (s, t) in zip(offsets, arrows)
-                    for r in range(roots[b][t - 1])
-                    for l in range(roots[c][s - 1])
-                ]
+def _part_pairs(mu: KostantPartition, nu: KostantPartition):
+    """``(i, j, c, b, e)`` for each part i of mu and part j of nu whose
+    roots c, b have e = ext(c, b) > 0, asked once per pair of distinct
+    roots: the order of the Ext^1(M_mu, M_nu) coordinates, e per pair,
+    nu's parts outermost, so that each one's coordinates are contiguous."""
+    table, runs = mu.table, _runs(mu.parts)
+    for b, j0, n in _runs(nu.parts):
+        meets = [(c, i0, m, e) for c, i0, m in runs if (e := hom_ext_pair(table, c, b)[1])]
+        for j in range(j0, j0 + n):
+            for c, i0, m, e in meets:
+                for i in range(i0, i0 + m):
+                    yield i, j, c, b, e
 
 
 @functools.cache
+def _yoneda(table: RootTable, a: int, c: int, b: int, q: int) -> tuple:
+    """The Yoneda pairing Ext^1(M_c, M_b) x Hom(M_a, M_c) -> Ext^1(M_a, M_b),
+    memoized per triple of roots: per free position of :func:`_pair_ext`
+    of c and b and per f in the basis of Hom(M_a, M_c)
+    (:func:`.grassmannian._pair_basis`), the packed coordinates of [x f]
+    for x the unit cocycle there.  If x is 1 at row r, column l of its
+    block at the arrow ``s -> t``, x f is row l of f_s there, so a
+    coordinate is its reading row's (arrow, r) block dotted with it."""
+    roots = table.roots
+    fs, coords = _pair_basis(table, a, c, q), _pair_ext(table, a, b, q)[1]
+    spots, at = [], 0  # per position of x: (s - 1, l, where its row is read)
+    for s, t in table.quiver.arrows:
+        n = roots[a][s - 1]
+        for _ in range(roots[b][t - 1]):
+            spots.extend((s - 1, l, slice(at, at + n)) for l in range(roots[c][s - 1]))
+            at += n
+    return tuple(
+        tuple(linalg._pack([sum(map(mul, x[read], f[v][l])) for x in coords], q) for f in fs)
+        for v, l, read in map(spots.__getitem__, _pair_ext(table, c, b, q)[0])
+    )
+
+
 def _connecting_maps(mu: KostantPartition, nu: KostantPartition, q: int) -> tuple:
     """What :func:`_classify_u` reads: ``(base, maps)``.
 
-    A flat u holds one ``beta_t x alpha_s`` block u_k per arrow
-    ``s -> t`` (``beta = dim nu``, ``alpha = dim mu``), arrow by arrow
-    and row by row.  For E_u in 0 -> M_nu -> E_u -> M_mu -> 0 the exact
-    sequence
+    For E_u in 0 -> M_nu -> E_u -> M_mu -> 0 the exact sequence
     0 -> Hom(M_a, M_nu) -> Hom(M_a, E_u) -> Hom(M_a, M_mu) -> Ext^1(M_a, M_nu)
     gives dim Hom(M_a, E_u) = base[a] - rank{[u f]}, with
     ``base[a] = hom(a, nu) + hom(a, mu)``, f over the bases of Hom(M_a, M_c)
     per part c of mu (:func:`.grassmannian._pair_basis`) and [u f] the
-    class of (u_k f_s)_k.  ``maps`` holds ``(a, h, e, columns)`` for every
+    Yoneda product.  ``maps`` holds ``(a, h, e, columns)`` for every
     root index ``a`` with h = hom(a, mu) > 0 and e = ext(a, nu) > 0
-    (elsewhere the rank is 0): ``columns[c]`` packs coordinate j of
-    [u f_i] at the unit u at position c in slot i * e + j.
-
-    The coordinates are those of Ext^1(M_a, M_b) per part b of nu
-    (:func:`_pair_ext`), so a unit u in the block of parts c and b meets
-    only those of b and the f of c.  Entry (i, j) of u_k f_s is
-    sum_l u_k[i][l] f_s[l][j]: the coefficient of u_k[i][l] is the
-    coordinate's (k, i) block dotted with row l of f_s.
-    """
+    (elsewhere the rank is 0), one column per Ext^1 coordinate p
+    (:func:`_part_pairs`): ``(shift, piece)``, where ``piece << shift``
+    packs coordinate j of [x f_i] in slot i * e + j, x the unit class at
+    p.  At a coordinate of the parts c and b, the piece is that of
+    :func:`_yoneda` of a, c and b, and the shift places it at their
+    block; unshifted, the columns hold ext(mu, nu) small ints, not
+    ext(mu, nu) * h * e slots."""
     table = mu.table
-    arrows, roots = table.quiver.arrows, table.roots
     width = linalg._slot_bits(q)
     into_mu = hom_ext_vectors(mu)[0]
     into_nu, ext_nu, _ = hom_ext_vectors(nu)
@@ -206,49 +217,44 @@ def _connecting_maps(mu: KostantPartition, nu: KostantPartition, q: int) -> tupl
         e_at = [0, *itertools.accumulate(len(_pair_ext(table, a, b, q)[1]) for b in nu.parts)]
         if (h_at[-1], e_at[-1]) != (h, e):
             raise RepError("Hom or Ext^1 bases disagree with the closed-form counts")
-
-        def block(c: int, b: int) -> list[int]:
-            fs, coords = _pair_basis(table, a, c, q), _pair_ext(table, a, b, q)[1]
-            out, pos = [], 0
-            for s, t in arrows if fs and coords else ():
-                for _ in range(roots[b][t - 1]):
-                    reads = [coord[pos : pos + roots[a][s - 1]] for coord in coords]
-                    pos += roots[a][s - 1]
-                    for l in range(roots[c][s - 1]):
-                        dots = ([sum(map(mul, x, f[s - 1][l])) for x in reads] for f in fs)
-                        out.append(sum(linalg._pack(d, q) << i * step for i, d in enumerate(dots)))
-            return out
-
-        columns = [0] * hom_omega_dim(mu.total, nu.total, table.quiver)
-        for block_columns, i, j, at in _blocks(mu, nu, block):
-            for p, column in zip(at, block_columns):
-                columns[p] = column << h_at[i] * step + e_at[j] * width
-        maps.append((a, h, e, tuple(columns)))
+        columns = tuple(
+            (h_at[i] * step + e_at[j] * width, sum(row << k * step for k, row in enumerate(rows)))
+            for i, j, c, b, _ in _part_pairs(mu, nu)
+            for rows in _yoneda(table, a, c, b, q)
+        )
+        maps.append((a, h, e, columns))
     return base, tuple(maps)
 
 
 def _classify_u(
-    mu: KostantPartition, nu: KostantPartition, q: int, entries: Sequence[tuple[int, int]]
-) -> KostantPartition:
-    """The class of E_u for the u with nonzero ``entries`` ``(position,
-    value)`` (layout in :func:`_connecting_maps`): per root, the sum of
-    the entries' columns (XOR over F_2; over odd q reduced after each
-    term, so no slot passes q(q - 1)) is ranked as h packed rows of e
-    slots, and the counts are solved by :func:`reps._partition_from_counts`."""
+    mu: KostantPartition, nu: KostantPartition, q: int
+) -> Callable[[Sequence[tuple[int, int]]], KostantPartition]:
+    """The map from a u, its nonzero Ext^1 coordinates ``(coordinate,
+    value)``, to the class of E_u: per root, the sum of the entries'
+    columns (:func:`_connecting_maps`; XOR over F_2, over odd q reduced
+    after each term, so no slot passes q(q - 1)) is ranked as h packed
+    rows of e slots, and the counts are solved by
+    :func:`reps._partition_from_counts`."""
     base, maps = _connecting_maps(mu, nu, q)
-    counts = list(base)
     width = linalg._slot_bits(q)
-    for a, h, e, columns in maps:
-        image = 0
-        for c, x in entries:
-            if q == 2:
-                image ^= columns[c]
-            else:
-                image = linalg._reduce(image + x * columns[c], q, h * e)
-        mask = (1 << e * width) - 1
-        rows = [image >> i * e * width & mask for i in range(h)]
-        counts[a] -= linalg._packed_rank(rows, q, e)
-    return _partition_from_counts(mu.table, tuple(counts), dim_add(nu.total, mu.total))
+    total = dim_add(nu.total, mu.total)
+
+    def classify(entries: Sequence[tuple[int, int]]) -> KostantPartition:
+        counts = list(base)
+        for a, h, e, columns in maps:
+            image = 0
+            for p, x in entries:
+                shift, piece = columns[p]
+                if q == 2:
+                    image ^= piece << shift
+                else:
+                    image = linalg._reduce(image + (x * piece << shift), q, h * e)
+            mask = (1 << e * width) - 1
+            rows = [image >> i * e * width & mask for i in range(h)]
+            counts[a] -= linalg._packed_rank(rows, q, e)
+        return _partition_from_counts(mu.table, tuple(counts), total)
+
+    return classify
 
 
 @functools.cache
@@ -261,7 +267,7 @@ def _subspaces_up_to(e: int, m: int, q: int) -> int:
 def _representatives(copies: list[list[int]], m: int, q: int) -> list[list[tuple[int, int]]]:
     """One u-part per subspace W of F_q^e of dimension at most m, where
     e = len(copies[0]), the zero space first: W's echelon basis as
-    ``(position, value)`` entries, basis row i at the positions copies[i]."""
+    ``(coordinate, value)`` entries, basis row i at the coordinates copies[i]."""
     e = len(copies[0])
     if e == 1:  # F_q^1 has one nonzero subspace, spanned by 1
         return [[], [(copies[0][0], 1)]]
@@ -305,26 +311,15 @@ def _walked_side(mu: KostantPartition, nu: KostantPartition, q: int) -> tuple:
     return min(sides, key=lambda entry: entry[0])
 
 
-def _free_by_part(mu: KostantPartition, nu: KostantPartition, q: int, on_nu: bool) -> list:
-    """The free coordinates of u, those of :func:`_pair_ext` placed at
-    each pair's block (:func:`_blocks`), per part of nu (``on_nu``) or
-    of mu, in ascending order."""
-    coords: list[list[int]] = [[] for _ in (nu if on_nu else mu).parts]
-    for free, i, j, at in _blocks(mu, nu, lambda c, b: _pair_ext(mu.table, c, b, q)[0]):
-        coords[j if on_nu else i].extend(at[p] for p in free)
-    return [sorted(part) for part in coords]
-
-
 @functools.cache
 def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
     """One u per orbit of the copies' general linear groups on Ext^1.
 
-    Every class [u] has one representative on the free (non-pivot)
-    coordinates of the coboundaries' echelon form.  The coboundaries
-    split by pairs of parts, so these are the free coordinates of each
-    pair (:func:`_pair_ext`) placed at the pair's block of u, and the
-    m copies of a root b of nu share one pattern of e = ext(mu, b) free
-    coordinates, whose values form an e x m matrix U_b, one column per
+    u is a vector of Ext^1(M_mu, M_nu) coordinates, ext(c, b) of them per
+    pair of parts with roots c, b (:func:`_part_pairs`), each pair's
+    count checked against the free positions of :func:`_pair_ext`.  The
+    m copies of a root b of nu each hold e = ext(mu, b) coordinates, in
+    one pattern, whose values form an e x m matrix U_b, one column per
     copy.  For g in GL_m acting on the copies, conjugating by
     diag(g x 1, 1) gives E_{(g x 1)u} = E_u, as g x 1 commutes with y;
     this is U_b -> U_b g^T, so only the column space W of U_b matters,
@@ -335,18 +330,20 @@ def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
     of mu.  The side with fewer representatives is walked, nu on a tie
     (:func:`_walked_side`), one u per choice of a u-part per root."""
     _, on_nu, runs = _walked_side(mu, nu, q)
-    coords = _free_by_part(mu, nu, q, on_nu)
-    if sum(map(len, coords)) != ext_dim(mu, nu):
-        raise RepError("Ext^1 coordinates disagree with the closed-form count")
+    coords: list[list[int]] = [[] for _ in (nu if on_nu else mu).parts]
+    p = 0
+    for i, j, c, b, e in _part_pairs(mu, nu):
+        if len(_pair_ext(mu.table, c, b, q)[0]) != e:
+            raise RepError("Ext^1 coordinates disagree with the closed-form count")
+        coords[j if on_nu else i].extend(range(p, p + e))
+        p += e
     options = [
         _representatives(coords[first : first + m], m, q)
         for first, m, e in runs
         if e
     ]
-    return frozenset(
-        _classify_u(mu, nu, q, [*itertools.chain(*choice)])
-        for choice in itertools.product(*options)
-    )
+    classify = _classify_u(mu, nu, q)
+    return frozenset(classify([*itertools.chain(*choice)]) for choice in itertools.product(*options))
 
 
 @functools.cache

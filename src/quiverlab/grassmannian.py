@@ -30,7 +30,7 @@ the closed form and memoized per root (``homs._top_and_socle``).  With
 ``d`` the dimension vector of M, this bounds dim Hom(M_a, M) or
 dim Hom(M, M_a) by sum(w * d), the Hom count of the projective cover
 (or injective hull) of M_a, as :mod:`.homs` states.
-Once per ``(lam, q)`` every root is sorted by comparing its closed-form
+Once per ``lam`` every root is sorted by comparing its closed-form
 count with that bound:
 
 * a root that reaches it is *forced*: every choice of values is a map,
@@ -57,11 +57,12 @@ route the tests compare against.
 
 Points are counted with no walk (``point_count``): a Dynkin diagram is
 a tree, and only the colour class with fewer states is enumerated
-(``_colour_count``).  When every root of ``(lam, q)`` is forced, every
+(``_colour_count``).  When every root of ``lam`` is forced, every
 count at a point is read off ``beta``, so the points lie in one
 stratum: ``strata`` takes its total from this count, solves its pair
-from the forced counts and walks no point.  Only a ``lam`` with a
-ranked root is walked, and its total is the number of points walked.
+from the forced counts and walks no point, and its cap counts the
+colour class's states.  Only a ``lam`` with a ranked root is walked,
+its cap counting the walk's, and its total is the points walked.
 
 ``ext_pairs`` unions the realized pairs over several fields.  A
 realized pair is *generic* when neither coordinate can be degenerated
@@ -249,27 +250,31 @@ def strata(
     q: int,
     cap: int | None = linalg.DEFAULT_CAP,
 ) -> StrataReport:
-    """Classify every point of the Grassmannian by (quotient, sub) classes."""
+    """Classify every point of the Grassmannian by (quotient, sub) classes.
+    The cap counts the states of the walk, or of :func:`point_count` when
+    every root of ``lam`` is forced (:func:`_root_kinds`) and none is walked."""
     beta = tuple(beta)
-    _check_scan(lam.total, beta, q, cap)
+    if any(ranked for _, ranked in _root_kinds(lam)):
+        _check_scan(lam.total, beta, q, cap)
+    else:
+        point_count(lam, beta, q, cap)  # the total, memoized for _strata
     return _strata(lam, beta, q)
 
 
 @functools.cache
 def _strata(lam: KostantPartition, beta: tuple[int, ...], q: int) -> StrataReport:
     """The report of :func:`strata`: every point walked (:func:`subreps`)
-    and classified (:func:`_classifier`) when a root of ``(lam, q)`` is
-    ranked, else the one stratum of :func:`_forced_counts`, with
+    and classified (:func:`_classifier`) when a root of ``lam`` is ranked,
+    else the one stratum of :func:`_forced_counts`, with
     :func:`_colour_count` points."""
     counts: dict[Pair, int] = {}
-    (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
-    if into_ranked or out_ranked:
+    if any(ranked for _, ranked in _root_kinds(lam)):
         counts = Counter(map(_classifier(lam, q, beta), subreps(build(lam, q), beta, None)))
         total = sum(counts.values())
     else:
         total = _colour_count(lam, beta, q)
         if total:
-            quot_dims, sub_counts, quot_counts = _forced_counts(lam, q, beta)
+            quot_dims, sub_counts, quot_counts = _forced_counts(lam, beta)
             nu = _partition_from_counts(lam.table, sub_counts, beta)
             mu = _partition_from_counts(lam.table, quot_counts, quot_dims, into=False)
             counts[(mu, nu)] = total
@@ -286,7 +291,8 @@ def _pair_basis(table: RootTable, a: int, b: int, q: int) -> list:
     return hom_basis(indecomposable(table, a, q), indecomposable(table, b, q))
 
 
-def _assembled_basis(lam: KostantPartition, a: int, q: int, dual: bool) -> list:
+@functools.cache
+def _assembled_basis(lam: KostantPartition, a: int, q: int, dual: bool) -> tuple:
     """A basis of Hom(M_a, M), or with ``dual`` of Hom(M, M_a), for
     M = build(lam, q), written as :func:`~.reps.hom_basis` writes one: a
     basis of Hom(M_a, M_b) or Hom(M_b, M_a) (:func:`_pair_basis`) per
@@ -304,47 +310,41 @@ def _assembled_basis(lam: KostantPartition, a: int, q: int, dual: bool) -> list:
                 for f_v, o, n, e, k in zip(f, start, dims, d_b, d_a)
             ))
         start = dim_add(start, d_b)
-    return basis
+    return tuple(basis)
 
 
 @functools.cache
-def _hom_bases(lam: KostantPartition, q: int) -> tuple:
+def _root_kinds(lam: KostantPartition) -> tuple:
     """``(into, out_of)``, each ``(forced, ranked)``: the roots a with
     h = dim Hom(M_a, M) > 0, or h = dim Hom(M, M_a) > 0, read off
     :func:`~.homs.hom_ext_vectors`, sorted by the bound sum(w * d), w the
-    top or the socle of M_a (:func:`~.homs._top_and_socle`).  ``forced`` holds
-    ``(a, w)`` where h reaches it, ``ranked`` holds ``(a, basis)``
-    elsewhere (:func:`_assembled_basis`); a basis of other than h elements,
-    as where h passes the bound, raises :class:`RepError`."""
+    top or the socle of M_a (:func:`~.homs._top_and_socle`), with no
+    matrix built.  ``forced`` holds ``(a, w)`` where h reaches it,
+    ``ranked`` holds ``(a, h)`` elsewhere."""
     table = lam.table
     into, _, out_of = hom_ext_vectors(lam)
     sides = (([], []), ([], []))
     for a in range(len(table)):
         for dual, h in enumerate((into[a], out_of[a])):
-            if not h:
-                continue
-            forced, ranked = sides[dual]
-            w = _top_and_socle(table, a)[dual]
-            bound = sum(map(mul, w, lam.total))
-            if h == bound:
-                forced.append((a, w))
-                continue
-            basis = _assembled_basis(lam, a, q, dual)
-            if len(basis) != h:
-                raise RepError("a Hom basis disagrees with the closed-form count")
-            ranked.append((a, basis))
+            if h:
+                forced, ranked = sides[dual]
+                w = _top_and_socle(table, a)[dual]
+                if h == sum(map(mul, w, lam.total)):
+                    forced.append((a, w))
+                else:
+                    ranked.append((a, h))
     return tuple((tuple(forced), tuple(ranked)) for forced, ranked in sides)
 
 
 def _forced_counts(
-    lam: KostantPartition, q: int, beta: tuple[int, ...]
+    lam: KostantPartition, beta: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """``(quot_dims, sub_counts, quot_counts)`` at every point with sub
     dimension vector ``beta``: the quotient's dimension vector, and the
-    counts of the forced roots ``(a, w)`` of :func:`_hom_bases` (0 at the
+    counts of the forced roots ``(a, w)`` of :func:`_root_kinds` (0 at the
     others), dim Hom(M_a, U) = sum(w * beta) and
     dim Hom(M/U, M_a) = sum(w * quot_dims), with no matrix read."""
-    (into_forced, _), (out_forced, _) = _hom_bases(lam, q)
+    (into_forced, _), (out_forced, _) = _root_kinds(lam)
     quot_dims = dim_sub(lam.total, beta)
     sub_counts = [0] * len(lam.table)
     for a, w in into_forced:
@@ -366,19 +366,21 @@ def _classifier(
     f_v, or the rows of g_v applied to the basis of U_v, packed at v's
     place.  Each tuple of ranks is solved once (:func:`_partition_from_counts`)."""
     table, dims = lam.table, lam.total
-    (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
-    quot_dims, forced_sub, forced_quot = _forced_counts(lam, q, beta)
+    quot_dims, forced_sub, forced_quot = _forced_counts(lam, beta)
     width = linalg._slot_bits(q)
     # per ranked root: (dual, a, h, slots in a row, per vertex (first slot,
     # per basis element the columns of f_v or the rows of g_v))
     roots = []
-    for dual, ranked in enumerate((into_ranked, out_ranked)):
-        for a, basis in ranked:
+    for dual, (_, ranked) in enumerate(_root_kinds(lam)):
+        for a, h in ranked:
+            basis = _assembled_basis(lam, a, q, dual)
+            if len(basis) != h:  # as where h passes the bound
+                raise RepError("a Hom basis disagrees with the closed-form count")
             slots, at = 0, []
             for v, (n, b, k) in enumerate(zip(dims, beta, table.roots[a])):
                 at.append((slots, [f[v] if dual else list(zip(*f[v])) for f in basis]))
                 slots += k * (b if dual else n - b)
-            roots.append((dual, a, len(basis), slots, at))
+            roots.append((dual, a, h, slots, at))
     blocks: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in dims]
     pairs: dict[tuple[int, ...], Pair] = {}
 

@@ -647,6 +647,18 @@ def test_point_count_cap_counts_the_enumerated_colour_class(capsys):
     assert rc == 0 and data["counts"] == [{"q": 5, "count": 2558556}]
 
 
+def test_all_forced_strata_cap_counts_the_enumerated_colour_class(capsys):
+    # every root of six copies of [1,1] is forced, so strata walks none of
+    # the 2,558,556 points over GF(5): it counts its one stratum on the
+    # class of vertex 2, whose one subspace is 0
+    argv = ["grass", "strata", "+".join(["[1,1]"] * 6), "--beta", "3,0,0", "--field", "5"]
+    rc, data = run_json(capsys, *argv, "--cap", "1", *A3)
+    assert rc == 0 and data["total"] == 2558556
+    assert [(s["count"], s["mu"], s["nu"]) for s in data["strata"]] == [
+        (2558556, "[1,1]+[1,1]+[1,1]", "[1,1]+[1,1]+[1,1]")
+    ]
+
+
 def test_subrep_cap_counts_the_hom_box_exit_5(capsys):
     # 5 of the 10 candidate middle terms are in the hom box, each a
     # 64-state scan over GF(3)

@@ -48,9 +48,11 @@ from quiverlab.extensions import (
     _connecting_maps,
     _ext_set_filter,
     _ext_set_u,
-    _free_by_part,
     _hom_box,
+    _pair_ext,
+    _part_pairs,
     _walked_side,
+    _yoneda,
 )
 from quiverlab.homs import hom_ext_vectors
 from quiverlab.reps import Rep, RepError, _partition_from_counts, indecomposable
@@ -111,12 +113,6 @@ def test_a_middle_term_with_no_f2_point(t4):
     assert default.classes == alone.classes | {lam} and not default.stable
 
 
-def nonzero(u):
-    """The ``(position, value)`` entries of the flat u that are nonzero,
-    as :func:`_classify_u` reads a u."""
-    return [(c, x) for c, x in enumerate(u) if x]
-
-
 def block_rep(mu, nu, q, u):
     """The middle term ``[[y, u], [0, x]]`` with ``y = build(nu)`` and
     ``x = build(mu)``: the flat ``u`` holds one ``dim nu_t x dim mu_s``
@@ -136,12 +132,60 @@ def block_rep(mu, nu, q, u):
     return Rep(quiver, q, dim_add(beta, alpha), tuple(mats))
 
 
+def pair_positions(mu, nu, i, j, c, b):
+    """The positions in a flat u (the layout of :func:`block_rep`) of the
+    block of part i of mu and part j of nu, roots c and b, in the layout
+    of the cocycles of M_c into M_b (:func:`_coboundaries`)."""
+    table = mu.table
+    roots, alpha, beta = table.roots, mu.total, nu.total
+    left = [sum(roots[p][v] for p in mu.parts[:i]) for v in range(len(alpha))]
+    top = [sum(roots[p][v] for p in nu.parts[:j]) for v in range(len(beta))]
+    at, pos = [], 0
+    for s, t in table.quiver.arrows:
+        for r in range(roots[b][t - 1]):
+            row = pos + (top[t - 1] + r) * alpha[s - 1] + left[s - 1]
+            at.extend(range(row, row + roots[c][s - 1]))
+        pos += beta[t - 1] * alpha[s - 1]
+    return at
+
+
+def ext_coordinates(mu, nu, q):
+    """``(read, place, free)`` between a flat u and its Ext^1 coordinates,
+    in the order of :func:`_part_pairs`.  ``read(u)`` gives the nonzero
+    coordinates ``(coordinate, value)`` of the class of u, as the u-route's
+    classifier takes them: each pair's block read by the rows of
+    :func:`_pair_ext`.  ``place(entries)`` gives the flat u that sums the
+    unit cocycles at the pairs' free positions, ``free``, scaled by the
+    entries' values."""
+    table = mu.table
+    n_u = hom_omega_dim(mu.total, nu.total, table.quiver)
+    readers, free = [], []
+    for i, j, c, b, _ in _part_pairs(mu, nu):
+        at = pair_positions(mu, nu, i, j, c, b)
+        pair_free, coords = _pair_ext(table, c, b, q)
+        readers.extend(list(zip(at, row)) for row in coords)
+        free.extend(at[k] for k in pair_free)
+
+    def read(u):
+        values = (sum(u[c] * w for c, w in row) % q for row in readers)
+        return [(p, x) for p, x in enumerate(values) if x]
+
+    def place(entries):
+        u = [0] * n_u
+        for p, x in entries:
+            u[free[p]] = x
+        return tuple(u)
+
+    return read, place, free
+
+
 @pytest.mark.parametrize(
     "which,max_total,n_points", [("t2", 4, 430), ("t3", 4, 1350), ("t4", 3, 410)]
 )
 def test_connecting_map_ranks_agree_with_identify(request, which, max_total, n_points):
     # the u-route's classification against identify on the block
-    # representation, at every u-point of every pair
+    # representation, at every u-point of every pair, read in Ext^1
+    # coordinates
     table = request.getfixturevalue(which)
     classes = [
         kp
@@ -155,9 +199,10 @@ def test_connecting_map_ranks_agree_with_identify(request, which, max_total, n_p
             continue
         for q in (2, 3):
             n_u = hom_omega_dim(mu.total, nu.total, table.quiver)
+            classify, read = _classify_u(mu, nu, q), ext_coordinates(mu, nu, q)[0]
             for u in itertools.product(range(q), repeat=n_u):
                 expected = identify(block_rep(mu, nu, q, u), table)
-                assert _classify_u(mu, nu, q, nonzero(u)) == expected, (
+                assert classify(read(u)) == expected, (
                     kp_format(mu), kp_format(nu), q, u,
                 )
                 points += 1
@@ -294,16 +339,22 @@ def test_every_middle_term_lies_in_the_hom_box(
 
 
 def counting_classify(monkeypatch):
-    """The u classified by the u-route, recorded as flat u rebuilt from the
-    entries passed to ``_classify_u``."""
+    """The u classified by the u-route, recorded as flat u placed from the
+    Ext^1 coordinates passed to the classifiers ``_classify_u`` builds;
+    each flat u reads back as those coordinates."""
     calls = []
 
-    def counted(mu, nu, q, entries):
-        u = [0] * hom_omega_dim(mu.total, nu.total, mu.table.quiver)
-        for c, x in entries:
-            u[c] = x
-        calls.append(tuple(u))
-        return _classify_u(mu, nu, q, entries)
+    def counted(mu, nu, q):
+        classify = _classify_u(mu, nu, q)
+        read, place, _ = ext_coordinates(mu, nu, q)
+
+        def counted_classify(entries):
+            u = place(entries)
+            assert read(u) == sorted(entries)
+            calls.append(u)
+            return classify(entries)
+
+        return counted_classify
 
     monkeypatch.setattr(extensions, "_classify_u", counted)
     return calls
@@ -368,10 +419,9 @@ def test_u_route_classifies_one_u_per_orbit_representative(
         n_u = hom_omega_dim(mu.total, nu.total, table.quiver)
         e = ext_dim(mu, nu)
         for q in fields:
-            walked = {
-                _classify_u(mu, nu, q, nonzero(u))
-                for u in itertools.product(range(q), repeat=n_u)
-            }
+            classify = _classify_u(mu, nu, q)
+            read, _, pair_free = ext_coordinates(mu, nu, q)
+            walked = {classify(read(u)) for u in itertools.product(range(q), repeat=n_u)}
             calls.clear()
             assert _ext_set_u.__wrapped__(mu, nu, q) == walked, (kp_format(mu), kp_format(nu), q)
             (nu_count, nu_roots), (mu_count, mu_roots) = orbit_sides(mu, nu, q)
@@ -381,12 +431,10 @@ def test_u_route_classifies_one_u_per_orbit_representative(
             # the lines of Ext^1, as the copies' groups hold the scalars
             assert _walked_side(mu, nu, q)[0] == len(calls)
             assert len(calls) <= 1 + (q**e - 1) // (q - 1)
-            # the pairs' free coordinates, placed by the parts of either
-            # side, are those of the whole sum's coboundaries
+            # the pairs' free positions, placed in the flat u, are those of
+            # the whole sum's coboundaries
             pivots = linalg.rref(_coboundaries(build(mu, q), build(nu, q)), q)[1]
-            free = [c for c in range(n_u) if c not in pivots]
-            for side in (True, False):
-                assert sorted(itertools.chain(*_free_by_part(mu, nu, q, side))) == free
+            assert sorted(pair_free) == [c for c in range(n_u) if c not in pivots]
             roots, parts = (nu_roots, nu.parts) if on_nu else (mu_roots, mu.parts)
             covered = 0
             for u in calls:
@@ -447,14 +495,15 @@ def whole_sum_ranks(mu, nu, q):
     return ranks
 
 
-def packed_ranks(mu, nu, q, u):
-    """``{a: rank}`` read off the packed columns of ``_connecting_maps``,
-    unpacked and summed entry by entry."""
+def packed_ranks(maps, q, entries):
+    """``{a: rank}`` read off the packed columns ``maps`` of
+    ``_connecting_maps``, unpacked and summed entry by entry."""
     out = {}
-    for a, h, e, columns in _connecting_maps(mu, nu, q)[1]:
+    for a, h, e, columns in maps:
         image = [0] * (h * e)
-        for c, x in nonzero(u):
-            column = linalg._unpack(columns[c], q, h * e)
+        for c, x in entries:
+            shift, piece = columns[c]
+            column = linalg._unpack(piece << shift, q, h * e)
             image = [(v + x * w) % q for v, w in zip(image, column)]
         out[a] = rank([image[i * e : (i + 1) * e] for i in range(h)], q)
     return out
@@ -495,10 +544,11 @@ def test_connecting_maps_from_pair_blocks_match_the_whole_sum(
             calls.clear()
             _ext_set_u.__wrapped__(mu, nu, q)
             ranks = whole_sum_ranks(mu, nu, q)
+            maps, read = _connecting_maps(mu, nu, q)[1], ext_coordinates(mu, nu, q)[0]
             classes = set()
             for u in calls:
                 got = ranks(u)
-                assert packed_ranks(mu, nu, q, u) == got, (kp_format(mu), kp_format(nu), q, u)
+                assert packed_ranks(maps, q, read(u)) == got, (kp_format(mu), kp_format(nu), q, u)
                 counts = tuple(h - got.get(a, 0) for a, h in enumerate(base))
                 classes.add(_partition_from_counts(table, counts, dim_add(mu.total, nu.total)))
             expected[mu, nu, q] = classes
@@ -510,7 +560,7 @@ def test_connecting_maps_from_pair_blocks_match_the_whole_sum(
     assert not hasattr(extensions, "build")
     monkeypatch.setattr(reps, "build", forbidden)
     monkeypatch.setattr(grassmannian, "_assembled_basis", forbidden)
-    for memo in (_ext_set_u, _connecting_maps, extensions._pair_ext):
+    for memo in (_ext_set_u, _yoneda, _pair_ext):
         memo.cache_clear()
     for (mu, nu, q), classes in expected.items():
         assert ext_set(mu, nu, fields=(q,), method="u").classes == classes
@@ -605,16 +655,16 @@ def test_three_simples_by_three_walk_the_subspaces_of_ext(t2, monkeypatch):
     ],
 )
 def test_classify_u_sums_columns_without_overflow(request, which, mu, nu):
-    # _classify_u is linear in its entries: 64 copies of (c, 4) sum to
+    # a classifier is linear in its entries: 64 copies of (c, 4) sum to
     # 256 (c, 1) = (c, 1) over GF(5), while their bytes, summed with no
     # reduction between terms, would pass 255
     table = request.getfixturevalue(which)
     mu, nu = kp_parse(table, mu), kp_parse(table, nu)
-    n_u = hom_omega_dim(mu.total, nu.total, table.quiver)
+    classify = _classify_u(mu, nu, 5)
     classes = set()
-    for c in range(n_u):
-        expected = _classify_u(mu, nu, 5, [(c, 1)])
-        assert _classify_u(mu, nu, 5, [(c, 4)] * 64) == expected, (kp_format(mu), kp_format(nu), c)
+    for c in range(ext_dim(mu, nu)):
+        expected = classify([(c, 1)])
+        assert classify([(c, 4)] * 64) == expected, (kp_format(mu), kp_format(nu), c)
         classes.add(expected)
     assert classes - {mu + nu}  # some entry alone is a non-split extension
 
@@ -647,12 +697,29 @@ def test_u_route_walks_mu_side_of_a_class_against_itself(t2, monkeypatch):
 
 
 def test_u_route_checks_the_ext_count(t2, monkeypatch):
-    # the free coordinates of the coboundaries' echelon form are checked
-    # against the closed-form dim Ext^1
+    # each pair of parts' free positions of the coboundaries' echelon form
+    # are checked against the closed-form ext of its roots, here 1
     s1, s2 = kp_parse(t2, "[1,1]"), kp_parse(t2, "[2,2]")
-    monkeypatch.setattr(extensions, "ext_dim", lambda x, y: 2)
+    free, coords = _pair_ext(t2, s1.parts[0], s2.parts[0], 2)
+    assert len(free) == 1
+    monkeypatch.setattr(extensions, "_pair_ext", lambda *args: (free * 2, coords))
     with pytest.raises(RepError, match="closed-form count"):
-        _ext_set_u.__wrapped__(s1, s2, 2)
+        _ext_set_u.__wrapped__(s1 + s1, s2, 2)
+
+
+def test_connecting_maps_are_built_per_triple_of_roots(t2):
+    # 300 copies of [1,1] by [2,2] meet in 300 pairs of parts, all of the
+    # roots [1,1] and [2,2], and only the connecting map of [1,1] is
+    # nonzero: one Yoneda piece per field serves every pair
+    mu, nu = kp_parse(t2, "+".join(["[1,1]"] * 300)), kp_parse(t2, "[2,2]")
+    _ext_set_u.cache_clear()
+    _yoneda.cache_clear()
+    for n, q in enumerate((2, 3), 1):
+        assert names(ext_set(mu, nu, fields=(q,)).classes) == [
+            "+".join(["[1,1]"] * 300 + ["[2,2]"]),
+            "+".join(["[1,1]"] * 299 + ["[1,2]"]),
+        ]
+        assert _yoneda.cache_info().currsize == n
 
 
 def test_middle_terms_are_neither_an_interval_nor_the_hom_box(t3):

@@ -45,7 +45,7 @@ from quiverlab.grassmannian import (
     _assembled_basis,
     _classifier,
     _forced_counts,
-    _hom_bases,
+    _root_kinds,
     _Subspace,
     _subspace_table,
 )
@@ -251,7 +251,7 @@ def test_assembled_hom_bases_are_bases_of_intertwiners(request, which, max_total
     # for every root a and class lam, over GF(2) and GF(3): the bases placed
     # part by part are intertwiners, independent, as many as the closed form
     # counts, and have dim M_a[v] columns (or rows) at every vertex; the
-    # ranked roots of _hom_bases carry exactly these bases
+    # ranked roots of _root_kinds carry that count
     table = request.getfixturevalue(which)
     arrows = table.quiver.arrows
     seen = 0
@@ -259,7 +259,7 @@ def test_assembled_hom_bases_are_bases_of_intertwiners(request, which, max_total
         into, _, out_of = hom_ext_vectors(lam)
         for q in (2, 3):
             m = build(lam, q)
-            ranked = [dict(side[1]) for side in _hom_bases(lam, q)]
+            ranked = [dict(side[1]) for side in _root_kinds(lam)]
             for a in range(len(table)):
                 m_a = indecomposable(table, a, q)
                 for dual, h in enumerate((into[a], out_of[a])):
@@ -276,7 +276,7 @@ def test_assembled_hom_bases_are_bases_of_intertwiners(request, which, max_total
                     flat = [[x for f_v in f for row in f_v for x in row] for f in basis]
                     if flat:
                         assert rank(flat, q) == h, (kp_format(lam), a, q, dual)
-                    assert ranked[dual].get(a, basis) == basis
+                    assert ranked[dual].get(a, h) == h
                     seen += len(basis)
     assert seen == n_bases
 
@@ -457,7 +457,7 @@ def test_classifier_agrees_with_sub_quotient_and_identify(
 def test_forced_roots_read_their_counts_off_beta(
     t3, q, lam, into_forced, into_ranked, out_forced, out_ranked
 ):
-    into, out_of = _hom_bases(kp_parse(t3, lam), q)
+    into, out_of = _root_kinds(kp_parse(t3, lam))
 
     def names(entries):
         return sorted(kp_format(kp_single(t3, a)) for a, *_ in entries)
@@ -483,16 +483,14 @@ def test_forced_roots_are_those_whose_basis_spans_the_generator_values(
     # the dimension count against a rank: a Hom basis evaluated at the
     # (co)generators of M_a has rank h <= sum(w * d), and the root is
     # forced exactly when that rank is sum(w * d), so that the values
-    # there can be chosen freely
+    # there can be chosen freely, over every field: _root_kinds reads the
+    # closed forms alone, with no field
     table = request.getfixturevalue(which)
     seen = [0, 0]
     for lam in all_classes(table, max_total):
-        forced_per_field = set()
         for q in fields:
             m = build(lam, q)
-            sides = _hom_bases(lam, q)
-            forced_per_field.add(tuple(side[0] for side in sides))
-            for dual, (forced, ranked) in enumerate(sides):
+            for dual, (forced, ranked) in enumerate(_root_kinds(lam)):
                 forced, ranked = dict(forced), {a for a, _ in ranked}
                 for a in range(len(table)):
                     m_a = indecomposable(table, a, q)
@@ -517,8 +515,6 @@ def test_forced_roots_are_those_whose_basis_spans_the_generator_values(
                     assert (a in forced) == (r == bound) == (a not in ranked)
                     assert forced.get(a, w) == w
                     seen[a in ranked] += 1
-        # the dimension count does not depend on the field
-        assert len(forced_per_field) == 1, kp_format(lam)
     assert seen == [n_forced, n_ranked]
 
 
@@ -565,7 +561,7 @@ def test_forced_into_roots_are_the_roots_v_lambda_leaves_empty(t3, t4, zigzag_a4
             mass = v_lambda(rq, lam).as_dict()
             into = hom_ext_vectors(lam)[0]
             for q in (2, 3):
-                (forced, ranked), _ = _hom_bases(lam, q)
+                (forced, ranked), _ = _root_kinds(lam)
                 forced = {a for a, _ in forced}
                 assert forced.isdisjoint(a for a, _ in ranked)
                 for a in range(len(table)):
@@ -583,7 +579,7 @@ def walked_strata(lam, beta, q):
 def test_all_forced_classes_have_at_most_one_stratum_fixed_by_beta(
     t3, t4, zigzag_a4, sink_d4, e6
 ):
-    # when no root of (lam, q) is ranked, every count at a point is read off
+    # when no root of lam is ranked, every count at a point is read off
     # beta, so the (quotient, sub) pair is the same at every point; strata
     # reads it off beta with no walk, checked here against the walk
     all_forced = classes_seen = reports = 0
@@ -591,7 +587,7 @@ def test_all_forced_classes_have_at_most_one_stratum_fixed_by_beta(
         for lam in all_classes(table, max_total):
             for q in (2, 3):
                 classes_seen += 1
-                (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
+                (_, into_ranked), (_, out_ranked) = _root_kinds(lam)
                 if into_ranked or out_ranked:
                     continue
                 all_forced += 1
@@ -603,7 +599,7 @@ def test_all_forced_classes_have_at_most_one_stratum_fixed_by_beta(
                     assert report.total == sum(walked.values()), (kp_format(lam), beta, q)
                     assert report.pairs() == set(walked), (kp_format(lam), beta, q)
                     if walked:
-                        quot_dims, sub_counts, quot_counts = _forced_counts(lam, q, beta)
+                        quot_dims, sub_counts, quot_counts = _forced_counts(lam, beta)
                         nu = _partition_from_counts(table, sub_counts, beta)
                         mu = _partition_from_counts(table, quot_counts, quot_dims, into=False)
                         assert set(walked) == {(mu, nu)}, (kp_format(lam), beta, q)
@@ -632,7 +628,7 @@ def test_colour_count_equals_the_walked_count(
     seen = [0, 0, 0]
     for lam in all_classes(table, max_total):
         for q in fields:
-            (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
+            (_, into_ranked), (_, out_ranked) = _root_kinds(lam)
             for beta in itertools.product(*(range(x + 1) for x in lam.total)):
                 walked = walked_strata(lam, beta, q)
                 report = strata(lam, beta, q)
@@ -655,7 +651,7 @@ def test_all_forced_strata_walk_no_point(t3, monkeypatch, part, beta, n_enumerat
     # stratum is read off beta, and its gaussian_binomial(6, 3, 5) points are
     # counted on the colour class with a single state (one empty subspace per
     # vertex, from the one table of the empty subspace of F_5^0), not on the
-    # other class, which has them all
+    # other class, which has them all; the cap counts that single state
     lam = kp_parse(t3, "+".join([part] * 6))
     half = kp_parse(t3, "+".join([part] * 3))
     grassmannian._strata.cache_clear()
@@ -677,7 +673,12 @@ def test_all_forced_strata_walk_no_point(t3, monkeypatch, part, beta, n_enumerat
 
     monkeypatch.setattr(grassmannian, "subreps", no_walk)
     monkeypatch.setattr(linalg, "enumerate_subspaces", counted)
-    report = strata(lam, beta, 5)
+    # the cap counts the states of the class enumerated, not the walk's
+    with pytest.raises(CapExceeded) as exc:
+        strata(lam, beta, 5, n_enumerated - 1)
+    assert exc.value.needed == n_enumerated and "colour class" in str(exc.value)
+    assert enumerated == []
+    report = strata(lam, beta, 5, n_enumerated)
     count = linalg.gaussian_binomial(6, 3, 5)
     assert count == 2558556
     assert [(e.mu, e.nu, e.count) for e in report.entries] == [(half, half, count)]
@@ -697,7 +698,7 @@ def test_walked_strata_count_their_points_with_no_colour_count(t3, t4, monkeypat
     for table, max_total in [(t3, 4), (t4, 3)]:
         for lam in all_classes(table, max_total):
             for q in (2, 3):
-                (_, into_ranked), (_, out_ranked) = _hom_bases(lam, q)
+                (_, into_ranked), (_, out_ranked) = _root_kinds(lam)
                 if into_ranked or out_ranked:
                     for beta in itertools.product(*(range(x + 1) for x in lam.total)):
                         totals[lam, beta, q] = strata(lam, beta, q).total
