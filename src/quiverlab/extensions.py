@@ -27,9 +27,15 @@ class ``mu``.  Two independent routes are kept deliberately separate:
   triangular solve.
 * subrep-filter: a candidate ``lam <= mu (+) nu`` belongs to the set iff
   the Grassmannian of ``build(lam)`` realizes the pair ``(mu, nu)``.
-  Only the candidates in the hom box are scanned:
+  Only the candidates in the hom box are asked about:
   [a, nu] <= [a, lam] and [mu, a] <= [lam, a] for every root a, since
-  Hom(M_a, -) and Hom(-, M_a) are left exact.
+  Hom(M_a, -) and Hom(-, M_a) are left exact.  Each is decided by
+  :func:`.grassmannian._realizes`, which classifies the summand point
+  M_nu of the split class, reads the one pair of an all-forced ``lam``,
+  and otherwise walks until its first point of class (mu, nu), so only a
+  candidate outside the set gets a whole walk.  The cap counts, per
+  field, what those decisions may visit
+  (:func:`.grassmannian._realize_states`).
 
 Both run over small prime fields; the result carries a stability flag
 recording whether every field produced the same set.
@@ -352,24 +358,26 @@ def _candidates(split: KostantPartition) -> tuple[KostantPartition, ...]:
     return tuple(lam for lam in kp_enumerate(split.table, split.total) if leq(lam, split))
 
 
+def _in_hom_box(lam: KostantPartition, mu: KostantPartition, nu: KostantPartition) -> bool:
+    """[a, nu] <= [a, lam] and [mu, a] <= [lam, a] for every root a,
+    which every middle term lam of ``ext_set(mu, nu)`` has."""
+    into, _, out_of = hom_ext_vectors(lam)
+    return all(map(le, hom_ext_vectors(nu)[0], into)) and all(
+        map(le, hom_ext_vectors(mu)[2], out_of)
+    )
+
+
 def _hom_box(mu: KostantPartition, nu: KostantPartition) -> list[KostantPartition]:
-    """The candidates with [a, nu] <= [a, lam] and [mu, a] <= [lam, a]
-    for every root a, which every middle term has."""
-    into_nu, out_of_mu = hom_ext_vectors(nu)[0], hom_ext_vectors(mu)[2]
-    return [
-        lam
-        for lam in _candidates(mu + nu)
-        if all(map(le, into_nu, hom_ext_vectors(lam)[0]))
-        and all(map(le, out_of_mu, hom_ext_vectors(lam)[2]))
-    ]
+    """The candidates in the hom box (:func:`_in_hom_box`)."""
+    return [lam for lam in _candidates(mu + nu) if _in_hom_box(lam, mu, nu)]
 
 
 @functools.cache
 def _ext_set_filter(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
+    """The candidates in the hom box whose Grassmannian realizes
+    ``(mu, nu)`` over F_q, each decided by :func:`.grassmannian._realizes`."""
     return frozenset(
-        lam
-        for lam in _hom_box(mu, nu)
-        if (mu, nu) in grassmannian.realized_pairs(lam, nu.total, q, None)
+        lam for lam in _hom_box(mu, nu) if grassmannian._realizes(lam, nu.total, q, (mu, nu))
     )
 
 
@@ -393,7 +401,7 @@ def ext_set(
     if method == METHOD_FILTER:
         # the candidates are counted before they are listed
         _check_kp_cap(mu.table, split.total, cap)
-        scans = len(_hom_box(mu, nu))
+        box = _hom_box(mu, nu)
     for q in fields:
         if method == METHOD_U:
             needed = _walked_side(mu, nu, q)[0]
@@ -402,8 +410,10 @@ def ext_set(
                 "(the subrep-filter method may be feasible)"
             )
         else:
-            needed = scans * grassmannian.scan_states(split.total, nu.total, q)
-            what = "subrepresentation scan (one per candidate in the hom box)"
+            needed = sum(
+                grassmannian._realize_states(lam, nu.total, q, (mu, nu)) for lam in box
+            )
+            what = "subrepresentation scans of the candidates in the hom box"
         linalg.check_cap(needed, cap, what)
     runner = _ext_set_u if method == METHOD_U else _ext_set_filter
     per_field = [runner(mu, nu, q) for q in fields]

@@ -69,6 +69,14 @@ realized pair is *generic* when neither coordinate can be degenerated
 while keeping the other fixed among those pairs; the generic pairs
 whose sub class satisfies ``[nu, lambda] = [nu, nu] + [nu, mu]`` index
 the irreducible components of the Grassmannian (``ext_ger``).
+
+Whole strata are walked for ``strata`` and what reads it:
+``realized_pairs``, ``ext_pairs``, ``generic_pairs``, ``ext_ger`` and
+``stratum_dim`` (so ``grass``, ``ext-min`` and ``degree_report``).
+Whether one pair is realized is asked by ``_realizes``, for the subrep
+route of ``extensions.ext_set``: it classifies the summand point M_nu of
+the split class, compares the counts of an all-forced ``lam`` with the
+pair's, and otherwise stops at the first point of the pair's class.
 """
 
 from __future__ import annotations
@@ -508,6 +516,65 @@ def _colour_count(lam: KostantPartition, beta: tuple[int, ...], q: int) -> int:
                 break
         total += points
     return total
+
+
+def _summand_point(lam: KostantPartition, nu: KostantPartition, q: int) -> tuple[_Subspace, ...]:
+    """The point U = M_nu of ``build(lam, q)``, ``nu``'s parts a
+    sub-multiset of ``lam``'s: at each vertex, the unit vectors at the
+    coordinates of the first copies of nu's parts among lam's, a summand
+    and so stable (:func:`_unit_subspace`)."""
+    left = Counter(nu.parts)
+    rows: list[list[int]] = [[] for _ in lam.total]
+    start = [0] * len(lam.total)
+    for b in lam.parts:
+        d_b = lam.table.roots[b]
+        if left[b]:
+            left[b] -= 1
+            for v, (o, k) in enumerate(zip(start, d_b)):
+                rows[v].extend(range(o, o + k))
+        start = dim_add(start, d_b)
+    return tuple(_unit_subspace(d, tuple(at), q) for at, d in zip(rows, lam.total))
+
+
+@functools.cache
+def _unit_subspace(d: int, at: tuple[int, ...], q: int) -> _Subspace:
+    """The span of the unit vectors of F_q^d at the sorted coordinates
+    ``at``, as an entry outside any table (index -1), memoized."""
+    return _Subspace([[int(c == i) for c in range(d)] for i in at], d, q, -1)
+
+
+def _realizes(lam: KostantPartition, beta: tuple[int, ...], q: int, pair: Pair) -> bool:
+    """Whether ``pair`` (quotient mu, sub nu, of dimension vectors
+    dim lam - beta and beta) is realized by a point of
+    Gr_beta(build(lam, q)), deciding as little as it can: for the split
+    class lam = mu + nu, the summand point M_nu (:func:`_summand_point`)
+    is classified; when every root is forced, the counts read off
+    ``beta`` (:func:`_forced_counts`), those of every point, are compared
+    with the pair's, and points are counted (:func:`_colour_count`) only
+    if they match; otherwise the walk stops at the first point of class
+    ``pair``.  The cap is the caller's, on :func:`_realize_states`."""
+    mu, nu = pair
+    if lam == mu + nu:
+        return _classifier(lam, q, beta)(_summand_point(lam, nu, q)) == pair
+    if not any(ranked for _, ranked in _root_kinds(lam)):
+        counts = _forced_counts(lam, beta)[1:]
+        return counts == (hom_ext_vectors(nu)[0], hom_ext_vectors(mu)[2]) and bool(
+            _colour_count(lam, beta, q)
+        )
+    classify = _classifier(lam, q, beta)
+    return any(classify(point) == pair for point in subreps(build(lam, q), beta, None))
+
+
+def _realize_states(lam: KostantPartition, beta: tuple[int, ...], q: int, pair: Pair) -> int:
+    """The states :func:`_realizes` may visit, which a cap counts: none
+    for the split class of ``pair``, those of the colour class enumerated
+    (:func:`_colour_classes`) when every root is forced, else
+    :func:`scan_states`."""
+    if lam == pair[0] + pair[1]:
+        return 0
+    if not any(ranked for _, ranked in _root_kinds(lam)):
+        return _colour_classes(lam, beta, q)[2]
+    return scan_states(lam.total, beta, q)
 
 
 def realized_pairs(

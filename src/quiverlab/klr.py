@@ -5,8 +5,10 @@ product L(mu) o L(nu) to exact quiver-side computations:
 
 * ``is_support_pair``: (mu, nu) is a support pair when no middle term
   strictly below the split class realizes (mu, nu) as a component label
-  of its Grassmannian (membership in ext_ger presupposes realization,
-  so only members of ext_set need scanning).
+  of its Grassmannian.  Membership in ext_ger presupposes realization,
+  so only members of ext_set are asked about, and each is decided by
+  targeted ``ext_set`` queries (:func:`_component_labels`), with no
+  Grassmannian walked.
 * ``simplicity_necessary``: a failed support-pair test means the
   product cannot be simple; the verdict carries the full hom-count
   table so a failure is explainable, not just boolean.  Passing is only
@@ -21,7 +23,7 @@ product L(mu) o L(nu) to exact quiver-side computations:
   are argued in its docstring).
 * ``socle_prediction``: predicts the socle class mu*nu when the
   defining hypothesis ((mu, nu) in ext_ger(mu*nu)) holds, and abstains
-  otherwise.
+  otherwise; the hypothesis is decided by the same queries.
 * ``length_two_report``: when ext_dim(mu, nu) = 1 the product has
   exactly the two factors mu*nu (socle) and mu (+) nu (head).
 * ``head_socle_bounds``: interval bounds for head and socle classes in
@@ -41,13 +43,13 @@ of scope; statements are about ungraded classes.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import linalg
-from .extensions import d_lambda, e_lambda, ext_set, generic_ext
+from .extensions import _in_hom_box, _walked_side, d_lambda, e_lambda, ext_set, generic_ext
 from .grassmannian import ext_ger, generic_pairs
 from .homs import ext_dim, hom_dim
-from .order import _check_kp_cap, interval, is_rigid
+from .order import _check_kp_cap, interval, is_rigid, leq, lt
 from .quiver import (
     KostantPartition,
     PartitionError,
@@ -85,6 +87,51 @@ CANNOT_BE_SIMPLE = "cannot_be_simple"
 PASSES_NECESSARY_TEST = "passes_necessary_test"
 
 
+def _component_labels(
+    mu: KostantPartition,
+    nu: KostantPartition,
+    lams: Sequence[KostantPartition],
+    fields: Sequence[int],
+    cap: int,
+) -> Iterator[KostantPartition]:
+    """The lam of ``lams``, in order, for which (mu, nu) is in
+    ``ext_ger(lam, mu.total, nu.total, fields=fields)``; each lam must be
+    in ``ext_set(mu, nu, fields=fields)``, which makes (mu, nu) a
+    realized pair of lam's Grassmannian.
+
+    A point U with U = M_nu' and M_lam/U = M_mu' is a short exact
+    sequence 0 -> M_nu' -> M_lam -> M_mu' -> 0, so (mu', nu') is realized
+    exactly when lam is in ``ext_set(mu', nu')``.  So (mu, nu) is in
+    ext_ger(lam) when [nu, lam] = [nu, nu] + [nu, mu], no nu' < nu has
+    lam in ``ext_set(mu, nu')`` and no mu' < mu has lam in
+    ``ext_set(mu', nu)``; only the nu' and mu' with lam <= mu' + nu' in
+    the hom box (:func:`.extensions._in_hom_box`) are asked about.  The
+    Kostant partitions of both dimension vectors, and then, per field,
+    the u-route representatives of every query (:func:`.extensions._walked_side`),
+    are counted against ``cap`` before any query runs."""
+    table = mu.table
+    for gamma in (mu.total, nu.total):
+        _check_kp_cap(table, gamma, cap)
+    lower = [(mu, n) for n in kp_enumerate(table, nu.total) if lt(n, nu)] + [
+        (m, nu) for m in kp_enumerate(table, mu.total) if lt(m, mu)
+    ]
+    tests = [
+        (lam, [(m, n) for m, n in lower if leq(lam, m + n) and _in_hom_box(lam, m, n)])
+        for lam in lams
+        if hom_dim(nu, lam) == hom_dim(nu, nu) + hom_dim(nu, mu)
+    ]
+    queries = {query for _, some in tests for query in some}
+    for q in fields:
+        linalg.check_cap(
+            sum(_walked_side(m, n, q)[0] for m, n in queries),
+            cap,
+            "ext_set queries of the component-label test, one u per orbit representative",
+        )
+    for lam, some in tests:
+        if not any(lam in ext_set(m, n, fields=fields, cap=cap).classes for m, n in some):
+            yield lam
+
+
 @_record
 class SupportPairResult:
     ok: bool
@@ -102,15 +149,12 @@ def is_support_pair(
     cap: int = linalg.DEFAULT_CAP,
 ) -> SupportPairResult:
     """True iff no strictly-smaller middle term has (mu, nu) among the
-    component labels of its Grassmannian; on failure the first offending
-    middle term is returned as the witness."""
-    split = mu + nu
-    alpha, beta = mu.total, nu.total
+    component labels of its Grassmannian (:func:`_component_labels`); on
+    failure the first offending middle term is returned as the witness."""
     classes = ext_set(mu, nu, fields=fields, cap=cap).classes
-    for lam in sorted(classes - {split}, key=lambda x: x.parts):
-        if (mu, nu) in ext_ger(lam, alpha, beta, fields=fields, cap=cap):
-            return SupportPairResult(False, lam)
-    return SupportPairResult(True, None)
+    lams = sorted(classes - {mu + nu}, key=lambda x: x.parts)
+    witness = next(_component_labels(mu, nu, lams, fields, cap), None)
+    return SupportPairResult(witness is None, witness)
 
 
 @_record
@@ -249,8 +293,7 @@ def socle_prediction(
     """Predict the socle class mu*nu when (mu, nu) labels a component
     of the Grassmannian of mu*nu; abstain when that hypothesis fails."""
     gen = generic_ext(mu, nu, fields=fields, cap=cap)
-    components = ext_ger(gen, mu.total, nu.total, fields=fields, cap=cap)
-    predicted = gen if (mu, nu) in components else None
+    predicted = next(_component_labels(mu, nu, [gen], fields, cap), None)
     return SoclePrediction(mu, nu, gen, predicted)
 
 

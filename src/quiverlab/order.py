@@ -96,10 +96,18 @@ def is_rigid(x: KostantPartition) -> bool:
 def _check_kp_cap(table: RootTable, gamma: tuple[int, ...], cap: int | None) -> None:
     if cap is not None:
         linalg.check_cap(
-            kp_count(table, gamma, cap + 1),
+            _kp_count(table, tuple(gamma), cap + 1),
             cap,
             "Kostant partition enumeration (counting stopped past the cap)",
         )
+
+
+@functools.cache
+def _kp_count(table: RootTable, gamma: tuple[int, ...], limit: int) -> int:
+    """:func:`~.quiver.kp_count` stopped at ``limit``, memoized per
+    ``(table, gamma, limit)``: the caps of ``ext_set``'s subrep route and
+    of ``klr`` ask for the same vectors over and over."""
+    return kp_count(table, gamma, limit)
 
 
 def interval(

@@ -245,6 +245,18 @@ def test_simplicity_exit_codes(capsys):
     assert rc == 0 and data["verdict"] == "passes_necessary_test"
 
 
+def test_simplicity_at_weight_eight_and_ten_runs_at_the_default_cap(capsys):
+    # a walk of every Grassmannian of the first pair needs 186,085,900
+    # states; the targeted ext_set queries fit the default cap
+    mu, nu = "[1,2]+[2,3]+[1,3]+[2,2]", "[1,1]+[3,3]+[2,3]+[1,2]"
+    rc, data = run_json(capsys, "simplicity", mu, nu, *A3)
+    assert rc == 3 and data["verdict"] == "cannot_be_simple"
+    assert data["witness"] == "[1,1]+[1,2]+[1,2]+[1,3]+[2,3]+[2,3]+[2,3]"
+    rc, data = run_json(capsys, "simplicity", mu + "+[1,1]", nu + "+[2,2]", *A3)
+    assert rc == 0 and data["verdict"] == "passes_necessary_test"
+    assert data["witness"] is None
+
+
 def test_socle_predicts(capsys):
     rc, data = run_json(capsys, "socle", "[1,1]", "[2,2]", *A2)
     assert rc == 0
@@ -660,12 +672,12 @@ def test_all_forced_strata_cap_counts_the_enumerated_colour_class(capsys):
 
 
 def test_subrep_cap_counts_the_hom_box_exit_5(capsys):
-    # 5 of the 10 candidate middle terms are in the hom box, each a
-    # 64-state scan over GF(3)
+    # 5 of the 10 candidate middle terms are in the hom box; over GF(3)
+    # each but the split class is a 64-state scan
     argv = ["ext-set", "[1,1]+[2,2]+[3,3]", "[1,1]+[2,2]+[3,3]", "--method", "subrep", *A3]
-    assert main([*argv, "--cap", "319"]) == 5
-    assert "hom box) needs 320 states, cap is 319" in capsys.readouterr().err
-    rc, data = run_json(capsys, *argv, "--cap", "320")
+    assert main([*argv, "--cap", "255"]) == 5
+    assert "hom box needs 256 states, cap is 255" in capsys.readouterr().err
+    rc, data = run_json(capsys, *argv, "--cap", "256")
     assert rc == 0 and len(data["classes"]) == 4
 
 

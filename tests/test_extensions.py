@@ -256,30 +256,31 @@ def test_u_route_cap_counts_the_representatives_it_classifies(t3, monkeypatch):
 
 def test_subrep_cap_counts_the_hom_box_scans(t3, monkeypatch):
     # of the 10 classes lam <= mu + nu only the 5 in the hom box are
-    # scanned, and the cap counts a scan of the Grassmannian of each of
-    # those, 27 states each over GF(2) and 64 over GF(3)
+    # decided, and the cap counts a scan of the Grassmannian of each of
+    # those but the split class, whose summand point needs none: 27
+    # states each over GF(2) and 64 over GF(3)
     mu = kp_parse(t3, "[1,1]+[2,2]+[3,3]")
     split = mu + mu
     assert sum(leq(lam, split) for lam in kp_enumerate(t3, split.total)) == 10
     box = _hom_box(mu, mu)
-    assert len(box) == 5
+    assert len(box) == 5 and split in box
     scanned = []
-    realized_pairs = grassmannian.realized_pairs
+    realizes = grassmannian._realizes
 
-    def counted(lam, beta, q, cap):
+    def counted(lam, beta, q, pair):
         scanned.append((lam, q))
-        return realized_pairs(lam, beta, q, cap)
+        return realizes(lam, beta, q, pair)
 
-    monkeypatch.setattr(grassmannian, "realized_pairs", counted)
+    monkeypatch.setattr(grassmannian, "_realizes", counted)
     extensions._ext_set_filter.cache_clear()
     with pytest.raises(CapExceeded) as exc:
         ext_set(mu, mu, method=METHOD_FILTER, cap=64)
-    assert exc.value.needed == 135 and "subrepresentation scan" in str(exc.value)
+    assert exc.value.needed == 108 and "subrepresentation scan" in str(exc.value)
     with pytest.raises(CapExceeded) as exc:
-        ext_set(mu, mu, method=METHOD_FILTER, cap=319)
-    assert exc.value.needed == 320
+        ext_set(mu, mu, method=METHOD_FILTER, cap=255)
+    assert exc.value.needed == 256
     assert scanned == []
-    result = ext_set(mu, mu, method=METHOD_FILTER, cap=320)
+    result = ext_set(mu, mu, method=METHOD_FILTER, cap=256)
     assert scanned == [(lam, q) for q in (2, 3) for lam in box]
     assert sorted(kp_format(lam) for lam in result.classes) == [
         "[1,1]+[1,1]+[2,2]+[2,2]+[3,3]+[3,3]",

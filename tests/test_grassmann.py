@@ -16,6 +16,7 @@ from quiverlab import (
     build,
     build_quiver,
     build_repetition,
+    dim_sub,
     ext_ger,
     ext_pairs,
     generic_pairs,
@@ -28,6 +29,7 @@ from quiverlab import (
     kp_format,
     kp_parse,
     kp_single,
+    leq,
     point_count,
     positive_roots,
     realized_pairs,
@@ -45,10 +47,12 @@ from quiverlab.grassmannian import (
     _assembled_basis,
     _classifier,
     _forced_counts,
+    _realizes,
     _root_kinds,
     _Subspace,
     _subspace_table,
 )
+from quiverlab.extensions import _in_hom_box
 from quiverlab.homs import _top_and_socle
 from quiverlab.linalg import rank, rref
 from quiverlab.reps import RepError, _partition_from_counts
@@ -639,6 +643,52 @@ def test_colour_count_equals_the_walked_count(
                 seen[1] += bool(into_ranked or out_ranked)
                 seen[2] += bool(into_ranked) != bool(out_ranked)
     assert seen == [n_inputs, n_ranked, n_one_side]
+
+
+@pytest.mark.parametrize(
+    "which,max_total,n_pairs,n_realized,n_box,n_kinds",
+    [
+        pytest.param("t2", 5, 720, 520, 0, (420, 42, 258), id="A2-5"),
+        pytest.param("t3", 4, 1354, 854, 6, (690, 196, 468), id="A3-4"),
+        pytest.param("t4", 3, 736, 516, 0, (448, 56, 232), id="D4-3"),
+    ],
+)
+def test_realizes_decides_membership_in_the_realized_pairs(
+    request, which, max_total, n_pairs, n_realized, n_box, n_kinds
+):
+    # _realizes answers for one pair: the split class by its summand point,
+    # an all-forced lam by its one pair, any other by a walk that stops at
+    # its first witness; against the walk's pairs, on every (lam, beta) at
+    # q = 2 and 3, for every pair (mu, nu) with lam <= mu + nu, realized or
+    # not, the realized ones all in the hom box
+    table = request.getfixturevalue(which)
+    seen = [0, 0, 0]
+    kinds = Counter()
+    for lam in all_classes(table, max_total):
+        ranked = any(r for _, r in _root_kinds(lam))
+        for beta in itertools.product(*(range(x + 1) for x in lam.total)):
+            pairs = [
+                (mu, nu)
+                for mu in kp_enumerate(table, dim_sub(lam.total, beta))
+                for nu in kp_enumerate(table, beta)
+                if leq(lam, mu + nu)
+            ]
+            for q in (2, 3):
+                realized = realized_pairs(lam, beta, q)
+                for pair in pairs:
+                    where = (kp_format(lam), beta, q, pair_names([pair]))
+                    got = _realizes(lam, beta, q, pair)
+                    assert got == (pair in realized), where
+                    in_box = _in_hom_box(lam, *pair)
+                    assert in_box or not got, where
+                    seen[0] += 1
+                    seen[1] += got
+                    seen[2] += in_box and not got
+                    split = lam == pair[0] + pair[1]
+                    kinds["split" if split else "walked" if ranked else "forced"] += 1
+    assert (*seen, (kinds["split"], kinds["forced"], kinds["walked"])) == (
+        n_pairs, n_realized, n_box, n_kinds
+    )
 
 
 @pytest.mark.parametrize(

@@ -123,6 +123,60 @@ def test_rigid_converse(request, which, bound, n_pairs, n_members):
     assert (len(pairs), members) == (n_pairs, n_members)
 
 
+@pytest.mark.parametrize(
+    "which,bound,n_pairs,n_terms,n_members",
+    [
+        pytest.param("t3", 5, 693, 1017, 860, id="A3-5"),
+        pytest.param("t4", 4, 569, 798, 730, id="D4-4"),
+        pytest.param("t2", 6, 300, 421, 339, id="A2-6"),
+    ],
+)
+def test_component_labels_are_ext_ger_membership(
+    request, which, bound, n_pairs, n_terms, n_members
+):
+    # the targeted ext_set queries against the Grassmannian walk, on every
+    # middle term, the split one included, of every pair of total dimension
+    # at most the bound
+    table = request.getfixturevalue(which)
+    classes = [
+        kp
+        for g in itertools.product(range(bound + 1), repeat=table.quiver.rank)
+        if 0 < sum(g) <= bound
+        for kp in kp_enumerate(table, g)
+    ]
+    pairs = [(m, n) for m in classes for n in classes if sum(m.total) + sum(n.total) <= bound]
+    terms = members = 0
+    for mu, nu in pairs:
+        lams = sorted(ext_set(mu, nu).classes, key=lambda x: x.parts)
+        got = list(klr._component_labels(mu, nu, lams, (2, 3), 2**24))
+        assert got == [lam for lam in lams if (mu, nu) in ext_ger(lam, mu.total, nu.total)], (
+            kp_format(mu), kp_format(nu)
+        )
+        terms += len(lams)
+        members += len(got)
+    assert (len(pairs), terms, members) == (n_pairs, n_terms, n_members)
+
+
+def test_component_label_cap_counts_the_queries_before_any_runs(t3, monkeypatch):
+    # ext_set of the pair itself classifies 2 u per field; the queries of
+    # the component-label test, 4 u per field, are counted before any runs
+    mu, nu = kp_parse(t3, "[1,1]+[1,1]+[2,2]"), kp_parse(t3, "[2,3]")
+    asked = []
+
+    def counted(m, n, **kwargs):
+        asked.append((m, n))
+        return ext_set(m, n, **kwargs)
+
+    monkeypatch.setattr(klr, "ext_set", counted)
+    for call in (is_support_pair, socle_prediction):
+        with pytest.raises(CapExceeded) as exc:
+            call(mu, nu, cap=3)
+        assert exc.value.needed == 4 and "component-label test" in str(exc.value)
+    assert asked == [(mu, nu)]
+    assert is_support_pair(mu, nu, cap=4).ok
+    assert len(asked) > 1
+
+
 # ------------------------------------------------------------ simplicity
 
 def test_simplicity_necessary_rejects(s1, s2):
