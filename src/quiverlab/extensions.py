@@ -42,8 +42,8 @@ recording whether every field produced the same set.
 
 The numerical bookkeeping for a triple ``(lam, mu, nu)`` — codimension
 ``d_lambda``, ``e_lambda = n_u + [lam, mu*nu] - [lam, lam]`` with n_u
-the dimension of the connecting-map space (it can be negative), and the
-degree bound ``2*e + d`` — is implemented from the closed hom/ext
+the dimension of the connecting-map space (it can be negative), and
+``2*e + d`` — is implemented from the closed hom/ext
 formulas, with the two equivalent expressions for ``d_lambda`` both
 evaluated and compared.
 """
@@ -553,7 +553,7 @@ def degree_bound(
     fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int = linalg.DEFAULT_CAP,
 ) -> int:
-    """Upper bound ``2*e_lambda + d_lambda`` for the degree attached to
-    the lam-row of a pair (mu, nu)."""
+    """``2*e_lambda + d_lambda``, the ``bound`` column of the lam-row of
+    a pair (mu, nu); e_lambda can be negative, and no bound is claimed."""
     return 2 * e_lambda(lam, mu, nu, fields=fields, cap=cap) + d_lambda(lam, mu, nu)
 

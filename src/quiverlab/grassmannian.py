@@ -72,7 +72,7 @@ the irreducible components of the Grassmannian (``ext_ger``).
 
 Whole strata are walked for ``strata`` and what reads it:
 ``realized_pairs``, ``ext_pairs``, ``generic_pairs``, ``ext_ger`` and
-``stratum_dim`` (so ``grass``, ``ext-min`` and ``degree_report``).
+``stratum_dim`` (so ``grass`` and ``ext-min``).
 Whether one pair is realized is asked by ``_realizes``, for the subrep
 route of ``extensions.ext_set``: it classifies the summand point M_nu of
 the split class, compares the counts of an all-forced ``lam`` with the

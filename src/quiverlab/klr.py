@@ -32,8 +32,9 @@ product L(mu) o L(nu) to exact quiver-side computations:
 * ``semicuspidal_pairs``: proper pairs whose generic extension is a
   given root class, with all parts of mu strictly below and all parts
   of nu strictly above that root in the enumeration order.
-* ``degree_report``: per middle term, the bookkeeping d, e, the degree
-  bound 2e + d, genericity flags, and on the split row the pairing
+* ``degree_report``: per middle term, the bookkeeping d, e and 2e + d,
+  the generic-pair and ext_ger flags, decided by the same queries asked
+  once over all the middle terms, and on the split row the pairing
   exponent epsilon from the repetition-quiver calculus.
 
 Grading shifts (powers of q on composition factors) are uniformly out
@@ -47,7 +48,6 @@ from typing import Iterator, Sequence
 
 from . import linalg
 from .extensions import _in_hom_box, _walked_side, d_lambda, e_lambda, ext_set, generic_ext
-from .grassmannian import ext_ger, generic_pairs
 from .homs import ext_dim, hom_dim
 from .order import _check_kp_cap, interval, is_rigid, leq, lt
 from .quiver import (
@@ -87,7 +87,13 @@ CANNOT_BE_SIMPLE = "cannot_be_simple"
 PASSES_NECESSARY_TEST = "passes_necessary_test"
 
 
-def _component_labels(
+def _hom_exact(lam: KostantPartition, mu: KostantPartition, nu: KostantPartition) -> bool:
+    """[nu, lam] = [nu, nu] + [nu, mu]: Hom(M_nu, -) is exact on the
+    sequences 0 -> M_nu -> M_lam -> M_mu -> 0."""
+    return hom_dim(nu, lam) == hom_dim(nu, nu) + hom_dim(nu, mu)
+
+
+def _generic_terms(
     mu: KostantPartition,
     nu: KostantPartition,
     lams: Sequence[KostantPartition],
@@ -95,20 +101,20 @@ def _component_labels(
     cap: int,
 ) -> Iterator[KostantPartition]:
     """The lam of ``lams``, in order, for which (mu, nu) is in
-    ``ext_ger(lam, mu.total, nu.total, fields=fields)``; each lam must be
-    in ``ext_set(mu, nu, fields=fields)``, which makes (mu, nu) a
+    ``generic_pairs(lam, mu.total, nu.total, fields=fields)``; each lam
+    must be in ``ext_set(mu, nu, fields=fields)``, which makes (mu, nu) a
     realized pair of lam's Grassmannian.
 
     A point U with U = M_nu' and M_lam/U = M_mu' is a short exact
     sequence 0 -> M_nu' -> M_lam -> M_mu' -> 0, so (mu', nu') is realized
-    exactly when lam is in ``ext_set(mu', nu')``.  So (mu, nu) is in
-    ext_ger(lam) when [nu, lam] = [nu, nu] + [nu, mu], no nu' < nu has
-    lam in ``ext_set(mu, nu')`` and no mu' < mu has lam in
-    ``ext_set(mu', nu)``; only the nu' and mu' with lam <= mu' + nu' in
-    the hom box (:func:`.extensions._in_hom_box`) are asked about.  The
-    Kostant partitions of both dimension vectors, and then, per field,
-    the u-route representatives of every query (:func:`.extensions._walked_side`),
-    are counted against ``cap`` before any query runs."""
+    exactly when lam is in ``ext_set(mu', nu')``.  So (mu, nu) is generic
+    for lam when no nu' < nu has lam in ``ext_set(mu, nu')`` and no
+    mu' < mu has lam in ``ext_set(mu', nu)``; only the nu' and mu' with
+    lam <= mu' + nu' in the hom box (:func:`.extensions._in_hom_box`) are
+    asked about.  The Kostant partitions of both dimension vectors, and
+    then, per field, the u-route representatives of every query
+    (:func:`.extensions._walked_side`), are counted against ``cap`` before
+    any query runs."""
     table = mu.table
     for gamma in (mu.total, nu.total):
         _check_kp_cap(table, gamma, cap)
@@ -118,7 +124,6 @@ def _component_labels(
     tests = [
         (lam, [(m, n) for m, n in lower if leq(lam, m + n) and _in_hom_box(lam, m, n)])
         for lam in lams
-        if hom_dim(nu, lam) == hom_dim(nu, nu) + hom_dim(nu, mu)
     ]
     queries = {query for _, some in tests for query in some}
     for q in fields:
@@ -130,6 +135,20 @@ def _component_labels(
     for lam, some in tests:
         if not any(lam in ext_set(m, n, fields=fields, cap=cap).classes for m, n in some):
             yield lam
+
+
+def _component_labels(
+    mu: KostantPartition,
+    nu: KostantPartition,
+    lams: Sequence[KostantPartition],
+    fields: Sequence[int],
+    cap: int,
+) -> Iterator[KostantPartition]:
+    """The lam of ``lams``, in order, for which (mu, nu) is in
+    ``ext_ger(lam, mu.total, nu.total, fields=fields)``: the generic
+    terms (:func:`_generic_terms`) among those that pass
+    :func:`_hom_exact`, which is checked first."""
+    return _generic_terms(mu, nu, [lam for lam in lams if _hom_exact(lam, mu, nu)], fields, cap)
 
 
 @_record
@@ -420,9 +439,10 @@ def degree_report(
     fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int = linalg.DEFAULT_CAP,
 ) -> DegreeReport:
-    """One row per middle term: d, e, the bound 2e + d, whether
-    (mu, nu) is a generic pair / component label for that term, and on
-    the split row the pairing exponent epsilon."""
+    """One row per middle term: d, e, 2e + d, whether (mu, nu) is a
+    generic pair / component label for that term (:func:`_generic_terms`,
+    asked once over all the terms, and :func:`_hom_exact`), and on the
+    split row the pairing exponent epsilon."""
     split = mu + nu
     alpha, beta = mu.total, nu.total
     classes = ext_set(mu, nu, fields=fields, cap=cap).classes
@@ -435,10 +455,10 @@ def degree_report(
         v_lambda(rq, nu),
         w_gamma(rq, beta),
     )
+    lams = sorted(classes, key=lambda x: x.parts)
+    generic = set(_generic_terms(mu, nu, lams, fields, cap))
     rows = []
-    for lam in sorted(classes, key=lambda x: x.parts):
-        gp = generic_pairs(lam, alpha, beta, fields=fields, cap=cap)
-        eg = ext_ger(lam, alpha, beta, fields=fields, cap=cap)
+    for lam in lams:
         d = d_lambda(lam, mu, nu)
         e = e_lambda(lam, mu, nu, fields=fields, cap=cap)
         rows.append(
@@ -447,8 +467,8 @@ def degree_report(
                 d,
                 e,
                 2 * e + d,
-                (mu, nu) in gp,
-                (mu, nu) in eg,
+                lam in generic,
+                lam in generic and _hom_exact(lam, mu, nu),
                 eps_split if lam == split else None,
             )
         )

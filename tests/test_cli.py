@@ -257,6 +257,23 @@ def test_simplicity_at_weight_eight_and_ten_runs_at_the_default_cap(capsys):
     assert data["witness"] is None
 
 
+def test_degree_report_at_weight_eight_and_ten_runs_at_the_default_cap(capsys):
+    # the pairs of the test above: both flags come from the targeted ext_set
+    # queries, and are true on the simplicity witness and the split row only
+    mu, nu = "[1,2]+[2,3]+[1,3]+[2,2]", "[1,1]+[3,3]+[2,3]+[1,2]"
+    split8 = "[1,1]+[1,2]+[1,2]+[1,3]+[2,2]+[2,3]+[2,3]+[3,3]"
+    witness = "[1,1]+[1,2]+[1,2]+[1,3]+[2,3]+[2,3]+[2,3]"
+    rc, data = run_json(capsys, "degree-report", mu, nu, *A3)
+    assert rc == 0 and len(data["rows"]) == 4
+    for row in data["rows"]:
+        assert row["generic_pair"] == row["ext_ger"] == (row["lambda"] in (witness, split8))
+    split10 = "[1,1]+[1,1]+[1,2]+[1,2]+[1,3]+[2,2]+[2,2]+[2,3]+[2,3]+[3,3]"
+    rc, data = run_json(capsys, "degree-report", mu + "+[1,1]", nu + "+[2,2]", *A3)
+    assert rc == 0 and len(data["rows"]) == 9
+    for row in data["rows"]:
+        assert row["generic_pair"] == row["ext_ger"] == (row["lambda"] == split10)
+
+
 def test_socle_predicts(capsys):
     rc, data = run_json(capsys, "socle", "[1,1]", "[2,2]", *A2)
     assert rc == 0

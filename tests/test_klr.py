@@ -18,6 +18,7 @@ from quiverlab import (
     ext_dim,
     ext_ger,
     ext_set,
+    generic_pairs,
     is_rigid,
     is_support_pair,
     kp_enumerate,
@@ -136,7 +137,7 @@ def test_component_labels_are_ext_ger_membership(
 ):
     # the targeted ext_set queries against the Grassmannian walk, on every
     # middle term, the split one included, of every pair of total dimension
-    # at most the bound
+    # at most the bound; degree_report's two flags against the same walk
     table = request.getfixturevalue(which)
     classes = [
         kp
@@ -147,11 +148,17 @@ def test_component_labels_are_ext_ger_membership(
     pairs = [(m, n) for m in classes for n in classes if sum(m.total) + sum(n.total) <= bound]
     terms = members = 0
     for mu, nu in pairs:
+        where = (kp_format(mu), kp_format(nu))
         lams = sorted(ext_set(mu, nu).classes, key=lambda x: x.parts)
+        walked = [
+            (lam, (mu, nu) in generic_pairs(lam, mu.total, nu.total),
+             (mu, nu) in ext_ger(lam, mu.total, nu.total))
+            for lam in lams
+        ]
         got = list(klr._component_labels(mu, nu, lams, (2, 3), 2**24))
-        assert got == [lam for lam in lams if (mu, nu) in ext_ger(lam, mu.total, nu.total)], (
-            kp_format(mu), kp_format(nu)
-        )
+        assert got == [lam for lam, _, in_eg in walked if in_eg], where
+        rows = degree_report(mu, nu).rows
+        assert [(r.lam, r.is_generic_pair, r.in_ext_ger) for r in rows] == walked, where
         terms += len(lams)
         members += len(got)
     assert (len(pairs), terms, members) == (n_pairs, n_terms, n_members)
@@ -168,13 +175,15 @@ def test_component_label_cap_counts_the_queries_before_any_runs(t3, monkeypatch)
         return ext_set(m, n, **kwargs)
 
     monkeypatch.setattr(klr, "ext_set", counted)
-    for call in (is_support_pair, socle_prediction):
+    for call in (is_support_pair, socle_prediction, degree_report):
         with pytest.raises(CapExceeded) as exc:
             call(mu, nu, cap=3)
         assert exc.value.needed == 4 and "component-label test" in str(exc.value)
-    assert asked == [(mu, nu)]
+    # is_support_pair and degree_report each ask for the pair itself only
+    assert asked == [(mu, nu), (mu, nu)]
     assert is_support_pair(mu, nu, cap=4).ok
-    assert len(asked) > 1
+    assert len(asked) > 2
+    assert degree_report(mu, nu, cap=4).rows
 
 
 # ------------------------------------------------------------ simplicity
