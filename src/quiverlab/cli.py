@@ -49,6 +49,7 @@ from .quiver import (
     kp_single,
     load_quiver,
     parse_dim_vector,
+    positive_root_count,
     positive_roots,
     standard_quiver,
     weight,
@@ -143,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("simplicity", _cmd_simplicity, "necessary condition for a simple product",
          enumerating),
         ("socle", _cmd_socle, "socle prediction (may abstain)", enumerating),
-        ("degree-report", _cmd_degree_report, "d/e/degree-bound table over middle terms",
+        ("degree-report", _cmd_degree_report, "d, e and 2e + d per middle term",
          enumerating),
         ("epsilon", _cmd_epsilon, "pairing exponent for the split class", ("window",)),
     ):
@@ -166,14 +167,31 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_quiver(args):
     if args.quiver:
         try:
-            return load_quiver(args.quiver)
+            quiver = load_quiver(args.quiver)
         except OSError as exc:
             raise CliParseError(f"cannot read quiver file: {exc}") from None
+        _check_root_table(quiver.diagram_type, quiver.rank, args)
+        return quiver
     if args.diagram_type:
         if args.rank is None:
             raise CliParseError("--type needs --rank")
+        _check_root_table(args.diagram_type, args.rank, args)
         return standard_quiver(args.diagram_type, args.rank)
     raise CliParseError("provide --quiver PATH or --type/--rank")
+
+
+def _check_root_table(diagram_type: str, rank: int, args) -> None:
+    """Refuse, before the quiver is built, a root table of more entries
+    than the cap: N positive roots of ``rank`` coordinates, which the
+    adapted walk and the first closed forms cost N x rank to build.  A
+    cap below the default bounds the enumeration that follows, not the
+    table, so a table within the default always builds.  E has at most
+    120 roots."""
+    if diagram_type == "E":
+        return
+    needed = positive_root_count(diagram_type, rank) * rank
+    if needed > linalg.DEFAULT_CAP:
+        linalg.check_cap(needed, _resolve_cap(args), "root table (positive roots x rank)")
 
 
 def _resolve_fields(args) -> tuple[int, ...]:
@@ -187,9 +205,9 @@ def _resolve_fields(args) -> tuple[int, ...]:
 
 
 def _resolve_cap(args) -> int:
-    if args.cap is not None:
-        cap = args.cap
-    else:
+    # a command without --cap reads the environment or the default
+    cap = getattr(args, "cap", None)
+    if cap is None:
         text = os.environ.get("QUIVERLAB_CAP", str(linalg.DEFAULT_CAP))
         try:
             cap = int(text)

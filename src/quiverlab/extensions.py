@@ -50,7 +50,6 @@ evaluated and compared.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from operator import add, le, mul
@@ -65,6 +64,7 @@ from .quiver import (
     PartitionError,
     QuiverError,
     RootTable,
+    _memo,
     _record,
     dim_add,
     euler_form,
@@ -141,7 +141,7 @@ def _coboundaries(x: Rep, y: Rep) -> list[tuple[int, ...]]:
     return list(zip(*(linalg._unpack(row, x.q, offsets[-1]) for row in rows)))
 
 
-@functools.cache
+@_memo
 def _pair_ext(table: RootTable, a: int, b: int, q: int) -> tuple:
     """``(free, coords)`` for Ext^1(M_a, M_b), memoized per pair of roots:
     the free (non-pivot) positions c of the reduced echelon form E of the
@@ -169,7 +169,7 @@ def _part_pairs(mu: KostantPartition, nu: KostantPartition):
                     yield i, j, c, b, e
 
 
-@functools.cache
+@_memo
 def _yoneda(table: RootTable, a: int, c: int, b: int, q: int) -> tuple:
     """The Yoneda pairing Ext^1(M_c, M_b) x Hom(M_a, M_c) -> Ext^1(M_a, M_b),
     memoized per triple of roots: per free position of :func:`_pair_ext`
@@ -263,7 +263,7 @@ def _classify_u(
     return classify
 
 
-@functools.cache
+@_memo
 def _subspaces_up_to(e: int, m: int, q: int) -> int:
     """The subspaces of F_q^e of dimension at most m: the orbits of GL_m
     on the e x m matrices, one per column space."""
@@ -295,7 +295,7 @@ def _runs(parts: tuple[int, ...]) -> list[tuple[int, int, int]]:
     return runs
 
 
-@functools.cache
+@_memo
 def _walked_side(mu: KostantPartition, nu: KostantPartition, q: int) -> tuple:
     """``(count, on_nu, runs)`` for the side :func:`_ext_set_u`
     walks, nu's or mu's, whichever has fewer representatives (nu on a
@@ -317,7 +317,7 @@ def _walked_side(mu: KostantPartition, nu: KostantPartition, q: int) -> tuple:
     return min(sides, key=lambda entry: entry[0])
 
 
-@functools.cache
+@_memo
 def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
     """One u per orbit of the copies' general linear groups on Ext^1.
 
@@ -352,7 +352,7 @@ def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
     return frozenset(classify([*itertools.chain(*choice)]) for choice in itertools.product(*options))
 
 
-@functools.cache
+@_memo
 def _candidates(split: KostantPartition) -> tuple[KostantPartition, ...]:
     """The classes ``lam <= split``, which :func:`_hom_box` filters."""
     return tuple(lam for lam in kp_enumerate(split.table, split.total) if leq(lam, split))
@@ -372,7 +372,6 @@ def _hom_box(mu: KostantPartition, nu: KostantPartition) -> list[KostantPartitio
     return [lam for lam in _candidates(mu + nu) if _in_hom_box(lam, mu, nu)]
 
 
-@functools.cache
 def _ext_set_filter(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
     """The candidates in the hom box whose Grassmannian realizes
     ``(mu, nu)`` over F_q, each decided by :func:`.grassmannian._realizes`."""

@@ -81,7 +81,6 @@ pair's, and otherwise stops at the first point of the pair's class.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -96,6 +95,7 @@ from .quiver import (
     PartitionError,
     RootTable,
     _heights,
+    _memo,
     _record,
     dim_add,
     dim_leq,
@@ -169,7 +169,7 @@ class _Subspace(list):
         self.readings = linalg.kernel_basis(rows, d, q)
 
 
-@functools.cache
+@_memo
 def _subspace_table(d: int, b: int, q: int) -> tuple[_Subspace, ...]:
     """The gaussian_binomial(d, b, q) subspaces of dimension ``b`` of
     F_q^d, in :func:`.linalg.enumerate_subspaces` order."""
@@ -269,7 +269,7 @@ def strata(
     return _strata(lam, beta, q)
 
 
-@functools.cache
+@_memo
 def _strata(lam: KostantPartition, beta: tuple[int, ...], q: int) -> StrataReport:
     """The report of :func:`strata`: every point walked (:func:`subreps`)
     and classified (:func:`_classifier`) when a root of ``lam`` is ranked,
@@ -293,13 +293,13 @@ def _strata(lam: KostantPartition, beta: tuple[int, ...], q: int) -> StrataRepor
     return StrataReport(lam, beta, q, entries, total)
 
 
-@functools.cache
+@_memo
 def _pair_basis(table: RootTable, a: int, b: int, q: int) -> list:
     """:func:`~.reps.hom_basis` of M_a and M_b, memoized per pair of roots."""
     return hom_basis(indecomposable(table, a, q), indecomposable(table, b, q))
 
 
-@functools.cache
+@_memo
 def _assembled_basis(lam: KostantPartition, a: int, q: int, dual: bool) -> tuple:
     """A basis of Hom(M_a, M), or with ``dual`` of Hom(M, M_a), for
     M = build(lam, q), written as :func:`~.reps.hom_basis` writes one: a
@@ -321,7 +321,7 @@ def _assembled_basis(lam: KostantPartition, a: int, q: int, dual: bool) -> tuple
     return tuple(basis)
 
 
-@functools.cache
+@_memo
 def _root_kinds(lam: KostantPartition) -> tuple:
     """``(into, out_of)``, each ``(forced, ranked)``: the roots a with
     h = dim Hom(M_a, M) > 0, or h = dim Hom(M, M_a) > 0, read off
@@ -461,7 +461,7 @@ def _colour_classes(lam: KostantPartition, beta: tuple[int, ...], q: int) -> tup
     return xs, ys, min(states)
 
 
-@functools.cache
+@_memo
 def _colour_count(lam: KostantPartition, beta: tuple[int, ...], q: int) -> int:
     """Number of points of the Grassmannian of ``beta``-dimensional
     subrepresentations of ``M = build(lam, q)``, counted with no walk.
@@ -536,7 +536,7 @@ def _summand_point(lam: KostantPartition, nu: KostantPartition, q: int) -> tuple
     return tuple(_unit_subspace(d, tuple(at), q) for at, d in zip(rows, lam.total))
 
 
-@functools.cache
+@_memo
 def _unit_subspace(d: int, at: tuple[int, ...], q: int) -> _Subspace:
     """The span of the unit vectors of F_q^d at the sorted coordinates
     ``at``, as an entry outside any table (index -1), memoized."""

@@ -29,12 +29,11 @@ socle plays the same part for the injective hull and Hom(M, M_a).
 
 from __future__ import annotations
 
-import functools
-
 from .quiver import (
     KostantPartition,
     PartitionError,
     RootTable,
+    _memo,
     euler_form,
     segments_of,
 )
@@ -49,7 +48,7 @@ __all__ = [
 ]
 
 
-@functools.cache
+@_memo
 def hom_ext_pair(table: RootTable, a: int, b: int) -> tuple[int, int]:
     """``(dim Hom, dim Ext^1)`` between the indecomposables at root indices a, b."""
     if a == b:
@@ -65,7 +64,7 @@ def _check_same_table(x: KostantPartition, y: KostantPartition) -> None:
         raise PartitionError("partitions live over different root tables")
 
 
-@functools.cache
+@_memo
 def hom_ext_vectors(
     y: KostantPartition,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -85,7 +84,7 @@ def hom_ext_vectors(
     return tuple(into_hom), tuple(into_ext), tuple(out_hom)
 
 
-@functools.cache
+@_memo
 def _top_and_socle(table: RootTable, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The top and the socle of M_a: per vertex v, dim Hom(M_a, S_v) and
     dim Hom(S_v, M_a), the multiplicities of the simple S_v in them."""

@@ -27,9 +27,10 @@ up front instead of running forever.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Iterator, Sequence
+
+from .quiver import _memo
 
 __all__ = [
     "CapExceeded",
@@ -95,7 +96,7 @@ def _unpack(row: int, q: int, ncols: int) -> list[int]:
     return list(row.to_bytes(ncols, "little"))
 
 
-@functools.cache
+@_memo
 def _byte_table(q: int) -> tuple[bytes, tuple[int, ...]]:
     """The translate table taking a byte b to b mod q, and the inverses
     mod q (0 at 0), built the first time F_q is eliminated over."""

@@ -17,7 +17,6 @@ minimum.
 
 from __future__ import annotations
 
-import functools
 from operator import ge, le
 
 from . import linalg
@@ -26,6 +25,7 @@ from .quiver import (
     KostantPartition,
     PartitionError,
     RootTable,
+    _memo,
     kp_count,
     kp_enumerate,
     segments_of,
@@ -75,7 +75,7 @@ def typeA_leq(x: KostantPartition, y: KostantPartition) -> bool:
     return all(map(ge, _containment(x), _containment(y)))
 
 
-@functools.cache
+@_memo
 def _containment(x: KostantPartition) -> tuple[int, ...]:
     """For every segment ``[i,j]``, in lexicographic order, the number of
     parts of x containing it."""
@@ -102,7 +102,7 @@ def _check_kp_cap(table: RootTable, gamma: tuple[int, ...], cap: int | None) -> 
         )
 
 
-@functools.cache
+@_memo
 def _kp_count(table: RootTable, gamma: tuple[int, ...], limit: int) -> int:
     """:func:`~.quiver.kp_count` stopped at ``limit``, memoized per
     ``(table, gamma, limit)``: the caps of ``ext_set``'s subrep route and

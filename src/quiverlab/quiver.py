@@ -191,6 +191,23 @@ def _record(cls=None, *, eq: bool = True, intern: bool = False):
     return cls
 
 
+_MEMOS: list = []
+
+
+def _memo(fn):
+    """Memoize ``fn`` with :func:`functools.cache`, so a hit is one C
+    call, and append the memo to :data:`_MEMOS`, the one list of the
+    package's memos, which reads (``cache_info()``) or clears
+    (``cache_clear()``) them all.
+
+    Every memo is unbounded and lives for the process.  The intern
+    tables of :func:`_record` are not memos and are not listed: ``==``
+    on an interned record is identity, so they are never cleared."""
+    memo = functools.cache(fn)
+    _MEMOS.append(memo)
+    return memo
+
+
 _E_ROOT_COUNTS = {6: 36, 7: 63, 8: 120}
 _E_LEGS = {6: (1, 2, 2), 7: (1, 2, 3), 8: (1, 2, 4)}
 
@@ -447,7 +464,7 @@ def euler_form(quiver: DynkinQuiver, alpha: Sequence[int], beta: Sequence[int]) 
     return _euler_form(quiver, tuple(alpha), tuple(beta))
 
 
-@functools.cache
+@_memo
 def _euler_form(quiver: DynkinQuiver, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
     if len(alpha) != quiver.rank or len(beta) != quiver.rank:
         raise QuiverError("dimension vector length does not match the rank")
@@ -615,18 +632,17 @@ class RootTable:
         return f"RootTable({self.quiver!r}, word={self.word})"
 
 
-@functools.cache
+@_memo
 def _root_index_map(table: RootTable) -> dict[tuple[int, ...], int]:
     return {vec: k for k, vec in enumerate(table.roots)}
 
 
-@functools.cache
+@_memo
 def positive_roots(quiver: DynkinQuiver, variant: str = "canonical") -> RootTable:
     """The cached default root table for a quiver (canonical adapted word)."""
     return RootTable._checked(quiver, *_adapted_walk(quiver, variant))
 
 
-@functools.cache
 def injective_root(quiver: DynkinQuiver, i: int) -> tuple[int, ...]:
     """Dimension vector of the injective at ``i``: 1 on ``i`` and on every
     vertex that reaches it; arrows point to the larger vertex."""
@@ -764,7 +780,7 @@ def _kp_walk(
             yield acc + tuple((k, x) for k, x in zip(simple, remaining) if x)
 
 
-@functools.cache
+@_memo
 def kp_enumerate(table: RootTable, gamma: tuple[int, ...]) -> tuple[KostantPartition, ...]:
     """All Kostant partitions with dimension vector ``gamma``, ordered by
     their parts (non-increasing root indices) from the largest down."""
@@ -829,7 +845,7 @@ def kp_parse(table: RootTable, text: str) -> KostantPartition:
     return kp_from_vectors(table, vectors)
 
 
-@functools.cache
+@_memo
 def kp_format(kp: KostantPartition) -> str:
     """Canonical text form; inverse of :func:`kp_parse`."""
     if not kp.parts:

@@ -28,7 +28,6 @@ operators move support by +1 (for the q^{-1} twist) or -1 (for q), and
 
 from __future__ import annotations
 
-import functools
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -38,6 +37,7 @@ from .quiver import (
     KostantPartition,
     QuiverError,
     _heights,
+    _memo,
     _record,
     coxeter_number,
     injective_root,
@@ -182,7 +182,7 @@ class RepetitionQuiver:
 MAX_WINDOW_COXETER = 8
 
 
-@functools.cache
+@_memo
 def build_repetition(
     quiver: DynkinQuiver, window: tuple[int, int] | None = None
 ) -> RepetitionQuiver:
@@ -268,7 +268,7 @@ def w_gamma(rq: RepetitionQuiver, gamma: Sequence[int]) -> GradedDimVector:
     return GradedDimVector.from_dict(data)
 
 
-@functools.cache
+@_memo
 def v_lambda(rq: RepetitionQuiver, lam: KostantPartition) -> GradedDimVector:
     """For each root ``U`` with projective cover ``Q -> M_U``, mass
     ``[Q, lam] - [U, lam]`` one step below the ``(root(U), 0)`` vertex,

@@ -36,6 +36,7 @@ from .quiver import (
     DynkinQuiver,
     KostantPartition,
     RootTable,
+    _memo,
     _record,
     positive_roots,
 )
@@ -173,7 +174,7 @@ def _kernel_reflect_at_sink(
     dims[v - 1] = len(kernel)
 
 
-@functools.cache
+@_memo
 def indecomposable(table: RootTable, root_index: int, q: int) -> Rep:
     """The indecomposable representation with dimension vector
     ``table.roots[root_index]``, built by reflections along the adapted word."""
@@ -204,7 +205,7 @@ def indecomposable(table: RootTable, root_index: int, q: int) -> Rep:
     return Rep(quiver, q, tuple(dims), ordered)
 
 
-@functools.cache
+@_memo
 def build(kp: KostantPartition, q: int) -> Rep:
     """Direct sum of indecomposables, one per part of the partition."""
     quiver = kp.table.quiver
@@ -217,7 +218,7 @@ def build(kp: KostantPartition, q: int) -> Rep:
 # intertwiner counting and identification
 
 
-@functools.lru_cache(maxsize=4096)
+@_memo
 def _spread(row: int, stride: int, width: int) -> int:
     """The packed row ``row`` (slots of ``width`` bits) with its slot b
     moved to slot ``b * stride``."""
@@ -296,7 +297,7 @@ def hom_basis(m: Rep, n: Rep) -> list[tuple[list[list[int]], ...]]:
     ]
 
 
-@functools.cache
+@_memo
 def _partition_from_counts(
     table: RootTable, counts: tuple[int, ...], dims: tuple[int, ...], *, into: bool = True
 ) -> KostantPartition:

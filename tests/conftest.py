@@ -1,6 +1,18 @@
 import pytest
 
-from quiverlab import build_quiver, positive_roots, standard_quiver
+from quiverlab import build_quiver, positive_roots, quiver, standard_quiver
+
+
+def _clear_memos():
+    for memo in quiver._MEMOS:
+        memo.cache_clear()
+
+
+@pytest.fixture
+def cold():
+    """Every memo of the package cleared; calling the value clears them again."""
+    _clear_memos()
+    return _clear_memos
 
 
 @pytest.fixture(scope="session")

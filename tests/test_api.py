@@ -1,12 +1,15 @@
 """The public API: every exported name exists and has one home module,
 and the package exports exactly the names in its library modules'
-``__all__`` lists."""
+``__all__`` lists.  Every memo is made by ``quiver._memo`` and listed in
+``quiver._MEMOS``."""
 
 import importlib
 import inspect
 import json
 import os
+import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -86,3 +89,29 @@ def test_every_fields_default_is_the_one_default():
             fields = inspect.signature(value).parameters.get("fields")
             if fields is not None and fields.default is not inspect.Parameter.empty:
                 assert fields.default is quiverlab.linalg.DEFAULT_FIELDS, f"{module.__name__}.{name}"
+
+
+def test_every_memo_is_made_by_memo_and_listed_once(a3, t3, cold):
+    from quiverlab.quiver import _MEMOS, _memo, kp_parse, positive_roots
+
+    src = pathlib.Path(quiverlab.__path__[0])
+    lines = [line.strip() for path in src.glob("*.py") for line in path.read_text().splitlines()]
+    # the package is loaded (conftest imports its names), so every module
+    # has run its decorators: one listed memo per @_memo line
+    assert len(_MEMOS) == lines.count("@_memo") == 30
+    assert len({id(memo) for memo in _MEMOS}) == len(_MEMOS)
+    assert not [line for line in lines if re.match(r"@functools\.(cache|lru_cache)\b", line)]
+    assert not [line for line in lines if "lru_cache" in line]
+    # functools.cache is called in one place, _memo
+    assert [line for line in lines if "functools.cache(" in line] == ["memo = functools.cache(fn)"]
+    assert "functools.cache(fn)" in inspect.getsource(_memo)
+    # the memos fill, and the one clear empties every one of them
+    text = "[1,2]+[2,3]+[1,1]"
+    kp = kp_parse(t3, text)
+    quiverlab.ext_set(kp_parse(t3, "[1,1]"), kp_parse(t3, "[2,3]"), method="subrep")
+    assert sum(memo.cache_info().currsize for memo in _MEMOS) > 0
+    cold()
+    assert [memo for memo in _MEMOS if memo.cache_info().currsize] == []
+    # interned values keep their identity across the clear
+    assert positive_roots(a3) is t3
+    assert kp_parse(t3, text) is kp

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -570,6 +571,30 @@ def test_closed_form_queries_at_rank_50(capsys):
     )
     assert run_json(capsys, "order", split, root, *a50) == (
         3, {"x": split, "y": root, "leq": False}
+    )
+
+
+def test_a_root_table_past_the_cap_is_refused_before_it_is_built(capsys, monkeypatch, tmp_path):
+    # building A_R's table walks its R(R+1)/2 roots of R entries each: at
+    # rank 800 that is 256,320,000 entries, past the default cap, so the
+    # refusal comes before the quiver is built, for a command without
+    # --cap too; a quiver file is checked once it is parsed
+    path = tmp_path / "a800.quiver"
+    path.write_text(format_quiver_spec(standard_quiver("A", 800)))
+    for source in (("--type", "A", "--rank", "800"), ("--quiver", str(path))):
+        start = time.perf_counter()
+        assert main(["hom", "[1,1]", "[1,1]", *source]) == 5
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert "root table (positive roots x rank) needs 256320000 states" in err
+    # the default cap takes A ranks up to 322 and D ranks up to 256
+    assert main(["roots", "--type", "A", "--rank", "323"]) == 5
+    assert main(["roots", "--type", "D", "--rank", "257"]) == 5
+    capsys.readouterr()
+    # a cap below the default bounds the enumeration, not the table
+    monkeypatch.setenv("QUIVERLAB_CAP", "1")
+    assert run_json(capsys, "hom", "[1,1]", "[1,1]", "--type", "A", "--rank", "100") == (
+        0, {"x": "[1,1]", "y": "[1,1]", "hom": 1, "method": "closed-form"}
     )
 
 

@@ -236,14 +236,13 @@ def test_u_enumeration_cap(t3):
     assert "subrep-filter" in str(exc.value)  # points at the fallback method
 
 
-def test_u_route_cap_counts_the_representatives_it_classifies(t3, monkeypatch):
+def test_u_route_cap_counts_the_representatives_it_classifies(t3, monkeypatch, cold):
     # u-space is F_q^16, past the default cap at GF(3), but the walk
     # classifies one u per subspace of dim <= 4 of F_q^4 on nu's side:
     # 67 over GF(2) and 212 over GF(3); the cap is checked before any
     mu = kp_parse(t3, "[2,2]+[2,2]+[2,2]+[2,2]")
     nu = kp_parse(t3, "[3,3]+[3,3]+[3,3]+[3,3]")
     calls = counting_classify(monkeypatch)
-    _ext_set_u.cache_clear()
     with pytest.raises(CapExceeded) as exc:
         ext_set(mu, nu, cap=211)
     assert exc.value.needed == 212 and "orbit representative" in str(exc.value)
@@ -254,7 +253,7 @@ def test_u_route_cap_counts_the_representatives_it_classifies(t3, monkeypatch):
     assert kp_format(generic_ext(mu, nu)) == "[2,3]+[2,3]+[2,3]+[2,3]"
 
 
-def test_subrep_cap_counts_the_hom_box_scans(t3, monkeypatch):
+def test_subrep_cap_counts_the_hom_box_scans(t3, monkeypatch, cold):
     # of the 10 classes lam <= mu + nu only the 5 in the hom box are
     # decided, and the cap counts a scan of the Grassmannian of each of
     # those but the split class, whose summand point needs none: 27
@@ -272,7 +271,6 @@ def test_subrep_cap_counts_the_hom_box_scans(t3, monkeypatch):
         return realizes(lam, beta, q, pair)
 
     monkeypatch.setattr(grassmannian, "_realizes", counted)
-    extensions._ext_set_filter.cache_clear()
     with pytest.raises(CapExceeded) as exc:
         ext_set(mu, mu, method=METHOD_FILTER, cap=64)
     assert exc.value.needed == 108 and "subrepresentation scan" in str(exc.value)
@@ -519,7 +517,7 @@ def packed_ranks(maps, q, entries):
     ],
 )
 def test_connecting_maps_from_pair_blocks_match_the_whole_sum(
-    request, monkeypatch, which, bound, fields
+    request, monkeypatch, cold, which, bound, fields
 ):
     # the u-route fills its columns from pair pieces alone; at every u it
     # classifies, each root's connecting map has the rank the whole-sum
@@ -561,8 +559,7 @@ def test_connecting_maps_from_pair_blocks_match_the_whole_sum(
     assert not hasattr(extensions, "build")
     monkeypatch.setattr(reps, "build", forbidden)
     monkeypatch.setattr(grassmannian, "_assembled_basis", forbidden)
-    for memo in (_ext_set_u, _yoneda, _pair_ext):
-        memo.cache_clear()
+    cold()
     for (mu, nu, q), classes in expected.items():
         assert ext_set(mu, nu, fields=(q,), method="u").classes == classes
     if bound == "stacks":
@@ -708,13 +705,11 @@ def test_u_route_checks_the_ext_count(t2, monkeypatch):
         _ext_set_u.__wrapped__(s1 + s1, s2, 2)
 
 
-def test_connecting_maps_are_built_per_triple_of_roots(t2):
+def test_connecting_maps_are_built_per_triple_of_roots(t2, cold):
     # 300 copies of [1,1] by [2,2] meet in 300 pairs of parts, all of the
     # roots [1,1] and [2,2], and only the connecting map of [1,1] is
     # nonzero: one Yoneda piece per field serves every pair
     mu, nu = kp_parse(t2, "+".join(["[1,1]"] * 300)), kp_parse(t2, "[2,2]")
-    _ext_set_u.cache_clear()
-    _yoneda.cache_clear()
     for n, q in enumerate((2, 3), 1):
         assert names(ext_set(mu, nu, fields=(q,)).classes) == [
             "+".join(["[1,1]"] * 300 + ["[2,2]"]),

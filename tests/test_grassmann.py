@@ -178,7 +178,7 @@ def contains(u, x, q):
     return not any(sum(map(mul, r, x)) % q for r in u.readings)
 
 
-def test_subspace_table_entries_containing_a_space(monkeypatch):
+def test_subspace_table_entries_containing_a_space(monkeypatch, cold):
     # the entries of F_2^4's plane table that contain a fixed line: [3 1]_2 = 7
     lower = [[1, 0, 0, 0]]
     got = [u for u in _subspace_table(4, 2, 2) if contains(u, lower[0], 2)]
@@ -193,7 +193,7 @@ def test_subspace_table_entries_containing_a_space(monkeypatch):
         raise AssertionError("gaussian_binomial called for a table")
 
     monkeypatch.setattr(linalg, "gaussian_binomial", forbidden)
-    grassmannian._subspace_table.cache_clear()
+    cold()
     table = _subspace_table(3, 2, 2)
     assert len(table) == 7
     assert sum(contains(u, [1, 0, 0], 2) for u in table) == 3
@@ -301,16 +301,13 @@ def test_a_negative_beta_is_rejected(t2, call):
         call(kp_parse(t2, "[1,2]+[2,2]"))
 
 
-def test_a_call_refused_by_the_cap_builds_no_table(t3):
+def test_a_call_refused_by_the_cap_builds_no_table(t3, cold):
     # a table holds gaussian_binomial(d, b, q) entries, a factor of the
     # scan_states count the cap is checked against, so a refused call
     # builds none and an accepted one builds none larger than the cap
     lam = kp_parse(t3, "[1,1]+[1,1]+[1,1]+[1,2]")
     beta = (2, 1, 0)
     assert scan_states(lam.total, beta, 3) == 130
-    grassmannian._subspace_table.cache_clear()
-    grassmannian._strata.cache_clear()
-    grassmannian._colour_count.cache_clear()
     # point_count enumerates only vertex 2's colour class, one state
     for call, needed in (
         (lambda cap: list(subreps(build(lam, 3), beta, cap)), 130),
@@ -696,7 +693,7 @@ def test_realizes_decides_membership_in_the_realized_pairs(
     [("[1,1]", (3, 0, 0), 1), ("[2,2]", (0, 3, 0), 1)],
     ids=["sources", "middle"],
 )
-def test_all_forced_strata_walk_no_point(t3, monkeypatch, part, beta, n_enumerated):
+def test_all_forced_strata_walk_no_point(t3, monkeypatch, cold, part, beta, n_enumerated):
     # six copies of a simple over GF(5): every root is forced, so the one
     # stratum is read off beta, and its gaussian_binomial(6, 3, 5) points are
     # counted on the colour class with a single state (one empty subspace per
@@ -704,9 +701,6 @@ def test_all_forced_strata_walk_no_point(t3, monkeypatch, part, beta, n_enumerat
     # other class, which has them all; the cap counts that single state
     lam = kp_parse(t3, "+".join([part] * 6))
     half = kp_parse(t3, "+".join([part] * 3))
-    grassmannian._strata.cache_clear()
-    grassmannian._colour_count.cache_clear()
-    grassmannian._subspace_table.cache_clear()
 
     def no_walk(*args):
         raise AssertionError("an all-forced Grassmannian was walked")
@@ -736,13 +730,12 @@ def test_all_forced_strata_walk_no_point(t3, monkeypatch, part, beta, n_enumerat
     assert len(enumerated) == n_enumerated
 
 
-def test_walked_strata_count_their_points_with_no_colour_count(t3, t4, monkeypatch):
+def test_walked_strata_count_their_points_with_no_colour_count(t3, t4, monkeypatch, cold):
     # a lam with a ranked root is walked, so its total is the number of
     # points walked; the colour count, run afterwards, must agree with it
     def forbidden(*args):
         raise AssertionError("a walked stratum ran the colour count")
 
-    grassmannian._strata.cache_clear()
     monkeypatch.setattr(grassmannian, "_colour_count", forbidden)
     totals = {}
     for table, max_total in [(t3, 4), (t4, 3)]:
