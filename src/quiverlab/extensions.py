@@ -40,6 +40,12 @@ class ``mu``.  Two independent routes are kept deliberately separate:
 Both run over small prime fields; the result carries a stability flag
 recording whether every field produced the same set.
 
+A point U = M_nu of Gr_beta(M_lam) with M_lam/U = M_mu is a short exact
+sequence 0 -> M_nu -> M_lam -> M_mu -> 0, so (mu, nu) is realized exactly
+when lam is in ``ext_set(mu, nu)``.  ``ext_pairs``, ``generic_pairs``,
+``ext_min`` and ``klr``'s component labels (:func:`_component_labels`)
+ask that, with no Grassmannian walked.
+
 The numerical bookkeeping for a triple ``(lam, mu, nu)`` — codimension
 ``d_lambda``, ``e_lambda = n_u + [lam, mu*nu] - [lam, lam]`` with n_u
 the dimension of the connecting-map space (it can be negative), and
@@ -53,12 +59,12 @@ from __future__ import annotations
 import itertools
 import math
 from operator import add, le, mul
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import grassmannian, linalg
 from .grassmannian import _pair_basis
 from .homs import ext_dim, hom_dim, hom_ext_pair, hom_ext_vectors
-from .order import _check_kp_cap, leq
+from .order import _check_kp_cap, leq, lt
 from .quiver import (
     KostantPartition,
     PartitionError,
@@ -88,8 +94,10 @@ __all__ = [
     "degree_bound",
     "e_lambda",
     "ext_min",
+    "ext_pairs",
     "ext_set",
     "generic_ext",
+    "generic_pairs",
     "hom_omega_dim",
     "orbit_dim",
 ]
@@ -459,6 +467,117 @@ def generic_ext(
     return best
 
 
+def _hom_exact(lam: KostantPartition, mu: KostantPartition, nu: KostantPartition) -> bool:
+    """[nu, lam] = [nu, nu] + [nu, mu]: Hom(M_nu, -) is exact on the
+    sequences 0 -> M_nu -> M_lam -> M_mu -> 0.  On one of class xi it goes
+    on [nu, mu] -> Ext^1(M_nu, M_nu), f -> xi f, so it is exact iff every
+    xi f = 0; on a non-split square (mu = nu), f = id gives xi f = xi != 0."""
+    return hom_dim(nu, lam) == hom_dim(nu, nu) + hom_dim(nu, mu)
+
+
+def _check_queries(queries, fields: Sequence[int], cap: int | None, what: str) -> None:
+    """Count, per field, the u-route representatives of the ``ext_set``
+    queries (mu, nu) (:func:`_walked_side`) against ``cap``."""
+    for q in fields:
+        linalg.check_cap(sum(_walked_side(m, n, q)[0] for m, n in queries), cap, what)
+
+
+def ext_pairs(
+    lam: KostantPartition,
+    alpha: Sequence[int],
+    beta: Sequence[int],
+    *,
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
+    cap: int | None = linalg.DEFAULT_CAP,
+) -> frozenset[Pair]:
+    """The (quotient, sub) class pairs realized by stable subspaces of
+    ``build(lam)`` with sub dimension vector ``beta``, over any of the
+    fields: the (mu, nu) in whose hom box lam lies, with lam <= mu + nu and
+    lam in ``ext_set(mu, nu)``.  The Kostant partitions of ``alpha`` and
+    ``beta``, then the queries, are counted against ``cap`` first."""
+    if not fields:
+        raise ValueError("ext_pairs needs at least one field")
+    alpha, beta = tuple(alpha), tuple(beta)
+    if dim_add(alpha, beta) != lam.total:
+        raise PartitionError(
+            f"alpha + beta = {dim_add(alpha, beta)} does not match dim lambda = {lam.total}"
+        )
+    if any(c < 0 for c in alpha + beta):
+        raise PartitionError(f"alpha {alpha} or beta {beta} has a negative entry")
+    for gamma in (alpha, beta):
+        _check_kp_cap(lam.table, gamma, cap)
+    queries = [
+        (m, n)
+        for m in kp_enumerate(lam.table, alpha)
+        for n in kp_enumerate(lam.table, beta)
+        if leq(lam, m + n) and _in_hom_box(lam, m, n)
+    ]
+    what = "ext_set queries of the realized pairs, one u per orbit representative"
+    _check_queries(queries, fields, cap, what)
+    return frozenset(p for p in queries if lam in ext_set(*p, fields=fields, cap=cap).classes)
+
+
+def _generic_terms(
+    mu: KostantPartition,
+    nu: KostantPartition,
+    lams: Sequence[KostantPartition],
+    fields: Sequence[int],
+    cap: int | None,
+) -> Iterator[KostantPartition]:
+    """The lam of ``lams``, in order, for which (mu, nu) is in
+    ``generic_pairs(lam, mu.total, nu.total, fields=fields)``, each lam in
+    ``ext_set(mu, nu, fields=fields)``: no nu' < nu has lam in
+    ``ext_set(mu, nu')`` and no mu' < mu has lam in ``ext_set(mu', nu)``,
+    asked only where lam <= mu' + nu' lies in their hom box.  The Kostant
+    partitions of dim mu and dim nu, then the queries, are counted against
+    ``cap`` before any query runs."""
+    table = mu.table
+    for gamma in (mu.total, nu.total):
+        _check_kp_cap(table, gamma, cap)
+    lower = [(mu, n) for n in kp_enumerate(table, nu.total) if lt(n, nu)] + [
+        (m, nu) for m in kp_enumerate(table, mu.total) if lt(m, mu)
+    ]
+    tests = [
+        (lam, [(m, n) for m, n in lower if leq(lam, m + n) and _in_hom_box(lam, m, n)])
+        for lam in lams
+    ]
+    what = "ext_set queries of the component-label test, one u per orbit representative"
+    _check_queries({query for _, some in tests for query in some}, fields, cap, what)
+    for lam, some in tests:
+        if not any(lam in ext_set(m, n, fields=fields, cap=cap).classes for m, n in some):
+            yield lam
+
+
+def _component_labels(
+    mu: KostantPartition,
+    nu: KostantPartition,
+    lams: Sequence[KostantPartition],
+    fields: Sequence[int],
+    cap: int | None,
+) -> Iterator[KostantPartition]:
+    """The lam of ``lams``, in order, for which (mu, nu) is in
+    ``ext_ger(lam, mu.total, nu.total, fields=fields)``: the generic
+    terms (:func:`_generic_terms`) among those that pass
+    :func:`_hom_exact`, which is checked first."""
+    return _generic_terms(mu, nu, [lam for lam in lams if _hom_exact(lam, mu, nu)], fields, cap)
+
+
+def generic_pairs(
+    lam: KostantPartition,
+    alpha: Sequence[int],
+    beta: Sequence[int],
+    *,
+    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
+    cap: int | None = linalg.DEFAULT_CAP,
+) -> frozenset[Pair]:
+    """Realized pairs (:func:`ext_pairs`) that are minimal in each
+    coordinate separately: no realized pair degenerates the sub keeping
+    the quotient, and none degenerates the quotient keeping the sub
+    (:func:`_generic_terms`)."""
+    pairs = ext_pairs(lam, alpha, beta, fields=fields, cap=cap)
+    return frozenset(p for p in pairs if lam in _generic_terms(*p, [lam], fields, cap))
+
+
 def ext_min(
     lam: KostantPartition,
     alpha: Sequence[int],
@@ -469,16 +588,10 @@ def ext_min(
 ) -> frozenset[Pair]:
     """Pairs minimal under the product order: no other realized pair is
     <= in both coordinates."""
-    pairs = grassmannian.ext_pairs(lam, alpha, beta, fields=fields, cap=cap)
-    out = set()
-    for mu, nu in pairs:
-        dominated = any(
-            (mu2, nu2) != (mu, nu) and leq(mu2, mu) and leq(nu2, nu)
-            for mu2, nu2 in pairs
-        )
-        if not dominated:
-            out.add((mu, nu))
-    return frozenset(out)
+    pairs = ext_pairs(lam, alpha, beta, fields=fields, cap=cap)
+    return frozenset(
+        p for p in pairs if not any(o != p and leq(o[0], p[0]) and leq(o[1], p[1]) for o in pairs)
+    )
 
 
 def orbit_dim(lam: KostantPartition) -> int:

@@ -64,15 +64,12 @@ from the forced counts and walks no point, and its cap counts the
 colour class's states.  Only a ``lam`` with a ranked root is walked,
 its cap counting the walk's, and its total is the points walked.
 
-``ext_pairs`` unions the realized pairs over several fields.  A
-realized pair is *generic* when neither coordinate can be degenerated
-while keeping the other fixed among those pairs; the generic pairs
-whose sub class satisfies ``[nu, lambda] = [nu, nu] + [nu, mu]`` index
-the irreducible components of the Grassmannian (``ext_ger``).
+The generic pairs with ``[nu, lambda] = [nu, nu] + [nu, mu]`` index the
+irreducible components (``ext_ger``), decided by ``ext_set`` queries
+(:mod:`.extensions`) with no point walked.
 
 Whole strata are walked for ``strata`` and what reads it:
-``realized_pairs``, ``ext_pairs``, ``generic_pairs``, ``ext_ger`` and
-``stratum_dim`` (so ``grass`` and ``ext-min``).
+``realized_pairs`` and ``stratum_dim(check=True)`` (so ``grass strata``).
 Whether one pair is realized is asked by ``_realizes``, for the subrep
 route of ``extensions.ext_set``: it classifies the summand point M_nu of
 the split class, compares the counts of an all-forced ``lam`` with the
@@ -89,7 +86,6 @@ from typing import Callable, Iterator, Sequence
 
 from . import linalg
 from .homs import _top_and_socle, hom_dim, hom_ext_vectors
-from .order import lt
 from .quiver import (
     KostantPartition,
     PartitionError,
@@ -116,8 +112,6 @@ __all__ = [
     "StratumEntry",
     "a2_component_range",
     "ext_ger",
-    "ext_pairs",
-    "generic_pairs",
     "point_count",
     "realized_pairs",
     "scan_states",
@@ -586,50 +580,6 @@ def realized_pairs(
     return strata(lam, beta, q, cap).pairs()
 
 
-def ext_pairs(
-    lam: KostantPartition,
-    alpha: Sequence[int],
-    beta: Sequence[int],
-    *,
-    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
-    cap: int | None = linalg.DEFAULT_CAP,
-) -> frozenset[Pair]:
-    """All (quotient, sub) class pairs realized by stable subspaces of
-    ``build(lam)`` with sub dimension vector ``beta``, unioned over the
-    fields."""
-    if not fields:
-        raise ValueError("ext_pairs needs at least one field")
-    alpha, beta = tuple(alpha), tuple(beta)
-    if dim_add(alpha, beta) != lam.total:
-        raise PartitionError(
-            f"alpha + beta = {dim_add(alpha, beta)} does not match dim lambda = {lam.total}"
-        )
-    return frozenset().union(*(realized_pairs(lam, beta, q, cap) for q in fields))
-
-
-def generic_pairs(
-    lam: KostantPartition,
-    alpha: Sequence[int],
-    beta: Sequence[int],
-    *,
-    fields: Sequence[int] = linalg.DEFAULT_FIELDS,
-    cap: int | None = linalg.DEFAULT_CAP,
-) -> frozenset[Pair]:
-    """Realized pairs that are minimal in each coordinate separately:
-    no realized pair degenerates the sub keeping the quotient, and none
-    degenerates the quotient keeping the sub."""
-    realized = ext_pairs(lam, alpha, beta, fields=fields, cap=cap)
-    out = set()
-    for mu, nu in realized:
-        blocked = any(
-            (mu2 == mu and lt(nu2, nu)) or (nu2 == nu and lt(mu2, mu))
-            for mu2, nu2 in realized
-        )
-        if not blocked:
-            out.add((mu, nu))
-    return frozenset(out)
-
-
 def ext_ger(
     lam: KostantPartition,
     alpha: Sequence[int],
@@ -638,14 +588,12 @@ def ext_ger(
     fields: Sequence[int] = linalg.DEFAULT_FIELDS,
     cap: int | None = linalg.DEFAULT_CAP,
 ) -> frozenset[Pair]:
-    """Generic pairs satisfying ``[nu, lambda] = [nu, nu] + [nu, mu]``;
-    these index the irreducible components of the Grassmannian."""
+    """The component labels: the generic pairs (:func:`.extensions.generic_pairs`)
+    with ``[nu, lambda] = [nu, nu] + [nu, mu]`` (:func:`.extensions._hom_exact`)."""
+    from .extensions import _hom_exact, generic_pairs  # extensions imports this module
+
     pairs = generic_pairs(lam, alpha, beta, fields=fields, cap=cap)
-    return frozenset(
-        (mu, nu)
-        for mu, nu in pairs
-        if hom_dim(nu, lam) == hom_dim(nu, nu) + hom_dim(nu, mu)
-    )
+    return frozenset(p for p in pairs if _hom_exact(lam, *p))
 
 
 def stratum_dim(

@@ -7,8 +7,8 @@ product L(mu) o L(nu) to exact quiver-side computations:
   strictly below the split class realizes (mu, nu) as a component label
   of its Grassmannian.  Membership in ext_ger presupposes realization,
   so only members of ext_set are asked about, and each is decided by
-  targeted ``ext_set`` queries (:func:`_component_labels`), with no
-  Grassmannian walked.
+  targeted ``ext_set`` queries (:func:`.extensions._component_labels`),
+  with no Grassmannian walked.
 * ``simplicity_necessary``: a failed support-pair test means the
   product cannot be simple; the verdict carries the full hom-count
   table so a failure is explainable, not just boolean.  Passing is only
@@ -44,12 +44,14 @@ of scope; statements are about ungraded classes.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import linalg
-from .extensions import _in_hom_box, _walked_side, d_lambda, e_lambda, ext_set, generic_ext
+from .extensions import (
+    _component_labels, _generic_terms, _hom_exact, d_lambda, e_lambda, ext_set, generic_ext
+)
 from .homs import ext_dim, hom_dim
-from .order import _check_kp_cap, interval, is_rigid, leq, lt
+from .order import _check_kp_cap, interval, is_rigid
 from .quiver import (
     KostantPartition,
     PartitionError,
@@ -87,70 +89,6 @@ CANNOT_BE_SIMPLE = "cannot_be_simple"
 PASSES_NECESSARY_TEST = "passes_necessary_test"
 
 
-def _hom_exact(lam: KostantPartition, mu: KostantPartition, nu: KostantPartition) -> bool:
-    """[nu, lam] = [nu, nu] + [nu, mu]: Hom(M_nu, -) is exact on the
-    sequences 0 -> M_nu -> M_lam -> M_mu -> 0."""
-    return hom_dim(nu, lam) == hom_dim(nu, nu) + hom_dim(nu, mu)
-
-
-def _generic_terms(
-    mu: KostantPartition,
-    nu: KostantPartition,
-    lams: Sequence[KostantPartition],
-    fields: Sequence[int],
-    cap: int,
-) -> Iterator[KostantPartition]:
-    """The lam of ``lams``, in order, for which (mu, nu) is in
-    ``generic_pairs(lam, mu.total, nu.total, fields=fields)``; each lam
-    must be in ``ext_set(mu, nu, fields=fields)``, which makes (mu, nu) a
-    realized pair of lam's Grassmannian.
-
-    A point U with U = M_nu' and M_lam/U = M_mu' is a short exact
-    sequence 0 -> M_nu' -> M_lam -> M_mu' -> 0, so (mu', nu') is realized
-    exactly when lam is in ``ext_set(mu', nu')``.  So (mu, nu) is generic
-    for lam when no nu' < nu has lam in ``ext_set(mu, nu')`` and no
-    mu' < mu has lam in ``ext_set(mu', nu)``; only the nu' and mu' with
-    lam <= mu' + nu' in the hom box (:func:`.extensions._in_hom_box`) are
-    asked about.  The Kostant partitions of both dimension vectors, and
-    then, per field, the u-route representatives of every query
-    (:func:`.extensions._walked_side`), are counted against ``cap`` before
-    any query runs."""
-    table = mu.table
-    for gamma in (mu.total, nu.total):
-        _check_kp_cap(table, gamma, cap)
-    lower = [(mu, n) for n in kp_enumerate(table, nu.total) if lt(n, nu)] + [
-        (m, nu) for m in kp_enumerate(table, mu.total) if lt(m, mu)
-    ]
-    tests = [
-        (lam, [(m, n) for m, n in lower if leq(lam, m + n) and _in_hom_box(lam, m, n)])
-        for lam in lams
-    ]
-    queries = {query for _, some in tests for query in some}
-    for q in fields:
-        linalg.check_cap(
-            sum(_walked_side(m, n, q)[0] for m, n in queries),
-            cap,
-            "ext_set queries of the component-label test, one u per orbit representative",
-        )
-    for lam, some in tests:
-        if not any(lam in ext_set(m, n, fields=fields, cap=cap).classes for m, n in some):
-            yield lam
-
-
-def _component_labels(
-    mu: KostantPartition,
-    nu: KostantPartition,
-    lams: Sequence[KostantPartition],
-    fields: Sequence[int],
-    cap: int,
-) -> Iterator[KostantPartition]:
-    """The lam of ``lams``, in order, for which (mu, nu) is in
-    ``ext_ger(lam, mu.total, nu.total, fields=fields)``: the generic
-    terms (:func:`_generic_terms`) among those that pass
-    :func:`_hom_exact`, which is checked first."""
-    return _generic_terms(mu, nu, [lam for lam in lams if _hom_exact(lam, mu, nu)], fields, cap)
-
-
 @_record
 class SupportPairResult:
     ok: bool
@@ -168,8 +106,8 @@ def is_support_pair(
     cap: int = linalg.DEFAULT_CAP,
 ) -> SupportPairResult:
     """True iff no strictly-smaller middle term has (mu, nu) among the
-    component labels of its Grassmannian (:func:`_component_labels`); on
-    failure the first offending middle term is returned as the witness."""
+    component labels of its Grassmannian (:func:`.extensions._component_labels`);
+    on failure the first offending middle term is returned as the witness."""
     classes = ext_set(mu, nu, fields=fields, cap=cap).classes
     lams = sorted(classes - {mu + nu}, key=lambda x: x.parts)
     witness = next(_component_labels(mu, nu, lams, fields, cap), None)
@@ -440,8 +378,9 @@ def degree_report(
     cap: int = linalg.DEFAULT_CAP,
 ) -> DegreeReport:
     """One row per middle term: d, e, 2e + d, whether (mu, nu) is a
-    generic pair / component label for that term (:func:`_generic_terms`,
-    asked once over all the terms, and :func:`_hom_exact`), and on the
+    generic pair / component label for that term
+    (:func:`.extensions._generic_terms`, asked once over all the terms,
+    and :func:`.extensions._hom_exact`), and on the
     split row the pairing exponent epsilon."""
     split = mu + nu
     alpha, beta = mu.total, nu.total

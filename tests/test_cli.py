@@ -215,6 +215,51 @@ def test_grass_components(capsys):
     assert data["components"] == [{"mu": "[1,2]", "nu": "[2,3]"}]
 
 
+STATE_CLASS = "[1,1]+[1,1]+[1,1]+[1,2]+[1,2]+[1,2]+[2,2]+[2,2]"
+
+
+def test_grass_components_and_ext_min_ask_ext_set_at_the_default_cap(capsys):
+    # walking the Grassmannian of --beta 3,3 needs 40,994,800 states over
+    # GF(3), past the default cap; the realized pairs are ext_set queries
+    rc, data = run_json(
+        capsys, "grass", "components", STATE_CLASS, "--beta", "3,3", "--field", "3", *A2
+    )
+    assert rc == 0 and data["alpha"] == "3,2"
+    assert data["components"] == [
+        {"mu": "[1,1]+[1,2]+[1,2]", "nu": "[1,1]+[1,1]+[1,2]+[2,2]+[2,2]"},
+        {"mu": "[1,1]+[1,1]+[1,2]+[2,2]", "nu": "[1,1]+[1,2]+[1,2]+[2,2]"},
+        {"mu": "[1,1]+[1,1]+[1,1]+[2,2]+[2,2]", "nu": "[1,2]+[1,2]+[1,2]"},
+    ]
+    rc, data = run_json(capsys, "ext-min", STATE_CLASS, "--alpha", "2,3", "--field", "3", *A2)
+    assert rc == 0 and data["beta"] == "4,2"
+    assert data["pairs"] == [
+        {"mu": "[1,2]+[1,2]+[2,2]", "nu": "[1,1]+[1,1]+[1,1]+[1,2]+[2,2]"},
+        {"mu": "[1,1]+[1,2]+[2,2]+[2,2]", "nu": "[1,1]+[1,1]+[1,2]+[1,2]"},
+    ]
+
+
+def test_realized_pair_caps_exit_5_before_any_ext_set(capsys, monkeypatch):
+    # alpha has 3 Kostant partitions in both commands, and the 9 queries
+    # of grass components classify 55 u over GF(3); each is counted against
+    # the cap before any ext_set runs
+    import quiverlab.extensions as ext
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ext_set ran before the cap check")
+
+    monkeypatch.setattr(ext, "ext_set", unreachable)
+    grass = ["grass", "components", STATE_CLASS, "--beta", "3,3", "--field", "3", *A2]
+    ext_min = ["ext-min", STATE_CLASS, "--alpha", "2,3", "--field", "3", *A2]
+    for argv, cap, message in (
+        (grass, "2", "Kostant partition enumeration (counting stopped past the cap) needs 3"),
+        (ext_min, "2", "Kostant partition enumeration (counting stopped past the cap) needs 3"),
+        (grass, "54", "ext_set queries of the realized pairs, one u per orbit representative "
+                      "needs 55 states, cap is 54"),
+    ):
+        assert main([*argv, "--cap", cap]) == 5
+        assert message in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ criteria
 
 def test_support_pair_exit_codes(capsys):
@@ -463,10 +508,11 @@ def test_ext_set_output_does_not_depend_on_set_order(capsys, monkeypatch):
 
 
 # the library modules a fresh interpreter holds after one subcommand:
-# every one resolves a quiver and parses classes, then loads what it runs
+# every one resolves a quiver and parses classes, then loads what it runs;
+# "grass" is keyed per subcommand, since only its components ask ext_set
 _COLD = {"cli", "linalg", "quiver"}
-_GRASS = _COLD | {"grassmannian", "homs", "order", "reps"}
-_EXT = _GRASS | {"extensions"}
+_GRASS = _COLD | {"grassmannian", "homs", "reps"}
+_EXT = _GRASS | {"extensions", "order"}
 _KLR = _EXT | {"klr", "repetition"}
 COLD_MODULES = {
     "roots": _COLD,
@@ -476,7 +522,9 @@ COLD_MODULES = {
     "order": _COLD | {"homs", "order"},
     "epsilon": _COLD | {"homs", "repetition"},
     "rep-quiver": _COLD | {"homs", "repetition"},
-    "grass": _GRASS,
+    "grass count": _GRASS,
+    "grass strata": _GRASS,
+    "grass components": _EXT,
     "ext-set": _EXT,
     "generic-ext": _EXT,
     "ext-min": _EXT,
@@ -505,7 +553,7 @@ def test_readme_examples_load_only_the_modules_they_run():
         assert proc.returncode == 0, proc.stderr
         key = " ".join(argv[:2])
         loaded[key] = {m.removeprefix("quiverlab.") for m in json.loads(proc.stdout)}
-        expected[key] = COLD_MODULES[argv[0]]
+        expected[key] = COLD_MODULES[key if argv[0] == "grass" else argv[0]]
     # and none loads dataclasses or inspect: the records are quiver._record's
     assert loaded == expected
 

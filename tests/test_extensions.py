@@ -17,6 +17,7 @@ from quiverlab import (
     build,
     degree_bound,
     dim_add,
+    dim_sub,
     e_lambda,
     ext_dim,
     ext_ger,
@@ -26,6 +27,7 @@ from quiverlab import (
     gaussian_binomial,
     generic_ext,
     generic_pairs,
+    hom_dim,
     hom_omega_dim,
     identify,
     interval,
@@ -34,10 +36,12 @@ from quiverlab import (
     kp_from_vectors,
     kp_parse,
     leq,
+    lt,
     orbit_dim,
     point_count,
     positive_roots,
     rank,
+    standard_quiver,
     strata,
 )
 from quiverlab import extensions, grassmannian, linalg, reps
@@ -816,6 +820,97 @@ def test_ext_pairs_rejects_an_empty_field_list(t2):
         with pytest.raises(ValueError, match="at least one field"):
             func(lam, (1, 0), (0, 1), fields=(), cap=0)
     assert pair_names(ext_pairs(lam, (1, 0), (0, 1), fields=(2,))) == [("[1,1]", "[2,2]")]
+
+
+@pytest.mark.parametrize(
+    "diagram,rank_,bound,n_grass,n_pairs",
+    [("A", 2, 6, 459, 519), ("A", 3, 5, 1271, 1255), ("D", 4, 4, 1188, 1070)],
+    ids=["A2-6", "A3-5", "D4-4"],
+)
+def test_realized_pairs_match_the_walk(diagram, rank_, bound, n_grass, n_pairs):
+    # the query route against the Grassmannian walk on every (lam, beta)
+    # with lam of weight at most the bound and 0 <= beta <= dim lam: the
+    # walk's pairs unioned over GF(2) and GF(3), and its generic pairs,
+    # component labels and minimal pairs filtered here from them
+    table = positive_roots(standard_quiver(diagram, rank_))
+    grassmannians = pairs = 0
+    for g in itertools.product(range(bound + 1), repeat=rank_):
+        for lam in kp_enumerate(table, g) if 0 < sum(g) <= bound else ():
+            for beta in itertools.product(*(range(d + 1) for d in g)):
+                alpha = dim_sub(g, beta)
+                realized = strata(lam, beta, 2).pairs() | strata(lam, beta, 3).pairs()
+                generic = {
+                    (m, n)
+                    for m, n in realized
+                    if not any((m2 == m and lt(n2, n)) or (n2 == n and lt(m2, m))
+                               for m2, n2 in realized)
+                }
+                labels = {
+                    (m, n) for m, n in generic if hom_dim(n, lam) == hom_dim(n, n) + hom_dim(n, m)
+                }
+                minimal = {
+                    (m, n)
+                    for m, n in realized
+                    if not any((m2, n2) != (m, n) and leq(m2, m) and leq(n2, n)
+                               for m2, n2 in realized)
+                }
+                where = (kp_format(lam), beta)
+                assert ext_pairs(lam, alpha, beta) == realized, where
+                assert generic_pairs(lam, alpha, beta) == generic, where
+                assert ext_ger(lam, alpha, beta) == labels, where
+                assert ext_min(lam, alpha, beta) == minimal, where
+                grassmannians += 1
+                pairs += len(realized)
+    assert (grassmannians, pairs) == (n_grass, n_pairs)
+
+
+STATE_CLASS = "[1,1]+[1,1]+[1,1]+[1,2]+[1,2]+[1,2]+[2,2]+[2,2]"
+
+
+def test_realized_pairs_walk_no_grassmannian(t2, monkeypatch, cold):
+    # walking the Grassmannian of beta = 3,3 takes 40,994,800 states over
+    # GF(3); each pair is asked of ext_set instead
+    def walked(*args, **kwargs):
+        raise AssertionError("a Grassmannian was walked")
+
+    monkeypatch.setattr(grassmannian, "subreps", walked)
+    monkeypatch.setattr(grassmannian, "_strata", walked)
+    lam = kp_parse(t2, STATE_CLASS)
+    assert len(ext_pairs(lam, (3, 2), (3, 3))) == 9
+    assert len(generic_pairs(lam, (3, 2), (3, 3))) == 3
+    assert pair_names(ext_ger(lam, (3, 2), (3, 3))) == [
+        ("[1,1]+[1,1]+[1,1]+[2,2]+[2,2]", "[1,2]+[1,2]+[1,2]"),
+        ("[1,1]+[1,1]+[1,2]+[2,2]", "[1,1]+[1,2]+[1,2]+[2,2]"),
+        ("[1,1]+[1,2]+[1,2]", "[1,1]+[1,1]+[1,2]+[2,2]+[2,2]"),
+    ]
+    assert pair_names(ext_min(lam, (2, 3), (4, 2))) == [
+        ("[1,1]+[1,2]+[2,2]+[2,2]", "[1,1]+[1,1]+[1,2]+[1,2]"),
+        ("[1,2]+[1,2]+[2,2]", "[1,1]+[1,1]+[1,1]+[1,2]+[2,2]"),
+    ]
+
+
+def test_realized_pairs_cap_counts_partitions_then_queries(t2, monkeypatch):
+    # alpha = 3,2 has 3 Kostant partitions and beta = 3,3 has 4; the 9
+    # queries in the hom box classify 40 u over GF(2) and 55 over GF(3),
+    # and all of it is counted before any query runs
+    asked = []
+
+    def counted(*args, **kwargs):
+        asked.append(args)
+        return ext_set(*args, **kwargs)
+
+    monkeypatch.setattr(extensions, "ext_set", counted)
+    lam = kp_parse(t2, STATE_CLASS)
+    for cap, needed, what in (
+        (2, 3, "Kostant partition"), (3, 4, "Kostant partition"), (54, 55, "realized pairs")
+    ):
+        with pytest.raises(CapExceeded) as exc:
+            ext_pairs(lam, (3, 2), (3, 3), cap=cap)
+        assert exc.value.needed == needed and what in str(exc.value)
+    assert asked == []
+    # Hom([1,1], [1,2]) = 0, so the hom box leaves no query for sub [1,1]
+    assert ext_pairs(kp_parse(t2, "[1,2]"), (0, 1), (1, 0)) == frozenset() and asked == []
+    assert len(ext_pairs(lam, (3, 2), (3, 3), cap=55)) == 9 and len(asked) == 9
 
 
 # ------------------------------------------------------------- dimensions

@@ -18,7 +18,7 @@ from quiverlab import (
     ext_dim,
     ext_ger,
     ext_set,
-    generic_pairs,
+    hom_dim,
     is_rigid,
     is_support_pair,
     kp_enumerate,
@@ -31,9 +31,11 @@ from quiverlab import (
     simplicity_necessary,
     socle_prediction,
     standard_quiver,
+    strata,
     two_sided_support_pair,
 )
 from quiverlab import klr, order
+from quiverlab.extensions import _hom_exact
 from quiverlab.cli import main
 
 
@@ -137,7 +139,9 @@ def test_component_labels_are_ext_ger_membership(
 ):
     # the targeted ext_set queries against the Grassmannian walk, on every
     # middle term, the split one included, of every pair of total dimension
-    # at most the bound; degree_report's two flags against the same walk
+    # at most the bound; degree_report's two flags against the same walk.
+    # The walk's realized pairs, unioned over the fields, are filtered here,
+    # so that no query of the route under test decides the reference
     table = request.getfixturevalue(which)
     classes = [
         kp
@@ -150,11 +154,16 @@ def test_component_labels_are_ext_ger_membership(
     for mu, nu in pairs:
         where = (kp_format(mu), kp_format(nu))
         lams = sorted(ext_set(mu, nu).classes, key=lambda x: x.parts)
-        walked = [
-            (lam, (mu, nu) in generic_pairs(lam, mu.total, nu.total),
-             (mu, nu) in ext_ger(lam, mu.total, nu.total))
-            for lam in lams
-        ]
+        walked = []
+        for lam in lams:
+            realized = strata(lam, nu.total, 2).pairs() | strata(lam, nu.total, 3).pairs()
+            assert (mu, nu) in realized, where
+            generic = not any(
+                (m == mu and order.lt(n, nu)) or (n == nu and order.lt(m, mu))
+                for m, n in realized
+            )
+            hom_exact = hom_dim(nu, lam) == hom_dim(nu, nu) + hom_dim(nu, mu)
+            walked.append((lam, generic, generic and hom_exact))
         got = list(klr._component_labels(mu, nu, lams, (2, 3), 2**24))
         assert got == [lam for lam, _, in_eg in walked if in_eg], where
         rows = degree_report(mu, nu).rows
@@ -184,6 +193,32 @@ def test_component_label_cap_counts_the_queries_before_any_runs(t3, monkeypatch)
     assert is_support_pair(mu, nu, cap=4).ok
     assert len(asked) > 2
     assert degree_report(mu, nu, cap=4).rows
+
+
+@pytest.mark.parametrize(
+    "which,bound,n_squares,n_terms",
+    [("t3", 5, 119, 112), ("t4", 4, 136, 113), ("e6", 3, 123, 50)],
+    ids=["A3-5", "D4-4", "E6-3"],
+)
+def test_no_square_fails_the_support_pair_test(request, which, bound, n_squares, n_terms):
+    # for a non-split sequence 0 -> M_mu -> M_lam -> M_mu -> 0 of class xi,
+    # Hom(M_mu, -) ends in [mu, mu] -> Ext^1(M_mu, M_mu), f -> xi f, and
+    # f = id gives xi != 0: no non-split middle term of a square passes the
+    # hom check, so no lam is a witness against (mu, mu)
+    table = request.getfixturevalue(which)
+    squares = [
+        kp
+        for g in itertools.product(range(bound + 1), repeat=table.quiver.rank)
+        if 0 < sum(g) <= bound
+        for kp in kp_enumerate(table, g)
+    ]
+    terms = 0
+    for mu in squares:
+        for lam in ext_set(mu, mu).classes - {mu + mu}:
+            assert not _hom_exact(lam, mu, mu), (kp_format(mu), kp_format(lam))
+            terms += 1
+        assert is_support_pair(mu, mu).ok, kp_format(mu)
+    assert (len(squares), terms) == (n_squares, n_terms)
 
 
 # ------------------------------------------------------------ simplicity
