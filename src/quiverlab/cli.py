@@ -391,8 +391,6 @@ def _cmd_ext_min(args, table) -> tuple[dict, int]:
     lam = _parse_kp(table, args.lam)
     alpha = _parse_dim(args.alpha, table.quiver.rank)
     beta = dim_sub(lam.total, alpha)
-    if any(c < 0 for c in beta):
-        raise PartitionError("alpha exceeds dim lambda")
     fields, cap = _resolve_fields(args), _resolve_cap(args)
     return {
         "lambda": kp_format(lam),
@@ -438,8 +436,6 @@ def _cmd_grass(args, table) -> tuple[dict, int]:
         ]
         return (reports[0] if len(reports) == 1 else {"reports": reports}), EXIT_OK
     alpha = dim_sub(lam.total, beta)
-    if any(c < 0 for c in alpha):
-        raise PartitionError("beta exceeds dim lambda")
     return {
         "lambda": kp_format(lam),
         "alpha": _vector(alpha),

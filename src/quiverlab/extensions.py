@@ -62,7 +62,6 @@ from operator import add, le, mul
 from typing import Callable, Iterator, Sequence
 
 from . import grassmannian, linalg
-from .grassmannian import _pair_basis
 from .homs import ext_dim, hom_dim, hom_ext_pair, hom_ext_vectors
 from .order import _check_kp_cap, leq, lt
 from .quiver import (
@@ -81,6 +80,7 @@ from .reps import (
     Rep,
     RepError,
     _intertwiner_system,
+    _pair_basis,
     _partition_from_counts,
     identify,  # not called here: bench/smoke_test.py rebinds it to test the tracer
     indecomposable,
@@ -182,7 +182,7 @@ def _yoneda(table: RootTable, a: int, c: int, b: int, q: int) -> tuple:
     """The Yoneda pairing Ext^1(M_c, M_b) x Hom(M_a, M_c) -> Ext^1(M_a, M_b),
     memoized per triple of roots: per free position of :func:`_pair_ext`
     of c and b and per f in the basis of Hom(M_a, M_c)
-    (:func:`.grassmannian._pair_basis`), the packed coordinates of [x f]
+    (:func:`.reps._pair_basis`), the packed coordinates of [x f]
     for x the unit cocycle there.  If x is 1 at row r, column l of its
     block at the arrow ``s -> t``, x f is row l of f_s there, so a
     coordinate is its reading row's (arrow, r) block dotted with it."""
@@ -207,7 +207,7 @@ def _connecting_maps(mu: KostantPartition, nu: KostantPartition, q: int) -> tupl
     0 -> Hom(M_a, M_nu) -> Hom(M_a, E_u) -> Hom(M_a, M_mu) -> Ext^1(M_a, M_nu)
     gives dim Hom(M_a, E_u) = base[a] - rank{[u f]}, with
     ``base[a] = hom(a, nu) + hom(a, mu)``, f over the bases of Hom(M_a, M_c)
-    per part c of mu (:func:`.grassmannian._pair_basis`) and [u f] the
+    per part c of mu (:func:`.reps._pair_basis`) and [u f] the
     Yoneda product.  ``maps`` holds ``(a, h, e, columns)`` for every
     root index ``a`` with h = hom(a, mu) > 0 and e = ext(a, nu) > 0
     (elsewhere the rank is 0), one column per Ext^1 coordinate p

@@ -68,8 +68,9 @@ The generic pairs with ``[nu, lambda] = [nu, nu] + [nu, mu]`` index the
 irreducible components (``ext_ger``), decided by ``ext_set`` queries
 (:mod:`.extensions`) with no point walked.
 
-Whole strata are walked for ``strata`` and what reads it:
-``realized_pairs`` and ``stratum_dim(check=True)`` (so ``grass strata``).
+Whole strata are walked only for ``strata`` (so ``grass strata``).
+``stratum_dim`` asks ``extensions.ext_pairs`` whether its sub class is
+realized, with no point walked.
 Whether one pair is realized is asked by ``_realizes``, for the subrep
 route of ``extensions.ext_set``: it classifies the summand point M_nu of
 the split class, compares the counts of an all-forced ``lam`` with the
@@ -89,7 +90,6 @@ from .homs import _top_and_socle, hom_dim, hom_ext_vectors
 from .quiver import (
     KostantPartition,
     PartitionError,
-    RootTable,
     _heights,
     _memo,
     _record,
@@ -98,14 +98,7 @@ from .quiver import (
     dim_sub,
     kp_format,
 )
-from .reps import (
-    Rep,
-    RepError,
-    _partition_from_counts,
-    build,
-    hom_basis,
-    indecomposable,
-)
+from .reps import Rep, RepError, _pair_basis, _partition_from_counts, build
 
 __all__ = [
     "StrataReport",
@@ -113,7 +106,6 @@ __all__ = [
     "a2_component_range",
     "ext_ger",
     "point_count",
-    "realized_pairs",
     "scan_states",
     "strata",
     "stratum_dim",
@@ -218,10 +210,11 @@ def subreps(
 class StratumEntry:
     """The ``count`` points whose quotient is M_mu and whose sub is M_nu.
 
-    ``dim`` is :func:`stratum_dim` of ``nu``, the dimension of the locus
-    of points whose sub is M_nu, over every quotient.  Every entry with
-    the same ``nu`` shares it; it is not the dimension of this entry's
-    own locus, which can be smaller."""
+    ``dim`` is ``[nu, lambda] - [nu, nu]``, the :func:`stratum_dim` of
+    ``nu`` read with no realization check (the entry realizes it): the
+    dimension of the locus of points whose sub is M_nu, over every
+    quotient.  Every entry with the same ``nu`` shares it; it is not the
+    dimension of this entry's own locus, which can be smaller."""
 
     mu: KostantPartition
     nu: KostantPartition
@@ -281,23 +274,17 @@ def _strata(lam: KostantPartition, beta: tuple[int, ...], q: int) -> StrataRepor
             mu = _partition_from_counts(lam.table, quot_counts, quot_dims, into=False)
             counts[(mu, nu)] = total
     entries = tuple(
-        StratumEntry(mu, nu, counts[(mu, nu)], stratum_dim(lam, nu, check=False))
+        StratumEntry(mu, nu, counts[(mu, nu)], hom_dim(nu, lam) - hom_dim(nu, nu))
         for mu, nu in sorted(counts, key=lambda p: (p[0].parts, p[1].parts))
     )
     return StrataReport(lam, beta, q, entries, total)
 
 
 @_memo
-def _pair_basis(table: RootTable, a: int, b: int, q: int) -> list:
-    """:func:`~.reps.hom_basis` of M_a and M_b, memoized per pair of roots."""
-    return hom_basis(indecomposable(table, a, q), indecomposable(table, b, q))
-
-
-@_memo
 def _assembled_basis(lam: KostantPartition, a: int, q: int, dual: bool) -> tuple:
     """A basis of Hom(M_a, M), or with ``dual`` of Hom(M, M_a), for
     M = build(lam, q), written as :func:`~.reps.hom_basis` writes one: a
-    basis of Hom(M_a, M_b) or Hom(M_b, M_a) (:func:`_pair_basis`) per
+    basis of Hom(M_a, M_b) or Hom(M_b, M_a) (:func:`~.reps._pair_basis`) per
     part b of ``lam``, placed at that part's rows or columns."""
     table, dims, d_a = lam.table, lam.total, lam.table.roots[a]
     basis = []
@@ -571,15 +558,6 @@ def _realize_states(lam: KostantPartition, beta: tuple[int, ...], q: int, pair: 
     return scan_states(lam.total, beta, q)
 
 
-def realized_pairs(
-    lam: KostantPartition,
-    beta: Sequence[int],
-    q: int,
-    cap: int | None = linalg.DEFAULT_CAP,
-) -> frozenset[Pair]:
-    return strata(lam, beta, q, cap).pairs()
-
-
 def ext_ger(
     lam: KostantPartition,
     alpha: Sequence[int],
@@ -600,7 +578,6 @@ def stratum_dim(
     lam: KostantPartition,
     nu: KostantPartition,
     *,
-    check: bool = True,
     q: int = 2,
     cap: int | None = linalg.DEFAULT_CAP,
 ) -> int:
@@ -608,15 +585,19 @@ def stratum_dim(
     points whose subrepresentation is M_nu, over every quotient:
     Hom^inj(M_nu, M_lambda) / Aut M_nu (Caldero-Reineke).  Every
     :class:`StratumEntry` with sub class ``nu`` carries it as ``dim``; it
-    is not the dimension of an entry's own (mu, nu) locus.  With
-    ``check`` the sub class is required to be realized (checked over
-    F_q)."""
-    if check:
-        beta = nu.total
-        if not any(pair[1] == nu for pair in realized_pairs(lam, beta, q, cap)):
-            raise PartitionError(
-                f"{kp_format(nu)} is not realized as a sub class of {kp_format(lam)}"
-            )
+    is not the dimension of an entry's own (mu, nu) locus.  The sub class
+    is required to be realized over F_q, a pair of
+    :func:`.extensions.ext_pairs` with no point walked, so the cap counts
+    what it counts: the Kostant partitions of dim lambda - dim nu and of
+    dim nu, then the u-route representatives of its queries."""
+    from .extensions import ext_pairs  # extensions imports this module
+
+    beta = nu.total
+    pairs = ext_pairs(lam, dim_sub(lam.total, beta), beta, fields=(q,), cap=cap)
+    if not any(pair[1] == nu for pair in pairs):
+        raise PartitionError(
+            f"{kp_format(nu)} is not realized as a sub class of {kp_format(lam)}"
+        )
     return hom_dim(nu, lam) - hom_dim(nu, nu)
 
 

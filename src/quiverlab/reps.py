@@ -298,6 +298,12 @@ def hom_basis(m: Rep, n: Rep) -> list[tuple[list[list[int]], ...]]:
 
 
 @_memo
+def _pair_basis(table: RootTable, a: int, b: int, q: int) -> list:
+    """:func:`hom_basis` of M_a and M_b, memoized per pair of roots."""
+    return hom_basis(indecomposable(table, a, q), indecomposable(table, b, q))
+
+
+@_memo
 def _partition_from_counts(
     table: RootTable, counts: tuple[int, ...], dims: tuple[int, ...], *, into: bool = True
 ) -> KostantPartition:

@@ -155,9 +155,19 @@ def test_ext_min_derives_beta(capsys):
     assert data["pairs"] == [{"mu": "[1,2]", "nu": "[2,3]"}]
 
 
-def test_ext_min_alpha_too_big_is_a_domain_error(capsys):
-    rc, _ = run(capsys, "ext-min", "[1,2]", "--alpha", "2,0", *A2)
-    assert rc == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ext-min", "[1,2]", "--alpha", "2,0"),
+        ("grass", "components", "[1,2]", "--beta", "0,2"),
+    ],
+    ids=["ext-min", "grass-components"],
+)
+def test_ext_min_alpha_too_big_is_a_domain_error(capsys, argv):
+    # alpha + beta = dim lambda leaves the other vector negative, which
+    # ext_pairs refuses
+    rc = main([*argv, *A2])
+    assert rc == 1 and "has a negative entry" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ grassmannian

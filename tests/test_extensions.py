@@ -43,6 +43,7 @@ from quiverlab import (
     rank,
     standard_quiver,
     strata,
+    stratum_dim,
 )
 from quiverlab import extensions, grassmannian, linalg, reps
 from quiverlab.extensions import (
@@ -823,22 +824,29 @@ def test_ext_pairs_rejects_an_empty_field_list(t2):
 
 
 @pytest.mark.parametrize(
-    "diagram,rank_,bound,n_grass,n_pairs",
-    [("A", 2, 6, 459, 519), ("A", 3, 5, 1271, 1255), ("D", 4, 4, 1188, 1070)],
+    "diagram,rank_,bound,n_grass,n_pairs,n_subs",
+    [
+        ("A", 2, 6, 459, 519, (1404, 938)),
+        ("A", 3, 5, 1271, 1255, (4390, 2340)),
+        ("D", 4, 4, 1188, 1070, (3784, 2070)),
+    ],
     ids=["A2-6", "A3-5", "D4-4"],
 )
-def test_realized_pairs_match_the_walk(diagram, rank_, bound, n_grass, n_pairs):
+def test_realized_pairs_match_the_walk(diagram, rank_, bound, n_grass, n_pairs, n_subs):
     # the query route against the Grassmannian walk on every (lam, beta)
     # with lam of weight at most the bound and 0 <= beta <= dim lam: the
     # walk's pairs unioned over GF(2) and GF(3), and its generic pairs,
-    # component labels and minimal pairs filtered here from them
+    # component labels and minimal pairs filtered here from them; and
+    # stratum_dim, which refuses every nu of dimension beta that is no
+    # sub class of the walk's pairs over its field
     table = positive_roots(standard_quiver(diagram, rank_))
-    grassmannians = pairs = 0
+    grassmannians = pairs = checks = subs = 0
     for g in itertools.product(range(bound + 1), repeat=rank_):
         for lam in kp_enumerate(table, g) if 0 < sum(g) <= bound else ():
             for beta in itertools.product(*(range(d + 1) for d in g)):
                 alpha = dim_sub(g, beta)
-                realized = strata(lam, beta, 2).pairs() | strata(lam, beta, 3).pairs()
+                walked = {q: strata(lam, beta, q).pairs() for q in (2, 3)}
+                realized = walked[2] | walked[3]
                 generic = {
                     (m, n)
                     for m, n in realized
@@ -859,9 +867,18 @@ def test_realized_pairs_match_the_walk(diagram, rank_, bound, n_grass, n_pairs):
                 assert generic_pairs(lam, alpha, beta) == generic, where
                 assert ext_ger(lam, alpha, beta) == labels, where
                 assert ext_min(lam, alpha, beta) == minimal, where
+                for nu, q in itertools.product(kp_enumerate(table, beta), (2, 3)):
+                    if any(n == nu for _, n in walked[q]):
+                        dim = hom_dim(nu, lam) - hom_dim(nu, nu)
+                        assert stratum_dim(lam, nu, q=q) == dim, (*where, kp_format(nu), q)
+                        subs += 1
+                    else:
+                        with pytest.raises(PartitionError, match="not realized"):
+                            stratum_dim(lam, nu, q=q)
+                    checks += 1
                 grassmannians += 1
                 pairs += len(realized)
-    assert (grassmannians, pairs) == (n_grass, n_pairs)
+    assert (grassmannians, pairs, (checks, subs)) == (n_grass, n_pairs, n_subs)
 
 
 STATE_CLASS = "[1,1]+[1,1]+[1,1]+[1,2]+[1,2]+[1,2]+[2,2]+[2,2]"
@@ -877,6 +894,8 @@ def test_realized_pairs_walk_no_grassmannian(t2, monkeypatch, cold):
     monkeypatch.setattr(grassmannian, "_strata", walked)
     lam = kp_parse(t2, STATE_CLASS)
     assert len(ext_pairs(lam, (3, 2), (3, 3))) == 9
+    nu = kp_parse(t2, "[1,2]+[1,2]+[1,2]")
+    assert stratum_dim(lam, nu) == stratum_dim(lam, nu, q=3) == 9
     assert len(generic_pairs(lam, (3, 2), (3, 3))) == 3
     assert pair_names(ext_ger(lam, (3, 2), (3, 3))) == [
         ("[1,1]+[1,1]+[1,1]+[2,2]+[2,2]", "[1,2]+[1,2]+[1,2]"),
@@ -892,7 +911,8 @@ def test_realized_pairs_walk_no_grassmannian(t2, monkeypatch, cold):
 def test_realized_pairs_cap_counts_partitions_then_queries(t2, monkeypatch):
     # alpha = 3,2 has 3 Kostant partitions and beta = 3,3 has 4; the 9
     # queries in the hom box classify 40 u over GF(2) and 55 over GF(3),
-    # and all of it is counted before any query runs
+    # and all of it is counted before any query runs, also when
+    # stratum_dim asks them over GF(3) for a sub class of dimension 3,3
     asked = []
 
     def counted(*args, **kwargs):
@@ -901,16 +921,22 @@ def test_realized_pairs_cap_counts_partitions_then_queries(t2, monkeypatch):
 
     monkeypatch.setattr(extensions, "ext_set", counted)
     lam = kp_parse(t2, STATE_CLASS)
+    nu = kp_parse(t2, "[1,2]+[1,2]+[1,2]")
     for cap, needed, what in (
         (2, 3, "Kostant partition"), (3, 4, "Kostant partition"), (54, 55, "realized pairs")
     ):
-        with pytest.raises(CapExceeded) as exc:
-            ext_pairs(lam, (3, 2), (3, 3), cap=cap)
-        assert exc.value.needed == needed and what in str(exc.value)
+        for call in (
+            lambda: ext_pairs(lam, (3, 2), (3, 3), cap=cap),
+            lambda: stratum_dim(lam, nu, q=3, cap=cap),
+        ):
+            with pytest.raises(CapExceeded) as exc:
+                call()
+            assert exc.value.needed == needed and what in str(exc.value)
     assert asked == []
     # Hom([1,1], [1,2]) = 0, so the hom box leaves no query for sub [1,1]
     assert ext_pairs(kp_parse(t2, "[1,2]"), (0, 1), (1, 0)) == frozenset() and asked == []
     assert len(ext_pairs(lam, (3, 2), (3, 3), cap=55)) == 9 and len(asked) == 9
+    assert stratum_dim(lam, nu, q=3, cap=55) == 9 and len(asked) == 18
 
 
 # ------------------------------------------------------------- dimensions

@@ -32,7 +32,6 @@ from quiverlab import (
     leq,
     point_count,
     positive_roots,
-    realized_pairs,
     scan_states,
     standard_quiver,
     strata,
@@ -128,7 +127,7 @@ def test_single_point_grassmannian(t3):
 
 def test_realized_generic_and_component_pairs(t3):
     lam = kp_parse(t3, "[1,2]+[2,3]")
-    assert pair_names(realized_pairs(lam, (0, 1, 1), 2)) == [
+    assert pair_names(strata(lam, (0, 1, 1), 2).pairs()) == [
         ("[1,1]+[2,2]", "[2,2]+[3,3]"),
         ("[1,2]", "[2,3]"),
     ]
@@ -291,10 +290,9 @@ def test_assembled_hom_bases_are_bases_of_intertwiners(request, which, max_total
         lambda lam: strata(lam, (-1, 2), 2),
         lambda lam: point_count(lam, (-1, 2), 2),
         lambda lam: list(subreps(build(lam, 2), (-1, 2))),
-        lambda lam: realized_pairs(lam, (-1, 2), 2),
         lambda lam: ext_pairs(lam, (2, 0), (-1, 2)),
     ],
-    ids=["strata", "point_count", "subreps", "realized_pairs", "ext_pairs"],
+    ids=["strata", "point_count", "subreps", "ext_pairs"],
 )
 def test_a_negative_beta_is_rejected(t2, call):
     with pytest.raises(PartitionError, match="negative entry"):
@@ -330,8 +328,16 @@ def test_stratum_dim_checks_realization(t2, t3):
     assert stratum_dim(lam, kp_parse(t3, "[2,3]")) == 1
     assert stratum_dim(lam, kp_parse(t3, "[2,2]+[3,3]")) == 0
     # S1 never embeds in [1,3]+[2,2]: the first arrow is injective on it
-    with pytest.raises(PartitionError):
+    with pytest.raises(PartitionError, match="not realized"):
         stratum_dim(kp_parse(t3, "[1,3]+[2,2]"), kp_parse(t3, "[1,1]"))
+    # the sub class is asked of ext_pairs: walking Gr_(3,3) of this class
+    # needs 40,994,800 states over GF(3), past the default cap
+    lam = kp_parse(t2, "[1,1]+[1,1]+[1,1]+[1,2]+[1,2]+[1,2]+[2,2]+[2,2]")
+    nu = kp_parse(t2, "[1,2]+[1,2]+[1,2]")
+    assert stratum_dim(lam, nu) == stratum_dim(lam, nu, q=3) == 9
+    # a sub class past dim lambda leaves a negative quotient vector
+    with pytest.raises(PartitionError, match="negative entry"):
+        stratum_dim(kp_parse(t2, "[1,2]"), kp_parse(t2, "[2,2]+[2,2]"))
 
 
 # --------------------------------------------------- the A2 family
@@ -671,7 +677,7 @@ def test_realizes_decides_membership_in_the_realized_pairs(
                 if leq(lam, mu + nu)
             ]
             for q in (2, 3):
-                realized = realized_pairs(lam, beta, q)
+                realized = strata(lam, beta, q).pairs()
                 for pair in pairs:
                     where = (kp_format(lam), beta, q, pair_names([pair]))
                     got = _realizes(lam, beta, q, pair)
