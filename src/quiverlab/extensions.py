@@ -498,6 +498,10 @@ def ext_pairs(
     if not fields:
         raise ValueError("ext_pairs needs at least one field")
     alpha, beta = tuple(alpha), tuple(beta)
+    rank = lam.table.quiver.rank
+    for name, vector in (("alpha", alpha), ("beta", beta)):
+        if len(vector) != rank:
+            raise PartitionError(f"{name} {vector} has {len(vector)} entries, not the rank {rank}")
     if dim_add(alpha, beta) != lam.total:
         raise PartitionError(
             f"alpha + beta = {dim_add(alpha, beta)} does not match dim lambda = {lam.total}"
@@ -612,7 +616,7 @@ def d_lambda(lam: KostantPartition, mu: KostantPartition, nu: KostantPartition) 
     quiver = lam.table.quiver
     pairing = euler_form(quiver, alpha, beta)
     via_orbits = orbit_dim(lam) - pairing - orbit_dim(mu) - orbit_dim(nu)
-    dot = sum(a * b for a, b in zip(alpha, beta))
+    dot = sum(map(mul, alpha, beta))
     via_homs = (
         2 * dot
         + hom_dim(mu, mu)

@@ -93,16 +93,31 @@ def _top_and_socle(table: RootTable, a: int) -> tuple[tuple[int, ...], tuple[int
     return top, tuple(hom_ext_pair(table, s, a)[0] for s in simples)
 
 
+# hom_dim and ext_dim run once per pair on every closed-form route, so
+# the table check is inline, and the sum is a plain loop: on the few
+# parts a class usually has it costs less than building a map per call.
+
+
 def hom_dim(x: KostantPartition, y: KostantPartition) -> int:
     """dim Hom(M_x, M_y): the hom vector of y summed over the parts of x."""
-    _check_same_table(x, y)
-    return sum(map(hom_ext_vectors(y)[0].__getitem__, x.parts))
+    if x.table is not y.table:
+        raise PartitionError("partitions live over different root tables")
+    vector = hom_ext_vectors(y)[0]
+    total = 0
+    for a in x.parts:
+        total += vector[a]
+    return total
 
 
 def ext_dim(x: KostantPartition, y: KostantPartition) -> int:
     """dim Ext^1(M_x, M_y): the ext vector of y summed over the parts of x."""
-    _check_same_table(x, y)
-    return sum(map(hom_ext_vectors(y)[1].__getitem__, x.parts))
+    if x.table is not y.table:
+        raise PartitionError("partitions live over different root tables")
+    vector = hom_ext_vectors(y)[1]
+    total = 0
+    for a in x.parts:
+        total += vector[a]
+    return total
 
 
 # ---------------------------------------------------------------------------

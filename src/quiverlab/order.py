@@ -53,10 +53,11 @@ hom_vector.cache_info = hom_ext_vectors.cache_info
 def leq(x: KostantPartition, y: KostantPartition) -> bool:
     """True when ``x <= y`` in the degeneration order (same dimension vector
     required; the more special partition is the larger one)."""
-    _check_same_table(x, y)
+    if x.table is not y.table:  # _check_same_table, inline on this hot path
+        raise PartitionError("partitions live over different root tables")
     if x.total != y.total:
         return False
-    return all(map(le, hom_vector(x), hom_vector(y)))
+    return all(map(le, hom_ext_vectors(x)[0], hom_ext_vectors(y)[0]))
 
 
 def lt(x: KostantPartition, y: KostantPartition) -> bool:

@@ -39,6 +39,7 @@ import itertools
 import re
 import sys
 from collections import defaultdict
+from operator import add, le, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -229,17 +230,25 @@ def coxeter_number(diagram_type: str, rank: int) -> int:
 # dimension vectors
 
 
+def _check_lengths(a: Sequence[int], b: Sequence[int]) -> None:
+    if len(a) != len(b):
+        raise ValueError(f"dimension vectors of lengths {len(a)} and {len(b)}")
+
+
 def dim_add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    _check_lengths(a, b)
+    return tuple(map(add, a, b))
 
 
 def dim_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    _check_lengths(a, b)
+    return tuple(map(sub, a, b))
 
 
 def dim_leq(a: Sequence[int], b: Sequence[int]) -> bool:
     """Componentwise comparison of dimension vectors."""
-    return all(x <= y for x, y in zip(a, b, strict=True))
+    _check_lengths(a, b)
+    return all(map(le, a, b))
 
 
 def weight(a: Sequence[int]) -> int:
@@ -459,17 +468,15 @@ def euler_form(quiver: DynkinQuiver, alpha: Sequence[int], beta: Sequence[int]) 
     """``<a,b> = sum_i a_i b_i - sum_{arrows s->t} a_s b_t``.
 
     Bilinear but not symmetric; for modules it computes
-    ``dim Hom - dim Ext^1``.  Memoized per ``(quiver, alpha, beta)``.
+    ``dim Hom - dim Ext^1``.  Not memoized: computing it costs about as
+    much as a memo lookup with its key, and the pairs of roots, where it
+    repeats, are memoized in :func:`.homs.hom_ext_pair`.
     """
-    return _euler_form(quiver, tuple(alpha), tuple(beta))
-
-
-@_memo
-def _euler_form(quiver: DynkinQuiver, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
     if len(alpha) != quiver.rank or len(beta) != quiver.rank:
         raise QuiverError("dimension vector length does not match the rank")
-    total = sum(a * b for a, b in zip(alpha, beta))
-    total -= sum(alpha[s - 1] * beta[t - 1] for s, t in quiver.arrows)
+    total = sum(map(mul, alpha, beta))
+    for s, t in quiver.arrows:
+        total -= alpha[s - 1] * beta[t - 1]
     return total
 
 
@@ -763,9 +770,10 @@ def _kp_walk(
         k = others[n - 1]
         vec = roots[k]
         top = min(remaining[j] // vec[j] for j in range(len(vec)) if vec[j])
-        for count in range(top + 1):
-            rest = tuple(r - count * v for r, v in zip(remaining, vec))
-            yield n - 1, rest, acc + ((k, count),) if count else acc
+        yield n - 1, remaining, acc
+        for count in range(1, top + 1):
+            remaining = tuple(map(sub, remaining, vec))
+            yield n - 1, remaining, acc + ((k, count),)
 
     stack = [iter([(len(others), tuple(gamma), ())])]
     while stack:

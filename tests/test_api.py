@@ -98,7 +98,7 @@ def test_every_memo_is_made_by_memo_and_listed_once(a3, t3, cold):
     lines = [line.strip() for path in src.glob("*.py") for line in path.read_text().splitlines()]
     # the package is loaded (conftest imports its names), so every module
     # has run its decorators: one listed memo per @_memo line
-    assert len(_MEMOS) == lines.count("@_memo") == 30
+    assert len(_MEMOS) == lines.count("@_memo") == 29
     assert len({id(memo) for memo in _MEMOS}) == len(_MEMOS)
     assert not [line for line in lines if re.match(r"@functools\.(cache|lru_cache)\b", line)]
     assert not [line for line in lines if "lru_cache" in line]

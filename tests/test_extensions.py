@@ -823,6 +823,21 @@ def test_ext_pairs_rejects_an_empty_field_list(t2):
     assert pair_names(ext_pairs(lam, (1, 0), (0, 1), fields=(2,))) == [("[1,1]", "[2,2]")]
 
 
+def test_ext_pairs_names_a_vector_whose_length_is_not_the_rank(t3):
+    # an alpha or beta whose length is not the rank is refused by name
+    # before any partition is counted (cap=0)
+    lam = kp_parse(t3, "[1,3]+[2,2]")
+    for alpha, beta, name in (
+        ((1, 0), (0, 1, 0), r"alpha \(1, 0\) has 2 entries, not the rank 3"),
+        ((1, 1, 0), (0, 1), r"beta \(0, 1\) has 2 entries, not the rank 3"),
+        ((1, 1), (0, 1), r"alpha \(1, 1\) has 2 entries"),
+        ((1, 1, 0, 0), (0, 1, 1, 0), r"alpha \(1, 1, 0, 0\) has 4 entries"),
+    ):
+        for func in (ext_pairs, generic_pairs, ext_ger, ext_min):
+            with pytest.raises(PartitionError, match=name):
+                func(lam, alpha, beta, cap=0)
+
+
 @pytest.mark.parametrize(
     "diagram,rank_,bound,n_grass,n_pairs,n_subs",
     [

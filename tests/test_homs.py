@@ -90,6 +90,18 @@ def test_cross_table_mixing_is_rejected(t2, t3):
                     f(*pair)
 
 
+def test_cross_table_pairs_of_one_dimension_vector_are_rejected(t3):
+    # equal totals over two tables of one quiver: only the table check
+    # stands between these pairs and an answer read at the wrong indices
+    alt = positive_roots(t3.quiver, "alternate")
+    x, y = kp_parse(t3, "[1,2]+[3,3]"), kp_parse(alt, "[1,1]+[2,3]")
+    assert x.total == y.total
+    for f in (hom_dim, ext_dim, leq):
+        for pair in ((x, y), (y, x)):
+            with pytest.raises(PartitionError, match="different root tables"):
+                f(*pair)
+
+
 def test_hom_vanishing_pattern(t3):
     # hom vanishes strictly upward, ext strictly downward, in word order
     n = len(t3.roots)

@@ -36,6 +36,8 @@ from quiverlab import (
     build_quiver,
     coxeter_number,
     dim_add,
+    dim_leq,
+    dim_sub,
     euler_form,
     ext_set,
     format_quiver_spec,
@@ -269,6 +271,17 @@ def test_euler_form_a2(a2):
     assert euler_form(a2, (1, 0), (0, 1)) + euler_form(a2, (0, 1), (1, 0)) == -1
 
 
+def test_euler_form_checks_lengths_against_the_rank(a2):
+    for alpha, beta in (
+        ((1, 0, 0), (0, 1)),
+        ((1, 0), (0, 1, 0)),
+        ((1, 0, 0), (0, 1, 0)),
+        ((1,), (1,)),
+    ):
+        with pytest.raises(QuiverError, match="does not match the rank"):
+            euler_form(a2, alpha, beta)
+
+
 # ---------------------------------------------------------------- partitions
 
 def test_dim_helpers():
@@ -280,6 +293,15 @@ def test_dim_helpers():
         parse_dim_vector("1,2", 3)
     with pytest.raises(PartitionError):
         parse_dim_vector("1,-2,1", 3)
+
+
+@pytest.mark.parametrize("helper", [dim_add, dim_sub, dim_leq])
+def test_dim_helpers_refuse_unequal_lengths(helper):
+    for a, b in (((1, 2), (3, 0, 0)), ((1, 2, 0), (3, 0)), ((), (1,))):
+        with pytest.raises(ValueError, match="lengths"):
+            helper(a, b)
+    assert dim_sub((4, 2), (3, 0)) == (1, 2)
+    assert dim_leq((1, 2), (1, 3)) and not dim_leq((1, 2), (0, 3))
 
 
 def test_kp_parse_format_roundtrip(t3):
@@ -362,6 +384,37 @@ def test_kp_enumerate_order_and_kp_count(t3, t4):
             assert len(classes) == partition_count(table.roots, gamma)
             assert kp_count(table, gamma) == len(classes)
             assert kp_count(table, gamma, 2) == min(len(classes), 2)
+
+
+def partitions_by_recursion(roots, gamma, start=0):
+    """Every multiset of roots[start:] summing to gamma, as non-increasing
+    root indices: the root of the next smallest part is chosen first, then
+    the rest is a partition of gamma minus that root."""
+    if not any(gamma):
+        yield ()
+    for k in range(start, len(roots)):
+        rest = tuple(g - r for g, r in zip(gamma, roots[k]))
+        if min(rest) >= 0:
+            for tail in partitions_by_recursion(roots, rest, k):
+                yield tail + (k,)
+
+
+def test_kp_walk_matches_a_recursion_over_the_roots(t3, t4, e6):
+    for table, max_total, extra in (
+        (t3, 5, [(2, 4, 2)]),
+        (t4, 4, [(1, 2, 1, 1), (2, 3, 2, 1)]),
+        (e6, 3, [(1, 2, 2, 3, 2, 1)]),
+    ):
+        rank = table.quiver.rank
+        vectors = [
+            gamma
+            for gamma in itertools.product(range(max_total + 1), repeat=rank)
+            if sum(gamma) <= max_total
+        ] + extra
+        for gamma in vectors:
+            expected = sorted(partitions_by_recursion(table.roots, gamma), reverse=True)
+            assert [kp.parts for kp in kp_enumerate(table, gamma)] == expected, gamma
+            assert kp_count(table, gamma) == len(expected), gamma
 
 
 def test_kp_count_stops_at_its_limit():
