@@ -42,8 +42,8 @@ from typing import Sequence
 from . import linalg
 from .quiver import (
     PartitionError,
+    _kp_walk,
     dim_sub,
-    kp_enumerate,
     kp_format,
     kp_parse,
     kp_single,
@@ -315,16 +315,13 @@ def _cmd_roots(args, table) -> tuple[dict, int]:
 
 
 def _cmd_kp(args, table) -> tuple[dict, int]:
-    from .order import _check_kp_cap
-
     gamma = _parse_dim(args.gamma, table.quiver.rank)
     cap = _resolve_cap(args)
-    # both the partitions and the parts of one (up to |gamma|) count as
-    # states; the count stops past the cap, before any partition is built
+    # both the walk's nodes and the parts of one partition (up to |gamma|)
+    # count as states; the walk stops past the cap, before any is built
     what = "Kostant partition enumeration (|gamma| parts per partition)"
     linalg.check_cap(weight(gamma), cap, what)
-    _check_kp_cap(table, gamma, cap)
-    classes = kp_enumerate(table, gamma)
+    classes = _kp_walk(table, gamma, cap=cap)
     return {
         "gamma": _vector(gamma),
         "count": len(classes),

@@ -63,7 +63,7 @@ from typing import Callable, Iterator, Sequence
 
 from . import grassmannian, linalg
 from .homs import ext_dim, hom_dim, hom_ext_pair, hom_ext_vectors
-from .order import _check_kp_cap, leq, lt
+from .order import _hom_bounded, _lower_set, leq
 from .quiver import (
     KostantPartition,
     PartitionError,
@@ -73,7 +73,6 @@ from .quiver import (
     _record,
     dim_add,
     euler_form,
-    kp_enumerate,
     kp_format,
 )
 from .reps import (
@@ -360,12 +359,6 @@ def _ext_set_u(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
     return frozenset(classify([*itertools.chain(*choice)]) for choice in itertools.product(*options))
 
 
-@_memo
-def _candidates(split: KostantPartition) -> tuple[KostantPartition, ...]:
-    """The classes ``lam <= split``, which :func:`_hom_box` filters."""
-    return tuple(lam for lam in kp_enumerate(split.table, split.total) if leq(lam, split))
-
-
 def _in_hom_box(lam: KostantPartition, mu: KostantPartition, nu: KostantPartition) -> bool:
     """[a, nu] <= [a, lam] and [mu, a] <= [lam, a] for every root a,
     which every middle term lam of ``ext_set(mu, nu)`` has."""
@@ -375,17 +368,16 @@ def _in_hom_box(lam: KostantPartition, mu: KostantPartition, nu: KostantPartitio
     )
 
 
-def _hom_box(mu: KostantPartition, nu: KostantPartition) -> list[KostantPartition]:
-    """The candidates in the hom box (:func:`_in_hom_box`)."""
-    return [lam for lam in _candidates(mu + nu) if _in_hom_box(lam, mu, nu)]
+def _hom_box(mu: KostantPartition, nu: KostantPartition, cap: int | None) -> list:
+    """The classes lam <= mu + nu in the hom box (:func:`_in_hom_box`),
+    from the lower set of the split class, walked within ``cap`` nodes."""
+    return [lam for lam in _lower_set(mu + nu, cap) if _in_hom_box(lam, mu, nu)]
 
 
-def _ext_set_filter(mu: KostantPartition, nu: KostantPartition, q: int) -> frozenset:
-    """The candidates in the hom box whose Grassmannian realizes
+def _ext_set_filter(mu: KostantPartition, nu: KostantPartition, q: int, box: list) -> frozenset:
+    """The classes of the hom box ``box`` whose Grassmannian realizes
     ``(mu, nu)`` over F_q, each decided by :func:`.grassmannian._realizes`."""
-    return frozenset(
-        lam for lam in _hom_box(mu, nu) if grassmannian._realizes(lam, nu.total, q, (mu, nu))
-    )
+    return frozenset(lam for lam in box if grassmannian._realizes(lam, nu.total, q, (mu, nu)))
 
 
 def ext_set(
@@ -406,9 +398,8 @@ def ext_set(
     method = _normalize_method(method)
     split = mu + nu
     if method == METHOD_FILTER:
-        # the candidates are counted before they are listed
-        _check_kp_cap(mu.table, split.total, cap)
-        box = _hom_box(mu, nu)
+        # the walk of the candidates stops past the cap
+        box = _hom_box(mu, nu, cap)
     for q in fields:
         if method == METHOD_U:
             needed = _walked_side(mu, nu, q)[0]
@@ -422,8 +413,10 @@ def ext_set(
             )
             what = "subrepresentation scans of the candidates in the hom box"
         linalg.check_cap(needed, cap, what)
-    runner = _ext_set_u if method == METHOD_U else _ext_set_filter
-    per_field = [runner(mu, nu, q) for q in fields]
+    if method == METHOD_U:
+        per_field = [_ext_set_u(mu, nu, q) for q in fields]
+    else:
+        per_field = [_ext_set_filter(mu, nu, q, box) for q in fields]
     classes = frozenset().union(*per_field)
     stable = all(s == per_field[0] for s in per_field)
     if split not in classes:
@@ -493,8 +486,10 @@ def ext_pairs(
     """The (quotient, sub) class pairs realized by stable subspaces of
     ``build(lam)`` with sub dimension vector ``beta``, over any of the
     fields: the (mu, nu) in whose hom box lam lies, with lam <= mu + nu and
-    lam in ``ext_set(mu, nu)``.  The Kostant partitions of ``alpha`` and
-    ``beta``, then the queries, are counted against ``cap`` first."""
+    lam in ``ext_set(mu, nu)``.  The quotients m of dim ``alpha`` with
+    [m, a] <= [lam, a] and the subs n of dim ``beta`` with [a, n] <= [a, lam]
+    are walked once each within ``cap`` nodes (:func:`.order._hom_bounded`),
+    and the queries are counted against ``cap`` before any runs."""
     if not fields:
         raise ValueError("ext_pairs needs at least one field")
     alpha, beta = tuple(alpha), tuple(beta)
@@ -508,14 +503,10 @@ def ext_pairs(
         )
     if any(c < 0 for c in alpha + beta):
         raise PartitionError(f"alpha {alpha} or beta {beta} has a negative entry")
-    for gamma in (alpha, beta):
-        _check_kp_cap(lam.table, gamma, cap)
-    queries = [
-        (m, n)
-        for m in kp_enumerate(lam.table, alpha)
-        for n in kp_enumerate(lam.table, beta)
-        if leq(lam, m + n) and _in_hom_box(lam, m, n)
-    ]
+    into, _, out_of = hom_ext_vectors(lam)
+    quotients = _hom_bounded(lam.table, alpha, out_of, True, cap)
+    subs = _hom_bounded(lam.table, beta, into, False, cap)
+    queries = [(m, n) for m in quotients for n in subs if leq(lam, m + n)]
     what = "ext_set queries of the realized pairs, one u per orbit representative"
     _check_queries(queries, fields, cap, what)
     return frozenset(p for p in queries if lam in ext_set(*p, fields=fields, cap=cap).classes)
@@ -532,14 +523,12 @@ def _generic_terms(
     ``generic_pairs(lam, mu.total, nu.total, fields=fields)``, each lam in
     ``ext_set(mu, nu, fields=fields)``: no nu' < nu has lam in
     ``ext_set(mu, nu')`` and no mu' < mu has lam in ``ext_set(mu', nu)``,
-    asked only where lam <= mu' + nu' lies in their hom box.  The Kostant
-    partitions of dim mu and dim nu, then the queries, are counted against
-    ``cap`` before any query runs."""
-    table = mu.table
-    for gamma in (mu.total, nu.total):
-        _check_kp_cap(table, gamma, cap)
-    lower = [(mu, n) for n in kp_enumerate(table, nu.total) if lt(n, nu)] + [
-        (m, nu) for m in kp_enumerate(table, mu.total) if lt(m, mu)
+    asked only where lam <= mu' + nu' lies in their hom box.  The lower
+    sets of mu and nu are walked within ``cap`` nodes
+    (:func:`.order._lower_set`), and the queries are counted against
+    ``cap`` before any runs."""
+    lower = [(mu, n) for n in _lower_set(nu, cap) if n != nu] + [
+        (m, nu) for m in _lower_set(mu, cap) if m != mu
     ]
     tests = [
         (lam, [(m, n) for m, n in lower if leq(lam, m + n) and _in_hom_box(lam, m, n)])

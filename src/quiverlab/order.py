@@ -13,21 +13,25 @@ are compared in tests.
 The semisimple partition (all parts simple roots) is the unique maximum
 of each poset; a rigid partition (no self-extensions) is the unique
 minimum.
+
+Partitions bounded in the hom order, such as the lower set {z <= x},
+come from the one walk :func:`.quiver._kp_walk`, bounded here
+(:func:`_hom_bounded`) so that it lists none outside the bound.
 """
 
 from __future__ import annotations
 
-from operator import ge, le
+from operator import ge, le, sub
 
 from . import linalg
-from .homs import _check_same_table, ext_dim, hom_ext_vectors
+from .homs import _check_same_table, ext_dim, hom_ext_pair, hom_ext_vectors
 from .quiver import (
     KostantPartition,
     PartitionError,
     RootTable,
+    _kp_walk,
     _memo,
-    kp_count,
-    kp_enumerate,
+    euler_form,
     segments_of,
 )
 
@@ -94,34 +98,50 @@ def is_rigid(x: KostantPartition) -> bool:
     return ext_dim(x, x) == 0
 
 
-def _check_kp_cap(table: RootTable, gamma: tuple[int, ...], cap: int | None) -> None:
-    if cap is not None:
-        linalg.check_cap(
-            _kp_count(table, tuple(gamma), cap + 1),
-            cap,
-            "Kostant partition enumeration (counting stopped past the cap)",
-        )
+@_memo
+def _walk_rows(table: RootTable) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The rows :func:`_hom_bounded` walks with, per root k: ``[a, k]``
+    then ``ext(a, k)`` over every root a for the into side, and
+    ``[k, a]`` then ``ext(k, a)`` for the out-of side."""
+    n = range(len(table))
+    into = tuple(tuple(hom_ext_pair(table, a, k)[i] for i in (0, 1) for a in n) for k in n)
+    out_of = tuple(tuple(hom_ext_pair(table, k, a)[i] for i in (0, 1) for a in n) for k in n)
+    return into, out_of
+
+
+def _hom_bounded(
+    table: RootTable, gamma: tuple[int, ...], bound: tuple[int, ...], out_of: bool, cap: int | None
+) -> tuple[KostantPartition, ...]:
+    """The Kostant partitions p of ``gamma`` with ``[a, p] <= bound[a]``
+    for every root a, or ``[p, a] <= bound[a]`` with ``out_of``, from a
+    walk that stops past ``cap`` nodes.  [a, p] is additive over parts
+    and never negative, and a completion r of a partial partition has
+    [a, r] >= <a, dim r>, so the walk cuts once
+    [a, partial] + max(0, <a, remaining>) > bound[a], that is, as
+    <a, remaining> = <a, gamma> - [a, partial] + ext(a, partial), once
+    [a, partial] > bound[a] or ext(a, partial) > bound[a] - <a, gamma>.
+    The out-of side swaps the arguments."""
+    q = table.quiver
+    euler = [euler_form(q, *((gamma, b) if out_of else (b, gamma))) for b in table.roots]
+    limits = (*bound, *map(sub, bound, euler))
+    return _kp_walk(table, gamma, _walk_rows(table)[out_of], limits, cap)
 
 
 @_memo
-def _kp_count(table: RootTable, gamma: tuple[int, ...], limit: int) -> int:
-    """:func:`~.quiver.kp_count` stopped at ``limit``, memoized per
-    ``(table, gamma, limit)``: the caps of ``ext_set``'s subrep route and
-    of ``klr`` ask for the same vectors over and over."""
-    return kp_count(table, gamma, limit)
+def _lower_set(x: KostantPartition, cap: int | None) -> tuple[KostantPartition, ...]:
+    """The z <= x, ordered by their parts from the largest down: the
+    partitions of dim x with [a, z] <= [a, x] for every root a
+    (:func:`_hom_bounded`), walked within ``cap`` nodes.  The cap is part
+    of the key, so a refusal does not depend on what is memoized."""
+    return _hom_bounded(x.table, x.total, hom_ext_vectors(x)[0], False, cap)
 
 
 def interval(
     low: KostantPartition, high: KostantPartition, *, cap: int | None = linalg.DEFAULT_CAP
 ) -> tuple[KostantPartition, ...]:
-    """All partitions z of the common dimension vector with low <= z <= high.
-    The partitions are counted against ``cap`` before any is listed."""
+    """All partitions z of the common dimension vector with low <= z <= high:
+    the lower set of high, walked within ``cap`` nodes, then low <= z."""
     _check_same_table(low, high)
     if low.total != high.total:
         return ()
-    _check_kp_cap(low.table, low.total, cap)
-    return tuple(
-        z
-        for z in kp_enumerate(low.table, low.total)
-        if leq(low, z) and leq(z, high)
-    )
+    return tuple(z for z in _lower_set(high, cap) if leq(low, z))

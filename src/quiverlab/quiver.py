@@ -35,12 +35,10 @@ vector and text form) is computed once.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
-import sys
 from collections import defaultdict
 from operator import add, le, mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "DynkinQuiver",
@@ -57,7 +55,6 @@ __all__ = [
     "euler_form",
     "format_quiver_spec",
     "injective_root",
-    "kp_count",
     "kp_enumerate",
     "kp_format",
     "kp_from_segments",
@@ -746,68 +743,75 @@ def segments_of(kp: KostantPartition) -> tuple[tuple[int, int], ...]:
 
 
 def _kp_walk(
-    table: RootTable, gamma: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Every Kostant partition of ``gamma`` as ``(root index,
-    multiplicity)`` pairs, in no fixed order.
+    table: RootTable,
+    gamma: tuple[int, ...],
+    rows: Sequence[tuple[int, ...]] | None = None,
+    limits: tuple[int, ...] | None = None,
+    cap: int | None = None,
+) -> tuple[KostantPartition, ...]:
+    """The Kostant partitions of ``gamma`` whose sum of ``rows[k]`` over
+    their parts k is at most ``limits`` in every entry, or all of them
+    without ``rows``, ordered by their parts from the largest down.
 
-    The non-simple roots are chosen depth-first (a stack of lazy branch
-    iterators instead of recursion, since the depth is the number of
-    roots).  What they leave is a non-negative vector, which the simple
-    roots complete in exactly one way, so every branch ends in a
-    partition: the first n partitions cost O(n) branches times the depth,
-    with no dead ends, and no parts are ever spelled out.
+    A node of the walk is a multiset of non-simple roots that fits in
+    ``gamma``; the simple roots complete what it leaves in exactly one
+    way, so without ``rows`` the nodes are the partitions.  A node's
+    children, made depth-first from a stack, add one root no later in
+    the order than its last.  The rows are never negative, so a node
+    whose sum passes ``limits`` is cut with every node below it, and a
+    node is kept when its sum with its simple roots' rows stays inside.
+    Parts are held as a linked list, one pair per node, and spelled out
+    once the walk has ended.  The walk counts the nodes it makes and
+    raises :class:`~.linalg.CapExceeded` as soon as the count passes
+    ``cap``.
     """
     if len(gamma) != table.quiver.rank:
         raise PartitionError("gamma length does not match the rank")
     if any(x < 0 for x in gamma):
         raise PartitionError("gamma has negative entries")
+    from .linalg import check_cap  # linalg imports this module
+
+    what = "Kostant partition walk nodes (counting stopped past the cap)"
+    check_cap(1, cap, what)  # the root, the empty multiset, is the first node
     roots = table.roots
     simple = [table.simple_root_index(i) for i in table.quiver.vertices]
     others = [k for k in range(len(roots)) if k not in simple]
-
-    def branches(n: int, remaining: tuple[int, ...], acc: tuple) -> Iterator:
-        k = others[n - 1]
-        vec = roots[k]
-        top = min(remaining[j] // vec[j] for j in range(len(vec)) if vec[j])
-        yield n - 1, remaining, acc
-        for count in range(1, top + 1):
-            remaining = tuple(map(sub, remaining, vec))
-            yield n - 1, remaining, acc + ((k, count),)
-
-    stack = [iter([(len(others), tuple(gamma), ())])]
+    kept, nodes = [], 1
+    stack = [(len(others), tuple(gamma), (), (0,) * len(limits) if rows else ())]
     while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            continue
-        n, remaining, acc = node
-        if n:
-            stack.append(branches(n, remaining, acc))
-        else:
-            yield acc + tuple((k, x) for k, x in zip(simple, remaining) if x)
+        n, remaining, parts, total = stack.pop()
+        full = total
+        for s, x in zip(simple, remaining):
+            if x and rows:
+                full = tuple(map(add, full, [x * e for e in rows[s]]))
+        if not rows or all(map(le, full, limits)):
+            kept.append((parts, remaining))
+        for j in range(n):
+            k = others[j]
+            rest = tuple(map(sub, remaining, roots[k]))
+            if min(rest) >= 0:
+                vec = tuple(map(add, total, rows[k])) if rows else total
+                if not rows or all(map(le, vec, limits)):
+                    nodes += 1
+                    if cap is not None and nodes > cap:
+                        check_cap(nodes, cap, what)
+                    stack.append((j + 1, rest, (k, parts), vec))
+    found = []
+    for parts, remaining in kept:
+        spelled = [s for s, x in zip(simple, remaining) for _ in range(x)]
+        while parts:
+            k, parts = parts
+            spelled.append(k)
+        found.append(KostantPartition(table, tuple(spelled)))
+    return tuple(sorted(found, key=lambda kp: kp.parts, reverse=True))
 
 
 @_memo
 def kp_enumerate(table: RootTable, gamma: tuple[int, ...]) -> tuple[KostantPartition, ...]:
     """All Kostant partitions with dimension vector ``gamma``, ordered by
-    their parts (non-increasing root indices) from the largest down."""
-    found = (
-        KostantPartition(table, tuple(k for k, c in mult for _ in range(c)))
-        for mult in _kp_walk(table, gamma)
-    )
-    return tuple(sorted(found, key=lambda kp: kp.parts, reverse=True))
-
-
-def kp_count(table: RootTable, gamma: Sequence[int], limit: int | None = None) -> int:
-    """The number of Kostant partitions of ``gamma``, without building
-    them; with ``limit`` the walk stops there and ``min(count, limit)`` is
-    returned, so a caller can check a cap before :func:`kp_enumerate`.
-    ``islice`` takes no stop past ``sys.maxsize``, and no walk that long
-    can finish, so a larger limit counts as ``sys.maxsize``."""
-    if limit is not None:
-        limit = min(limit, sys.maxsize)
-    return sum(1 for _ in itertools.islice(_kp_walk(table, tuple(gamma)), limit))
+    their parts (non-increasing root indices) from the largest down: the
+    walk (:func:`_kp_walk`) with no bound and no cap."""
+    return _kp_walk(table, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -249,9 +249,10 @@ def test_grass_components_and_ext_min_ask_ext_set_at_the_default_cap(capsys):
 
 
 def test_realized_pair_caps_exit_5_before_any_ext_set(capsys, monkeypatch):
-    # alpha has 3 Kostant partitions in both commands, and the 9 queries
-    # of grass components classify 55 u over GF(3); each is counted against
-    # the cap before any ext_set runs
+    # the walk of the quotients of dim alpha in lambda's out-of hom box
+    # makes 3 nodes in both commands, and the 9 queries of grass components
+    # classify 55 u over GF(3); each is counted against the cap before any
+    # ext_set runs
     import quiverlab.extensions as ext
 
     def unreachable(*args, **kwargs):
@@ -261,8 +262,8 @@ def test_realized_pair_caps_exit_5_before_any_ext_set(capsys, monkeypatch):
     grass = ["grass", "components", STATE_CLASS, "--beta", "3,3", "--field", "3", *A2]
     ext_min = ["ext-min", STATE_CLASS, "--alpha", "2,3", "--field", "3", *A2]
     for argv, cap, message in (
-        (grass, "2", "Kostant partition enumeration (counting stopped past the cap) needs 3"),
-        (ext_min, "2", "Kostant partition enumeration (counting stopped past the cap) needs 3"),
+        (grass, "2", "Kostant partition walk nodes (counting stopped past the cap) needs 3"),
+        (ext_min, "2", "Kostant partition walk nodes (counting stopped past the cap) needs 3"),
         (grass, "54", "ext_set queries of the realized pairs, one u per orbit representative "
                       "needs 55 states, cap is 54"),
     ):
@@ -523,12 +524,12 @@ def test_ext_set_output_does_not_depend_on_set_order(capsys, monkeypatch):
 _COLD = {"cli", "linalg", "quiver"}
 _GRASS = _COLD | {"grassmannian", "homs", "reps"}
 _EXT = _GRASS | {"extensions", "order"}
-_KLR = _EXT | {"klr", "repetition"}
+_KLR = _EXT | {"klr"}
 COLD_MODULES = {
     "roots": _COLD,
     "hom": _COLD | {"homs"},
     "ext1": _COLD | {"homs"},
-    "kp": _COLD | {"homs", "order"},
+    "kp": _COLD,
     "order": _COLD | {"homs", "order"},
     "epsilon": _COLD | {"homs", "repetition"},
     "rep-quiver": _COLD | {"homs", "repetition"},
@@ -582,7 +583,7 @@ def test_kp_cap_is_checked_before_the_enumeration():
     # (6, ..., 6) in E8 ran past it
     env = child_env()
     for gamma, message in (
-        ("6,6,6,6,6,6,6,6", "error: Kostant partition enumeration (counting stopped"),
+        ("6,6,6,6,6,6,6,6", "error: Kostant partition walk nodes (counting stopped"),
         ("1000000000,0,0,0,0,0,0,0", "error: Kostant partition enumeration (|gamma|"),
     ):
         proc = subprocess.run(
@@ -592,6 +593,24 @@ def test_kp_cap_is_checked_before_the_enumeration():
         )
         assert proc.returncode == 5
         assert proc.stderr.startswith(message)
+
+
+def test_simplicity_on_an_e7_pair_runs_in_its_budget():
+    # dim mu has 581,729 Kostant partitions, of which 5 lie below mu: the
+    # component-label test walks only those, in a fresh process
+    argv = ["simplicity", "1,2,3,2,1,0,2 + 1,2,3,3,2,1,2", "0,1,1,0,0,0,1 + 0,1,1,1,1,1,1",
+            "--type", "E", "--rank", "7"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "quiverlab.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=child_env())
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"the E7 pair took {elapsed:.1f}s (budget 10s)"
+    assert proc.returncode == 3, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["verdict"] == "cannot_be_simple"
+    assert data["witness"] == (
+        "0,1,1,0,0,0,1 + 1,2,3,2,1,0,2 + 0,1,2,2,1,1,1 + 0,1,1,1,1,0,1 + 1,1,1,1,1,1,1"
+    )
 
 
 def test_kp_cap_counts_partitions(capsys):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from operator import mul
 
 import pytest
@@ -47,7 +48,6 @@ from quiverlab import (
 )
 from quiverlab import extensions, grassmannian, linalg, reps
 from quiverlab.extensions import (
-    _candidates,
     _classify_u,
     _coboundaries,
     _connecting_maps,
@@ -60,6 +60,7 @@ from quiverlab.extensions import (
     _yoneda,
 )
 from quiverlab.homs import hom_ext_vectors
+from quiverlab.order import _lower_set
 from quiverlab.reps import Rep, RepError, _partition_from_counts, indecomposable
 
 
@@ -266,7 +267,7 @@ def test_subrep_cap_counts_the_hom_box_scans(t3, monkeypatch, cold):
     mu = kp_parse(t3, "[1,1]+[2,2]+[3,3]")
     split = mu + mu
     assert sum(leq(lam, split) for lam in kp_enumerate(t3, split.total)) == 10
-    box = _hom_box(mu, mu)
+    box = _hom_box(mu, mu, None)
     assert len(box) == 5 and split in box
     scanned = []
     realizes = grassmannian._realizes
@@ -334,8 +335,8 @@ def test_every_middle_term_lies_in_the_hom_box(
     table = request.getfixturevalue(which)
     triples = skipped = 0
     for mu, nu in sweep_pairs(table, bound):
-        box = _hom_box(mu, nu)
-        skipped += len(_candidates(mu + nu)) - len(box)
+        box = _hom_box(mu, nu, None)
+        skipped += len(_lower_set(mu + nu, None)) - len(box)
         for q in fields:
             assert _ext_set_u(mu, nu, q) <= set(box), (kp_format(mu), kp_format(nu), q)
             triples += 1
@@ -695,7 +696,7 @@ def test_u_route_walks_mu_side_of_a_class_against_itself(t2, monkeypatch):
     x = kp_parse(t2, "[1,1]+[1,1]+[2,2]")
     for q in (2, 3):
         calls.clear()
-        assert _ext_set_u.__wrapped__(x, x, q) == _ext_set_filter(x, x, q)
+        assert _ext_set_u.__wrapped__(x, x, q) == _ext_set_filter(x, x, q, _hom_box(x, x, None))
         assert len(calls) == 2
 
 
@@ -732,7 +733,7 @@ def test_middle_terms_are_neither_an_interval_nor_the_hom_box(t3):
     assert names(ext_set(mu, nu, method=METHOD_FILTER).classes) == expected
     extra = ["[1,1]+[1,3]+[2,2]"]
     assert names(interval(generic_ext(mu, nu), mu + nu)) == sorted(expected + extra)
-    assert names(_hom_box(mu, nu)) == sorted(expected + extra)
+    assert names(_hom_box(mu, nu, None)) == sorted(expected + extra)
 
 
 def test_cap_is_checked_after_a_warm_memo(t3):
@@ -952,6 +953,18 @@ def test_realized_pairs_cap_counts_partitions_then_queries(t2, monkeypatch):
     assert ext_pairs(kp_parse(t2, "[1,2]"), (0, 1), (1, 0)) == frozenset() and asked == []
     assert len(ext_pairs(lam, (3, 2), (3, 3), cap=55)) == 9 and len(asked) == 9
     assert stratum_dim(lam, nu, q=3, cap=55) == 9 and len(asked) == 18
+
+
+def test_ext_pairs_walks_each_side_in_its_hom_box(cold):
+    # dim alpha has 3,288 Kostant partitions and dim beta 354, and none of
+    # either lies in lambda's hom box, so no pair is formed
+    e6 = positive_roots(standard_quiver("E", 6))
+    lam = kp_parse(e6, "1,1,2,2,1,1 + 1,2,2,2,1,1 + 0,1,1,1,1,0 + 1,1,1,0,0,1")
+    beta = (1, 2, 3, 2, 1, 1)
+    start = time.perf_counter()
+    assert ext_pairs(lam, dim_sub(lam.total, beta), beta) == frozenset()
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"ext_pairs took {elapsed:.2f}s (budget 1s)"
 
 
 # ------------------------------------------------------------- dimensions

@@ -358,18 +358,19 @@ def test_semicuspidal_pairs_checks_the_cap_first(t3, monkeypatch):
 
 
 def test_head_socle_bounds_checks_the_cap_first(monkeypatch):
-    # both generic extensions fit cap 5, but the interval would enumerate
-    # all 8 Kostant partitions of (1, 1, 1, 1)
+    # both generic extensions fit cap 2, but the walk of the split class's
+    # lower set, [1,1]+[2,4] and [1,4], makes 3 nodes, and it runs before
+    # either generic extension
     t = positive_roots(standard_quiver("A", 4))
     mu, nu = kp_parse(t, "[1,1]"), kp_parse(t, "[2,4]")
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("kp_enumerate ran before the cap check")
+        raise AssertionError("generic_ext ran before the cap check")
 
-    monkeypatch.setattr(order, "kp_enumerate", unreachable)
+    monkeypatch.setattr(klr, "generic_ext", unreachable)
     with pytest.raises(CapExceeded) as exc:
-        head_socle_bounds(mu, nu, cap=5)
-    assert "needs 6 states, cap is 5" in str(exc.value)
+        head_socle_bounds(mu, nu, cap=2)
+    assert "needs 3 states, cap is 2" in str(exc.value)
 
 
 # ------------------------------------------------------------ degrees

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -44,7 +45,6 @@ from quiverlab import (
     head_socle_bounds,
     injective_root,
     interval,
-    kp_count,
     kp_enumerate,
     kp_format,
     kp_from_segments,
@@ -64,6 +64,8 @@ from quiverlab import (
     strata,
     weight,
 )
+from quiverlab.linalg import CapExceeded
+from quiverlab.quiver import _kp_walk
 
 
 # ---------------------------------------------------------------- shape
@@ -371,7 +373,7 @@ def partition_count(roots, gamma):
     return ways[tuple(gamma)]
 
 
-def test_kp_enumerate_order_and_kp_count(t3, t4):
+def test_kp_enumerate_order_and_node_count(t3, t4):
     for table, max_total in ((t3, 5), (t4, 4)):
         rank = table.quiver.rank
         for gamma in itertools.product(range(max_total + 1), repeat=rank):
@@ -382,8 +384,11 @@ def test_kp_enumerate_order_and_kp_count(t3, t4):
             # distinct, and ordered by parts from the largest down
             assert parts == sorted(set(parts), reverse=True)
             assert len(classes) == partition_count(table.roots, gamma)
-            assert kp_count(table, gamma) == len(classes)
-            assert kp_count(table, gamma, 2) == min(len(classes), 2)
+            # with no bound the walk makes one node per partition
+            assert _kp_walk(table, gamma, cap=len(classes)) == classes
+            with pytest.raises(CapExceeded) as exc:
+                _kp_walk(table, gamma, cap=len(classes) - 1)
+            assert exc.value.needed == len(classes)
 
 
 def partitions_by_recursion(roots, gamma, start=0):
@@ -414,20 +419,29 @@ def test_kp_walk_matches_a_recursion_over_the_roots(t3, t4, e6):
         for gamma in vectors:
             expected = sorted(partitions_by_recursion(table.roots, gamma), reverse=True)
             assert [kp.parts for kp in kp_enumerate(table, gamma)] == expected, gamma
-            assert kp_count(table, gamma) == len(expected), gamma
+            assert len(_kp_walk(table, gamma, cap=len(expected))) == len(expected), gamma
 
 
-def test_kp_count_stops_at_its_limit():
+def test_kp_walk_stops_past_its_cap():
     e8 = positive_roots(standard_quiver("E", 8))
-    # far too many partitions to list, and entries far too large to spell out
-    assert kp_count(e8, (6,) * 8, 101) == 101
-    assert kp_count(e8, (10**9,) * 8, 1000) == 1000
-    assert kp_count(e8, (10**9,) + (0,) * 7, 5) == 1
+    # far too many partitions to list, and entries far too large to spell
+    # out: the walk refuses as soon as its node count passes the cap
+    start = time.perf_counter()
+    for gamma, cap in (((6,) * 8, 100), ((10**9,) * 8, 1000)):
+        with pytest.raises(CapExceeded, match="counting stopped past the cap") as exc:
+            _kp_walk(e8, gamma, cap=cap)
+        assert exc.value.needed == cap + 1
+    assert time.perf_counter() - start < 0.5
+    # no non-simple root fits, so the one node is the one partition
+    assert _kp_walk(e8, (5,) + (0,) * 7, cap=1) == (
+        KostantPartition(e8, (e8.simple_root_index(1),) * 5),
+    )
 
 
 def test_caps_past_sys_maxsize_do_not_stop_the_count(t2, t3):
-    # islice takes no stop past sys.maxsize, and a cap check asks for cap + 1
-    assert kp_count(t3, (1, 2, 1), 2**70) == kp_count(t3, (1, 2, 1), sys.maxsize + 1) == 5
+    # a cap is compared with the node count, however large it is
+    for cap in (2**70, sys.maxsize + 1):
+        assert len(_kp_walk(t3, (1, 2, 1), cap=cap)) == 5
     low, high = kp_parse(t3, "[1,3]+[2,2]"), kp_parse(t3, "[1,1]+[2,2]+[2,2]+[3,3]")
     assert len(interval(low, high, cap=2**70)) == 5
     mu, nu = kp_parse(t2, "[1,1]"), kp_parse(t2, "[2,2]")

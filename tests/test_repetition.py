@@ -6,6 +6,7 @@ re-checks the structural properties exhaustively in rank 3.
 """
 
 import itertools
+from operator import mul
 
 import pytest
 
@@ -17,6 +18,7 @@ from quiverlab import (
     build_quiver,
     build_repetition,
     cartan_q,
+    degree_report,
     coxeter_tau,
     coxeter_tau_inv,
     d_value,
@@ -308,3 +310,48 @@ def test_epsilon_antisymmetric_on_samples(rq3, t3):
         a = (v_lambda(rq3, l1), w_gamma(rq3, g1))
         b = (v_lambda(rq3, l2), w_gamma(rq3, g2))
         assert epsilon(rq3, *a, *b) == -epsilon(rq3, *b, *a)
+
+
+def orientations(diagram_type, rank):
+    """Every orientation of the diagram's edges."""
+    edges = standard_quiver(diagram_type, rank).arrows
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        yield build_quiver(
+            diagram_type, rank, [(t, s) if f else (s, t) for (s, t), f in zip(edges, flips)]
+        )
+
+
+def test_d_and_epsilon_are_closed_forms_on_every_root_pair():
+    # d(v_l1, w_g1; v_l2, w_g2) = g1.g2 - [l1, l2], hence
+    # epsilon(l1, l2) = [l2, l1] - [l1, l2], the form degree_report reads;
+    # v and w are additive (criterion 10), so root pairs decide it
+    quivers = [
+        *orientations("A", 3), *orientations("A", 4), *orientations("D", 4),
+        standard_quiver("E", 6),
+    ]
+    pairs = 0
+    for quiver in quivers:
+        table, rq = positive_roots(quiver), build_repetition(quiver)
+        roots = [
+            (lam, v_lambda(rq, lam), w_gamma(rq, lam.total))
+            for lam in (kp_single(table, k) for k in range(len(table)))
+        ]
+        for l1, v1, w1 in roots:
+            for l2, v2, w2 in roots:
+                dot = sum(map(mul, l1.total, l2.total))
+                assert d_value(rq, v1, w1, v2, w2) == dot - hom_dim(l1, l2)
+                eps = epsilon(rq, v1, w1, v2, w2)
+                assert eps == hom_dim(l2, l1) - hom_dim(l1, l2), (quiver, l1, l2)
+                pairs += 1
+    assert pairs == 4 * 6**2 + 8 * 10**2 + 8 * 12**2 + 36**2
+
+
+def test_degree_report_epsilon_agrees_with_the_repetition_route(rq3, t3):
+    # the split row's epsilon against the epsilon subcommand's route
+    for x, y in itertools.permutations(["[1,2]", "[2,3]", "[1,1]+[3,3]", "[2,2]"], 2):
+        mu, nu = kp_parse(t3, x), kp_parse(t3, y)
+        split_row = [row for row in degree_report(mu, nu).rows if row.lam == mu + nu]
+        expected = epsilon(
+            rq3, v_lambda(rq3, mu), w_gamma(rq3, mu.total), v_lambda(rq3, nu), w_gamma(rq3, nu.total)
+        )
+        assert [row.eps for row in split_row] == [expected]
